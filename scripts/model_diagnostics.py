@@ -3,7 +3,8 @@
 
 Prints the marginal identity check, the max |PMI| over all pairs, the
 top of the spectrum in both decomposition modes, and the agreement
-between the analytic factors and the dense Jacobi oracle.
+between the analytic factors and the dense LAPACK (``numpy.linalg.eigh``)
+oracle.
 """
 
 import argparse

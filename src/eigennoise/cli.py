@@ -15,11 +15,9 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
-
-import numpy as np
 
 from . import datasets, eigen, embeddings, mdl
 from . import probe as probe_mod
@@ -221,16 +219,7 @@ def _cell_table(cell: CellSpec, ctx: MatrixContext) -> embeddings.EmbeddingTable
 def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
     try:
         base = _cell_table(cell, ctx)
-        config = probe_mod.TrainConfig(
-            lr=ctx.config_base.lr,
-            anneal_factor=ctx.config_base.anneal_factor,
-            patience=ctx.config_base.patience,
-            consecutive=ctx.config_base.consecutive,
-            seed=cell.seed,
-            batch_size=ctx.config_base.batch_size,
-            max_epochs=ctx.config_base.max_epochs,
-            hidden=ctx.config_base.hidden,
-        )
+        config = replace(ctx.config_base, seed=cell.seed)
         train = ctx.train_data[cell.window]
         dev = ctx.dev_data.get(cell.window)
         carried = {"model": None}  # populated only under --warm-start
@@ -253,11 +242,8 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
             acc_table = base.copy()
             if dev is not None:
                 acc_train, acc_dev = train, dev
-            else:
-                rng = np.random.Generator(np.random.Philox(key=cell.seed))
-                perm = rng.permutation(len(train))
-                n_dev = max(1, len(train) // 10)
-                acc_train, acc_dev = train.subset(perm[n_dev:]), train.subset(perm[:n_dev])
+            else:  # stage 0: the codelength stages hold out with stages 1..
+                acc_train, acc_dev = mdl.holdout(train, cell.seed, 0)
             model, _ = probe_mod.train_probe(acc_train, acc_dev, config, table=acc_table)
             accuracy = probe_mod.evaluate_accuracy(model, test)
         return CellResult(
@@ -634,7 +620,8 @@ def build_parser() -> _Parser:
     p_rand.add_argument("--output", required=True)
     p_rand.set_defaults(func=cmd_embed_random)
 
-    p_imp = embed_sub.add_parser("import", help="align GloVe-format text vectors")
+    p_imp = embed_sub.add_parser("import",
+                                 help="align GloVe or word2vec/fastText .vec vectors")
     p_imp.add_argument("--source", required=True)
     p_imp.add_argument("--vocab", required=True)
     p_imp.add_argument("--expected-d", type=int, default=None)

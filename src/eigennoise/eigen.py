@@ -2,10 +2,11 @@
 
 Two routes to the same factors:
 
-* an analytic O(N*d) construction exploiting the model's low rank
-  (rank 1 in linear space, rank 2 in log space), whose degenerate
-  zero-eigenspace is filled by a deterministic Householder completion;
-* a cyclic-Jacobi dense eigensolver used as the brute-force oracle.
+* an analytic construction exploiting the model's low rank (rank 1 in
+  linear space, rank 2 in log space), whose degenerate zero-eigenspace
+  is filled by a seeded Haar-random orthonormal frame from one thin QR;
+  it never forms an N x N array;
+* LAPACK's dense symmetric eigensolver, used as the brute-force oracle.
 
 The retained factor U_d (unit eigenvector columns) is the embedding; V_d
 carries the eigenvalue scaling and is exposed for diagnostics only.
@@ -14,6 +15,7 @@ carries the eigenvalue scaling and is exposed for diagnostics only.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,9 +24,6 @@ from .embeddings import EmbeddingTable
 from .harmonic import DEFAULT_WINDOW, DENSE_CAP, HarmonicModel
 
 ORDERING_RULES = ("by_magnitude", "by_value")
-
-_SWEEP_CAP = 100
-_CONV_FACTOR = 1e-12
 
 
 @dataclass(frozen=True)
@@ -63,12 +62,11 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
 
 def dense_eigh(matrix: np.ndarray, tol: float = 1e-8,
                max_dense: int = DENSE_CAP) -> FullDecomposition:
-    """Cyclic-Jacobi eigensolver for a dense symmetric matrix.
+    """Dense symmetric eigensolver (LAPACK via ``numpy.linalg.eigh``).
 
-    Sweeps annihilate off-diagonal entries until the off-diagonal
-    Frobenius norm falls below 1e-12 relative to the input norm (a strict
-    absolute threshold is unreachable in 64-bit floats once entries are
-    large). Caps at 100 sweeps and raises if still unconverged.
+    Rejects non-square input, N above ``max_dense`` and asymmetry above
+    ``tol``, then decomposes the symmetrised matrix. This is the
+    brute-force oracle the analytic construction is checked against.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
@@ -79,42 +77,10 @@ def dense_eigh(matrix: np.ndarray, tol: float = 1e-8,
     asym = float(np.abs(a - a.T).max()) if n > 1 else 0.0
     if asym > tol:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
-    a = (a + a.T) / 2.0
-    q = np.eye(n)
-    conv = _CONV_FACTOR * max(1.0, float(np.linalg.norm(a)))
-    skip = conv / max(n, 1)  # skipping every entry this small still converges
-    for sweep in range(_SWEEP_CAP + 1):
-        off2 = float((a * a).sum() - (np.diag(a) ** 2).sum())
-        if math.sqrt(max(off2, 0.0)) <= conv:
-            break
-        if sweep == _SWEEP_CAP:
-            raise RuntimeError(
-                f"Jacobi did not converge in {_SWEEP_CAP} sweeps "
-                f"(off-diagonal norm {math.sqrt(off2):.3e})"
-            )
-        for p in range(n - 1):
-            for r in range(p + 1, n):
-                apr = a[p, r]
-                if abs(apr) <= skip:
-                    continue
-                theta = (a[r, r] - a[p, p]) / (2.0 * apr)
-                t = math.copysign(1.0, theta) / (abs(theta) + math.hypot(1.0, theta))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                col_p, col_r = a[:, p].copy(), a[:, r].copy()
-                a[:, p] = c * col_p - s * col_r
-                a[:, r] = s * col_p + c * col_r
-                row_p, row_r = a[p, :].copy(), a[r, :].copy()
-                a[p, :] = c * row_p - s * row_r
-                a[r, :] = s * row_p + c * row_r
-                a[p, r] = a[r, p] = 0.0
-                q_p, q_r = q[:, p].copy(), q[:, r].copy()
-                q[:, p] = c * q_p - s * q_r
-                q[:, r] = s * q_p + c * q_r
-    values = np.diag(a).copy()
+    values, vectors = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-values, kind="stable")
     return FullDecomposition(eigenvalues=values[order],
-                             vectors=_fix_signs(q[:, order]))
+                             vectors=_fix_signs(vectors[:, order]))
 
 
 def _ordering(values: np.ndarray, rule: str) -> np.ndarray:
@@ -176,45 +142,21 @@ def _log_mode_pairs(model: HarmonicModel) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _householder_complete(u_cols: np.ndarray) -> np.ndarray:
-    """N x N orthogonal matrix whose leading columns equal ``u_cols``.
+def _seeded_complement(model_cols: np.ndarray, width: int, seed: int) -> np.ndarray:
+    """``width`` orthonormal columns orthogonal to the orthonormal ``model_cols``.
 
-    Householder QR of the orthonormal input; the trailing columns of the
-    accumulated Q are a deterministic completion of the orthogonal
-    complement.
+    A seeded Gaussian N x width block is projected off the model columns
+    (twice, which removes what round-off leaves after one pass) and
+    thin-QR factored. Up to column signs, Q is a Haar-random frame of the
+    complement (Mezzadri, arXiv:math-ph/0609050); the signs are left
+    to the caller's ``_fix_signs``, which makes the usual sign(diag(R))
+    correction a no-op. Cost O(N * width^2).
     """
-    n, k = u_cols.shape
-    a = u_cols.astype(float).copy()
-    reflectors = []
-    for j in range(k):
-        x = a[j:, j]
-        norm_x = float(np.linalg.norm(x))
-        v = x.copy()
-        v[0] += math.copysign(norm_x, x[0]) if x[0] != 0 else norm_x
-        vnorm2 = float(v @ v)
-        if vnorm2 > 0:
-            a[j:, j:] -= np.outer(v, (2.0 / vnorm2) * (v @ a[j:, j:]))
-        reflectors.append((j, v, vnorm2))
-    q = np.eye(n)
-    for j, v, vnorm2 in reversed(reflectors):
-        if vnorm2 > 0:
-            q[j:, :] -= np.outer(v, (2.0 / vnorm2) * (v @ q[j:, :]))
-    # overwriting the leading columns flips any sign the reflectors chose
-    # and kills accumulated round-off; the complement is unaffected
-    q[:, :k] = u_cols
-    return q
-
-
-def _rotate_within_complement(completion: np.ndarray, seed: int) -> np.ndarray:
-    """Mix the completion columns by a seeded random orthogonal transform."""
-    width = completion.shape[1]
-    if width < 2:
-        return completion
     rng = np.random.Generator(np.random.Philox(key=seed))
-    gauss = rng.standard_normal((width, width))
-    q, r = np.linalg.qr(gauss)
-    q = q * np.where(np.diag(r) >= 0, 1.0, -1.0)
-    return completion @ q
+    g = rng.standard_normal((model_cols.shape[0], width))
+    for _ in range(2):
+        g -= model_cols @ (model_cols.T @ g)
+    return np.linalg.qr(g)[0]
 
 
 def eigennoise_analytic(
@@ -222,7 +164,7 @@ def eigennoise_analytic(
     d: int,
     m: int = DEFAULT_WINDOW,
     mode: str = "linear",
-    completion_seed: int | None = 0,
+    completion_seed: int = 0,
     ordering_rule: str = "by_magnitude",
 ) -> EigenFactorization:
     """EigenNoise factors without materializing the N x N matrix.
@@ -231,10 +173,11 @@ def eigennoise_analytic(
     normalized inverse-rank vector with eigenvalue (2mN/H_N) * sum 1/i^2.
     Log mode: the two nonzero eigenpairs of the rank-2 log matrix fill
     columns 1-2 (ordered by ``ordering_rule``). All remaining columns are
-    a deterministic Householder completion of the zero eigenspace,
-    rotated within that complement by a seeded orthogonal transform
-    (``completion_seed=None`` disables the rotation).
+    an orthonormal frame of the zero eigenspace drawn from the Haar
+    distribution by ``completion_seed``: the same seed gives the same
+    table. Nothing N x N is formed; cost O(N*d^2) time, O(N*d) memory.
     """
+    completion_seed = operator.index(completion_seed)  # None would unseed Philox
     if not 1 <= d <= n:
         raise ValueError(f"d={d} outside 1..{n}")
     model = HarmonicModel(n=n, m=m)
@@ -251,10 +194,8 @@ def eigennoise_analytic(
     k = min(len(values), d)
     values, vectors = values[:k], vectors[:, :k]
     if d > k:
-        completion = _householder_complete(vectors)[:, k:]
-        if completion_seed is not None:
-            completion = _rotate_within_complement(completion, completion_seed)
-        u = np.hstack([vectors, _fix_signs(completion[:, : d - k])])
+        completion = _seeded_complement(vectors, d - k, completion_seed)
+        u = np.hstack([vectors, _fix_signs(completion)])
         values = np.concatenate([values, np.zeros(d - k)])
     else:
         u = vectors

@@ -7,6 +7,7 @@ zero forever; OOV starts zero and may train in unfrozen mode.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -19,6 +20,9 @@ PAD = -2
 
 OOV_TOKEN = "<oov>"
 PAD_TOKEN = "<pad>"
+
+# word2vec/fastText ".vec" files open with a "<count> <dim>" line.
+_VEC_HEADER = re.compile(r"[0-9]+ [0-9]+")
 
 
 @dataclass
@@ -66,12 +70,6 @@ def row_index(table_n: int, rank_or_sentinel: int) -> int:
     return r - 1
 
 
-def embed_lookup(table: EmbeddingTable, ranks: "list[int] | np.ndarray") -> np.ndarray:
-    """Row-stack the vectors for a sequence of ranks/sentinels."""
-    idx = np.array([row_index(table.n, r) for r in ranks], dtype=int)
-    return table.rows[idx]
-
-
 def random_table(n: int, d: int, seed: int) -> EmbeddingTable:
     """Standard-normal table from a seeded counter-based generator.
 
@@ -110,21 +108,31 @@ def import_text(
     vocab: Vocabulary,
     expected_d: int | None = None,
 ) -> tuple[EmbeddingTable, AlignmentReport]:
-    """Load GloVe-format text vectors and align them to ``vocab`` by token.
+    """Load GloVe or word2vec/fastText ``.vec`` text vectors aligned to ``vocab``.
 
-    Each line is "token v1 v2 ... vd". Vocabulary tokens missing from the
-    file keep the zero OOV-style row and are counted as unmatched; file
-    tokens outside the vocabulary are skipped. On duplicate tokens the
-    first line wins.
+    Each line is "token v1 v2 ... vd"; trailing whitespace is ignored. A
+    first line of exactly two integers is the ``.vec`` "<count> <dim>"
+    header and is skipped after its dimension is checked. Every line is
+    validated, but only vocabulary tokens are kept while streaming.
+    Vocabulary tokens missing from the file keep the zero OOV-style row
+    and are counted as unmatched. On duplicate tokens the first line wins.
     """
-    vectors: dict[str, np.ndarray] = {}
+    found: dict[int, np.ndarray] = {}
     d = expected_d
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
+            line = line.rstrip()
+            if not line:
                 continue
             parts = line.split(" ")
+            if lineno == 1 and _VEC_HEADER.fullmatch(line):
+                header_d = int(parts[1])
+                if d is not None and header_d != d:
+                    raise ValueError(
+                        f"{path}:1: header declares {header_d} dimensions, expected {d}"
+                    )
+                d = header_d
+                continue
             if len(parts) < 2:
                 raise ValueError(f"{path}:{lineno}: expected 'token v1 ... vd'")
             token, fields = parts[0], parts[1:]
@@ -135,7 +143,7 @@ def import_text(
                     f"{path}:{lineno}: {len(fields)} values, expected {d}"
                 )
             try:
-                vec = np.array([float(f) for f in fields])
+                vec = np.array(fields, dtype=float)
             except ValueError:
                 for col, f in enumerate(fields, start=2):
                     try:
@@ -145,17 +153,15 @@ def import_text(
                             f"{path}:{lineno}: column {col}: cannot parse {f!r}"
                         ) from None
                 raise
-            vectors.setdefault(token, vec)
+            rank = vocab._rank_by_token.get(token)
+            if rank is not None:
+                found.setdefault(rank, vec)
     if d is None:
         raise ValueError(f"{path}: empty embedding file")
     rows = np.zeros((vocab.size + 2, d))
-    matched = 0
-    for token, _, rank in vocab.entries:
-        vec = vectors.get(token)
-        if vec is not None:
-            rows[rank - 1] = vec
-            matched += 1
-    report = AlignmentReport(matched=matched, unmatched=vocab.size - matched)
+    for rank, vec in found.items():
+        rows[rank - 1] = vec
+    report = AlignmentReport(matched=len(found), unmatched=vocab.size - len(found))
     return EmbeddingTable(rows=rows, d=d, source="imported"), report
 
 

@@ -7,15 +7,14 @@ Two losses over word/context factors U, V:
 * the bias-free unweighted objective sum (u_i . v_j - target_ij)^2
   against a dense log-frequency target.
 
-A small deterministic trainer (full-batch gradient descent, optional
-per-cell stochastic updates) verifies the eigen solution and the
-bias-terms-learn-the-marginals behavior at desk scale.
+A small deterministic full-batch gradient-descent trainer verifies the
+eigen solution and the bias-terms-learn-the-marginals behavior at desk
+scale.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -121,7 +120,7 @@ def grad_eq2(model: BiasFreeModel, target: np.ndarray) -> dict[str, np.ndarray]:
 @dataclass
 class TrainResult:
     model: "GloVeFullModel | BiasFreeModel"
-    trace: list[float]  # loss at initialization, then after every recorded step
+    trace: list[float]  # loss at initialization, then after every step
 
 
 def train_factorization(
@@ -131,21 +130,16 @@ def train_factorization(
     steps: int = 1000,
     learning_rate: float = 0.01,
     seed: int = 0,
-    mode: str = "full_batch",
     x_max: float = DEFAULT_X_MAX,
     alpha: float = DEFAULT_ALPHA,
 ) -> TrainResult:
     """Gradient-descent training of either objective on a dense instance.
 
     Deterministic per seed; all parameters initialize from a seeded
-    uniform(-0.5/d, 0.5/d). "full_batch" records the loss after every
-    step; "stochastic" applies per-cell updates under uniform cell
-    sampling and records the loss once per N*N updates.
+    uniform(-0.5/d, 0.5/d). The loss is recorded after every step.
     """
     if objective not in ("eq1", "eq2"):
         raise ValueError(f"objective must be 'eq1' or 'eq2', got {objective!r}")
-    if mode not in ("full_batch", "stochastic"):
-        raise ValueError(f"mode must be 'full_batch' or 'stochastic', got {mode!r}")
     if objective == "eq1":
         if not isinstance(data, CoocMatrix):
             data = CoocMatrix.from_values(np.asarray(data, dtype=float))
@@ -179,49 +173,12 @@ def train_factorization(
         grad_fn = lambda: grad_eq2(model, data)
 
     trace = [loss_fn()]
-    if mode == "full_batch":
-        for step in range(steps):
-            grads = grad_fn()
-            for name, g in grads.items():
-                setattr(model, name, getattr(model, name) - learning_rate * g)
-            loss = loss_fn()
-            if not np.isfinite(loss):
-                raise ArithmeticError(f"training diverged at step {step + 1}")
-            trace.append(loss)
-    else:
-        for step in range(steps):
-            i = int(rng.integers(n))
-            j = int(rng.integers(n))
-            _stochastic_update(model, data, objective, i, j, learning_rate)
-            if (step + 1) % (n * n) == 0 or step + 1 == steps:
-                loss = loss_fn()
-                if not np.isfinite(loss):
-                    raise ArithmeticError(f"training diverged at step {step + 1}")
-                trace.append(loss)
+    for step in range(steps):
+        grads = grad_fn()
+        for name, g in grads.items():
+            setattr(model, name, getattr(model, name) - learning_rate * g)
+        loss = loss_fn()
+        if not np.isfinite(loss):
+            raise ArithmeticError(f"training diverged at step {step + 1}")
+        trace.append(loss)
     return TrainResult(model=model, trace=trace)
-
-
-def _stochastic_update(model, data, objective: str, i: int, j: int, lr: float) -> None:
-    if objective == "eq1":
-        x_ij = data.values[i, j]
-        if x_ij <= 0:
-            return
-        w = float(glove_weight(np.array(x_ij), model.x_max, model.alpha))
-        err = 2.0 * w * (model.u[i] @ model.v[j] + model.a[i] + model.b[j] - np.log(x_ij))
-        gu, gv = err * model.v[j], err * model.u[i]
-        model.u[i] -= lr * gu
-        model.v[j] -= lr * gv
-        model.a[i] -= lr * err
-        model.b[j] -= lr * err
-    else:
-        err = 2.0 * (model.u[i] @ model.v[j] - data[i, j])
-        gu, gv = err * model.v[j], err * model.u[i]
-        model.u[i] -= lr * gu
-        model.v[j] -= lr * gv
-
-
-def write_trace(trace: list[float], path: str | Path) -> None:
-    """Line records "step<TAB>loss"; step 0 is the initialization loss."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for step, loss in enumerate(trace):
-            fh.write(f"{step}\t{loss!r}\n")

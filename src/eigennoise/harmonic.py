@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
@@ -21,9 +20,8 @@ DENSE_CAP = 4096
 
 #: How the positivity constraint min entry == 1 is (optionally) restored.
 #: "verbatim" keeps the closed form untouched; "rescale" multiplies the
-#: whole matrix so the smallest entry is 1 (eigenvectors unchanged);
-#: "floor" clips entries up to 1 (experimental: changes matrix rank).
-POSITIVITY_MODES = ("verbatim", "rescale", "floor")
+#: whole matrix so the smallest entry is 1 (eigenvectors unchanged).
+POSITIVITY_MODES = ("verbatim", "rescale")
 
 
 @dataclass(frozen=True)
@@ -75,23 +73,6 @@ class CoocMatrix:
         return self.values.shape[0]
 
 
-def _check_ranks(model: HarmonicModel, i: int, j: int) -> None:
-    if not (1 <= i <= model.n and 1 <= j <= model.n):
-        raise ValueError(f"ranks ({i}, {j}) outside 1..{model.n}")
-
-
-def xhat_entry(model: HarmonicModel, i: int, j: int) -> float:
-    """Modeled joint frequency of ranks i and j: 2*m*N / (i*j*H_N)."""
-    _check_ranks(model, i, j)
-    return model.scale / (i * j)
-
-
-def log_xhat_entry(model: HarmonicModel, i: int, j: int) -> float:
-    """log of :func:`xhat_entry`, i.e. log(2mN/H_N) - log i - log j."""
-    _check_ranks(model, i, j)
-    return math.log(model.scale) - math.log(i) - math.log(j)
-
-
 def materialize(
     model: HarmonicModel,
     positivity: str = "verbatim",
@@ -113,8 +94,6 @@ def materialize(
     values = model.scale * np.outer(inv_rank, inv_rank)
     if positivity == "rescale":
         values = values / values.min()
-    elif positivity == "floor":
-        values = np.maximum(values, 1.0)
     return CoocMatrix.from_values(values)
 
 
@@ -126,22 +105,6 @@ def materialize_log(model: HarmonicModel, max_dense: int = DENSE_CAP) -> np.ndar
     return math.log(model.scale) - log_rank[:, None] - log_rank[None, :]
 
 
-def pmi_shifted(c: CoocMatrix, i: int, j: int, k: float = 1.0) -> float:
-    """Natural-log shifted PMI log(X_ij * M / (x_i * y_j * k)).
-
-    With k=1 this is plain PMI. Zero cells are an error: smoothing is the
-    caller's decision, and the harmonic model is everywhere positive.
-    """
-    if not (1 <= i <= c.n and 1 <= j <= c.n):
-        raise ValueError(f"ranks ({i}, {j}) outside 1..{c.n}")
-    if k <= 0:
-        raise ValueError(f"shift k must be positive, got {k}")
-    x_ij = c.values[i - 1, j - 1]
-    if x_ij <= 0:
-        raise ValueError(f"PMI undefined for zero cell ({i}, {j})")
-    return math.log(x_ij * c.total / (c.row_marginals[i - 1] * c.col_marginals[j - 1] * k))
-
-
 def pmi_matrix(c: CoocMatrix, k: float = 1.0) -> np.ndarray:
     """Shifted PMI over all cells (brute-force diagnostic; small N only)."""
     if (c.values <= 0).any():
@@ -149,10 +112,3 @@ def pmi_matrix(c: CoocMatrix, k: float = 1.0) -> np.ndarray:
     return np.log(c.values * c.total) - np.log(
         np.outer(c.row_marginals, c.col_marginals) * k
     )
-
-
-def dump_matrix(c: CoocMatrix, path: str | Path) -> None:
-    """Debug dump: one row per line, space-separated decimal values."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in c.values:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")

@@ -124,7 +124,7 @@ def online_codelength(
         if dev is not None:
             stage_train, stage_dev = prefix, dev
         else:
-            stage_train, stage_dev = _holdout(prefix, config.seed, stage)
+            stage_train, stage_dev = holdout(prefix, config.seed, stage)
         predict = fit_predict(stage_train, stage_dev, config)
         block = stream.subset(np.arange(lo, hi))
         probs = np.asarray(predict(block), dtype=float)
@@ -143,7 +143,7 @@ def online_codelength(
     )
 
 
-def _holdout(prefix: ProbeData, seed: int, stage: int) -> tuple[ProbeData, ProbeData]:
+def holdout(prefix: ProbeData, seed: int, stage: int) -> tuple[ProbeData, ProbeData]:
     """Seeded 10% dev holdout (at least one example each side)."""
     n = len(prefix)
     if n < 2:

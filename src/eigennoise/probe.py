@@ -17,8 +17,8 @@ from typing import Sequence
 import numpy as np
 
 from .datasets import SequenceDataset, SyntheticDataset, TokenDataset
-from .embeddings import PAD, EmbeddingTable, embed_lookup, row_index
-from .vocab import OOV, Vocabulary, rank_of, tokenize
+from .embeddings import EmbeddingTable, row_index
+from .vocab import Vocabulary, rank_of, tokenize
 
 DEFAULT_WINDOWS = (0, 2, 5, 10)
 
@@ -46,31 +46,6 @@ class TrainConfig:
 
 
 # --- featurization ---------------------------------------------------------
-
-
-def featurize_token(table: EmbeddingTable, ranks: Sequence[int],
-                    position: int, m: int) -> np.ndarray:
-    """Flattened window of embeddings at positions pos-m..pos+m.
-
-    Out-of-sentence positions contribute PAD (zero) rows; the result has
-    length (2m+1)*d.
-    """
-    if not 0 <= position < len(ranks):
-        raise ValueError(f"position {position} outside sentence of {len(ranks)} tokens")
-    if m < 0:
-        raise ValueError(f"window half-width must be >= 0, got {m}")
-    window = [
-        ranks[p] if 0 <= p < len(ranks) else PAD
-        for p in range(position - m, position + m + 1)
-    ]
-    return embed_lookup(table, window).reshape(-1)
-
-
-def featurize_sequence(table: EmbeddingTable, ranks: Sequence[int]) -> np.ndarray:
-    """Mean of the token embeddings; OOV rows are included in the mean."""
-    if len(ranks) == 0:
-        raise ValueError("cannot featurize an empty sequence")
-    return embed_lookup(table, ranks).mean(axis=0)
 
 
 @dataclass

@@ -110,13 +110,6 @@ def harmonic_number(n: int) -> float:
     return total
 
 
-def zipf_frequency(vocab_size: int, rank: int) -> float:
-    """Model unigram frequency N/rank; the rank-N type has frequency 1."""
-    if not 1 <= rank <= vocab_size:
-        raise ValueError(f"rank {rank} outside 1..{vocab_size}")
-    return vocab_size / rank
-
-
 def write_vocab(vocab: Vocabulary, path: str | Path) -> None:
     """One record per line: token<TAB>count<TAB>rank, ranks ascending."""
     with open(path, "w", encoding="utf-8") as fh:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -159,16 +161,44 @@ def test_analytic_scale_invariance_of_u():
 
 
 def test_analytic_completion_seed_behavior():
-    base = eigennoise_analytic(10, 6, completion_seed=None)
     rot0 = eigennoise_analytic(10, 6, completion_seed=0)
     rot0_again = eigennoise_analytic(10, 6, completion_seed=0)
     rot1 = eigennoise_analytic(10, 6, completion_seed=1)
     np.testing.assert_array_equal(rot0.u, rot0_again.u)
-    assert np.abs(rot0.u[:, 1:] - base.u[:, 1:]).max() > 1e-3
     assert np.abs(rot0.u[:, 1:] - rot1.u[:, 1:]).max() > 1e-3
     # the leading (model) column never depends on the completion seed
-    np.testing.assert_array_equal(rot0.u[:, 0], base.u[:, 0])
+    np.testing.assert_array_equal(rot0.u[:, 0], rot1.u[:, 0])
     np.testing.assert_allclose(rot1.u.T @ rot1.u, np.eye(6), atol=1e-9)
+    # an unseeded completion would make the table differ from run to run
+    with pytest.raises(TypeError):
+        eigennoise_analytic(10, 6, completion_seed=None)
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+def test_analytic_default_vocab_cap(mode):
+    n, d = 20000, 50
+    tracemalloc.start()
+    try:
+        fact = eigennoise_analytic(n, d, mode=mode, completion_seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 100e6  # one N x N float64 array would be 3.2 GB
+    u = fact.u
+    assert np.abs(u.T @ u - np.eye(d)).max() <= 1e-8
+    ranks = np.arange(1, n + 1, dtype=float)
+    if mode == "linear":
+        z = 1.0 / ranks
+        np.testing.assert_allclose(u[:, 0], z / np.linalg.norm(z), rtol=1e-12)
+        model_span = (z / np.linalg.norm(z))[:, None]
+    else:
+        model_span = np.linalg.qr(np.column_stack([np.ones(n), np.log(ranks)]))[0]
+    k = model_span.shape[1]
+    assert np.abs(model_span.T @ u[:, k:]).max() <= 1e-10
+    np.testing.assert_array_equal(
+        eigennoise_analytic(n, d, mode=mode, completion_seed=0).u, u)
+    other = eigennoise_analytic(n, d, mode=mode, completion_seed=1)
+    assert np.abs(other.u[:, k:] - u[:, k:]).max() > 1e-3
 
 
 def test_analytic_rejects_bad_d():

@@ -6,7 +6,6 @@ from eigennoise.embeddings import (
     PAD,
     PAD_TOKEN,
     EmbeddingTable,
-    embed_lookup,
     export_text,
     import_text,
     random_table,
@@ -47,16 +46,6 @@ def test_row_index_mapping():
         row_index(10, 11)
     with pytest.raises(ValueError):
         row_index(10, 0)
-
-
-def test_embed_lookup_rows():
-    table = random_table(2, 4, seed=3)
-    np.testing.assert_array_equal(embed_lookup(table, [PAD]), np.zeros((1, 4)))
-    np.testing.assert_array_equal(embed_lookup(table, [OOV]), np.zeros((1, 4)))
-    got = embed_lookup(table, [1, 2])
-    np.testing.assert_array_equal(got, table.rows[:2])
-    with pytest.raises(ValueError):
-        embed_lookup(table, [3])
 
 
 def _write(path, text):
@@ -103,6 +92,27 @@ def test_import_text_bad_number_reports_position(tmp_path):
     src = _write(tmp_path / "emb.txt", "the 0.1 oops\n")
     with pytest.raises(ValueError, match=":1: column 3"):
         import_text(src, vocab)
+
+
+def test_import_text_bad_number_outside_vocab_still_raises(tmp_path):
+    vocab = build_vocab(["the"])
+    src = _write(tmp_path / "emb.txt", "the 0.1 0.2\ndog 0.3 x\n")
+    with pytest.raises(ValueError, match=":2: column 3"):
+        import_text(src, vocab)
+
+
+def test_import_text_vec_header_and_trailing_spaces(tmp_path):
+    vocab = build_vocab(["the", "cat", "the"])
+    glove = _write(tmp_path / "emb.txt", "the 0.1 0.2\ndog 9.0 9.0\ncat 0.3 0.4\n")
+    vec = _write(tmp_path / "emb.vec",
+                 "3 2\nthe 0.1 0.2 \ndog 9.0 9.0 \r\ncat 0.3 0.4 \n")
+    want, want_report = import_text(glove, vocab)
+    for expected_d in (None, 2):
+        got, report = import_text(vec, vocab, expected_d=expected_d)
+        np.testing.assert_array_equal(got.rows, want.rows)
+        assert report == want_report
+    with pytest.raises(ValueError, match=":1: header declares 2 dimensions, expected 3"):
+        import_text(vec, vocab, expected_d=3)
 
 
 def test_import_text_empty_file(tmp_path):

@@ -15,7 +15,6 @@ from eigennoise.factorization import (
     loss_eq1,
     loss_eq2,
     train_factorization,
-    write_trace,
 )
 from eigennoise.harmonic import CoocMatrix, HarmonicModel, materialize_log
 
@@ -212,13 +211,6 @@ def test_train_eq1_biases_track_log_marginals():
     assert corr >= 0.95
 
 
-def test_train_stochastic_mode_improves():
-    target = materialize_log(HarmonicModel(n=6, m=2))
-    res = train_factorization("eq2", target, d=2, steps=4000,
-                              learning_rate=0.01, seed=1, mode="stochastic")
-    assert res.trace[-1] < res.trace[0]
-
-
 def test_train_rejects_bad_arguments():
     with pytest.raises(ValueError):
         train_factorization("eq3", np.zeros((2, 2)), d=1)
@@ -226,11 +218,3 @@ def test_train_rejects_bad_arguments():
         train_factorization("eq2", np.zeros((2, 3)), d=1)
     with pytest.raises(ValueError):
         train_factorization("eq2", np.zeros((300, 300)), d=1)
-
-
-def test_write_trace_format(tmp_path):
-    path = tmp_path / "trace.tsv"
-    write_trace([2.0, 1.0, 0.5], path)
-    lines = path.read_text().splitlines()
-    assert lines[0].split("\t") == ["0", "2.0"]
-    assert len(lines) == 3

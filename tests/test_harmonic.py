@@ -8,34 +8,23 @@ from hypothesis import strategies as st
 from eigennoise.harmonic import (
     CoocMatrix,
     HarmonicModel,
-    dump_matrix,
-    log_xhat_entry,
     materialize,
     materialize_log,
     pmi_matrix,
-    pmi_shifted,
-    xhat_entry,
 )
 from eigennoise.vocab import harmonic_number
 
 
 def test_xhat_entry_derived_values():
-    model = HarmonicModel(n=4, m=2)
-    assert xhat_entry(model, 1, 1) == pytest.approx(7.68, rel=1e-12)
-    assert xhat_entry(model, 4, 4) == pytest.approx(0.48, rel=1e-12)
+    values = materialize(HarmonicModel(n=4, m=2)).values
+    assert values[0, 0] == pytest.approx(7.68, rel=1e-12)
+    assert values[3, 3] == pytest.approx(0.48, rel=1e-12)
 
 
 @given(st.integers(1, 30), st.integers(1, 30))
 def test_xhat_entry_symmetric(i, j):
-    model = HarmonicModel(n=30, m=3)
-    assert xhat_entry(model, i, j) == xhat_entry(model, j, i)
-
-
-def test_xhat_entry_range_checks():
-    model = HarmonicModel(n=4, m=2)
-    for i, j in ((0, 1), (1, 5), (-1, 2)):
-        with pytest.raises(ValueError):
-            xhat_entry(model, i, j)
+    values = materialize(HarmonicModel(n=30, m=3)).values
+    assert values[i - 1, j - 1] == values[j - 1, i - 1]
 
 
 def test_materialize_small_cases():
@@ -73,67 +62,55 @@ def test_materialize_positivity_modes():
     model = HarmonicModel(n=5, m=2)
     verbatim = materialize(model)
     rescaled = materialize(model, positivity="rescale")
-    floored = materialize(model, positivity="floor")
     assert verbatim.values.min() < 1.0
     assert rescaled.values.min() == pytest.approx(1.0, rel=1e-12)
     # rescaling is a scalar multiple: eigenvectors unchanged
     ratio = rescaled.values / verbatim.values
     np.testing.assert_allclose(ratio, ratio[0, 0], rtol=1e-12)
-    assert floored.values.min() == 1.0
-    assert (floored.values >= verbatim.values - 1e-15).all()
-    with pytest.raises(ValueError):
-        materialize(model, positivity="clip")
+    for unknown in ("floor", "clip"):
+        with pytest.raises(ValueError):
+            materialize(model, positivity=unknown)
 
 
 @pytest.mark.parametrize("n", [2, 10, 60])
 def test_pmi_is_identically_zero(n):
     c = materialize(HarmonicModel(n=n, m=4))
     assert np.abs(pmi_matrix(c)).max() < 1e-10
-    # brute force over all pairs through the scalar path too
-    worst = max(abs(pmi_shifted(c, i, j)) for i in range(1, n + 1)
-                for j in range(1, min(n, 8) + 1))
-    assert worst < 1e-10
 
 
 def test_pmi_shift_algebra():
     c = materialize(HarmonicModel(n=10, m=2))
-    assert pmi_shifted(c, 3, 7, k=5.0) == pytest.approx(-math.log(5.0), abs=1e-9)
+    np.testing.assert_allclose(pmi_matrix(c, k=5.0), -math.log(5.0), atol=1e-9)
 
 
 def test_pmi_hand_computed_matrix():
     c = CoocMatrix.from_values(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    assert pmi_shifted(c, 1, 1) == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
+    assert pmi_matrix(c)[0, 0] == pytest.approx(math.log(4.0 / 3.0), rel=1e-12)
 
 
 def test_pmi_zero_cell_errors():
     c = CoocMatrix.from_values(np.array([[1.0, 0.0], [0.0, 1.0]]))
-    with pytest.raises(ValueError, match="zero cell"):
-        pmi_shifted(c, 1, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="everywhere-positive"):
         pmi_matrix(c)
 
 
 def test_log_xhat_entry():
-    model = HarmonicModel(n=4, m=2)
-    assert log_xhat_entry(model, 1, 1) == pytest.approx(math.log(7.68), rel=1e-12)
-    assert log_xhat_entry(model, 1, 2) == log_xhat_entry(model, 2, 1)
+    grid = materialize_log(HarmonicModel(n=4, m=2))
+    assert grid[0, 0] == pytest.approx(math.log(7.68), rel=1e-12)
+    assert grid[0, 1] == grid[1, 0]
 
 
 @given(st.integers(1, 20), st.integers(1, 20))
 def test_log_xhat_rank_structure_identity(i, j):
-    model = HarmonicModel(n=20, m=5)
-    base = log_xhat_entry(model, 1, 1)
-    value = log_xhat_entry(model, i, j)
-    assert value - base + math.log(i) + math.log(j) == pytest.approx(0.0, abs=1e-12)
+    grid = materialize_log(HarmonicModel(n=20, m=5))
+    value = grid[i - 1, j - 1]
+    assert value - grid[0, 0] + math.log(i) + math.log(j) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_materialize_log_matches_entries():
     model = HarmonicModel(n=6, m=3)
-    grid = materialize_log(model)
-    for i in range(1, 7):
-        for j in range(1, 7):
-            assert grid[i - 1, j - 1] == pytest.approx(
-                log_xhat_entry(model, i, j), rel=1e-14)
+    np.testing.assert_allclose(materialize_log(model), np.log(materialize(model).values),
+                               rtol=0, atol=1e-12)
 
 
 def test_structural_ranks():
@@ -148,10 +125,3 @@ def test_model_validation():
     with pytest.raises(ValueError):
         HarmonicModel(n=3, m=0)
 
-
-def test_dump_matrix_round_trips(tmp_path):
-    c = materialize(HarmonicModel(n=3, m=1))
-    path = tmp_path / "xhat.txt"
-    dump_matrix(c, path)
-    rows = [[float(v) for v in line.split()] for line in path.read_text().splitlines()]
-    np.testing.assert_array_equal(np.array(rows), c.values)

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigennoise.datasets import synth_task
-from eigennoise.embeddings import PAD, random_table
+from eigennoise.datasets import SequenceDataset, TokenDataset, synth_task
+from eigennoise.embeddings import random_table
 from eigennoise.probe import (
     AdamState,
     ProbeData,
@@ -15,17 +15,17 @@ from eigennoise.probe import (
     backward,
     evaluate_accuracy,
     evaluate_loss,
-    featurize_sequence,
-    featurize_token,
     forward,
     gather_features,
     init_probe,
     predict_proba,
+    sequence_data,
     synthetic_feature_data,
+    token_window_data,
     train_probe,
     write_epoch_trace,
 )
-from eigennoise.vocab import OOV
+from eigennoise.vocab import build_vocab
 
 
 def _fd_grad(loss_fn, arr, eps=1e-5):
@@ -44,42 +44,46 @@ def _fd_grad(loss_fn, arr, eps=1e-5):
 # --- featurization ----------------------------------------------------------
 
 
+_VOCAB = build_vocab(list("abcde"))  # tied counts keep first occurrence: a=1 .. e=5
+
+
+def _token_features(table, sentence, m):
+    """Window features of every position of one sentence, as a probe sees them."""
+    ds = TokenDataset(sentences=(tuple(sentence),), labels=(("O",) * len(sentence),),
+                      label_set=("O",))
+    return gather_features(token_window_data(ds, _VOCAB, m), table)
+
+
 def test_featurize_token_m0_is_the_embedding():
     table = random_table(5, 4, seed=0)
-    got = featurize_token(table, [2, 3], 1, m=0)
+    got = _token_features(table, "bc", m=0)[1]
     np.testing.assert_array_equal(got, table.rows[2])
     assert got.shape == (4,)
 
 
 def test_featurize_token_window_width():
-    table = random_table(6, 50, seed=0)
-    got = featurize_token(table, [1, 2, 3, 4, 5], 2, m=2)
+    table = random_table(5, 50, seed=0)
+    got = _token_features(table, "abcde", m=2)[2]
     assert got.shape == (250,)
 
 
 def test_featurize_token_pads_outside_sentence():
     table = random_table(5, 3, seed=1)
-    got = featurize_token(table, [1, 2, 3], 0, m=2)
+    got = _token_features(table, "abc", m=2)[0]
     np.testing.assert_array_equal(got[:6], np.zeros(6))
     np.testing.assert_array_equal(got[6:9], table.rows[0])
 
 
-def test_featurize_token_position_checks():
-    table = random_table(5, 3, seed=1)
-    with pytest.raises(ValueError, match="position"):
-        featurize_token(table, [1, 2], 2, m=1)
-    with pytest.raises(ValueError):
-        featurize_token(table, [1, 2], -1, m=1)
-
-
 def test_featurize_sequence_mean():
     table = random_table(5, 3, seed=2)
-    np.testing.assert_array_equal(featurize_sequence(table, [4]), table.rows[3])
-    got = featurize_sequence(table, [1, 2])
-    np.testing.assert_allclose(got, (table.rows[0] + table.rows[1]) / 2.0)
-    np.testing.assert_array_equal(featurize_sequence(table, [OOV, OOV]), np.zeros(3))
-    with pytest.raises(ValueError, match="empty"):
-        featurize_sequence(table, [])
+    ds = SequenceDataset(texts=("d", "a b", "zz zz"), labels=(0, 0, 0), label_set=("x",))
+    got = gather_features(sequence_data(ds, _VOCAB), table)
+    np.testing.assert_array_equal(got[0], table.rows[3])
+    np.testing.assert_allclose(got[1], (table.rows[0] + table.rows[1]) / 2.0)
+    np.testing.assert_array_equal(got[2], np.zeros(3))  # out-of-vocabulary tokens
+    empty = SequenceDataset(texts=("!!",), labels=(0,), label_set=("x",))
+    with pytest.raises(ValueError, match="tokenizes to nothing"):
+        sequence_data(empty, _VOCAB)
 
 
 # --- forward ----------------------------------------------------------------

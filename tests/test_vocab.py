@@ -13,7 +13,6 @@ from eigennoise.vocab import (
     read_vocab,
     tokenize,
     write_vocab,
-    zipf_frequency,
 )
 
 
@@ -107,15 +106,6 @@ def test_distinct_counts_are_order_insensitive(order):
     ref = {tok: rank for tok, _, rank in build_vocab(base).entries}
     got = {tok: rank for tok, _, rank in build_vocab(shuffled).entries}
     assert ref == got
-
-
-def test_zipf_frequency_endpoints():
-    assert zipf_frequency(10, 1) == 10.0
-    assert zipf_frequency(10, 10) == 1.0
-    total = sum(zipf_frequency(10, r) for r in range(1, 11))
-    assert total == pytest.approx(10 * harmonic_number(10), rel=1e-9)
-    with pytest.raises(ValueError):
-        zipf_frequency(10, 11)
 
 
 def test_tokenize_strips_edge_punctuation():
