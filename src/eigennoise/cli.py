@@ -11,13 +11,17 @@ cells failed (the rest still ran).
 from __future__ import annotations
 
 import argparse
+import ctypes
 import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
+
+import numpy as np
 
 from . import datasets, eigen, embeddings, mdl
 from . import probe as probe_mod
@@ -565,6 +569,45 @@ def cmd_report_aggregate(args) -> int:
     return EXIT_OK
 
 
+# --- BLAS threads -----------------------------------------------------------
+
+
+def _bundled_openblas() -> ctypes.CDLL | None:
+    """numpy's bundled OpenBLAS (Linux or macOS wheel), or None."""
+    pkg = Path(np.__file__).parent
+    for path in (*sorted((pkg.parent / "numpy.libs").glob("libscipy_openblas*.so*")),
+                 *sorted((pkg / ".dylibs").glob("libscipy_openblas*.dylib"))):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        if (hasattr(lib, "scipy_openblas_get_num_threads64_")
+                and hasattr(lib, "scipy_openblas_set_num_threads64_")):
+            return lib
+    return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run numpy's OpenBLAS on one thread, then restore the old count.
+
+    The probe GEMMs and the thin QR of the analytic build are too small to
+    gain from a second BLAS thread, and parallelism comes from the cell
+    pool (``--workers``). One thread also makes tables independent of the
+    core count. Without a bundled OpenBLAS this does nothing.
+    """
+    lib = _bundled_openblas()
+    if lib is None:
+        yield
+        return
+    previous = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
+    try:
+        yield
+    finally:
+        lib.scipy_openblas_set_num_threads64_(previous)
+
+
 # --- parser -----------------------------------------------------------------
 
 
@@ -687,7 +730,8 @@ def main(argv: list[str] | None = None) -> int:
             args.windows_given = args.windows is not None
             if args.windows is None:
                 args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
-        return args.func(args)
+        with _one_blas_thread():
+            return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -266,15 +266,18 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     table = model.table
     if table is not None and table.trainable and indices is not None:
         dh = dhidden @ model.w1  # (B, input_dim)
-        gtable = np.zeros_like(table.rows)
+        d = table.d
         if model.pooling == "concat":
-            np.add.at(gtable, indices, dh.reshape(indices.shape + (table.d,)))
+            seg = dh.reshape(-1, d)
         elif model.pooling == "mean":
-            contrib = dh / lengths[:, None]
-            np.add.at(gtable, indices,
-                      np.broadcast_to(contrib[:, None, :], indices.shape + (table.d,)))
+            seg = np.repeat(dh / lengths[:, None], indices.shape[1], axis=0)
         else:
             raise ValueError("direct pooling has no table rows to differentiate")
+        # One flat bincount over (row, column) cells adds each cell's terms
+        # in batch order, as np.add.at does, so the sums are bit-identical.
+        cells = (indices.reshape(-1, 1) * d + np.arange(d)).ravel()
+        gtable = np.bincount(cells, weights=seg.ravel(),
+                             minlength=table.rows.size).reshape(table.rows.shape)
         gtable[table.pad_row] = 0.0
         grads["table"] = gtable
     return loss, grads

@@ -1,10 +1,15 @@
 import json
 from pathlib import Path
 
+import pytest
+
 from eigennoise import cli
 from eigennoise.vocab import read_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
+OPENBLAS = cli._bundled_openblas()
+needs_openblas = pytest.mark.skipif(OPENBLAS is None,
+                                    reason="numpy bundles no OpenBLAS")
 
 
 def _run(*argv):
@@ -233,3 +238,83 @@ def test_missing_train_file_is_data_error(tmp_path):
     rc = _run("probe", "run", "--task", "tsv", "--train",
               str(tmp_path / "nope.tsv"), "--output-dir", str(tmp_path / "r"))
     assert rc == cli.EXIT_DATA
+
+
+def test_probe_run_worker_count_does_not_change_outputs(tmp_path):
+    one, two = tmp_path / "one", tmp_path / "two"
+    assert cli.main(_tiny_synthetic_args(one, extra=("--workers", "1"))) == 0
+    assert cli.main(_tiny_synthetic_args(two, extra=("--workers", "2"))) == 0
+    body_one = (one / "report.txt").read_text().split("\n", 1)[1]
+    body_two = (two / "report.txt").read_text().split("\n", 1)[1]
+    assert body_one == body_two
+    assert (one / "cells.json").read_bytes() == (two / "cells.json").read_bytes()
+
+
+# --- BLAS threads -------------------------------------------------------------
+
+
+def _blas_threads():
+    return OPENBLAS.scipy_openblas_get_num_threads64_()
+
+
+def _set_blas_threads(n):
+    OPENBLAS.scipy_openblas_set_num_threads64_(n)
+
+
+@needs_openblas
+def test_main_runs_commands_on_one_blas_thread(tmp_path, monkeypatch):
+    seen = []
+
+    def record(args):
+        seen.append(_blas_threads())
+        return cli.EXIT_OK
+
+    monkeypatch.setattr(cli, "cmd_embed_random", record)
+    before = _blas_threads()
+    _set_blas_threads(2)
+    try:
+        rc = _run("embed", "random", "--n", "5", "--d", "2",
+                  "--output", str(tmp_path / "x.txt"))
+        after = _blas_threads()
+    finally:
+        _set_blas_threads(before)
+    assert rc == 0
+    assert seen == [1]
+    assert after == 2
+
+
+def test_main_without_openblas_still_runs(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli, "_bundled_openblas", lambda: None)
+    out = tmp_path / "emb.txt"
+    assert _run("embed", "random", "--n", "5", "--d", "2",
+                "--output", str(out)) == 0
+    assert out.exists()
+
+
+@needs_openblas
+def test_embed_eigennoise_independent_of_ambient_blas_threads(tmp_path, monkeypatch):
+    # The text file keeps 8 significant digits, which hides ulp-level
+    # differences, so the in-memory table (the one probe runs train on) is
+    # compared too: at N=20000 its bytes follow the BLAS thread count.
+    tables = []
+    to_embedding = cli.eigen.to_embedding
+
+    def record(*args, **kwargs):
+        table = to_embedding(*args, **kwargs)
+        tables.append(table.rows.tobytes())
+        return table
+
+    monkeypatch.setattr(cli.eigen, "to_embedding", record)
+    outputs = []
+    before = _blas_threads()
+    try:
+        for threads in (2, 1):
+            _set_blas_threads(threads)
+            out = tmp_path / f"emb_{threads}.txt"
+            assert _run("embed", "eigennoise", "--n", "20000", "--d", "50",
+                        "--output", str(out)) == 0
+            outputs.append(out.read_bytes())
+    finally:
+        _set_blas_threads(before)
+    assert outputs[0] == outputs[1]
+    assert len(tables) == 2 and tables[0] == tables[1]

@@ -174,6 +174,42 @@ def test_backward_table_gradients_match_finite_differences(pooling):
     np.testing.assert_array_equal(grads["table"][table.pad_row], np.zeros(3))
 
 
+@pytest.mark.parametrize("pooling", ["concat", "mean"])
+def test_backward_table_gradient_bit_identical_to_add_at(pooling):
+    rng = np.random.Generator(np.random.Philox(key=5))
+    table = random_table(6, 4, seed=5)
+    table.trainable = True
+    pad = table.pad_row
+    # rows repeat within and across examples, and PAD appears in windows
+    indices = np.array([[0, 2, 2], [pad, 1, 0], [3, 3, pad], [2, 5, 0],
+                        [1, pad, pad], [4, 0, 2]])
+    lengths = np.array([3, 3, 2, 3, 1, 3]) if pooling == "mean" else None
+    labels = rng.integers(0, 3, size=len(indices))
+    data = ProbeData(labels=labels, num_classes=3, pooling=pooling,
+                     indices=indices, lengths=lengths)
+    model = init_probe(data.input_dim(table.d), 3, hidden=7, seed=5,
+                       table=table, pooling=pooling)
+    h = gather_features(data, table)
+    _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
+
+    # reference: the same gradient scattered with np.add.at
+    pre = h @ model.w1.T
+    logits = np.maximum(pre, 0.0) @ model.w2.T
+    probs = np.exp(logits - logits.max(axis=1, keepdims=True))
+    probs /= probs.sum(axis=1, keepdims=True)
+    probs[np.arange(len(labels)), labels] -= 1.0
+    dh = ((probs / len(labels)) @ model.w2 * (pre > 0)) @ model.w1
+    reference = np.zeros_like(table.rows)
+    if pooling == "concat":
+        np.add.at(reference, indices, dh.reshape(indices.shape + (table.d,)))
+    else:
+        contrib = dh / lengths[:, None]
+        np.add.at(reference, indices,
+                  np.broadcast_to(contrib[:, None, :], indices.shape + (table.d,)))
+    reference[pad] = 0.0
+    assert np.array_equal(grads["table"], reference)
+
+
 def test_backward_gradient_locality():
     table = random_table(8, 3, seed=4)
     table.trainable = True
