@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import datasets, eigen, embeddings, mdl
+from . import datasets, eigen, embeddings, harmonic, mdl
 from . import probe as probe_mod
 from . import vocab as vocab_mod
 
@@ -32,7 +32,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CELL_FAILURES = 3
 
-WORKERS_ENV = "EIGENNOISE_WORKERS"
 ALLOWED_WINDOWS = probe_mod.DEFAULT_WINDOWS
 DEFAULT_SEEDS = (0, 1234, 322111)
 
@@ -104,7 +103,13 @@ def _write_embedding(table, voc, path, meta: dict) -> None:
                        encoding="utf-8")
 
 
+def _check_d(args) -> None:
+    if args.d < 1:
+        raise UsageError("--d must be >= 1")
+
+
 def cmd_embed_eigennoise(args) -> int:
+    _check_d(args)
     voc, n = _load_or_size_vocab(args)
     if args.d > n:
         raise DataError(f"--d {args.d} exceeds vocabulary size {n}")
@@ -112,11 +117,11 @@ def cmd_embed_eigennoise(args) -> int:
         n, args.d, m=args.m, mode=args.mode,
         completion_seed=args.completion_seed, ordering_rule=args.ordering,
     )
-    table = eigen.to_embedding(fact, which=args.which)
+    table = eigen.to_embedding(fact)
     meta = {
         "source": "eigennoise", "n": n, "d": args.d, "m": args.m,
         "mode": args.mode, "ordering": args.ordering,
-        "completion_seed": args.completion_seed, "which": args.which,
+        "completion_seed": args.completion_seed,
     }
     _write_embedding(table, voc, args.output, meta)
     print(f"wrote {table.rows.shape[0]}x{args.d} eigennoise table to {args.output}")
@@ -124,6 +129,7 @@ def cmd_embed_eigennoise(args) -> int:
 
 
 def cmd_embed_random(args) -> int:
+    _check_d(args)
     voc, n = _load_or_size_vocab(args)
     table = embeddings.random_table(n, args.d, args.seed)
     meta = {"source": "random", "n": n, "d": args.d, "seed": args.seed}
@@ -206,7 +212,6 @@ class MatrixContext:
     eigennoise_base: embeddings.EmbeddingTable | None
     imported: dict  # path -> EmbeddingTable
     d: int
-    warm_start: bool = False
 
 
 def _cell_table(cell: CellSpec, ctx: MatrixContext) -> embeddings.EmbeddingTable:
@@ -226,17 +231,9 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
         config = replace(ctx.config_base, seed=cell.seed)
         train = ctx.train_data[cell.window]
         dev = ctx.dev_data.get(cell.window)
-        carried = {"model": None}  # populated only under --warm-start
 
         def fit_predict(prefix, stage_dev, cfg):
-            if ctx.warm_start and carried["model"] is not None:
-                model, _ = probe_mod.train_probe(prefix, stage_dev, cfg,
-                                                 model=carried["model"])
-            else:
-                model, _ = probe_mod.train_probe(prefix, stage_dev, cfg,
-                                                 table=base.copy())
-            if ctx.warm_start:
-                carried["model"] = model
+            model, _ = probe_mod.train_probe(prefix, stage_dev, cfg, table=base.copy())
             return lambda batch: probe_mod.predict_proba(model, batch)
 
         report = mdl.online_codelength(train, ctx.schedule, fit_predict, config, dev=dev)
@@ -353,9 +350,8 @@ def _build_context(args) -> MatrixContext:
     n_train = len(next(iter(data["train"].values())))
     schedule = mdl.make_schedule(n_train, fractions=args.fractions)
     config = probe_mod.TrainConfig(
-        lr=args.lr, patience=args.patience, consecutive=args.anneal_consecutive,
-        batch_size=args.batch_size, max_epochs=args.max_epochs,
-        hidden=args.hidden)
+        lr=args.lr, patience=args.patience, batch_size=args.batch_size,
+        max_epochs=args.max_epochs, hidden=args.hidden)
     return MatrixContext(
         task_label=task_label,
         kind=kind,
@@ -368,7 +364,6 @@ def _build_context(args) -> MatrixContext:
         eigennoise_base=eigennoise_base,
         imported=imported,
         d=args.d,
-        warm_start=args.warm_start,
     )
 
 
@@ -455,11 +450,16 @@ def _format_table(rows: list[dict]) -> str:
 
 
 def cmd_probe_run(args) -> int:
-    if args.task != "conll" and args.windows_given:
+    if args.windows is None:
+        args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
+    elif args.task != "conll":
         raise UsageError("--windows applies only to token (conll) tasks")
     if args.task in ("tsv", "conll") and args.train is None:
         raise UsageError(f"--train is required for --task {args.task}")
+    # duplicates would run (and write) the same cell twice
     args.representations = tuple(dict.fromkeys(args.representations))
+    args.seeds = tuple(dict.fromkeys(args.seeds))
+    args.windows = tuple(dict.fromkeys(args.windows))
     for rep in args.representations:
         if rep not in ("eigennoise", "random") and not rep.startswith("import:"):
             raise UsageError(
@@ -468,6 +468,7 @@ def cmd_probe_run(args) -> int:
             )
     if not args.seeds:
         raise UsageError("need at least one seed")
+    _check_d(args)
     if args.task == "conll" and not args.windows:
         raise UsageError("token tasks need at least one window")
     bad = [w for w in args.windows if w not in ALLOWED_WINDOWS]
@@ -476,20 +477,10 @@ def cmd_probe_run(args) -> int:
 
     ctx = _build_context(args)
     cells = _matrix_cells(args, ctx.kind)
-    workers = args.workers
-    if workers is None:
-        env = os.environ.get(WORKERS_ENV)
-        if env:
-            try:
-                workers = int(env)
-            except ValueError:
-                raise UsageError(f"{WORKERS_ENV}={env!r} is not an integer") from None
-        else:
-            workers = os.cpu_count() or 1
-    if workers < 1:
-        raise UsageError(f"worker count must be >= 1, got {workers}")
+    if args.workers < 1:
+        raise UsageError(f"worker count must be >= 1, got {args.workers}")
 
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(lambda c: run_cell(c, ctx), cells))
 
     out_dir = Path(args.output_dir)
@@ -521,8 +512,6 @@ def cmd_probe_run(args) -> int:
         "batch_size": args.batch_size,
         "max_epochs": args.max_epochs,
         "patience": args.patience,
-        "anneal_consecutive": args.anneal_consecutive,
-        "warm_start": args.warm_start,
     }
     (out_dir / "cells.json").write_text(
         json.dumps({"spec": spec_record, "cells": records},
@@ -647,11 +636,10 @@ def build_parser() -> _Parser:
     p_en.add_argument("--vocab")
     p_en.add_argument("--n", type=int)
     p_en.add_argument("--d", type=int, required=True)
-    p_en.add_argument("--m", type=int, default=5)
+    p_en.add_argument("--m", type=int, default=harmonic.DEFAULT_WINDOW)
     p_en.add_argument("--mode", choices=("linear", "log"), default="linear")
     p_en.add_argument("--ordering", choices=eigen.ORDERING_RULES, default="by_magnitude")
     p_en.add_argument("--completion-seed", type=int, default=0)
-    p_en.add_argument("--which", choices=("U", "V"), default="U")
     p_en.add_argument("--output", required=True)
     p_en.set_defaults(func=cmd_embed_eigennoise)
 
@@ -691,25 +679,20 @@ def build_parser() -> _Parser:
     p_run.add_argument("--frozen", choices=("both", "true", "false"), default="both")
     p_run.add_argument("--seeds", type=_csv_ints, default=DEFAULT_SEEDS)
     p_run.add_argument("--d", type=int, default=50)
-    p_run.add_argument("--m", type=int, default=5)
+    p_run.add_argument("--m", type=int, default=harmonic.DEFAULT_WINDOW)
     p_run.add_argument("--mode", choices=("linear", "log"), default="linear")
     p_run.add_argument("--ordering", choices=eigen.ORDERING_RULES, default="by_magnitude")
     p_run.add_argument("--completion-seed", type=int, default=0)
     p_run.add_argument("--vocab-cap", type=int, default=vocab_mod.DEFAULT_MAX_SIZE)
     p_run.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
-    p_run.add_argument("--hidden", type=int, default=512)
-    p_run.add_argument("--lr", type=float, default=0.001)
-    p_run.add_argument("--batch-size", type=int, default=64)
-    p_run.add_argument("--max-epochs", type=int, default=50)
-    p_run.add_argument("--patience", type=int, default=4)
-    p_run.add_argument("--anneal-consecutive", action="store_true",
-                       help="count non-improving epochs consecutively "
-                            "instead of cumulatively")
-    p_run.add_argument("--warm-start", action="store_true",
-                       help="carry each stage's probe into the next instead "
-                            "of retraining from the seeded initialization")
+    train_defaults = probe_mod.TrainConfig()
+    p_run.add_argument("--hidden", type=int, default=train_defaults.hidden)
+    p_run.add_argument("--lr", type=float, default=train_defaults.lr)
+    p_run.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
+    p_run.add_argument("--max-epochs", type=int, default=train_defaults.max_epochs)
+    p_run.add_argument("--patience", type=int, default=train_defaults.patience)
     p_run.add_argument("--fractions", type=_csv_floats, default=mdl.DEFAULT_FRACTIONS)
-    p_run.add_argument("--workers", type=int, default=None)
+    p_run.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_run.add_argument("--output-dir", required=True)
     p_run.set_defaults(func=cmd_probe_run)
 
@@ -726,10 +709,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "func", None) is cmd_probe_run:
-            args.windows_given = args.windows is not None
-            if args.windows is None:
-                args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
         with _one_blas_thread():
             return args.func(args)
     except UsageError as exc:

@@ -203,14 +203,8 @@ def eigennoise_analytic(
                               v=u * values[None, :], ordering_rule=ordering_rule)
 
 
-def to_embedding(fact: EigenFactorization, which: str = "U") -> EmbeddingTable:
-    """Embedding table from the retained factor; zero OOV and PAD rows appended."""
-    if which == "U":
-        block = fact.u
-    elif which == "V":
-        block = fact.v
-    else:
-        raise ValueError(f"which must be 'U' or 'V', got {which!r}")
+def to_embedding(fact: EigenFactorization) -> EmbeddingTable:
+    """Embedding table from U_d; zero OOV and PAD rows appended."""
     rows = np.zeros((fact.n + 2, fact.d))
-    rows[: fact.n] = block
+    rows[: fact.n] = fact.u
     return EmbeddingTable(rows=rows, d=fact.d, source="eigennoise")

@@ -18,11 +18,6 @@ from .vocab import harmonic_number
 DEFAULT_WINDOW = 5
 DENSE_CAP = 4096
 
-#: How the positivity constraint min entry == 1 is (optionally) restored.
-#: "verbatim" keeps the closed form untouched; "rescale" multiplies the
-#: whole matrix so the smallest entry is 1 (eigenvectors unchanged).
-POSITIVITY_MODES = ("verbatim", "rescale")
-
 
 @dataclass(frozen=True)
 class HarmonicModel:
@@ -73,11 +68,7 @@ class CoocMatrix:
         return self.values.shape[0]
 
 
-def materialize(
-    model: HarmonicModel,
-    positivity: str = "verbatim",
-    max_dense: int = DENSE_CAP,
-) -> CoocMatrix:
+def materialize(model: HarmonicModel, max_dense: int = DENSE_CAP) -> CoocMatrix:
     """Dense N x N matrix of the model, with marginals.
 
     Only feasible for small N; larger vocabularies should stay on the
@@ -88,12 +79,8 @@ def materialize(
             f"N={model.n} exceeds the dense cap {max_dense}; "
             "use the analytic eigen path instead of materializing"
         )
-    if positivity not in POSITIVITY_MODES:
-        raise ValueError(f"positivity must be one of {POSITIVITY_MODES}")
     inv_rank = 1.0 / np.arange(1, model.n + 1, dtype=float)
     values = model.scale * np.outer(inv_rank, inv_rank)
-    if positivity == "rescale":
-        values = values / values.min()
     return CoocMatrix.from_values(values)
 
 

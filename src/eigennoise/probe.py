@@ -32,7 +32,6 @@ class TrainConfig:
     lr: float = 0.001
     anneal_factor: float = 0.5
     patience: int = 4
-    consecutive: bool = False  # count non-improvements consecutively instead of cumulatively
     seed: int = 0
     batch_size: int = 64
     max_epochs: int = 50
@@ -342,27 +341,19 @@ def predict_proba(model: ProbeModel, data: ProbeData) -> np.ndarray:
 
 
 def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
-                table: EmbeddingTable | None = None,
-                model: ProbeModel | None = None) -> tuple[ProbeModel, list[EpochStats]]:
+                table: EmbeddingTable | None = None) -> tuple[ProbeModel, list[EpochStats]]:
     """Adam training with the anneal-on-plateau schedule.
 
     After every epoch whose dev loss is not a new strict minimum, the
-    learning rate halves and a counter increments (cumulatively, unless
-    ``config.consecutive``); training stops once the counter reaches
-    ``config.patience`` or at ``config.max_epochs``. Returns the final
-    model and the per-epoch trace.
-
-    Passing ``model`` warm-starts from its current weights (and its
-    attached table) instead of a fresh seeded initialization.
+    learning rate halves and a cumulative counter increments; training
+    stops once the counter reaches ``config.patience`` or at
+    ``config.max_epochs``. Returns the final model and the per-epoch trace.
     """
     if len(train) == 0 or len(dev) == 0:
         raise ValueError("train and dev sets must be non-empty")
-    if model is None:
-        input_dim = train.input_dim(table.d if table is not None else None)
-        model = init_probe(input_dim, train.num_classes, hidden=config.hidden,
-                           seed=config.seed, table=table, pooling=train.pooling)
-    else:
-        table = model.table
+    input_dim = train.input_dim(table.d if table is not None else None)
+    model = init_probe(input_dim, train.num_classes, hidden=config.hidden,
+                       seed=config.seed, table=table, pooling=train.pooling)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     params = {"w1": model.w1, "w2": model.w2}
     if table is not None and table.trainable:
@@ -396,8 +387,6 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
                                 dev_loss=dev_loss, lr=lr))
         if dev_loss < best_dev:
             best_dev = dev_loss
-            if config.consecutive:
-                stale = 0
         else:
             lr *= config.anneal_factor
             stale += 1

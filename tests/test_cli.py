@@ -65,6 +65,11 @@ def test_embed_vocab_and_n_conflict(tmp_path):
 def test_embed_requires_size_source(tmp_path):
     rc = _run("embed", "eigennoise", "--d", "2", "--output", str(tmp_path / "x.txt"))
     assert rc == cli.EXIT_USAGE
+    for kind in ("eigennoise", "random"):
+        rc = _run("embed", kind, "--n", "5", "--d", "0",
+                  "--output", str(tmp_path / "x.txt"))
+        assert rc == cli.EXIT_USAGE
+    assert not (tmp_path / "x.txt").exists()
 
 
 def test_embed_d_larger_than_vocab(tmp_path):
@@ -113,6 +118,10 @@ def test_probe_run_usage_errors(tmp_path):
     assert _run("probe", "run", "--task", "conll", "--output-dir", out) == cli.EXIT_USAGE
     assert _run("probe", "run", "--task", "conll", "--train", "x.conll",
                 "--windows", "0,3", "--output-dir", out) == cli.EXIT_USAGE
+    assert _run("probe", "run", "--task", "synthetic", "--d", "0",
+                "--output-dir", out) == cli.EXIT_USAGE
+    assert _run("probe", "run", "--task", "conll", "--train", "x.conll",
+                "--d", "0", "--output-dir", out) == cli.EXIT_USAGE
 
 
 def _tiny_synthetic_args(out_dir, seeds="0", extra=()):
@@ -150,6 +159,16 @@ def test_probe_run_report_body_reproducible(tmp_path):
     body_b = (out_b / "report.txt").read_text().split("\n", 1)[1]
     assert body_a == body_b
     assert (out_a / "cells.json").read_bytes() == (out_b / "cells.json").read_bytes()
+
+
+def test_probe_run_duplicate_seeds_run_once(tmp_path):
+    once, twice = tmp_path / "once", tmp_path / "twice"
+    assert cli.main(_tiny_synthetic_args(once, seeds="0")) == 0
+    assert cli.main(_tiny_synthetic_args(twice, seeds="0,0")) == 0
+    body_once = (once / "report.txt").read_text().split("\n", 1)[1]
+    body_twice = (twice / "report.txt").read_text().split("\n", 1)[1]
+    assert body_once == body_twice
+    assert (once / "cells.json").read_bytes() == (twice / "cells.json").read_bytes()
 
 
 def test_probe_run_conll_token_task(tmp_path):
@@ -212,26 +231,6 @@ def test_report_aggregate_merges_runs(tmp_path, capsys):
 
 def test_report_aggregate_empty_dir(tmp_path):
     assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_DATA
-
-
-def test_probe_run_warm_start_differs_and_reproduces(tmp_path):
-    cold = tmp_path / "cold"
-    warm_a = tmp_path / "warm_a"
-    warm_b = tmp_path / "warm_b"
-    assert cli.main(_tiny_synthetic_args(cold)) == 0
-    assert cli.main(_tiny_synthetic_args(warm_a, extra=("--warm-start",))) == 0
-    assert cli.main(_tiny_synthetic_args(warm_b, extra=("--warm-start",))) == 0
-    assert (warm_a / "cells.json").read_bytes() == (warm_b / "cells.json").read_bytes()
-    cold_cells = json.loads((cold / "cells.json").read_text())["cells"]
-    warm_cells = json.loads((warm_a / "cells.json").read_text())["cells"]
-    assert [c["total_bits"] for c in cold_cells] != [c["total_bits"] for c in warm_cells]
-
-
-def test_workers_env_override(tmp_path, monkeypatch):
-    monkeypatch.setenv(cli.WORKERS_ENV, "1")
-    out_dir = tmp_path / "run"
-    rc = cli.main(_tiny_synthetic_args(out_dir))
-    assert rc == 0
 
 
 def test_missing_train_file_is_data_error(tmp_path):

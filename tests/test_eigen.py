@@ -219,16 +219,6 @@ def test_to_embedding_appends_zero_rows():
     np.testing.assert_array_equal(table.rows[2:], np.zeros((2, 1)))
 
 
-def test_to_embedding_v_scales_by_eigenvalues():
-    fact = eigennoise_analytic(5, 3, m=2, mode="log")
-    tu = to_embedding(fact, which="U")
-    tv = to_embedding(fact, which="V")
-    np.testing.assert_allclose(tv.rows[:5], tu.rows[:5] * fact.eigenvalues[None, :],
-                               rtol=1e-12)
-    with pytest.raises(ValueError):
-        to_embedding(fact, which="W")
-
-
 def test_to_embedding_paper_scale_shape():
     fact = eigennoise_analytic(2000, 50, mode="linear")
     table = to_embedding(fact)

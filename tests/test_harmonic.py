@@ -58,20 +58,6 @@ def test_materialize_scale_linear_in_m():
     np.testing.assert_array_equal(c2.row_marginals, 2.0 * c1.row_marginals)
 
 
-def test_materialize_positivity_modes():
-    model = HarmonicModel(n=5, m=2)
-    verbatim = materialize(model)
-    rescaled = materialize(model, positivity="rescale")
-    assert verbatim.values.min() < 1.0
-    assert rescaled.values.min() == pytest.approx(1.0, rel=1e-12)
-    # rescaling is a scalar multiple: eigenvectors unchanged
-    ratio = rescaled.values / verbatim.values
-    np.testing.assert_allclose(ratio, ratio[0, 0], rtol=1e-12)
-    for unknown in ("floor", "clip"):
-        with pytest.raises(ValueError):
-            materialize(model, positivity=unknown)
-
-
 @pytest.mark.parametrize("n", [2, 10, 60])
 def test_pmi_is_identically_zero(n):
     c = materialize(HarmonicModel(n=n, m=4))

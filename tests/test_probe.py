@@ -294,16 +294,6 @@ def test_train_probe_constant_dev_loss_annealing_schedule():
         assert t.dev_loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_train_probe_consecutive_counter_resets():
-    data = ProbeData(labels=np.array([0, 1] * 8), num_classes=2,
-                     features=np.zeros((16, 3)))
-    config = TrainConfig(lr=0.001, seed=0, batch_size=4, max_epochs=7,
-                         hidden=4, consecutive=True)
-    _, trace = train_probe(data, data, config)
-    # flat dev loss never resets, so behavior matches the cumulative counter
-    assert len(trace) == 5
-
-
 def test_train_probe_stops_at_max_epochs():
     ds = synth_task("separable", 60, 4, k=2, seed=0)
     data = synthetic_feature_data(ds)
@@ -368,21 +358,6 @@ def test_loss_at_zero_weights_is_log_k():
     assert evaluate_loss(model, data) == pytest.approx(math.log(2.0), abs=1e-9)
     probs = predict_proba(model, data)
     np.testing.assert_allclose(probs, 0.5, rtol=1e-12)
-
-
-def test_train_probe_warm_start_continues_from_given_model():
-    train = synthetic_feature_data(synth_task("separable", 100, 4, k=2, seed=4))
-    dev = synthetic_feature_data(
-        synth_task("separable", 40, 4, k=2, seed=4, split="dev"))
-    config = TrainConfig(seed=0, batch_size=16, max_epochs=3, hidden=8)
-    first, _ = train_probe(train, dev, config)
-    snapshot = first.w1.copy()
-    resumed, _ = train_probe(train, dev, config, model=first)
-    assert resumed is first
-    assert np.abs(first.w1 - snapshot).max() > 0
-    fresh, _ = train_probe(train, dev, config)
-    np.testing.assert_array_equal(fresh.w1.shape, first.w1.shape)
-    assert np.abs(fresh.w1 - first.w1).max() > 0
 
 
 def test_train_probe_rejects_empty():
