@@ -103,13 +103,20 @@ def _write_embedding(table, voc, path, meta: dict) -> None:
                        encoding="utf-8")
 
 
-def _check_d(args) -> None:
-    if args.d < 1:
-        raise UsageError("--d must be >= 1")
+def _check_min(args, minimum: int, *dests: str) -> None:
+    """Raise a usage error naming the first option with a value below
+    ``minimum``; an option may hold one int or a tuple of them."""
+    for dest in dests:
+        value = getattr(args, dest)
+        for v in value if isinstance(value, tuple) else (value,):
+            if v < minimum:
+                raise UsageError(
+                    f"--{dest.replace('_', '-')} must be >= {minimum}, got {v}")
 
 
 def cmd_embed_eigennoise(args) -> int:
-    _check_d(args)
+    _check_min(args, 1, "d", "m")
+    _check_min(args, 0, "completion_seed")
     voc, n = _load_or_size_vocab(args)
     if args.d > n:
         raise DataError(f"--d {args.d} exceeds vocabulary size {n}")
@@ -129,7 +136,8 @@ def cmd_embed_eigennoise(args) -> int:
 
 
 def cmd_embed_random(args) -> int:
-    _check_d(args)
+    _check_min(args, 1, "d")
+    _check_min(args, 0, "seed")
     voc, n = _load_or_size_vocab(args)
     table = embeddings.random_table(n, args.d, args.seed)
     meta = {"source": "random", "n": n, "d": args.d, "seed": args.seed}
@@ -468,7 +476,9 @@ def cmd_probe_run(args) -> int:
             )
     if not args.seeds:
         raise UsageError("need at least one seed")
-    _check_d(args)
+    _check_min(args, 1, "d", "m", "classes", "hidden", "batch_size", "max_epochs",
+               "patience", "workers")
+    _check_min(args, 0, "seeds", "data_seed", "completion_seed")
     if args.task == "conll" and not args.windows:
         raise UsageError("token tasks need at least one window")
     bad = [w for w in args.windows if w not in ALLOWED_WINDOWS]
@@ -477,8 +487,6 @@ def cmd_probe_run(args) -> int:
 
     ctx = _build_context(args)
     cells = _matrix_cells(args, ctx.kind)
-    if args.workers < 1:
-        raise UsageError(f"worker count must be >= 1, got {args.workers}")
 
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(lambda c: run_cell(c, ctx), cells))

@@ -182,6 +182,10 @@ def export_text(
         f"rank_{r}" for r in range(1, table.n + 1)
     ]
     labels += [OOV_TOKEN, PAD_TOKEN]
+    # One template formats a whole row in a single call. Rows are
+    # converted one at a time so the table never exists as N*d Python
+    # floats.
+    template = "%s" + " %.8g" * table.d + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         for label, row in zip(labels, table.rows):
-            fh.write(label + " " + " ".join(f"{v:.8g}" for v in row) + "\n")
+            fh.write(template % (label, *row.tolist()))

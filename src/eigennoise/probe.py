@@ -40,8 +40,9 @@ class TrainConfig:
     def __post_init__(self):
         if self.lr <= 0:
             raise ValueError(f"lr must be positive, got {self.lr}")
-        if self.patience < 1:
-            raise ValueError(f"patience must be >= 1, got {self.patience}")
+        for name in ("patience", "hidden", "batch_size", "max_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
 
 # --- featurization ---------------------------------------------------------

@@ -62,13 +62,18 @@ def test_embed_vocab_and_n_conflict(tmp_path):
     assert rc == cli.EXIT_USAGE
 
 
-def test_embed_requires_size_source(tmp_path):
+def test_embed_requires_size_source(tmp_path, capsys):
     rc = _run("embed", "eigennoise", "--d", "2", "--output", str(tmp_path / "x.txt"))
     assert rc == cli.EXIT_USAGE
-    for kind in ("eigennoise", "random"):
-        rc = _run("embed", kind, "--n", "5", "--d", "0",
+    for kind, option, value in (("eigennoise", "--d", "0"), ("random", "--d", "0"),
+                                ("eigennoise", "--m", "0"),
+                                ("eigennoise", "--completion-seed", "-1"),
+                                ("random", "--seed", "-1")):
+        capsys.readouterr()
+        rc = _run("embed", kind, "--n", "5", "--d", "2", option, value,
                   "--output", str(tmp_path / "x.txt"))
         assert rc == cli.EXIT_USAGE
+        assert f"usage error: {option} must be" in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
 
 
@@ -107,7 +112,7 @@ def test_embed_import_ragged_leaves_no_output(tmp_path):
     assert not out.exists()
 
 
-def test_probe_run_usage_errors(tmp_path):
+def test_probe_run_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "runs")
     assert _run("probe", "run", "--task", "synthetic", "--representations",
                 "glove", "--output-dir", out) == cli.EXIT_USAGE
@@ -122,6 +127,15 @@ def test_probe_run_usage_errors(tmp_path):
                 "--output-dir", out) == cli.EXIT_USAGE
     assert _run("probe", "run", "--task", "conll", "--train", "x.conll",
                 "--d", "0", "--output-dir", out) == cli.EXIT_USAGE
+    for option, value in (("--classes", "0"), ("--hidden", "0"), ("--batch-size", "0"),
+                          ("--max-epochs", "0"), ("--patience", "0"), ("--m", "0"),
+                          ("--workers", "0"), ("--seeds", "-1"), ("--seeds", "0,-1"),
+                          ("--data-seed", "-1"), ("--completion-seed", "-1")):
+        capsys.readouterr()
+        assert _run("probe", "run", "--task", "synthetic", "--n", "60", option, value,
+                    "--output-dir", out) == cli.EXIT_USAGE
+        assert f"usage error: {option} must be" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def _tiny_synthetic_args(out_dir, seeds="0", extra=()):

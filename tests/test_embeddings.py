@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -150,6 +152,36 @@ def test_export_without_vocab_uses_rank_labels(tmp_path):
     export_text(table, out)
     first = out.read_text().splitlines()[0]
     assert first.split()[0] == "rank_1"
+
+
+def test_export_bytes_match_per_value_format(tmp_path):
+    values = [0.0, -0.0, 5e-324, 1e-5, 1e-4, 12345678.0, 123456789.0, 1e20,
+              np.inf, -np.inf, np.nan, 1 / 3]
+    vocab = build_vocab(["żółw", "naïve", "żółw"])
+    rows = np.zeros((4, len(values)))
+    rows[0] = values
+    rows[1] = values[::-1]
+    table = EmbeddingTable(rows=rows, d=len(values), source="imported")
+    out = tmp_path / "export.txt"
+    export_text(table, out, vocab=vocab)
+    labels = vocab.tokens() + [OOV_TOKEN, PAD_TOKEN]
+    expected = "".join(
+        label + " " + " ".join(f"{v:.8g}" for v in row) + "\n"
+        for label, row in zip(labels, table.rows)
+    )
+    assert out.read_bytes() == expected.encode("utf-8")
+
+
+def test_export_does_not_hold_the_table_as_python_floats(tmp_path):
+    # 20,002 x 50 values as Python floats would take over 30 MB.
+    table = random_table(20000, 50, seed=0)
+    tracemalloc.start()
+    try:
+        export_text(table, tmp_path / "export.txt")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
 
 
 def test_export_vocab_size_mismatch(tmp_path):

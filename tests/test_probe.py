@@ -360,6 +360,12 @@ def test_loss_at_zero_weights_is_log_k():
     np.testing.assert_allclose(probs, 0.5, rtol=1e-12)
 
 
+@pytest.mark.parametrize("field", ["hidden", "batch_size", "max_epochs", "patience"])
+def test_train_config_rejects_sizes_below_one(field):
+    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
+        TrainConfig(**{field: 0})
+
+
 def test_train_probe_rejects_empty():
     data = ProbeData(labels=np.array([0]), num_classes=2,
                      features=np.zeros((1, 2)))
