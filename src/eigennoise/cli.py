@@ -1,8 +1,9 @@
-"""Command-line entry points.
+"""Command-line entry points: argument parsing and exit codes.
 
 Subcommands: ``vocab build``, ``embed eigennoise|random|import``,
 ``probe run`` (the full representation x frozen x seed matrix with MDL
-codelengths and accuracy), ``report aggregate``. Long option names only.
+codelengths and accuracy, run by :mod:`eigennoise.matrix`), ``report
+aggregate``. Long option names only.
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 one or more matrix
 cells failed (the rest still ran).
@@ -17,15 +18,14 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
-from dataclasses import dataclass, replace
-from datetime import datetime, timezone
 from pathlib import Path
 
 import numpy as np
 
-from . import datasets, eigen, embeddings, harmonic, mdl
+from . import datasets, eigen, embeddings, harmonic, matrix, mdl
 from . import probe as probe_mod
 from . import vocab as vocab_mod
+from .matrix import run_cell
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -34,13 +34,10 @@ EXIT_CELL_FAILURES = 3
 
 ALLOWED_WINDOWS = probe_mod.DEFAULT_WINDOWS
 DEFAULT_SEEDS = (0, 1234, 322111)
+SEED_LIMIT = 2**128  # numpy's Philox takes keys in [0, 2**128)
 
 
 class UsageError(Exception):
-    pass
-
-
-class DataError(Exception):
     pass
 
 
@@ -51,30 +48,43 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _option_values(args, dests):
+    """(option name, value) pairs; an option may hold one int or a tuple."""
+    for dest in dests:
+        value = getattr(args, dest)
+        for v in value if isinstance(value, tuple) else (value,):
+            yield f"--{dest.replace('_', '-')}", v
+
+
+def _check_min(args, minimum: int, *dests: str) -> None:
+    """Raise a usage error naming the first option with a value below
+    ``minimum``."""
+    for option, v in _option_values(args, dests):
+        if v < minimum:
+            raise UsageError(f"{option} must be >= {minimum}, got {v}")
+
+
+def _check_seeds(args, *dests: str) -> None:
+    """Raise a usage error naming the first seed outside Philox's range."""
+    _check_min(args, 0, *dests)
+    for option, v in _option_values(args, dests):
+        if v >= SEED_LIMIT:
+            raise UsageError(f"{option} must be < 2**128, got {v}")
+
+
 # --- vocab build ------------------------------------------------------------
 
 
-def _resolve_case_fold(choice: str, task_format: str) -> bool:
-    if choice == "on":
-        return True
-    if choice == "off":
-        return False
-    # auto: fold tweet-like text, keep case for token-column tasks
-    return task_format != "conll"
-
-
 def cmd_vocab_build(args) -> int:
-    case_fold = _resolve_case_fold(args.case_fold, args.format)
+    _check_min(args, 1, "max_size")
     if args.format == "text":
         tokens = list(vocab_mod.token_stream(args.input))
-    elif args.format == "tsv":
-        ds = datasets.parse_tsv(args.input)
-        tokens = [t for text in ds.texts for t in vocab_mod.tokenize(text)]
-    else:
-        ds = datasets.parse_conll(args.input, token_column=args.token_column,
-                                  label_column=args.token_column)
-        tokens = [t for sent in ds.sentences for t in sent]
-    voc = vocab_mod.build_vocab(tokens, case_fold=case_fold, max_size=args.max_size)
+    else:  # labels are not read: point the label column at the tokens
+        tokens = matrix.dataset_tokens(matrix.read_split(
+            args.format, args.input, "train", args.token_column, args.token_column))
+    voc = vocab_mod.build_vocab(
+        tokens, case_fold=matrix.resolve_case_fold(args.case_fold, args.format),
+        max_size=args.max_size)
     vocab_mod.write_vocab(voc, args.output)
     print(f"wrote {voc.size} ranks to {args.output}")
     return EXIT_OK
@@ -103,23 +113,12 @@ def _write_embedding(table, voc, path, meta: dict) -> None:
                        encoding="utf-8")
 
 
-def _check_min(args, minimum: int, *dests: str) -> None:
-    """Raise a usage error naming the first option with a value below
-    ``minimum``; an option may hold one int or a tuple of them."""
-    for dest in dests:
-        value = getattr(args, dest)
-        for v in value if isinstance(value, tuple) else (value,):
-            if v < minimum:
-                raise UsageError(
-                    f"--{dest.replace('_', '-')} must be >= {minimum}, got {v}")
-
-
 def cmd_embed_eigennoise(args) -> int:
     _check_min(args, 1, "d", "m")
-    _check_min(args, 0, "completion_seed")
+    _check_seeds(args, "completion_seed")
     voc, n = _load_or_size_vocab(args)
     if args.d > n:
-        raise DataError(f"--d {args.d} exceeds vocabulary size {n}")
+        raise ValueError(f"--d {args.d} exceeds vocabulary size {n}")
     fact = eigen.eigennoise_analytic(
         n, args.d, m=args.m, mode=args.mode,
         completion_seed=args.completion_seed, ordering_rule=args.ordering,
@@ -137,7 +136,7 @@ def cmd_embed_eigennoise(args) -> int:
 
 def cmd_embed_random(args) -> int:
     _check_min(args, 1, "d")
-    _check_min(args, 0, "seed")
+    _check_seeds(args, "seed")
     voc, n = _load_or_size_vocab(args)
     table = embeddings.random_table(n, args.d, args.seed)
     meta = {"source": "random", "n": n, "d": args.d, "seed": args.seed}
@@ -163,300 +162,6 @@ def cmd_embed_import(args) -> int:
 # --- probe run --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CellSpec:
-    representation: str  # "eigennoise", "random", or "import:<path>"
-    window: int | None  # token tasks only
-    frozen: bool
-    seed: int
-
-    @property
-    def name(self) -> str:
-        rep = self.representation.replace(":", "_").replace("/", "_")
-        win = "seq" if self.window is None else f"w{self.window}"
-        mode = "frozen" if self.frozen else "unfrozen"
-        return f"{rep}_{win}_{mode}_s{self.seed}"
-
-
-@dataclass
-class CellResult:
-    cell: CellSpec
-    total_bits: float | None = None
-    uniform_bits: float | None = None
-    accuracy: float | None = None
-    clamps: int | None = None
-    error: str | None = None
-    report: "mdl.CodelengthReport | None" = None
-
-    def to_record(self, task: str) -> dict:
-        return {
-            "task": task,
-            "representation": self.cell.representation,
-            "window": self.cell.window,
-            "frozen": self.cell.frozen,
-            "seed": self.cell.seed,
-            "total_bits": self.total_bits,
-            "kilobits": None if self.total_bits is None else self.total_bits / 1000.0,
-            "kilobytes": None if self.total_bits is None else self.total_bits / 8000.0,
-            "uniform_bits": self.uniform_bits,
-            "accuracy": self.accuracy,
-            "clamps": self.clamps,
-            "error": self.error,
-        }
-
-
-@dataclass
-class MatrixContext:
-    """Everything a cell needs, shared read-only across the pool."""
-
-    task_label: str
-    kind: str  # "token" | "sequence" | "synthetic"
-    vocab: vocab_mod.Vocabulary
-    train_data: dict  # window (or None) -> ProbeData
-    dev_data: dict
-    test_data: dict
-    schedule: mdl.BlockSchedule
-    config_base: probe_mod.TrainConfig
-    eigennoise_base: embeddings.EmbeddingTable | None
-    imported: dict  # path -> EmbeddingTable
-    d: int
-
-
-def _cell_table(cell: CellSpec, ctx: MatrixContext) -> embeddings.EmbeddingTable:
-    if cell.representation == "eigennoise":
-        return ctx.eigennoise_base.copy(trainable=not cell.frozen)
-    if cell.representation == "random":
-        table = embeddings.random_table(ctx.vocab.size, ctx.d, cell.seed)
-        table.trainable = not cell.frozen
-        return table
-    path = cell.representation.split(":", 1)[1]
-    return ctx.imported[path].copy(trainable=not cell.frozen)
-
-
-def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
-    try:
-        base = _cell_table(cell, ctx)
-        config = replace(ctx.config_base, seed=cell.seed)
-        train = ctx.train_data[cell.window]
-        dev = ctx.dev_data.get(cell.window)
-
-        def fit_predict(prefix, stage_dev, cfg):
-            model, _ = probe_mod.train_probe(prefix, stage_dev, cfg, table=base.copy())
-            return lambda batch: probe_mod.predict_proba(model, batch)
-
-        report = mdl.online_codelength(train, ctx.schedule, fit_predict, config, dev=dev)
-        accuracy = None
-        test = ctx.test_data.get(cell.window)
-        if test is not None:
-            acc_table = base.copy()
-            if dev is not None:
-                acc_train, acc_dev = train, dev
-            else:  # stage 0: the codelength stages hold out with stages 1..
-                acc_train, acc_dev = mdl.holdout(train, cell.seed, 0)
-            model, _ = probe_mod.train_probe(acc_train, acc_dev, config, table=acc_table)
-            accuracy = probe_mod.evaluate_accuracy(model, test)
-        return CellResult(
-            cell=cell,
-            total_bits=report.total_bits,
-            uniform_bits=report.uniform_baseline_bits,
-            accuracy=accuracy,
-            clamps=report.clamp_count,
-            report=report,
-        )
-    except Exception as exc:  # cell failures are recorded, not fatal
-        return CellResult(cell=cell, error=f"{type(exc).__name__}: {exc}")
-
-
-def _discover_missing_splits(args) -> None:
-    """Fill --dev/--test from sibling files when --train ends in .train."""
-    train = str(args.train)
-    if not train.endswith(".train"):
-        return
-    prefix = train[: -len(".train")]
-    found = datasets.discover_splits(prefix)
-    if args.dev is None and "dev" in found:
-        args.dev = str(found["dev"])
-    if args.test is None and "test" in found:
-        args.test = str(found["test"])
-
-
-def _build_context(args) -> MatrixContext:
-    case_fold = _resolve_case_fold(args.case_fold, args.task)
-    if args.task == "synthetic":
-        splits = {
-            split: datasets.synth_task(args.kind, n, args.d, k=args.classes,
-                                       seed=args.data_seed, split=split)
-            for split, n in (("train", args.n),
-                             ("dev", max(args.classes * 10, args.n // 5)),
-                             ("test", max(args.classes * 10, args.n // 5)))
-        }
-        tokens = [t for toks in splits["train"].tokens for t in toks]
-        voc = vocab_mod.build_vocab(tokens, case_fold=case_fold,
-                                    max_size=args.vocab_cap)
-        data = {
-            name: {None: probe_mod.synthetic_token_data(ds, voc)}
-            for name, ds in splits.items()
-        }
-        kind = "synthetic"
-        task_label = f"synthetic-{args.kind}"
-    elif args.task == "tsv":
-        _discover_missing_splits(args)
-        train = datasets.parse_tsv(args.train, split="train")
-        tokens = [t for text in train.texts for t in vocab_mod.tokenize(text)]
-        voc = vocab_mod.build_vocab(tokens, case_fold=case_fold,
-                                    max_size=args.vocab_cap)
-        data = {"train": {None: probe_mod.sequence_data(train, voc)}}
-        for name, path in (("dev", args.dev), ("test", args.test)):
-            if path is not None:
-                ds = datasets.apply_label_set(
-                    datasets.parse_tsv(path, split=name), train.label_set)
-                data[name] = {None: probe_mod.sequence_data(ds, voc)}
-        kind = "sequence"
-        task_label = Path(args.train).stem
-    else:  # conll
-        _discover_missing_splits(args)
-        train = datasets.parse_conll(args.train, token_column=args.token_column,
-                                     label_column=args.label_column, split="train")
-        tokens = [t for sent in train.sentences for t in sent]
-        voc = vocab_mod.build_vocab(tokens, case_fold=case_fold,
-                                    max_size=args.vocab_cap)
-        windows = args.windows
-        data = {"train": {
-            w: probe_mod.token_window_data(train, voc, w) for w in windows
-        }}
-        for name, path in (("dev", args.dev), ("test", args.test)):
-            if path is not None:
-                ds = datasets.apply_label_set(
-                    datasets.parse_conll(path, token_column=args.token_column,
-                                         label_column=args.label_column,
-                                         split=name),
-                    train.label_set)
-                data[name] = {
-                    w: probe_mod.token_window_data(ds, voc, w, label_set=train.label_set)
-                    for w in windows
-                }
-        kind = "token"
-        task_label = Path(args.train).stem
-
-    if args.d > voc.size:
-        raise DataError(
-            f"embedding dimension {args.d} exceeds vocabulary size {voc.size}"
-        )
-    eigennoise_base = None
-    imported = {}
-    for rep in args.representations:
-        if rep == "eigennoise" and eigennoise_base is None:
-            fact = eigen.eigennoise_analytic(
-                voc.size, args.d, m=args.m, mode=args.mode,
-                completion_seed=args.completion_seed, ordering_rule=args.ordering)
-            eigennoise_base = eigen.to_embedding(fact)
-        elif rep.startswith("import:"):
-            path = rep.split(":", 1)[1]
-            table, _ = embeddings.import_text(path, voc, expected_d=args.d)
-            imported[path] = table
-
-    n_train = len(next(iter(data["train"].values())))
-    schedule = mdl.make_schedule(n_train, fractions=args.fractions)
-    config = probe_mod.TrainConfig(
-        lr=args.lr, patience=args.patience, batch_size=args.batch_size,
-        max_epochs=args.max_epochs, hidden=args.hidden)
-    return MatrixContext(
-        task_label=task_label,
-        kind=kind,
-        vocab=voc,
-        train_data=data["train"],
-        dev_data=data.get("dev", {}),
-        test_data=data.get("test", {}),
-        schedule=schedule,
-        config_base=config,
-        eigennoise_base=eigennoise_base,
-        imported=imported,
-        d=args.d,
-    )
-
-
-def _matrix_cells(args, kind: str) -> list[CellSpec]:
-    windows = args.windows if kind == "token" else [None]
-    if args.frozen == "both":
-        frozen_options = (True, False)
-    else:
-        frozen_options = (args.frozen == "true",)
-    return [
-        CellSpec(representation=rep, window=w, frozen=fr, seed=seed)
-        for rep in args.representations
-        for w in windows
-        for fr in frozen_options
-        for seed in args.seeds
-    ]
-
-
-def _aggregate_rows(records: list[dict]) -> list[dict]:
-    """Group per-cell records into (task, representation, window) rows with
-    frozen/unfrozen mean +- std columns."""
-    groups: dict[tuple, dict] = {}
-    for rec in records:
-        if rec["error"] is not None or rec["total_bits"] is None:
-            continue
-        key = (rec["task"], rec["representation"], rec["window"])
-        g = groups.setdefault(key, {"frozen": [], "unfrozen": [],
-                                    "frozen_acc": [], "unfrozen_acc": [],
-                                    "uniform": rec["uniform_bits"]})
-        side = "frozen" if rec["frozen"] else "unfrozen"
-        g[side].append(rec["total_bits"])
-        if rec["accuracy"] is not None:
-            g[side + "_acc"].append(rec["accuracy"])
-    rows = []
-    for (task, rep, window), g in sorted(groups.items(),
-                                         key=lambda kv: (kv[0][0], kv[0][1],
-                                                         -1 if kv[0][2] is None else kv[0][2])):
-        row = {"task": task, "representation": rep, "window": window,
-               "uniform_bits": g["uniform"]}
-        for side in ("frozen", "unfrozen"):
-            if g[side]:
-                mean, std = mdl.aggregate(g[side])
-                row[f"{side}_bits"] = (mean, std)
-            else:
-                row[f"{side}_bits"] = None
-            if g[side + "_acc"]:
-                mean, std = mdl.aggregate(g[side + "_acc"])
-                row[f"{side}_acc"] = (mean, std)
-            else:
-                row[f"{side}_acc"] = None
-        rows.append(row)
-    return rows
-
-
-def _format_pair(pair, scale=1.0, digits=3) -> str:
-    if pair is None:
-        return "-"
-    mean, std = pair
-    return f"{mean * scale:.{digits}f} ± {std * scale:.{digits}f}"
-
-
-def _format_table(rows: list[dict]) -> str:
-    header = ["task", "representation", "window",
-              "frozen_kbits", "unfrozen_kbits", "uniform_kbits",
-              "frozen_acc", "unfrozen_acc"]
-    body = []
-    for row in rows:
-        body.append([
-            row["task"],
-            row["representation"],
-            "-" if row["window"] is None else str(row["window"]),
-            _format_pair(row["frozen_bits"], scale=1e-3),
-            _format_pair(row["unfrozen_bits"], scale=1e-3),
-            f"{row['uniform_bits'] / 1000.0:.3f}",
-            _format_pair(row["frozen_acc"]),
-            _format_pair(row["unfrozen_acc"]),
-        ])
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-              for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def cmd_probe_run(args) -> int:
     if args.windows is None:
         args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
@@ -477,73 +182,24 @@ def cmd_probe_run(args) -> int:
     if not args.seeds:
         raise UsageError("need at least one seed")
     _check_min(args, 1, "d", "m", "classes", "hidden", "batch_size", "max_epochs",
-               "patience", "workers")
-    _check_min(args, 0, "seeds", "data_seed", "completion_seed")
+               "patience", "workers", "vocab_cap")
+    _check_min(args, 0, "data_seed")
+    _check_seeds(args, "seeds", "completion_seed")
+    if not 0 < args.lr < float("inf"):
+        raise UsageError(f"--lr must be > 0 and finite, got {args.lr}")
     if args.task == "conll" and not args.windows:
         raise UsageError("token tasks need at least one window")
     bad = [w for w in args.windows if w not in ALLOWED_WINDOWS]
     if bad:
         raise UsageError(f"windows {bad} outside supported set {ALLOWED_WINDOWS}")
 
-    ctx = _build_context(args)
-    cells = _matrix_cells(args, ctx.kind)
-
+    ctx = matrix.build_context(args)
+    cells = matrix.matrix_cells(args)
     with ThreadPoolExecutor(max_workers=args.workers) as pool:
         results = list(pool.map(lambda c: run_cell(c, ctx), cells))
-
-    out_dir = Path(args.output_dir)
-    (out_dir / "cells").mkdir(parents=True, exist_ok=True)
-    records = []
-    failures = 0
-    for res in sorted(results, key=lambda r: r.cell.name):
-        records.append(res.to_record(ctx.task_label))
-        if res.error is not None:
-            failures += 1
-        elif res.report is not None:
-            mdl.write_report(res.report, out_dir / "cells" / f"{res.cell.name}.mdl.txt")
-
-    spec_record = {
-        "task": ctx.task_label,
-        "representations": list(args.representations),
-        "windows": list(args.windows) if ctx.kind == "token" else None,
-        "frozen": args.frozen,
-        "seeds": list(args.seeds),
-        "d": args.d,
-        "m": args.m,
-        "mode": args.mode,
-        "ordering": args.ordering,
-        "vocab_cap": args.vocab_cap,
-        "vocab_size": ctx.vocab.size,
-        "boundaries": list(ctx.schedule.boundaries),
-        "lr": args.lr,
-        "hidden": args.hidden,
-        "batch_size": args.batch_size,
-        "max_epochs": args.max_epochs,
-        "patience": args.patience,
-    }
-    (out_dir / "cells.json").write_text(
-        json.dumps({"spec": spec_record, "cells": records},
-                   sort_keys=True, indent=2) + "\n",
-        encoding="utf-8")
-
-    rows = _aggregate_rows(records)
-    body_lines = ["spec: " + json.dumps(spec_record, sort_keys=True), ""]
-    body_lines.append(_format_table(rows))
-    body_lines.append("cells:")
-    for rec in records:
-        status = rec["error"] if rec["error"] else (
-            f"bits={rec['total_bits']:.3f} uniform={rec['uniform_bits']:.3f}"
-            + (f" acc={rec['accuracy']:.4f}" if rec["accuracy"] is not None else "")
-            + f" clamps={rec['clamps']}")
-        win = "-" if rec["window"] is None else rec["window"]
-        frozen = "frozen" if rec["frozen"] else "unfrozen"
-        body_lines.append(
-            f"  {rec['representation']} window={win} {frozen} seed={rec['seed']}: {status}")
-    body = "\n".join(body_lines) + "\n"
-    header = f"# probe run at {datetime.now(timezone.utc).isoformat()}\n"
-    (out_dir / "report.txt").write_text(header + body, encoding="utf-8")
-
-    sys.stdout.write(_format_table(rows))
+    records = matrix.write_run(args, ctx, results)
+    sys.stdout.write(matrix.format_table(records))
+    failures = sum(rec["error"] is not None for rec in records)
     if failures:
         print(f"{failures} of {len(cells)} cells failed", file=sys.stderr)
         return EXIT_CELL_FAILURES
@@ -551,14 +207,7 @@ def cmd_probe_run(args) -> int:
 
 
 def cmd_report_aggregate(args) -> int:
-    records = []
-    paths = sorted(Path(args.input_dir).rglob("cells.json"))
-    if not paths:
-        raise DataError(f"no cells.json found under {args.input_dir}")
-    for path in paths:
-        payload = json.loads(path.read_text(encoding="utf-8"))
-        records.extend(payload["cells"])
-    table = _format_table(_aggregate_rows(records))
+    table = matrix.format_table(matrix.read_records(args.input_dir))
     if args.output:
         Path(args.output).write_text(table, encoding="utf-8")
     else:
@@ -722,9 +371,6 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except DataError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
     except (OSError, ValueError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

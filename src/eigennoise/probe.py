@@ -395,9 +395,3 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
                 break
     return model, trace
 
-
-def write_epoch_trace(trace: list[EpochStats], path) -> None:
-    """Line records "epoch<TAB>train_loss<TAB>dev_loss<TAB>lr"."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for row in trace:
-            fh.write(f"{row.epoch}\t{row.train_loss!r}\t{row.dev_loss!r}\t{row.lr!r}\n")

@@ -3,10 +3,11 @@ from pathlib import Path
 
 import pytest
 
-from eigennoise import cli
+from eigennoise import cli, matrix
 from eigennoise.vocab import read_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
+PHILOX_LIMIT = str(2**128)
 OPENBLAS = cli._bundled_openblas()
 needs_openblas = pytest.mark.skipif(OPENBLAS is None,
                                     reason="numpy bundles no OpenBLAS")
@@ -16,7 +17,7 @@ def _run(*argv):
     return cli.main(list(argv))
 
 
-def test_vocab_build_from_text(tmp_path):
+def test_vocab_build_from_text(tmp_path, capsys):
     src = tmp_path / "corpus.txt"
     src.write_text("the cat sat. The cat!\n", encoding="utf-8")
     out = tmp_path / "vocab.tsv"
@@ -24,6 +25,11 @@ def test_vocab_build_from_text(tmp_path):
     voc = read_vocab(out, case_folded=True)
     assert voc.entries[0][:2] == ("the", 2)
     assert voc.entries[1][:2] == ("cat", 2)
+    capsys.readouterr()
+    assert _run("vocab", "build", "--input", str(src), "--max-size", "0",
+                "--output", str(tmp_path / "none.tsv")) == cli.EXIT_USAGE
+    assert "usage error: --max-size must be" in capsys.readouterr().err
+    assert not (tmp_path / "none.tsv").exists()
 
 
 def test_vocab_build_conll_keeps_case(tmp_path):
@@ -68,7 +74,8 @@ def test_embed_requires_size_source(tmp_path, capsys):
     for kind, option, value in (("eigennoise", "--d", "0"), ("random", "--d", "0"),
                                 ("eigennoise", "--m", "0"),
                                 ("eigennoise", "--completion-seed", "-1"),
-                                ("random", "--seed", "-1")):
+                                ("eigennoise", "--completion-seed", PHILOX_LIMIT),
+                                ("random", "--seed", "-1"), ("random", "--seed", PHILOX_LIMIT)):
         capsys.readouterr()
         rc = _run("embed", kind, "--n", "5", "--d", "2", option, value,
                   "--output", str(tmp_path / "x.txt"))
@@ -130,7 +137,11 @@ def test_probe_run_usage_errors(tmp_path, capsys):
     for option, value in (("--classes", "0"), ("--hidden", "0"), ("--batch-size", "0"),
                           ("--max-epochs", "0"), ("--patience", "0"), ("--m", "0"),
                           ("--workers", "0"), ("--seeds", "-1"), ("--seeds", "0,-1"),
-                          ("--data-seed", "-1"), ("--completion-seed", "-1")):
+                          ("--data-seed", "-1"), ("--completion-seed", "-1"),
+                          ("--seeds", PHILOX_LIMIT), ("--seeds", f"0,{PHILOX_LIMIT}"),
+                          ("--completion-seed", PHILOX_LIMIT), ("--lr", "0"),
+                          ("--lr", "-0.1"), ("--lr", "nan"), ("--lr", "inf"),
+                          ("--vocab-cap", "0")):
         capsys.readouterr()
         assert _run("probe", "run", "--task", "synthetic", "--n", "60", option, value,
                     "--output-dir", out) == cli.EXIT_USAGE
@@ -231,16 +242,44 @@ def test_probe_run_cell_failures_exit_code(tmp_path, monkeypatch):
 def test_report_aggregate_merges_runs(tmp_path, capsys):
     out_dir = tmp_path / "run"
     assert cli.main(_tiny_synthetic_args(out_dir)) == 0
-    capsys.readouterr()  # discard the probe-run table
+    run_table = capsys.readouterr().out
     rc = _run("report", "aggregate", "--input-dir", str(tmp_path))
     assert rc == 0
     table = capsys.readouterr().out
+    assert table == run_table  # one run: the same table probe run printed
     assert "eigennoise" in table and "uniform_kbits" in table
     out_file = tmp_path / "table.txt"
     rc = _run("report", "aggregate", "--input-dir", str(tmp_path),
               "--output", str(out_file))
     assert rc == 0
     assert out_file.read_text() == table
+
+
+def test_probe_run_calls_cells_through_cli_run_cell(tmp_path, monkeypatch):
+    # cli.run_cell is the hook a wrapper (a tracer, say) replaces by attribute
+    seen = []
+    run_cell = cli.run_cell
+
+    def record(cell, ctx):
+        seen.append(cell.name)
+        return run_cell(cell, ctx)
+
+    monkeypatch.setattr(cli, "run_cell", record)
+    assert cli.main(_tiny_synthetic_args(tmp_path / "run")) == 0
+    assert sorted(seen) == ["eigennoise_seq_frozen_s0", "eigennoise_seq_unfrozen_s0",
+                            "random_seq_frozen_s0", "random_seq_unfrozen_s0"]
+
+
+def test_matrix_runs_from_parsed_arguments(tmp_path):
+    assert cli.main(_tiny_synthetic_args(tmp_path / "cli")) == 0
+    args = cli.build_parser().parse_args(_tiny_synthetic_args(tmp_path / "direct"))
+    with cli._one_blas_thread():
+        ctx = matrix.build_context(args)
+        results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(args)]
+    records = matrix.write_run(args, ctx, results)
+    assert len(records) == 4 and all(rec["error"] is None for rec in records)
+    assert ((tmp_path / "direct" / "cells.json").read_bytes()
+            == (tmp_path / "cli" / "cells.json").read_bytes())
 
 
 def test_report_aggregate_empty_dir(tmp_path):

@@ -23,7 +23,6 @@ from eigennoise.probe import (
     synthetic_feature_data,
     token_window_data,
     train_probe,
-    write_epoch_trace,
 )
 from eigennoise.vocab import build_vocab
 
@@ -373,11 +372,3 @@ def test_train_probe_rejects_empty():
     with pytest.raises(ValueError):
         train_probe(empty, data, TrainConfig())
 
-
-def test_write_epoch_trace(tmp_path):
-    from eigennoise.probe import EpochStats
-
-    path = tmp_path / "trace.tsv"
-    write_epoch_trace([EpochStats(1, 0.5, 0.6, 0.001)], path)
-    cols = path.read_text().strip().split("\t")
-    assert cols[0] == "1" and float(cols[3]) == 0.001
