@@ -77,6 +77,7 @@ def _check_seeds(args, *dests: str) -> None:
 
 def cmd_vocab_build(args) -> int:
     _check_min(args, 1, "max_size")
+    _check_min(args, 0, "token_column")
     if args.format == "text":
         tokens = list(vocab_mod.token_stream(args.input))
     else:  # labels are not read: point the label column at the tokens
@@ -94,15 +95,10 @@ def cmd_vocab_build(args) -> int:
 
 
 def _load_or_size_vocab(args) -> tuple[vocab_mod.Vocabulary | None, int]:
-    if args.vocab is not None and args.n is not None:
-        raise UsageError("--vocab and --n are mutually exclusive")
     if args.vocab is not None:
         voc = vocab_mod.read_vocab(args.vocab)
         return voc, voc.size
-    if args.n is None:
-        raise UsageError("one of --vocab or --n is required")
-    if args.n < 1:
-        raise UsageError("--n must be >= 1")
+    _check_min(args, 1, "n")
     return None, args.n
 
 
@@ -120,14 +116,11 @@ def cmd_embed_eigennoise(args) -> int:
     if args.d > n:
         raise ValueError(f"--d {args.d} exceeds vocabulary size {n}")
     fact = eigen.eigennoise_analytic(
-        n, args.d, m=args.m, mode=args.mode,
-        completion_seed=args.completion_seed, ordering_rule=args.ordering,
-    )
+        n, args.d, m=args.m, mode=args.mode, completion_seed=args.completion_seed)
     table = eigen.to_embedding(fact)
     meta = {
         "source": "eigennoise", "n": n, "d": args.d, "m": args.m,
-        "mode": args.mode, "ordering": args.ordering,
-        "completion_seed": args.completion_seed,
+        "mode": args.mode, "completion_seed": args.completion_seed,
     }
     _write_embedding(table, voc, args.output, meta)
     print(f"wrote {table.rows.shape[0]}x{args.d} eigennoise table to {args.output}")
@@ -183,10 +176,14 @@ def cmd_probe_run(args) -> int:
         raise UsageError("need at least one seed")
     _check_min(args, 1, "d", "m", "classes", "hidden", "batch_size", "max_epochs",
                "patience", "workers", "vocab_cap")
-    _check_min(args, 0, "data_seed")
+    _check_min(args, 0, "data_seed", "token_column", "label_column")
     _check_seeds(args, "seeds", "completion_seed")
     if not 0 < args.lr < float("inf"):
         raise UsageError(f"--lr must be > 0 and finite, got {args.lr}")
+    if not (all(0 < f <= 100 for f in args.fractions)
+            and any(f < 100 for f in args.fractions)):
+        raise UsageError("--fractions must be in (0, 100] with at least one below 100, "
+                         f"got {','.join(f'{f:g}' for f in args.fractions)}")
     if args.task == "conll" and not args.windows:
         raise UsageError("token tasks need at least one window")
     bad = [w for w in args.windows if w not in ALLOWED_WINDOWS]
@@ -271,6 +268,12 @@ def _csv_floats(text: str) -> tuple[float, ...]:
         raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
 
 
+def _add_size_source(parser) -> None:
+    source = parser.add_mutually_exclusive_group(required=True)
+    source.add_argument("--vocab")
+    source.add_argument("--n", type=int)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="eigennoise", description=__doc__)
     top = parser.add_subparsers(dest="command", required=True)
@@ -290,19 +293,16 @@ def build_parser() -> _Parser:
     embed_sub = p_embed.add_subparsers(dest="subcommand", required=True)
 
     p_en = embed_sub.add_parser("eigennoise", help="closed-form rank embeddings")
-    p_en.add_argument("--vocab")
-    p_en.add_argument("--n", type=int)
+    _add_size_source(p_en)
     p_en.add_argument("--d", type=int, required=True)
     p_en.add_argument("--m", type=int, default=harmonic.DEFAULT_WINDOW)
     p_en.add_argument("--mode", choices=("linear", "log"), default="linear")
-    p_en.add_argument("--ordering", choices=eigen.ORDERING_RULES, default="by_magnitude")
     p_en.add_argument("--completion-seed", type=int, default=0)
     p_en.add_argument("--output", required=True)
     p_en.set_defaults(func=cmd_embed_eigennoise)
 
     p_rand = embed_sub.add_parser("random", help="standard-normal baseline")
-    p_rand.add_argument("--vocab")
-    p_rand.add_argument("--n", type=int)
+    _add_size_source(p_rand)
     p_rand.add_argument("--d", type=int, required=True)
     p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("--output", required=True)
@@ -338,7 +338,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--d", type=int, default=50)
     p_run.add_argument("--m", type=int, default=harmonic.DEFAULT_WINDOW)
     p_run.add_argument("--mode", choices=("linear", "log"), default="linear")
-    p_run.add_argument("--ordering", choices=eigen.ORDERING_RULES, default="by_magnitude")
     p_run.add_argument("--completion-seed", type=int, default=0)
     p_run.add_argument("--vocab-cap", type=int, default=vocab_mod.DEFAULT_MAX_SIZE)
     p_run.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")

@@ -13,8 +13,6 @@ from pathlib import Path
 
 import numpy as np
 
-SPLIT_SUFFIXES = ("train", "dev", "test")
-
 
 @dataclass(frozen=True)
 class TokenDataset:
@@ -34,7 +32,8 @@ class TokenDataset:
                 raise ValueError("every sentence needs one label per token")
             for lab in labs:
                 if lab not in known:
-                    raise ValueError(f"label {lab!r} missing from label_set")
+                    raise ValueError(f"label {lab!r} in split {self.split!r} is "
+                                     "unknown to the label set")
 
     @property
     def num_classes(self) -> int:
@@ -141,25 +140,12 @@ def parse_tsv(path: str | Path, split: str = "train") -> SequenceDataset:
                            label_set=tuple(label_set), split=split)
 
 
-def write_tsv(ds: SequenceDataset, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for text, lab in zip(ds.texts, ds.labels):
-            fh.write(f"{ds.label_set[lab]}\t{text}\n")
-
-
 def apply_label_set(ds, label_set: tuple[str, ...]):
     """Re-map a dev/test split onto the training label set.
 
     Unknown labels are an error, never a silent re-index.
     """
-    if isinstance(ds, TokenDataset):
-        for labs in ds.labels:
-            for lab in labs:
-                if lab not in label_set:
-                    raise ValueError(
-                        f"label {lab!r} in split {ds.split!r} is unknown to the "
-                        "training label set"
-                    )
+    if isinstance(ds, TokenDataset):  # __post_init__ rejects unknown labels
         return replace(ds, label_set=tuple(label_set))
     index = {lab: i for i, lab in enumerate(label_set)}
     new_ids = []
@@ -172,18 +158,6 @@ def apply_label_set(ds, label_set: tuple[str, ...]):
             )
         new_ids.append(index[name])
     return replace(ds, labels=tuple(new_ids), label_set=tuple(label_set))
-
-
-def discover_splits(prefix: str | Path) -> dict[str, Path]:
-    """Find <prefix>.train / <prefix>.dev / <prefix>.test files."""
-    out = {}
-    for suffix in SPLIT_SUFFIXES:
-        cand = Path(f"{prefix}.{suffix}")
-        if cand.exists():
-            out[suffix] = cand
-    if "train" not in out:
-        raise FileNotFoundError(f"no {prefix}.train next to {prefix}")
-    return out
 
 
 # --- synthetic tasks -------------------------------------------------------
@@ -208,8 +182,6 @@ class SyntheticDataset:
     labels: np.ndarray  # (n,) ints in 0..k-1
     label_set: tuple[str, ...]
     tokens: tuple[tuple[str, ...], ...]
-    kind: str
-    split: str = "train"
 
     @property
     def num_classes(self) -> int:
@@ -260,6 +232,4 @@ def synth_task(kind: str, n: int, d: int, k: int = 2, seed: int = 0,
         labels=labels,
         label_set=tuple(f"class_{c}" for c in range(k)),
         tokens=tuple(tokens),
-        kind=kind,
-        split=split,
     )

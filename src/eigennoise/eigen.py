@@ -47,7 +47,6 @@ class EigenFactorization:
     eigenvalues: np.ndarray  # (d,)
     u: np.ndarray  # (N, d)
     v: np.ndarray  # (N, d)
-    ordering_rule: str
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -100,7 +99,7 @@ def truncate(full: FullDecomposition, d: int,
     values = full.eigenvalues[keep]
     u = full.vectors[:, keep]
     return EigenFactorization(n=full.n, d=d, eigenvalues=values, u=u,
-                              v=u * values[None, :], ordering_rule=ordering_rule)
+                              v=u * values[None, :])
 
 
 def _log_mode_pairs(model: HarmonicModel) -> tuple[np.ndarray, np.ndarray]:
@@ -165,14 +164,13 @@ def eigennoise_analytic(
     m: int = DEFAULT_WINDOW,
     mode: str = "linear",
     completion_seed: int = 0,
-    ordering_rule: str = "by_magnitude",
 ) -> EigenFactorization:
     """EigenNoise factors without materializing the N x N matrix.
 
     Linear mode: the model is rank 1, so column 1 of U_d is the
     normalized inverse-rank vector with eigenvalue (2mN/H_N) * sum 1/i^2.
     Log mode: the two nonzero eigenpairs of the rank-2 log matrix fill
-    columns 1-2 (ordered by ``ordering_rule``). All remaining columns are
+    columns 1-2, ordered by magnitude. All remaining columns are
     an orthonormal frame of the zero eigenspace drawn from the Haar
     distribution by ``completion_seed``: the same seed gives the same
     table. Nothing N x N is formed; cost O(N*d^2) time, O(N*d) memory.
@@ -189,7 +187,7 @@ def eigennoise_analytic(
         values, vectors = _log_mode_pairs(model)
     else:
         raise ValueError(f"mode must be 'linear' or 'log', got {mode!r}")
-    order = _ordering(values, ordering_rule)
+    order = _ordering(values, "by_magnitude")
     values, vectors = values[order], _fix_signs(vectors[:, order])
     k = min(len(values), d)
     values, vectors = values[:k], vectors[:, :k]
@@ -200,7 +198,7 @@ def eigennoise_analytic(
     else:
         u = vectors
     return EigenFactorization(n=n, d=d, eigenvalues=values, u=u,
-                              v=u * values[None, :], ordering_rule=ordering_rule)
+                              v=u * values[None, :])
 
 
 def to_embedding(fact: EigenFactorization) -> EmbeddingTable:

@@ -44,18 +44,11 @@ class EmbeddingTable:
         return self.rows.shape[0] - 2
 
     @property
-    def oov_row(self) -> int:
-        return self.n
-
-    @property
     def pad_row(self) -> int:
         return self.n + 1
 
-    def copy(self, trainable: bool | None = None) -> "EmbeddingTable":
-        out = replace(self, rows=self.rows.copy())
-        if trainable is not None:
-            out.trainable = trainable
-        return out
+    def copy(self, trainable: bool) -> "EmbeddingTable":
+        return replace(self, rows=self.rows.copy(), trainable=trainable)
 
 
 def row_index(table_n: int, rank_or_sentinel: int) -> int:

@@ -26,8 +26,8 @@ from . import probe as probe_mod
 from . import vocab as vocab_mod
 
 # options copied as parsed into the spec line of cells.json and report.txt
-SPEC_OPTIONS = ("representations", "frozen", "seeds", "d", "m", "mode", "ordering",
-                "vocab_cap", "lr", "hidden", "batch_size", "max_epochs", "patience")
+SPEC_OPTIONS = ("representations", "frozen", "seeds", "d", "m", "mode", "vocab_cap",
+                "lr", "hidden", "batch_size", "max_epochs", "patience")
 
 
 # --- task loading -----------------------------------------------------------
@@ -118,11 +118,11 @@ class MatrixContext:
 
 
 def _cell_table(cell: CellSpec, ctx: MatrixContext) -> embeddings.EmbeddingTable:
+    """The cell's starting table. Shared tables are returned as they are:
+    every fit trains its own copy."""
     if cell.representation == "random":
-        table = embeddings.random_table(ctx.vocab.size, ctx.d, cell.seed)
-        table.trainable = not cell.frozen
-        return table
-    return ctx.tables[cell.representation].copy(trainable=not cell.frozen)
+        return embeddings.random_table(ctx.vocab.size, ctx.d, cell.seed)
+    return ctx.tables[cell.representation]
 
 
 def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
@@ -132,21 +132,23 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
         train = ctx.train_data[cell.window]
         dev = ctx.dev_data.get(cell.window)
 
+        def fit(fit_train, fit_dev, cfg):
+            table = base.copy(trainable=not cell.frozen)
+            return probe_mod.train_probe(fit_train, fit_dev, cfg, table=table)[0]
+
         def fit_predict(prefix, stage_dev, cfg):
-            model, _ = probe_mod.train_probe(prefix, stage_dev, cfg, table=base.copy())
+            model = fit(prefix, stage_dev, cfg)
             return lambda batch: probe_mod.predict_proba(model, batch)
 
         report = mdl.online_codelength(train, ctx.schedule, fit_predict, config, dev=dev)
         accuracy = None
         test = ctx.test_data.get(cell.window)
         if test is not None:
-            acc_table = base.copy()
             if dev is not None:
                 acc_train, acc_dev = train, dev
             else:  # stage 0: the codelength stages hold out with stages 1..
                 acc_train, acc_dev = mdl.holdout(train, cell.seed, 0)
-            model, _ = probe_mod.train_probe(acc_train, acc_dev, config, table=acc_table)
-            accuracy = probe_mod.evaluate_accuracy(model, test)
+            accuracy = probe_mod.evaluate_accuracy(fit(acc_train, acc_dev, config), test)
         return CellResult(cell=cell, report=report, accuracy=accuracy)
     except Exception as exc:  # cell failures are recorded, not fatal
         return CellResult(cell=cell, error=f"{type(exc).__name__}: {exc}")
@@ -158,11 +160,10 @@ def _discover_missing_splits(args) -> None:
     if not train.endswith(".train"):
         return
     prefix = train[: -len(".train")]
-    found = datasets.discover_splits(prefix)
-    if args.dev is None and "dev" in found:
-        args.dev = str(found["dev"])
-    if args.test is None and "test" in found:
-        args.test = str(found["test"])
+    for split in ("dev", "test"):
+        sibling = Path(f"{prefix}.{split}")
+        if getattr(args, split) is None and sibling.exists():
+            setattr(args, split, str(sibling))
 
 
 def build_context(args) -> MatrixContext:
@@ -209,7 +210,7 @@ def build_context(args) -> MatrixContext:
         if rep == "eigennoise":
             fact = eigen.eigennoise_analytic(
                 voc.size, args.d, m=args.m, mode=args.mode,
-                completion_seed=args.completion_seed, ordering_rule=args.ordering)
+                completion_seed=args.completion_seed)
             tables[rep] = eigen.to_embedding(fact)
         elif rep.startswith("import:"):
             tables[rep], _ = embeddings.import_text(rep.split(":", 1)[1], voc,

@@ -31,7 +31,6 @@ FitPredict = Callable[[ProbeData, ProbeData, TrainConfig], Callable[[ProbeData],
 @dataclass(frozen=True)
 class BlockSchedule:
     boundaries: tuple[int, ...]  # strictly increasing, last == n
-    fractions: tuple[float, ...]
 
     def __post_init__(self):
         if any(b <= a for a, b in zip(self.boundaries, self.boundaries[1:])):
@@ -42,10 +41,6 @@ class BlockSchedule:
     @property
     def n(self) -> int:
         return self.boundaries[-1]
-
-    @property
-    def num_blocks(self) -> int:
-        return len(self.boundaries)
 
 
 def make_schedule(n: int, fractions: Sequence[float] = DEFAULT_FRACTIONS) -> BlockSchedule:
@@ -60,7 +55,7 @@ def make_schedule(n: int, fractions: Sequence[float] = DEFAULT_FRACTIONS) -> Blo
             f"n={n} yields fewer than 2 distinct block boundaries; "
             "the online code needs at least one trained block"
         )
-    return BlockSchedule(boundaries=tuple(bounds), fractions=tuple(fractions))
+    return BlockSchedule(boundaries=tuple(bounds))
 
 
 @dataclass(frozen=True)

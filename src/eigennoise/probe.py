@@ -25,12 +25,12 @@ DEFAULT_WINDOWS = (0, 2, 5, 10)
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+ANNEAL_FACTOR = 0.5  # lr multiplier after an epoch without a new best dev loss
 
 
 @dataclass
 class TrainConfig:
     lr: float = 0.001
-    anneal_factor: float = 0.5
     patience: int = 4
     seed: int = 0
     batch_size: int = 64
@@ -103,11 +103,9 @@ def _ranks_to_rows(tokens: Sequence[str], vocab: Vocabulary) -> list[int]:
     return [row_index(vocab.size, rank_of(vocab, t)) for t in tokens]
 
 
-def token_window_data(ds: TokenDataset, vocab: Vocabulary, m: int,
-                      label_set: Sequence[str] | None = None) -> ProbeData:
+def token_window_data(ds: TokenDataset, vocab: Vocabulary, m: int) -> ProbeData:
     """One example per (sentence, position): a width-(2m+1) index window."""
-    label_set = tuple(label_set if label_set is not None else ds.label_set)
-    label_index = {lab: i for i, lab in enumerate(label_set)}
+    label_index = {lab: i for i, lab in enumerate(ds.label_set)}
     pad_row = vocab.size + 1
     windows = []
     labels = []
@@ -122,7 +120,7 @@ def token_window_data(ds: TokenDataset, vocab: Vocabulary, m: int,
             labels.append(label_index[lab])
     return ProbeData(
         labels=np.array(labels, dtype=int),
-        num_classes=len(label_set),
+        num_classes=ds.num_classes,
         pooling="concat",
         indices=np.array(windows, dtype=int),
     )
@@ -172,14 +170,6 @@ class ProbeModel:
     table: EmbeddingTable | None = None
     pooling: str = "direct"
 
-    @property
-    def hidden(self) -> int:
-        return self.w1.shape[0]
-
-    @property
-    def num_classes(self) -> int:
-        return self.w2.shape[0]
-
 
 def init_probe(input_dim: int, num_classes: int, hidden: int = 512,
                seed: int = 0, table: EmbeddingTable | None = None,
@@ -210,25 +200,28 @@ def gather_features(data: ProbeData, table: EmbeddingTable | None,
     return gathered.sum(axis=1) / data.lengths[sel][:, None]
 
 
+def _layers(model: ProbeModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pre-activation W1 h, hidden relu(W1 h), and the logits W2 hidden
+    shifted by their row maximum."""
+    pre = h @ model.w1.T
+    hidden = np.maximum(pre, 0.0)
+    logits = hidden @ model.w2.T
+    return pre, hidden, logits - logits.max(axis=1, keepdims=True)
+
+
 def forward(model: ProbeModel, h: np.ndarray) -> np.ndarray:
     """softmax(W2 relu(W1 h)), stabilized by max subtraction."""
     h = np.asarray(h, dtype=float)
     if not np.isfinite(h).all():
         raise ValueError("probe input must be finite")
     single = h.ndim == 1
-    hb = h[None, :] if single else h
-    hidden = np.maximum(hb @ model.w1.T, 0.0)
-    logits = hidden @ model.w2.T
-    logits = logits - logits.max(axis=1, keepdims=True)
-    expl = np.exp(logits)
+    expl = np.exp(_layers(model, h[None, :] if single else h)[2])
     probs = expl / expl.sum(axis=1, keepdims=True)
     return probs[0] if single else probs
 
 
 def _log_probs(model: ProbeModel, h: np.ndarray) -> np.ndarray:
-    hidden = np.maximum(h @ model.w1.T, 0.0)
-    logits = hidden @ model.w2.T
-    logits = logits - logits.max(axis=1, keepdims=True)
+    logits = _layers(model, h)[2]
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
 
@@ -246,10 +239,7 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
         raise ValueError("probe input must be finite")
     labels = np.asarray(labels, dtype=int)
     batch = len(labels)
-    pre = h @ model.w1.T
-    hidden = np.maximum(pre, 0.0)
-    logits = hidden @ model.w2.T
-    logits = logits - logits.max(axis=1, keepdims=True)
+    pre, hidden, logits = _layers(model, h)
     expl = np.exp(logits)
     probs = expl / expl.sum(axis=1, keepdims=True)
     logz = np.log(expl.sum(axis=1))
@@ -389,7 +379,7 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
         if dev_loss < best_dev:
             best_dev = dev_loss
         else:
-            lr *= config.anneal_factor
+            lr *= ANNEAL_FACTOR
             stale += 1
             if stale >= config.patience:
                 break

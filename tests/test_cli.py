@@ -29,6 +29,10 @@ def test_vocab_build_from_text(tmp_path, capsys):
     assert _run("vocab", "build", "--input", str(src), "--max-size", "0",
                 "--output", str(tmp_path / "none.tsv")) == cli.EXIT_USAGE
     assert "usage error: --max-size must be" in capsys.readouterr().err
+    assert _run("vocab", "build", "--input", str(FIXTURES / "tiny.conll.train"),
+                "--format", "conll", "--token-column", "-1",
+                "--output", str(tmp_path / "none.tsv")) == cli.EXIT_USAGE
+    assert "usage error: --token-column must be" in capsys.readouterr().err
     assert not (tmp_path / "none.tsv").exists()
 
 
@@ -141,9 +145,12 @@ def test_probe_run_usage_errors(tmp_path, capsys):
                           ("--seeds", PHILOX_LIMIT), ("--seeds", f"0,{PHILOX_LIMIT}"),
                           ("--completion-seed", PHILOX_LIMIT), ("--lr", "0"),
                           ("--lr", "-0.1"), ("--lr", "nan"), ("--lr", "inf"),
-                          ("--vocab-cap", "0")):
+                          ("--vocab-cap", "0"), ("--fractions", "0"), ("--fractions", "150"),
+                          ("--fractions", "-5,50"), ("--fractions", "100"),
+                          ("--token-column", "-1"), ("--label-column", "-1")):
         capsys.readouterr()
-        assert _run("probe", "run", "--task", "synthetic", "--n", "60", option, value,
+        # option=value: argparse would read "-5,50" as an option of its own
+        assert _run("probe", "run", "--task", "synthetic", "--n", "60", f"{option}={value}",
                     "--output-dir", out) == cli.EXIT_USAGE
         assert f"usage error: {option} must be" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()

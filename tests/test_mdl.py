@@ -65,9 +65,9 @@ def test_make_schedule_too_small():
 
 def test_block_schedule_validation():
     with pytest.raises(ValueError):
-        BlockSchedule(boundaries=(2, 2, 3), fractions=())
+        BlockSchedule(boundaries=(2, 2, 3))
     with pytest.raises(ValueError):
-        BlockSchedule(boundaries=(0, 3), fractions=())
+        BlockSchedule(boundaries=(0, 3))
 
 
 def test_uniform_probe_costs_one_bit_per_example():
