@@ -17,7 +17,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -139,6 +139,8 @@ def cmd_embed_random(args) -> int:
 
 
 def cmd_embed_import(args) -> int:
+    if args.expected_d is not None:
+        _check_min(args, 1, "expected_d")
     voc = vocab_mod.read_vocab(args.vocab)
     table, report = embeddings.import_text(args.source, voc,
                                            expected_d=args.expected_d)
@@ -191,8 +193,12 @@ def cmd_probe_run(args) -> int:
         raise UsageError(f"windows {bad} outside supported set {ALLOWED_WINDOWS}")
 
     ctx = matrix.build_context(args)
-    cells = matrix.matrix_cells(args)
-    with ThreadPoolExecutor(max_workers=args.workers) as pool:
+    # unfrozen cells take about 1.5x as long as frozen ones: start them first
+    cells = sorted(matrix.matrix_cells(args), key=lambda c: c.frozen)
+    workers = min(args.workers, len(cells))
+    # fork first: the thread pool's threads only wait on the workers
+    with matrix.forked_workers(ctx, workers, _pin_worker_blas), \
+            ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda c: run_cell(c, ctx), cells))
     records = matrix.write_run(args, ctx, results)
     sys.stdout.write(matrix.format_table(records))
@@ -235,9 +241,10 @@ def _one_blas_thread():
     """Run numpy's OpenBLAS on one thread, then restore the old count.
 
     The probe GEMMs and the thin QR of the analytic build are too small to
-    gain from a second BLAS thread, and parallelism comes from the cell
-    pool (``--workers``). One thread also makes tables independent of the
-    core count. Without a bundled OpenBLAS this does nothing.
+    gain from a second BLAS thread, and parallelism comes from the
+    ``probe run`` worker processes (``--workers``), each of which enters
+    this too. One thread also makes tables independent of the core count.
+    Without a bundled OpenBLAS this does nothing.
     """
     lib = _bundled_openblas()
     if lib is None:
@@ -249,6 +256,14 @@ def _one_blas_thread():
         yield
     finally:
         lib.scipy_openblas_set_num_threads64_(previous)
+
+
+_worker_blas = ExitStack()
+
+
+def _pin_worker_blas() -> None:
+    """Worker-process initializer: one BLAS thread until the worker exits."""
+    _worker_blas.enter_context(_one_blas_thread())
 
 
 # --- parser -----------------------------------------------------------------

@@ -9,6 +9,14 @@ test accuracy. The parsed ``probe run`` options are the input:
 ``report.txt``. ``probe run`` and ``report aggregate`` print the same
 ``format_table``.
 
+Inside ``forked_workers(ctx, n, init)``, ``run_cell(cell, ctx)`` hands
+the cell to one of ``n`` worker processes forked after the context was
+built and waits for its result. The workers inherit the context through the fork,
+so only the ``CellSpec`` and the ``CellResult`` are pickled; each cell
+then runs on its own interpreter instead of sharing one lock with the
+other cells. Outside it (or where ``fork`` is unavailable) ``run_cell``
+scores in the calling process; either way one function scores the cell.
+
 Layer functions are called through their modules (``mdl.online_codelength``,
 ``probe_mod.train_probe``), so replacing a module attribute reaches every
 cell.
@@ -17,6 +25,8 @@ cell.
 from __future__ import annotations
 
 import json
+import traceback
+from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -82,7 +92,8 @@ class CellResult:
     cell: CellSpec
     report: mdl.CodelengthReport | None = None
     accuracy: float | None = None
-    error: str | None = None
+    error: str | None = None  # "<Type>: <message>", as cells.json records it
+    traceback: str | None = None  # written to cells/<cell>.error.txt only
 
     def to_record(self, task: str) -> dict:
         record = {
@@ -125,7 +136,12 @@ def _cell_table(cell: CellSpec, ctx: MatrixContext) -> embeddings.EmbeddingTable
     return ctx.tables[cell.representation]
 
 
-def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
+def _failed(cell: CellSpec, exc: Exception) -> CellResult:
+    return CellResult(cell=cell, error=f"{type(exc).__name__}: {exc}",
+                      traceback="".join(traceback.format_exception(exc)))
+
+
+def _score(cell: CellSpec, ctx: MatrixContext) -> CellResult:
     try:
         base = _cell_table(cell, ctx)
         config = replace(ctx.config_base, seed=cell.seed)
@@ -151,7 +167,60 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
             accuracy = probe_mod.evaluate_accuracy(fit(acc_train, acc_dev, config), test)
         return CellResult(cell=cell, report=report, accuracy=accuracy)
     except Exception as exc:  # cell failures are recorded, not fatal
-        return CellResult(cell=cell, error=f"{type(exc).__name__}: {exc}")
+        return _failed(cell, exc)
+
+
+# Set while forked_workers runs: the pool, and the context its workers
+# inherited through the fork (so the context is never pickled).
+_pool = None
+_pool_ctx: MatrixContext | None = None
+
+
+def _score_forked(cell: CellSpec) -> CellResult:
+    """Worker side of run_cell: score against the inherited context."""
+    return _score(cell, _pool_ctx)
+
+
+def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
+    if _pool is None or ctx is not _pool_ctx:
+        return _score(cell, ctx)
+    try:
+        return _pool.submit(_score_forked, cell).result()
+    except Exception as exc:  # a dead worker breaks the pool: its cells fail
+        return _failed(cell, exc)
+
+
+@contextmanager
+def forked_workers(ctx: MatrixContext, workers: int, initializer):
+    """Score ``run_cell(cell, ctx)`` calls on ``workers`` forked processes.
+
+    ``fork``, not ``spawn``: a forked worker starts with the context
+    already built and pays no interpreter start-up. Every worker is
+    forked on entry, before the caller starts a thread: ``fork`` copies
+    only the calling thread, so a lock another thread held would stay
+    held in the child. ``initializer`` runs once in each
+    worker. The workers are joined on exit, so the process's resource
+    usage counts theirs. Where ``fork`` is unavailable, cells are scored
+    in the calling process. Not reentrant.
+    """
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, wait
+
+    global _pool, _pool_ctx
+    if "fork" not in multiprocessing.get_all_start_methods():
+        yield
+        return
+    _pool_ctx = ctx
+    try:
+        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
+                                 initializer=initializer) as pool:
+            # a fork pool forks all its workers on the first submit; a
+            # broken pool fails each cell later, so the result is not read
+            wait([pool.submit(int)])
+            _pool = pool
+            yield
+    finally:
+        _pool = _pool_ctx = None
 
 
 def _discover_missing_splits(args) -> None:
@@ -300,15 +369,21 @@ def format_table(records: list[dict]) -> str:
 
 
 def write_run(args, ctx: MatrixContext, results: list[CellResult]) -> list[dict]:
-    """Write ``cells/<cell>.mdl.txt`` per scored cell, ``cells.json`` and
-    ``report.txt`` under ``--output-dir``. Returns the cell records in
-    cell-name order."""
+    """Write ``cells/<cell>.mdl.txt`` per scored cell,
+    ``cells/<cell>.error.txt`` (its traceback) per failed cell,
+    ``cells.json`` and ``report.txt`` under ``--output-dir``. Returns the
+    cell records in cell-name order."""
     out_dir = Path(args.output_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
     results = sorted(results, key=lambda r: r.cell.name)
     for res in results:
         if res.report is not None:
             mdl.write_report(res.report, out_dir / "cells" / f"{res.cell.name}.mdl.txt")
+        error_path = out_dir / "cells" / f"{res.cell.name}.error.txt"
+        if res.traceback is not None:
+            error_path.write_text(res.traceback, encoding="utf-8")
+        else:  # a traceback from an earlier run into this directory is stale
+            error_path.unlink(missing_ok=True)
     records = [res.to_record(ctx.task_label) for res in results]
 
     spec = {name: getattr(args, name) for name in SPEC_OPTIONS}

@@ -1,4 +1,9 @@
 import json
+import multiprocessing
+import os
+import subprocess
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -11,6 +16,8 @@ PHILOX_LIMIT = str(2**128)
 OPENBLAS = cli._bundled_openblas()
 needs_openblas = pytest.mark.skipif(OPENBLAS is None,
                                     reason="numpy bundles no OpenBLAS")
+needs_fork = pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
+                                reason="no fork start method")
 
 
 def _run(*argv):
@@ -85,6 +92,13 @@ def test_embed_requires_size_source(tmp_path, capsys):
                   "--output", str(tmp_path / "x.txt"))
         assert rc == cli.EXIT_USAGE
         assert f"usage error: {option} must be" in capsys.readouterr().err
+    for value in ("0", "-3"):
+        capsys.readouterr()
+        rc = _run("embed", "import", "--source", str(FIXTURES / "tiny.glove.txt"),
+                  "--vocab", str(tmp_path / "vocab.tsv"), f"--expected-d={value}",
+                  "--output", str(tmp_path / "x.txt"))
+        assert rc == cli.EXIT_USAGE
+        assert "usage error: --expected-d must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
 
 
@@ -244,6 +258,98 @@ def test_probe_run_cell_failures_exit_code(tmp_path, monkeypatch):
     assert rc == cli.EXIT_CELL_FAILURES
     payload = json.loads((out_dir / "cells.json").read_text(encoding="utf-8"))
     assert all("synthetic failure" in c["error"] for c in payload["cells"])
+
+
+def test_probe_run_cell_failure_writes_traceback(tmp_path, monkeypatch):
+    def boom(*args, **kwargs):
+        raise RuntimeError("synthetic failure")
+
+    monkeypatch.setattr(cli.mdl, "online_codelength", boom)
+    out_dir = tmp_path / "run"
+    assert cli.main(_tiny_synthetic_args(out_dir)) == cli.EXIT_CELL_FAILURES
+    payload = json.loads((out_dir / "cells.json").read_text(encoding="utf-8"))
+    assert [c["error"] for c in payload["cells"]] == ["RuntimeError: synthetic failure"] * 4
+    assert "Traceback" not in (out_dir / "report.txt").read_text(encoding="utf-8")
+    errors = sorted((out_dir / "cells").glob("*.error.txt"))
+    assert [path.name for path in errors] == [
+        f"{rep}_seq_{mode}_s0.error.txt"
+        for rep in ("eigennoise", "random") for mode in ("frozen", "unfrozen")]
+    for path in errors:
+        text = path.read_text(encoding="utf-8")
+        assert text.startswith("Traceback")
+        assert ", in boom\n" in text
+        assert text.endswith("RuntimeError: synthetic failure\n")
+    monkeypatch.undo()  # the cells now score: their old tracebacks go
+    assert cli.main(_tiny_synthetic_args(out_dir)) == 0
+    assert not list((out_dir / "cells").glob("*.error.txt"))
+
+
+@needs_fork
+def test_probe_run_survives_a_dead_worker(tmp_path):
+    # the forked workers inherit the patch; a hang fails on the timeout
+    script = (
+        "import os, sys\n"
+        "from eigennoise import cli, mdl\n"
+        "mdl.online_codelength = lambda *a, **k: os._exit(1)\n"
+        f"sys.exit(cli.main({_tiny_synthetic_args(tmp_path / 'run', extra=('--workers', '2'))!r}))\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_CELL_FAILURES, proc.stderr
+    assert "4 of 4 cells failed" in proc.stderr
+    payload = json.loads((tmp_path / "run" / "cells.json").read_text(encoding="utf-8"))
+    assert len(payload["cells"]) == 4
+    assert all(c["error"].startswith("BrokenProcessPool: ") for c in payload["cells"])
+    assert (tmp_path / "run" / "report.txt").exists()
+    assert len(list((tmp_path / "run" / "cells").glob("*.error.txt"))) == 4
+
+
+def test_probe_run_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
+    requested = []
+
+    @contextmanager
+    def record(ctx, workers, initializer):
+        requested.append(workers)
+        yield  # no pool: cells are scored in-process
+
+    monkeypatch.setattr(matrix, "forked_workers", record)
+    assert cli.main(_tiny_synthetic_args(tmp_path / "run", extra=("--workers", "8"))) == 0
+    assert requested == [4]
+
+
+@needs_fork
+def test_probe_run_forks_workers_before_threads_and_joins_them(tmp_path, monkeypatch):
+    forked = []
+    thread_pool = cli.ThreadPoolExecutor
+
+    def record(*args, **kwargs):
+        forked.append(len(multiprocessing.active_children()))
+        return thread_pool(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", record)
+    assert cli.main(_tiny_synthetic_args(tmp_path / "run", extra=("--workers", "2"))) == 0
+    assert forked == [2]
+    assert multiprocessing.active_children() == []
+
+
+@needs_fork
+def test_probe_run_without_fork_scores_in_process(tmp_path, monkeypatch):
+    forked, in_process = tmp_path / "forked", tmp_path / "in_process"
+    pooled = []
+    run_cell = cli.run_cell
+
+    def record(cell, ctx):
+        pooled.append(matrix._pool is not None)
+        return run_cell(cell, ctx)
+
+    monkeypatch.setattr(cli, "run_cell", record)
+    assert cli.main(_tiny_synthetic_args(forked)) == 0
+    assert pooled == [True] * 4
+    monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
+    assert cli.main(_tiny_synthetic_args(in_process)) == 0
+    assert pooled[4:] == [False] * 4
+    assert (forked / "cells.json").read_bytes() == (in_process / "cells.json").read_bytes()
 
 
 def test_report_aggregate_merges_runs(tmp_path, capsys):
