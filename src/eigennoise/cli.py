@@ -11,28 +11,41 @@ cells failed (the rest still ran).
 
 from __future__ import annotations
 
+import os
+import sys
+
+if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
+    # OpenBLAS starts its thread pool when numpy loads it, and every
+    # command runs on one BLAS thread (_one_blas_thread): load it with one
+    # so no pool starts, then give the environment back as it was.
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        del os.environ["OPENBLAS_NUM_THREADS"]
+
 import argparse
 import ctypes
 import json
-import os
-import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
 import numpy as np
 
-from . import datasets, eigen, embeddings, harmonic, matrix, mdl
-from . import probe as probe_mod
+# Only probe run and report aggregate import the experiment runner
+# (matrix, with probe, mdl and the process pools), inside their commands:
+# the vocab and embed commands never load it.
+from . import datasets, eigen, embeddings, harmonic
 from . import vocab as vocab_mod
-from .matrix import run_cell
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CELL_FAILURES = 3
 
-ALLOWED_WINDOWS = probe_mod.DEFAULT_WINDOWS
+ALLOWED_WINDOWS = (0, 2, 5, 10)
+# probe run options whose defaults are the fields of probe.TrainConfig
+TRAIN_OPTIONS = ("hidden", "lr", "batch_size", "max_epochs", "patience")
 DEFAULT_SEEDS = (0, 1234, 322111)
 SEED_LIMIT = 2**128  # numpy's Philox takes keys in [0, 2**128)
 
@@ -46,6 +59,27 @@ class _Parser(argparse.ArgumentParser):
 
     def error(self, message):
         raise UsageError(message)
+
+    def parse_args(self, args=None, namespace=None):
+        parsed = super().parse_args(args, namespace)
+        if parsed.func is cmd_probe_run:
+            _fill_probe_defaults(parsed)
+        return parsed
+
+
+def _fill_probe_defaults(args) -> None:
+    """Give the ``probe run`` options left unset the defaults of
+    ``probe.TrainConfig`` and ``mdl.DEFAULT_FRACTIONS``. They are read
+    here, not in ``build_parser``, so that no other command loads the
+    probe stack."""
+    from . import mdl, probe
+
+    train_defaults = probe.TrainConfig()
+    for name in TRAIN_OPTIONS:
+        if getattr(args, name) is None:
+            setattr(args, name, getattr(train_defaults, name))
+    if args.fractions is None:
+        args.fractions = mdl.DEFAULT_FRACTIONS
 
 
 def _option_values(args, dests):
@@ -81,10 +115,10 @@ def cmd_vocab_build(args) -> int:
     if args.format == "text":
         tokens = list(vocab_mod.token_stream(args.input))
     else:  # labels are not read: point the label column at the tokens
-        tokens = matrix.dataset_tokens(matrix.read_split(
+        tokens = datasets.dataset_tokens(datasets.read_split(
             args.format, args.input, "train", args.token_column, args.token_column))
     voc = vocab_mod.build_vocab(
-        tokens, case_fold=matrix.resolve_case_fold(args.case_fold, args.format),
+        tokens, case_fold=datasets.resolve_case_fold(args.case_fold, args.format),
         max_size=args.max_size)
     vocab_mod.write_vocab(voc, args.output)
     print(f"wrote {voc.size} ranks to {args.output}")
@@ -157,7 +191,18 @@ def cmd_embed_import(args) -> int:
 # --- probe run --------------------------------------------------------------
 
 
+def run_cell(cell, ctx):
+    """Score one cell: the hook a wrapper (a tracer, say) replaces."""
+    from .matrix import run_cell as score
+
+    return score(cell, ctx)
+
+
 def cmd_probe_run(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import matrix
+
     if args.windows is None:
         args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
     elif args.task != "conll":
@@ -210,6 +255,8 @@ def cmd_probe_run(args) -> int:
 
 
 def cmd_report_aggregate(args) -> int:
+    from . import matrix
+
     table = matrix.format_table(matrix.read_records(args.input_dir))
     if args.output:
         Path(args.output).write_text(table, encoding="utf-8")
@@ -244,7 +291,11 @@ def _one_blas_thread():
     gain from a second BLAS thread, and parallelism comes from the
     ``probe run`` worker processes (``--workers``), each of which enters
     this too. One thread also makes tables independent of the core count.
-    Without a bundled OpenBLAS this does nothing.
+    A CLI process that loads numpy itself already starts OpenBLAS on one
+    thread unless ``OPENBLAS_NUM_THREADS`` is set (see the top of this
+    module); this pins the count for a user-set value and for library
+    callers that loaded numpy first. Without a bundled OpenBLAS this does
+    nothing.
     """
     lib = _bundled_openblas()
     if lib is None:
@@ -356,13 +407,13 @@ def build_parser() -> _Parser:
     p_run.add_argument("--completion-seed", type=int, default=0)
     p_run.add_argument("--vocab-cap", type=int, default=vocab_mod.DEFAULT_MAX_SIZE)
     p_run.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
-    train_defaults = probe_mod.TrainConfig()
-    p_run.add_argument("--hidden", type=int, default=train_defaults.hidden)
-    p_run.add_argument("--lr", type=float, default=train_defaults.lr)
-    p_run.add_argument("--batch-size", type=int, default=train_defaults.batch_size)
-    p_run.add_argument("--max-epochs", type=int, default=train_defaults.max_epochs)
-    p_run.add_argument("--patience", type=int, default=train_defaults.patience)
-    p_run.add_argument("--fractions", type=_csv_floats, default=mdl.DEFAULT_FRACTIONS)
+    # TRAIN_OPTIONS and --fractions get their defaults in _fill_probe_defaults
+    p_run.add_argument("--hidden", type=int)
+    p_run.add_argument("--lr", type=float)
+    p_run.add_argument("--batch-size", type=int)
+    p_run.add_argument("--max-epochs", type=int)
+    p_run.add_argument("--patience", type=int)
+    p_run.add_argument("--fractions", type=_csv_floats)
     p_run.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_run.add_argument("--output-dir", required=True)
     p_run.set_defaults(func=cmd_probe_run)

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .vocab import tokenize
+
 
 @dataclass(frozen=True)
 class TokenDataset:
@@ -158,6 +160,32 @@ def apply_label_set(ds, label_set: tuple[str, ...]):
             )
         new_ids.append(index[name])
     return replace(ds, labels=tuple(new_ids), label_set=tuple(label_set))
+
+
+def resolve_case_fold(choice: str, task_format: str) -> bool:
+    if choice == "on":
+        return True
+    if choice == "off":
+        return False
+    # auto: fold tweet-like text, keep case for token-column tasks
+    return task_format != "conll"
+
+
+def read_split(task_format: str, path, split: str, token_column: int,
+               label_column: int):
+    """Parse one ``tsv`` (label<TAB>text) or ``conll`` (columns) file."""
+    if task_format == "tsv":
+        return parse_tsv(path, split=split)
+    return parse_conll(path, token_column=token_column,
+                       label_column=label_column, split=split)
+
+
+def dataset_tokens(ds) -> list[str]:
+    """Every token of a tsv, conll or synthetic dataset, in stream order."""
+    if isinstance(ds, SequenceDataset):
+        return [t for text in ds.texts for t in tokenize(text)]
+    sequences = ds.sentences if isinstance(ds, TokenDataset) else ds.tokens
+    return [t for seq in sequences for t in seq]
 
 
 # --- synthetic tasks -------------------------------------------------------

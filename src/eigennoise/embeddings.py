@@ -7,9 +7,15 @@ zero forever; OOV starts zero and may train in unfrozen mode.
 
 from __future__ import annotations
 
+import os
 import re
+import shutil
+import tempfile
+import threading
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from pathlib import Path
+from typing import IO
 
 import numpy as np
 
@@ -23,6 +29,11 @@ PAD_TOKEN = "<pad>"
 
 # word2vec/fastText ".vec" files open with a "<count> <dim>" line.
 _VEC_HEADER = re.compile(r"[0-9]+ [0-9]+")
+
+#: Fewest rows ``export_text`` gives one block. Forking a writer and
+#: copying its file back costs about as much as formatting 250 rows at
+#: d=50 (2 cores); twice that leaves a margin.
+MIN_BLOCK_ROWS = 500
 
 
 @dataclass
@@ -158,6 +169,59 @@ def import_text(
     return EmbeddingTable(rows=rows, d=d, source="imported"), report
 
 
+def _write_rows(fh, labels, rows, template: str) -> None:
+    """Write each row under its label with one %-template call. Rows are
+    converted one at a time so the table never exists as N*d Python
+    floats."""
+    for label, row in zip(labels, rows):
+        fh.write(template % (label, *row.tolist()))
+
+
+def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
+    """Contiguous (start, stop) row blocks, one per CPU while each keeps
+    at least MIN_BLOCK_ROWS rows."""
+    count = max(1, min(os.cpu_count() or 1, n_rows // MIN_BLOCK_ROWS))
+    edges = [n_rows * i // count for i in range(count + 1)]
+    return list(zip(edges, edges[1:]))
+
+
+def _fork_writer(directory: Path, stack: ExitStack, write,
+                 *args) -> tuple[int, IO[bytes], int]:
+    """Fork a child that runs ``write(fh, *args)`` into an unnamed
+    temporary file in ``directory`` and leaves with ``os._exit``. Returns
+    the child's pid, the file, and the read end of a pipe that carries the
+    child's error message; ``stack`` closes both."""
+    tmp = stack.enter_context(tempfile.TemporaryFile(dir=directory))
+    err_read, err_write = os.pipe()
+    stack.callback(os.close, err_read)
+    try:
+        pid = os.fork()
+        if pid == 0:
+            status = 1
+            try:
+                with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as fh:
+                    write(fh, *args)
+                status = 0
+            except BaseException as exc:
+                os.write(err_write, f"{type(exc).__name__}: {exc}".encode()[:1024])
+            finally:
+                os._exit(status)
+    finally:
+        os.close(err_write)  # only the parent gets here
+    return pid, tmp, err_read
+
+
+def _reap(pid: int, err_read: int) -> str | None:
+    """Wait for a writer child; None if it succeeded, else the cause."""
+    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+    if code == 0:
+        return None
+    message = os.read(err_read, 1024).decode(errors="replace")
+    if message:
+        return message
+    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+
+
 def export_text(
     table: EmbeddingTable,
     path: str | Path,
@@ -167,7 +231,18 @@ def export_text(
 
     Rank rows are labeled by their vocabulary tokens when ``vocab`` is
     given, otherwise "rank_<r>". The OOV and PAD rows are written last
-    under reserved labels.
+    under reserved labels. Every value is written as ``%.8g``.
+
+    The rows are split into min(CPUs, rows // MIN_BLOCK_ROWS) contiguous
+    blocks. Where ``fork`` exists and no other thread runs, each block
+    after the first is written by a forked child into an unnamed
+    temporary file in the output's directory, while this process writes
+    the first block into the output; the children's files are then
+    appended in order. Otherwise (one block, no ``fork``, or other
+    threads) every row is written here. The bytes are the same either
+    way. If any block fails, every child is waited for, the partial
+    output is removed, and ``OSError`` names the block's rows and the
+    cause.
     """
     if vocab is not None and vocab.size != table.n:
         raise ValueError(f"vocab size {vocab.size} != table size {table.n}")
@@ -175,10 +250,43 @@ def export_text(
         f"rank_{r}" for r in range(1, table.n + 1)
     ]
     labels += [OOV_TOKEN, PAD_TOKEN]
-    # One template formats a whole row in a single call. Rows are
-    # converted one at a time so the table never exists as N*d Python
-    # floats.
     template = "%s" + " %.8g" * table.d + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        for label, row in zip(labels, table.rows):
-            fh.write(template % (label, *row.tolist()))
+    blocks = _row_blocks(len(labels))
+    if not hasattr(os, "fork") or threading.active_count() > 1:
+        blocks = [(0, len(labels))]  # fork copies only the calling thread
+
+    def write_block(fh, start: int, stop: int) -> None:
+        _write_rows(fh, labels[start:stop], table.rows[start:stop], template)
+
+    def failed(start: int, stop: int, cause) -> OSError:
+        return OSError(f"{path}: writing rows {start}..{stop - 1}: {cause}")
+
+    children = []  # (start, stop, pid, temporary file, error pipe), in row order
+    fh = open(path, "w", encoding="utf-8")
+    try:
+        with fh, ExitStack() as stack:
+            directory = Path(path).resolve().parent
+            for start, stop in blocks[1:]:
+                children.append((start, stop, *_fork_writer(directory, stack, write_block,
+                                                             start, stop)))
+            try:
+                write_block(fh, *blocks[0])
+                fh.flush()
+            except OSError as exc:
+                raise failed(*blocks[0], exc) from exc
+            while children:
+                start, stop, pid, tmp, err_read = children.pop(0)
+                cause = _reap(pid, err_read)
+                if cause is not None:
+                    raise failed(start, stop, cause)
+                tmp.seek(0)
+                try:
+                    shutil.copyfileobj(tmp, fh.buffer)
+                    fh.buffer.flush()
+                except OSError as exc:
+                    raise failed(start, stop, exc) from exc
+    except BaseException:
+        for _, _, pid, _, _ in children:
+            os.waitpid(pid, 0)
+        Path(path).unlink(missing_ok=True)
+        raise

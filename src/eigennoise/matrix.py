@@ -40,35 +40,6 @@ SPEC_OPTIONS = ("representations", "frozen", "seeds", "d", "m", "mode", "vocab_c
                 "lr", "hidden", "batch_size", "max_epochs", "patience")
 
 
-# --- task loading -----------------------------------------------------------
-
-
-def resolve_case_fold(choice: str, task_format: str) -> bool:
-    if choice == "on":
-        return True
-    if choice == "off":
-        return False
-    # auto: fold tweet-like text, keep case for token-column tasks
-    return task_format != "conll"
-
-
-def read_split(task_format: str, path, split: str, token_column: int,
-               label_column: int):
-    """Parse one ``tsv`` (label<TAB>text) or ``conll`` (columns) file."""
-    if task_format == "tsv":
-        return datasets.parse_tsv(path, split=split)
-    return datasets.parse_conll(path, token_column=token_column,
-                                label_column=label_column, split=split)
-
-
-def dataset_tokens(ds) -> list[str]:
-    """Every token of a tsv, conll or synthetic dataset, in stream order."""
-    if isinstance(ds, datasets.SequenceDataset):
-        return [t for text in ds.texts for t in vocab_mod.tokenize(text)]
-    sequences = ds.sentences if isinstance(ds, datasets.TokenDataset) else ds.tokens
-    return [t for seq in sequences for t in seq]
-
-
 # --- cells ------------------------------------------------------------------
 
 
@@ -248,17 +219,18 @@ def build_context(args) -> MatrixContext:
         task_label = f"synthetic-{args.kind}"
     else:
         _discover_missing_splits(args)
-        train = read_split(args.task, args.train, "train", args.token_column,
-                           args.label_column)
+        train = datasets.read_split(args.task, args.train, "train", args.token_column,
+                                    args.label_column)
         splits = {"train": train}
         for name, path in (("dev", args.dev), ("test", args.test)):
             if path is not None:
-                ds = read_split(args.task, path, name, args.token_column,
-                                args.label_column)
+                ds = datasets.read_split(args.task, path, name, args.token_column,
+                                         args.label_column)
                 splits[name] = datasets.apply_label_set(ds, train.label_set)
         task_label = Path(args.train).stem
-    voc = vocab_mod.build_vocab(dataset_tokens(splits["train"]),
-                                case_fold=resolve_case_fold(args.case_fold, args.task),
+    voc = vocab_mod.build_vocab(datasets.dataset_tokens(splits["train"]),
+                                case_fold=datasets.resolve_case_fold(args.case_fold,
+                                                                     args.task),
                                 max_size=args.vocab_cap)
 
     def featurize(ds) -> dict:
@@ -377,12 +349,16 @@ def write_run(args, ctx: MatrixContext, results: list[CellResult]) -> list[dict]
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
     results = sorted(results, key=lambda r: r.cell.name)
     for res in results:
+        # a file an earlier run into this directory wrote for the cell is stale
+        mdl_path = out_dir / "cells" / f"{res.cell.name}.mdl.txt"
         if res.report is not None:
-            mdl.write_report(res.report, out_dir / "cells" / f"{res.cell.name}.mdl.txt")
+            mdl.write_report(res.report, mdl_path)
+        else:
+            mdl_path.unlink(missing_ok=True)
         error_path = out_dir / "cells" / f"{res.cell.name}.error.txt"
         if res.traceback is not None:
             error_path.write_text(res.traceback, encoding="utf-8")
-        else:  # a traceback from an earlier run into this directory is stale
+        else:
             error_path.unlink(missing_ok=True)
     records = [res.to_record(ctx.task_label) for res in results]
 

@@ -20,8 +20,6 @@ from .datasets import SequenceDataset, SyntheticDataset, TokenDataset
 from .embeddings import EmbeddingTable, row_index
 from .vocab import Vocabulary, rank_of, tokenize
 
-DEFAULT_WINDOWS = (0, 2, 5, 10)
-
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8

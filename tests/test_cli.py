@@ -1,3 +1,4 @@
+import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eigennoise import cli, matrix
+from eigennoise import cli, matrix, mdl
 from eigennoise.vocab import read_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -252,7 +253,7 @@ def test_probe_run_cell_failures_exit_code(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli.mdl, "online_codelength", boom)
+    monkeypatch.setattr(mdl, "online_codelength", boom)
     out_dir = tmp_path / "run"
     rc = cli.main(_tiny_synthetic_args(out_dir))
     assert rc == cli.EXIT_CELL_FAILURES
@@ -264,7 +265,7 @@ def test_probe_run_cell_failure_writes_traceback(tmp_path, monkeypatch):
     def boom(*args, **kwargs):
         raise RuntimeError("synthetic failure")
 
-    monkeypatch.setattr(cli.mdl, "online_codelength", boom)
+    monkeypatch.setattr(mdl, "online_codelength", boom)
     out_dir = tmp_path / "run"
     assert cli.main(_tiny_synthetic_args(out_dir)) == cli.EXIT_CELL_FAILURES
     payload = json.loads((out_dir / "cells.json").read_text(encoding="utf-8"))
@@ -282,6 +283,11 @@ def test_probe_run_cell_failure_writes_traceback(tmp_path, monkeypatch):
     monkeypatch.undo()  # the cells now score: their old tracebacks go
     assert cli.main(_tiny_synthetic_args(out_dir)) == 0
     assert not list((out_dir / "cells").glob("*.error.txt"))
+    assert len(list((out_dir / "cells").glob("*.mdl.txt"))) == 4
+    monkeypatch.setattr(mdl, "online_codelength", boom)  # failed cells keep no report
+    assert cli.main(_tiny_synthetic_args(out_dir)) == cli.EXIT_CELL_FAILURES
+    assert not list((out_dir / "cells").glob("*.mdl.txt"))
+    assert len(list((out_dir / "cells").glob("*.error.txt"))) == 4
 
 
 @needs_fork
@@ -321,13 +327,13 @@ def test_probe_run_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
 @needs_fork
 def test_probe_run_forks_workers_before_threads_and_joins_them(tmp_path, monkeypatch):
     forked = []
-    thread_pool = cli.ThreadPoolExecutor
+    thread_pool = concurrent.futures.ThreadPoolExecutor
 
     def record(*args, **kwargs):
         forked.append(len(multiprocessing.active_children()))
         return thread_pool(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "ThreadPoolExecutor", record)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", record)
     assert cli.main(_tiny_synthetic_args(tmp_path / "run", extra=("--workers", "2"))) == 0
     assert forked == [2]
     assert multiprocessing.active_children() == []
@@ -483,3 +489,96 @@ def test_embed_eigennoise_independent_of_ambient_blas_threads(tmp_path, monkeypa
         _set_blas_threads(before)
     assert outputs[0] == outputs[1]
     assert len(tables) == 2 and tables[0] == tables[1]
+
+
+# --- start-up -----------------------------------------------------------------
+
+
+def _cli_env(**overrides):
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+    env.pop("OPENBLAS_NUM_THREADS", None)
+    env.update(overrides)
+    return env
+
+
+def test_commands_other_than_probe_run_load_no_probe_stack(tmp_path):
+    # `-X importtime` lists every module a command imports
+    probe_stack = {"eigennoise.matrix", "eigennoise.probe", "eigennoise.mdl",
+                   "concurrent.futures", "multiprocessing"}
+    vocab = tmp_path / "vocab.tsv"
+    commands = (
+        ["vocab", "build", "--format", "conll", "--input",
+         str(FIXTURES / "tiny.conll.train"), "--output", str(vocab)],
+        ["embed", "import", "--source", str(FIXTURES / "tiny.glove.txt"),
+         "--vocab", str(vocab), "--output", str(tmp_path / "imported.txt")],
+        ["embed", "random", "--n", "5", "--d", "2", "--output", str(tmp_path / "random.txt")],
+        ["--help"],
+    )
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "eigennoise.cli",
+                               *argv], env=_cli_env(), capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                  if line.startswith("import time:")}
+        assert "eigennoise.embeddings" in loaded
+        assert not loaded & probe_stack, argv
+
+
+@needs_openblas
+@pytest.mark.parametrize("ambient, at_load", [(None, 1), ("2", 2)])
+def test_cli_loads_numpy_without_a_blas_pool(tmp_path, ambient, at_load):
+    # OpenBLAS sizes its thread pool when numpy loads: unless the user set
+    # OPENBLAS_NUM_THREADS, the CLI loads it with one thread, and it puts
+    # the environment back either way
+    script = (
+        "import os\n"
+        "before = dict(os.environ)\n"
+        "from eigennoise import cli\n"
+        "threads = cli._bundled_openblas().scipy_openblas_get_num_threads64_\n"
+        "at_load, seen = threads(), []\n"
+        "cli.cmd_embed_random = lambda args: seen.append(threads()) or cli.EXIT_OK\n"
+        f"rc = cli.main(['embed', 'random', '--n', '5', '--d', '2', '--output', "
+        f"{str(tmp_path / 'x.txt')!r}])\n"
+        "print(at_load, seen, rc, os.environ == before)\n"
+    )
+    env = _cli_env() if ambient is None else _cli_env(OPENBLAS_NUM_THREADS=ambient)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(at_load), "[1]", "0", "True"]
+
+
+@needs_fork
+@pytest.mark.parametrize("in_parent, failure, cause", [
+    (False, "os._exit(1)", "writing rows 1001..2001: exit status 1"),
+    (False, "os.kill(os.getpid(), 9)", "writing rows 1001..2001: killed by signal 9"),
+    (False, "raise OSError(28, 'No space left on device')",
+     "writing rows 1001..2001: OSError: [Errno 28] No space left on device"),
+    (True, "raise OSError(28, 'No space left on device')",
+     "writing rows 0..1000: [Errno 28] No space left on device"),
+], ids=["child-exits", "child-killed", "child-raises", "parent-raises"])
+def test_embed_export_failure_leaves_no_output(tmp_path, in_parent, failure, cause):
+    # two blocks of 1001 rows: a forked child writes rows 1001..2001, and
+    # the patched row writer fails in it or in the parent
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    script = (
+        "import os, sys\n"
+        "from eigennoise import cli, embeddings\n"
+        "parent, write_rows = os.getpid(), embeddings._write_rows\n"
+        "def failing(*args):\n"
+        f"    if (os.getpid() == parent) == {in_parent}:\n"
+        f"        {failure}\n"
+        "    write_rows(*args)\n"
+        "embeddings._write_rows = failing\n"
+        "os.cpu_count = lambda: 2\n"
+        "sys.exit(cli.main(['embed', 'random', '--n', '2000', '--d', '4', '--output', "
+        f"{str(out_dir / 'x.txt')!r}]))\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], env=_cli_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == cli.EXIT_DATA, proc.stderr
+    assert proc.stderr.startswith("data error: ")
+    assert proc.stderr.endswith(f"x.txt: {cause}\n")
+    assert list(out_dir.iterdir()) == []

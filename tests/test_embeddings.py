@@ -1,9 +1,11 @@
+import os
 import tracemalloc
 
 import numpy as np
 import pytest
 
 from eigennoise.embeddings import (
+    MIN_BLOCK_ROWS,
     OOV_TOKEN,
     PAD,
     PAD_TOKEN,
@@ -14,6 +16,25 @@ from eigennoise.embeddings import (
     row_index,
 )
 from eigennoise.vocab import OOV, build_vocab
+
+needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
+
+
+@pytest.fixture
+def forks(monkeypatch):
+    """The pids os.fork returned to this process during the test."""
+    pids = []
+    fork = os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    if hasattr(os, "fork"):
+        monkeypatch.setattr(os, "fork", counting_fork)
+    return pids
 
 
 def test_random_table_standard_normal_statistics():
@@ -154,22 +175,39 @@ def test_export_without_vocab_uses_rank_labels(tmp_path):
     assert first.split()[0] == "rank_1"
 
 
-def test_export_bytes_match_per_value_format(tmp_path):
+def test_export_bytes_match_per_value_format(tmp_path, monkeypatch, forks):
     values = [0.0, -0.0, 5e-324, 1e-5, 1e-4, 12345678.0, 123456789.0, 1e20,
               np.inf, -np.inf, np.nan, 1 / 3]
-    vocab = build_vocab(["żółw", "naïve", "żółw"])
-    rows = np.zeros((4, len(values)))
-    rows[0] = values
-    rows[1] = values[::-1]
-    table = EmbeddingTable(rows=rows, d=len(values), source="imported")
-    out = tmp_path / "export.txt"
-    export_text(table, out, vocab=vocab)
-    labels = vocab.tokens() + [OOV_TOKEN, PAD_TOKEN]
-    expected = "".join(
-        label + " " + " ".join(f"{v:.8g}" for v in row) + "\n"
-        for label, row in zip(labels, table.rows)
-    )
-    assert out.read_bytes() == expected.encode("utf-8")
+    # with 3 CPUs the larger table is written as 3 blocks, 2 of them forked
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for name, extra in (("small", 0), ("split", 3 * MIN_BLOCK_ROWS)):
+        vocab = build_vocab(["żółw", "naïve", "żółw"] + [f"słowo{i}" for i in range(extra)])
+        rows = np.zeros((vocab.size + 2, len(values)))
+        rows[0:vocab.size:2] = values
+        rows[1:vocab.size:2] = values[::-1]
+        table = EmbeddingTable(rows=rows, d=len(values), source="imported")
+        out = tmp_path / f"{name}.txt"
+        export_text(table, out, vocab=vocab)
+        labels = vocab.tokens() + [OOV_TOKEN, PAD_TOKEN]
+        expected = "".join(
+            label + " " + " ".join(f"{v:.8g}" for v in row) + "\n"
+            for label, row in zip(labels, table.rows)
+        )
+        assert out.read_bytes() == expected.encode("utf-8")
+    assert len(forks) == (2 if hasattr(os, "fork") else 0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.txt", "split.txt"]
+
+
+@needs_fork
+def test_export_forked_blocks_match_in_process(tmp_path, monkeypatch, forks):
+    table = random_table(20000, 50, seed=0)
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    export_text(table, tmp_path / "forked.txt")
+    assert len(forks) == 1
+    monkeypatch.delattr(os, "fork")
+    export_text(table, tmp_path / "in_process.txt")
+    assert len(forks) == 1
+    assert (tmp_path / "forked.txt").read_bytes() == (tmp_path / "in_process.txt").read_bytes()
 
 
 def test_export_does_not_hold_the_table_as_python_floats(tmp_path):
