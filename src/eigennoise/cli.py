@@ -11,31 +11,18 @@ cells failed (the rest still ran).
 
 from __future__ import annotations
 
+import argparse
+import json
 import os
 import sys
-
-if "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ:
-    # OpenBLAS starts its thread pool when numpy loads it, and every
-    # command runs on one BLAS thread (_one_blas_thread): load it with one
-    # so no pool starts, then give the environment back as it was.
-    os.environ["OPENBLAS_NUM_THREADS"] = "1"
-    try:
-        import numpy
-    finally:
-        del os.environ["OPENBLAS_NUM_THREADS"]
-
-import argparse
-import ctypes
-import json
 from contextlib import ExitStack, contextmanager
 from pathlib import Path
 
-import numpy as np
-
-# Only probe run and report aggregate import the experiment runner
-# (matrix, with probe, mdl and the process pools), inside their commands:
-# the vocab and embed commands never load it.
-from . import datasets, eigen, embeddings, harmonic
+# numpy, and every module that needs it, is imported inside the commands
+# that compute: --help, usage errors and vocab build load none of it, and
+# only probe run loads the experiment runner (matrix, with probe and the
+# process pools).
+from . import datasets
 from . import vocab as vocab_mod
 
 EXIT_OK = 0
@@ -61,17 +48,31 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def parse_args(self, args=None, namespace=None):
+        """Parse, then run the command's checks: every usage error is
+        raised here, before any command loads numpy."""
         parsed = super().parse_args(args, namespace)
-        if parsed.func is cmd_probe_run:
-            _fill_probe_defaults(parsed)
+        check = getattr(parsed, "check", None)
+        if check is not None:
+            check(parsed)
+        if parsed.func in (cmd_embed_eigennoise, cmd_probe_run):
+            _fill_numeric_defaults(parsed)
         return parsed
 
 
-def _fill_probe_defaults(args) -> None:
-    """Give the ``probe run`` options left unset the defaults of
-    ``probe.TrainConfig`` and ``mdl.DEFAULT_FRACTIONS``. They are read
-    here, not in ``build_parser``, so that no other command loads the
-    probe stack."""
+def _fill_numeric_defaults(args) -> None:
+    """Give the options left unset the defaults that numpy modules define:
+    ``--m`` that of ``harmonic.DEFAULT_WINDOW`` and, for ``probe run``,
+    the others those of ``probe.TrainConfig`` and
+    ``mdl.DEFAULT_FRACTIONS``. They are read here, after the checks, not
+    in ``build_parser``, so that only the commands that use them load
+    numpy."""
+    _load_numpy()
+    from . import harmonic
+
+    if args.m is None:
+        args.m = harmonic.DEFAULT_WINDOW
+    if args.func is not cmd_probe_run:
+        return
     from . import mdl, probe
 
     train_defaults = probe.TrainConfig()
@@ -83,9 +84,12 @@ def _fill_probe_defaults(args) -> None:
 
 
 def _option_values(args, dests):
-    """(option name, value) pairs; an option may hold one int or a tuple."""
+    """(option name, value) pairs; an option may hold one int or a tuple,
+    or None while its default is not filled in."""
     for dest in dests:
         value = getattr(args, dest)
+        if value is None:
+            continue
         for v in value if isinstance(value, tuple) else (value,):
             yield f"--{dest.replace('_', '-')}", v
 
@@ -109,9 +113,12 @@ def _check_seeds(args, *dests: str) -> None:
 # --- vocab build ------------------------------------------------------------
 
 
-def cmd_vocab_build(args) -> int:
+def _check_vocab_build(args) -> None:
     _check_min(args, 1, "max_size")
     _check_min(args, 0, "token_column")
+
+
+def cmd_vocab_build(args) -> int:
     if args.format == "text":
         tokens = list(vocab_mod.token_stream(args.input))
     else:  # labels are not read: point the label column at the tokens
@@ -128,15 +135,32 @@ def cmd_vocab_build(args) -> int:
 # --- embed ------------------------------------------------------------------
 
 
+def _check_embed_eigennoise(args) -> None:
+    _check_min(args, 1, "d", "m")
+    _check_seeds(args, "completion_seed")
+    _check_min(args, 1, "n")
+
+
+def _check_embed_random(args) -> None:
+    _check_min(args, 1, "d")
+    _check_seeds(args, "seed")
+    _check_min(args, 1, "n")
+
+
+def _check_embed_import(args) -> None:
+    _check_min(args, 1, "expected_d")
+
+
 def _load_or_size_vocab(args) -> tuple[vocab_mod.Vocabulary | None, int]:
     if args.vocab is not None:
         voc = vocab_mod.read_vocab(args.vocab)
         return voc, voc.size
-    _check_min(args, 1, "n")
     return None, args.n
 
 
 def _write_embedding(table, voc, path, meta: dict) -> None:
+    from . import embeddings
+
     embeddings.export_text(table, path, vocab=voc)
     sidecar = Path(str(path) + ".meta.json")
     sidecar.write_text(json.dumps(meta, sort_keys=True, indent=2) + "\n",
@@ -144,8 +168,8 @@ def _write_embedding(table, voc, path, meta: dict) -> None:
 
 
 def cmd_embed_eigennoise(args) -> int:
-    _check_min(args, 1, "d", "m")
-    _check_seeds(args, "completion_seed")
+    from . import eigen
+
     voc, n = _load_or_size_vocab(args)
     if args.d > n:
         raise ValueError(f"--d {args.d} exceeds vocabulary size {n}")
@@ -162,8 +186,8 @@ def cmd_embed_eigennoise(args) -> int:
 
 
 def cmd_embed_random(args) -> int:
-    _check_min(args, 1, "d")
-    _check_seeds(args, "seed")
+    from . import embeddings
+
     voc, n = _load_or_size_vocab(args)
     table = embeddings.random_table(n, args.d, args.seed)
     meta = {"source": "random", "n": n, "d": args.d, "seed": args.seed}
@@ -173,8 +197,8 @@ def cmd_embed_random(args) -> int:
 
 
 def cmd_embed_import(args) -> int:
-    if args.expected_d is not None:
-        _check_min(args, 1, "expected_d")
+    from . import embeddings
+
     voc = vocab_mod.read_vocab(args.vocab)
     table, report = embeddings.import_text(args.source, voc,
                                            expected_d=args.expected_d)
@@ -198,11 +222,8 @@ def run_cell(cell, ctx):
     return score(cell, ctx)
 
 
-def cmd_probe_run(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
-    from . import matrix
-
+def _check_probe_run(args) -> None:
+    """Check the options and settle the window and duplicate choices."""
     if args.windows is None:
         args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
     elif args.task != "conll":
@@ -225,10 +246,10 @@ def cmd_probe_run(args) -> int:
                "patience", "workers", "vocab_cap")
     _check_min(args, 0, "data_seed", "token_column", "label_column")
     _check_seeds(args, "seeds", "completion_seed")
-    if not 0 < args.lr < float("inf"):
+    if args.lr is not None and not 0 < args.lr < float("inf"):
         raise UsageError(f"--lr must be > 0 and finite, got {args.lr}")
-    if not (all(0 < f <= 100 for f in args.fractions)
-            and any(f < 100 for f in args.fractions)):
+    if args.fractions is not None and not (all(0 < f <= 100 for f in args.fractions)
+                                           and any(f < 100 for f in args.fractions)):
         raise UsageError("--fractions must be in (0, 100] with at least one below 100, "
                          f"got {','.join(f'{f:g}' for f in args.fractions)}")
     if args.task == "conll" and not args.windows:
@@ -236,6 +257,12 @@ def cmd_probe_run(args) -> int:
     bad = [w for w in args.windows if w not in ALLOWED_WINDOWS]
     if bad:
         raise UsageError(f"windows {bad} outside supported set {ALLOWED_WINDOWS}")
+
+
+def cmd_probe_run(args) -> int:
+    from concurrent.futures import ThreadPoolExecutor
+
+    from . import matrix, mdl
 
     ctx = matrix.build_context(args)
     # unfrozen cells take about 1.5x as long as frozen ones: start them first
@@ -246,7 +273,7 @@ def cmd_probe_run(args) -> int:
             ThreadPoolExecutor(max_workers=workers) as pool:
         results = list(pool.map(lambda c: run_cell(c, ctx), cells))
     records = matrix.write_run(args, ctx, results)
-    sys.stdout.write(matrix.format_table(records))
+    sys.stdout.write(mdl.format_table(records))
     failures = sum(rec["error"] is not None for rec in records)
     if failures:
         print(f"{failures} of {len(cells)} cells failed", file=sys.stderr)
@@ -255,9 +282,9 @@ def cmd_probe_run(args) -> int:
 
 
 def cmd_report_aggregate(args) -> int:
-    from . import matrix
+    from . import mdl
 
-    table = matrix.format_table(matrix.read_records(args.input_dir))
+    table = mdl.format_table(mdl.read_records(args.input_dir))
     if args.output:
         Path(args.output).write_text(table, encoding="utf-8")
     else:
@@ -268,9 +295,31 @@ def cmd_report_aggregate(args) -> int:
 # --- BLAS threads -----------------------------------------------------------
 
 
+def _load_numpy():
+    """Import numpy: the one place the CLI does.
+
+    OpenBLAS starts its thread pool when numpy loads it, and every command
+    runs on one BLAS thread (_one_blas_thread): unless the user set
+    ``OPENBLAS_NUM_THREADS``, numpy is loaded with it set to 1, so no pool
+    starts, and the environment is then given back as it was.
+    """
+    pin = "numpy" not in sys.modules and "OPENBLAS_NUM_THREADS" not in os.environ
+    if pin:
+        os.environ["OPENBLAS_NUM_THREADS"] = "1"
+    try:
+        import numpy
+    finally:
+        if pin:
+            del os.environ["OPENBLAS_NUM_THREADS"]
+    return numpy
+
+
 def _bundled_openblas() -> ctypes.CDLL | None:
-    """numpy's bundled OpenBLAS (Linux or macOS wheel), or None."""
-    pkg = Path(np.__file__).parent
+    """numpy's bundled OpenBLAS (Linux or macOS wheel), or None. Loads
+    numpy first, so that numpy, not this lookup, starts OpenBLAS."""
+    import ctypes
+
+    pkg = Path(_load_numpy().__file__).parent
     for path in (*sorted((pkg.parent / "numpy.libs").glob("libscipy_openblas*.so*")),
                  *sorted((pkg / ".dylibs").glob("libscipy_openblas*.dylib"))):
         try:
@@ -291,11 +340,10 @@ def _one_blas_thread():
     gain from a second BLAS thread, and parallelism comes from the
     ``probe run`` worker processes (``--workers``), each of which enters
     this too. One thread also makes tables independent of the core count.
-    A CLI process that loads numpy itself already starts OpenBLAS on one
-    thread unless ``OPENBLAS_NUM_THREADS`` is set (see the top of this
-    module); this pins the count for a user-set value and for library
-    callers that loaded numpy first. Without a bundled OpenBLAS this does
-    nothing.
+    Entering this loads numpy (``_load_numpy``), which already starts
+    OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set; this
+    pins the count for a user-set value and for library callers that
+    loaded numpy first. Without a bundled OpenBLAS this does nothing.
     """
     lib = _bundled_openblas()
     if lib is None:
@@ -353,7 +401,7 @@ def build_parser() -> _Parser:
     p_build.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
     p_build.add_argument("--max-size", type=int, default=vocab_mod.DEFAULT_MAX_SIZE)
     p_build.add_argument("--output", required=True)
-    p_build.set_defaults(func=cmd_vocab_build)
+    p_build.set_defaults(func=cmd_vocab_build, check=_check_vocab_build)
 
     p_embed = top.add_parser("embed", help="embedding table construction")
     embed_sub = p_embed.add_subparsers(dest="subcommand", required=True)
@@ -361,18 +409,18 @@ def build_parser() -> _Parser:
     p_en = embed_sub.add_parser("eigennoise", help="closed-form rank embeddings")
     _add_size_source(p_en)
     p_en.add_argument("--d", type=int, required=True)
-    p_en.add_argument("--m", type=int, default=harmonic.DEFAULT_WINDOW)
+    p_en.add_argument("--m", type=int)  # default: _fill_numeric_defaults
     p_en.add_argument("--mode", choices=("linear", "log"), default="linear")
     p_en.add_argument("--completion-seed", type=int, default=0)
     p_en.add_argument("--output", required=True)
-    p_en.set_defaults(func=cmd_embed_eigennoise)
+    p_en.set_defaults(func=cmd_embed_eigennoise, check=_check_embed_eigennoise)
 
     p_rand = embed_sub.add_parser("random", help="standard-normal baseline")
     _add_size_source(p_rand)
     p_rand.add_argument("--d", type=int, required=True)
     p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("--output", required=True)
-    p_rand.set_defaults(func=cmd_embed_random)
+    p_rand.set_defaults(func=cmd_embed_random, check=_check_embed_random)
 
     p_imp = embed_sub.add_parser("import",
                                  help="align GloVe or word2vec/fastText .vec vectors")
@@ -380,7 +428,7 @@ def build_parser() -> _Parser:
     p_imp.add_argument("--vocab", required=True)
     p_imp.add_argument("--expected-d", type=int, default=None)
     p_imp.add_argument("--output", required=True)
-    p_imp.set_defaults(func=cmd_embed_import)
+    p_imp.set_defaults(func=cmd_embed_import, check=_check_embed_import)
 
     p_probe = top.add_parser("probe", help="MDL probing experiments")
     probe_sub = p_probe.add_subparsers(dest="subcommand", required=True)
@@ -402,12 +450,13 @@ def build_parser() -> _Parser:
     p_run.add_argument("--frozen", choices=("both", "true", "false"), default="both")
     p_run.add_argument("--seeds", type=_csv_ints, default=DEFAULT_SEEDS)
     p_run.add_argument("--d", type=int, default=50)
-    p_run.add_argument("--m", type=int, default=harmonic.DEFAULT_WINDOW)
+    p_run.add_argument("--m", type=int)
     p_run.add_argument("--mode", choices=("linear", "log"), default="linear")
     p_run.add_argument("--completion-seed", type=int, default=0)
     p_run.add_argument("--vocab-cap", type=int, default=vocab_mod.DEFAULT_MAX_SIZE)
     p_run.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
-    # TRAIN_OPTIONS and --fractions get their defaults in _fill_probe_defaults
+    # --m, TRAIN_OPTIONS and --fractions get their defaults in
+    # _fill_numeric_defaults
     p_run.add_argument("--hidden", type=int)
     p_run.add_argument("--lr", type=float)
     p_run.add_argument("--batch-size", type=int)
@@ -416,7 +465,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--fractions", type=_csv_floats)
     p_run.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_run.add_argument("--output-dir", required=True)
-    p_run.set_defaults(func=cmd_probe_run)
+    p_run.set_defaults(func=cmd_probe_run, check=_check_probe_run)
 
     p_report = top.add_parser("report", help="aggregate saved runs")
     report_sub = p_report.add_subparsers(dest="subcommand", required=True)
@@ -431,6 +480,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "vocab":  # pure Python: loads no numpy
+            return args.func(args)
         with _one_blas_thread():
             return args.func(args)
     except UsageError as exc:

@@ -10,10 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from pathlib import Path
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .vocab import tokenize
+
+if TYPE_CHECKING:  # only synth_task needs numpy: reading a task loads none
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -225,6 +227,8 @@ def synth_task(kind: str, n: int, d: int, k: int = 2, seed: int = 0,
     draw Zipf-weighted tokens from a per-class lexicon; in noisy mode a
     fraction of tokens leaks from the shared vocabulary.
     """
+    import numpy as np
+
     if kind not in SYNTH_KINDS:
         raise ValueError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
     if n < k * 10:

@@ -6,8 +6,7 @@ test accuracy. The parsed ``probe run`` options are the input:
 ``build_context`` reads the task into what every cell shares,
 ``matrix_cells`` lists the cells, ``run_cell`` scores one, and
 ``write_run`` writes ``cells/*.mdl.txt``, ``cells.json`` and
-``report.txt``. ``probe run`` and ``report aggregate`` print the same
-``format_table``.
+``report.txt``, whose table is ``mdl.format_table``.
 
 Inside ``forked_workers(ctx, n, init)``, ``run_cell(cell, ctx)`` hands
 the cell to one of ``n`` worker processes forked after the context was
@@ -292,54 +291,6 @@ def matrix_cells(args) -> list[CellSpec]:
 # --- reports ----------------------------------------------------------------
 
 
-def _format_mean_std(values: list[float], scale: float = 1.0) -> str:
-    if not values:
-        return "-"
-    mean, std = mdl.aggregate(values)
-    return f"{mean * scale:.3f} ± {std * scale:.3f}"
-
-
-def format_table(records: list[dict]) -> str:
-    """One row per (task, representation, window) over the scored cell
-    records: frozen/unfrozen codelength and accuracy as mean ± std over
-    seeds, and the uniform baseline."""
-    groups: dict[tuple, dict] = {}
-    for rec in records:
-        if rec["error"] is not None or rec["total_bits"] is None:
-            continue
-        key = (rec["task"], rec["representation"], rec["window"])
-        g = groups.setdefault(key, {"frozen": [], "unfrozen": [],
-                                    "frozen_acc": [], "unfrozen_acc": [],
-                                    "uniform": rec["uniform_bits"]})
-        side = "frozen" if rec["frozen"] else "unfrozen"
-        g[side].append(rec["total_bits"])
-        if rec["accuracy"] is not None:
-            g[side + "_acc"].append(rec["accuracy"])
-    header = ["task", "representation", "window",
-              "frozen_kbits", "unfrozen_kbits", "uniform_kbits",
-              "frozen_acc", "unfrozen_acc"]
-    body = []
-    for (task, rep, window), g in sorted(groups.items(),
-                                         key=lambda kv: (kv[0][0], kv[0][1],
-                                                         -1 if kv[0][2] is None else kv[0][2])):
-        body.append([
-            task,
-            rep,
-            "-" if window is None else str(window),
-            _format_mean_std(g["frozen"], scale=1e-3),
-            _format_mean_std(g["unfrozen"], scale=1e-3),
-            f"{g['uniform'] / 1000.0:.3f}",
-            _format_mean_std(g["frozen_acc"]),
-            _format_mean_std(g["unfrozen_acc"]),
-        ])
-    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-              for i in range(len(header))]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for r in body:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
-    return "\n".join(lines) + "\n"
-
-
 def write_run(args, ctx: MatrixContext, results: list[CellResult]) -> list[dict]:
     """Write ``cells/<cell>.mdl.txt`` per scored cell,
     ``cells/<cell>.error.txt`` (its traceback) per failed cell,
@@ -370,7 +321,7 @@ def write_run(args, ctx: MatrixContext, results: list[CellResult]) -> list[dict]
         encoding="utf-8")
 
     body_lines = ["spec: " + json.dumps(spec, sort_keys=True), "",
-                  format_table(records), "cells:"]
+                  mdl.format_table(records), "cells:"]
     for rec in records:
         status = rec["error"] if rec["error"] else (
             f"bits={rec['total_bits']:.3f} uniform={rec['uniform_bits']:.3f}"
@@ -384,12 +335,3 @@ def write_run(args, ctx: MatrixContext, results: list[CellResult]) -> list[dict]
     header = f"# probe run at {datetime.now(timezone.utc).isoformat()}\n"
     (out_dir / "report.txt").write_text(header + body, encoding="utf-8")
     return records
-
-
-def read_records(input_dir) -> list[dict]:
-    """The cell records of every ``cells.json`` under ``input_dir``."""
-    paths = sorted(Path(input_dir).rglob("cells.json"))
-    if not paths:
-        raise ValueError(f"no cells.json found under {input_dir}")
-    return [rec for path in paths
-            for rec in json.loads(path.read_text(encoding="utf-8"))["cells"]]

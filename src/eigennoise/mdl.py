@@ -5,27 +5,33 @@ with a uniform code (t1 * log2 K bits), and every later block is scored
 by a model freshly trained on everything transmitted so far. Shorter
 total codelength means the representation is more regular with respect
 to the labels.
+
+``format_table`` aggregates saved cell records into the table that
+``probe run`` and ``report aggregate`` print; it needs no probe stack.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .probe import ProbeData, TrainConfig
+if TYPE_CHECKING:  # report aggregate uses this module without the probe stack
+    from .probe import ProbeData, TrainConfig
+
+    #: fit_predict(train_prefix, dev, config) -> callable mapping a ProbeData
+    #: batch to an (n, K) matrix of predicted class probabilities.
+    FitPredict = Callable[[ProbeData, ProbeData, TrainConfig],
+                          Callable[[ProbeData], np.ndarray]]
 
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.25, 12.5, 25.0, 50.0, 100.0)
 
 #: Smallest admissible predicted probability for a true label.
 PROB_CLAMP = 2.0**-64
-
-#: fit_predict(train_prefix, dev, config) -> callable mapping a ProbeData
-#: batch to an (n, K) matrix of predicted class probabilities.
-FitPredict = Callable[[ProbeData, ProbeData, TrainConfig], Callable[[ProbeData], np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -157,6 +163,63 @@ def aggregate(values: Sequence[float]) -> tuple[float, float]:
     mean = float(arr.mean())
     std = 0.0 if len(arr) == 1 else float(arr.std(ddof=1))
     return mean, std
+
+
+def _format_mean_std(values: list[float], scale: float = 1.0) -> str:
+    if not values:
+        return "-"
+    mean, std = aggregate(values)
+    return f"{mean * scale:.3f} ± {std * scale:.3f}"
+
+
+def format_table(records: list[dict]) -> str:
+    """One row per (task, representation, window) over the scored cell
+    records: frozen/unfrozen codelength and accuracy as mean ± std over
+    seeds, and the uniform baseline."""
+    groups: dict[tuple, dict] = {}
+    for rec in records:
+        if rec["error"] is not None or rec["total_bits"] is None:
+            continue
+        key = (rec["task"], rec["representation"], rec["window"])
+        g = groups.setdefault(key, {"frozen": [], "unfrozen": [],
+                                    "frozen_acc": [], "unfrozen_acc": [],
+                                    "uniform": rec["uniform_bits"]})
+        side = "frozen" if rec["frozen"] else "unfrozen"
+        g[side].append(rec["total_bits"])
+        if rec["accuracy"] is not None:
+            g[side + "_acc"].append(rec["accuracy"])
+    header = ["task", "representation", "window",
+              "frozen_kbits", "unfrozen_kbits", "uniform_kbits",
+              "frozen_acc", "unfrozen_acc"]
+    body = []
+    for (task, rep, window), g in sorted(groups.items(),
+                                         key=lambda kv: (kv[0][0], kv[0][1],
+                                                         -1 if kv[0][2] is None else kv[0][2])):
+        body.append([
+            task,
+            rep,
+            "-" if window is None else str(window),
+            _format_mean_std(g["frozen"], scale=1e-3),
+            _format_mean_std(g["unfrozen"], scale=1e-3),
+            f"{g['uniform'] / 1000.0:.3f}",
+            _format_mean_std(g["frozen_acc"]),
+            _format_mean_std(g["unfrozen_acc"]),
+        ])
+    widths = [max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
+              for i in range(len(header))]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
+    for r in body:
+        lines.append("  ".join(c.ljust(w) for c, w in zip(r, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def read_records(input_dir) -> list[dict]:
+    """The cell records of every ``cells.json`` under ``input_dir``."""
+    paths = sorted(Path(input_dir).rglob("cells.json"))
+    if not paths:
+        raise ValueError(f"no cells.json found under {input_dir}")
+    return [rec for path in paths
+            for rec in json.loads(path.read_text(encoding="utf-8"))["cells"]]
 
 
 def format_report(report: CodelengthReport) -> str:

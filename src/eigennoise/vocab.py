@@ -38,9 +38,12 @@ class Vocabulary:
             raise ValueError("vocabulary counts must be positive")
         if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
             raise ValueError("vocabulary counts must be non-increasing with rank")
-        object.__setattr__(
-            self, "_rank_by_token", {tok: rank for tok, _, rank in self.entries}
-        )
+        rank_by_token: dict[str, int] = {}
+        for tok, _, rank in self.entries:
+            first = rank_by_token.setdefault(tok, rank)
+            if first != rank:
+                raise ValueError(f"token {tok!r} is listed at ranks {first} and {rank}")
+        object.__setattr__(self, "_rank_by_token", rank_by_token)
 
     @property
     def size(self) -> int:
@@ -127,8 +130,11 @@ def read_vocab(path: str | Path, case_folded: bool = False) -> Vocabulary:
             parts = line.split("\t")
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected token<TAB>count<TAB>rank")
-            tok, count, rank = parts[0], int(parts[1]), int(parts[2])
-            entries.append((tok, count, rank))
+            try:
+                entries.append((parts[0], int(parts[1]), int(parts[2])))
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: count and rank must be integers, "
+                                 f"got {parts[1]!r} and {parts[2]!r}") from None
     if not entries:
         raise ValueError(f"{path}: empty vocabulary file")
     return Vocabulary(entries=tuple(entries), case_folded=case_folded)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from eigennoise import cli, matrix, mdl
+from eigennoise import cli, eigen, matrix, mdl
 from eigennoise.vocab import read_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -101,6 +101,18 @@ def test_embed_requires_size_source(tmp_path, capsys):
         assert rc == cli.EXIT_USAGE
         assert "usage error: --expected-d must be >= 1" in capsys.readouterr().err
     assert not (tmp_path / "x.txt").exists()
+
+
+def test_embed_random_rejects_vocab_listing_a_token_twice(tmp_path, capsys):
+    vocab_path = tmp_path / "vocab.tsv"
+    vocab_path.write_text("the\t3\t1\ncat\t2\t2\nthe\t1\t3\n", encoding="utf-8")
+    out = tmp_path / "x.txt"
+    rc = _run("embed", "random", "--vocab", str(vocab_path), "--d", "2",
+              "--output", str(out))
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        "data error: token 'the' is listed at ranks 1 and 3\n")
+    assert not out.exists()
 
 
 def test_embed_d_larger_than_vocab(tmp_path):
@@ -468,14 +480,14 @@ def test_embed_eigennoise_independent_of_ambient_blas_threads(tmp_path, monkeypa
     # differences, so the in-memory table (the one probe runs train on) is
     # compared too: at N=20000 its bytes follow the BLAS thread count.
     tables = []
-    to_embedding = cli.eigen.to_embedding
+    to_embedding = eigen.to_embedding
 
     def record(*args, **kwargs):
         table = to_embedding(*args, **kwargs)
         tables.append(table.rows.tobytes())
         return table
 
-    monkeypatch.setattr(cli.eigen, "to_embedding", record)
+    monkeypatch.setattr(eigen, "to_embedding", record)
     outputs = []
     before = _blas_threads()
     try:
@@ -505,24 +517,41 @@ def test_commands_other_than_probe_run_load_no_probe_stack(tmp_path):
     # `-X importtime` lists every module a command imports
     probe_stack = {"eigennoise.matrix", "eigennoise.probe", "eigennoise.mdl",
                    "concurrent.futures", "multiprocessing"}
+    numeric = {"numpy", "eigennoise.embeddings", "eigennoise.eigen", "eigennoise.harmonic"}
     vocab = tmp_path / "vocab.tsv"
+    runs = tmp_path / "runs"
+    runs.mkdir()
+    record = {"task": "t", "representation": "random", "window": None, "frozen": True,
+              "seed": 0, "accuracy": 0.5, "error": None, "total_bits": 10.0,
+              "uniform_bits": 20.0}
+    (runs / "cells.json").write_text(json.dumps({"spec": {}, "cells": [record]}),
+                                     encoding="utf-8")
+    # argv, exit code, modules it loads, modules it must not load
     commands = (
-        ["vocab", "build", "--format", "conll", "--input",
-         str(FIXTURES / "tiny.conll.train"), "--output", str(vocab)],
-        ["embed", "import", "--source", str(FIXTURES / "tiny.glove.txt"),
-         "--vocab", str(vocab), "--output", str(tmp_path / "imported.txt")],
-        ["embed", "random", "--n", "5", "--d", "2", "--output", str(tmp_path / "random.txt")],
-        ["--help"],
+        (["--help"], cli.EXIT_OK, {"eigennoise.datasets"}, numeric | probe_stack),
+        (["embed", "random", "--n", "0", "--d", "2", "--output", str(tmp_path / "r.txt")],
+         cli.EXIT_USAGE, {"eigennoise.datasets"}, numeric | probe_stack),
+        (["vocab", "build", "--format", "conll", "--input",
+          str(FIXTURES / "tiny.conll.train"), "--output", str(vocab)],
+         cli.EXIT_OK, {"eigennoise.datasets"}, numeric | probe_stack),
+        (["embed", "import", "--source", str(FIXTURES / "tiny.glove.txt"),
+          "--vocab", str(vocab), "--output", str(tmp_path / "imported.txt")],
+         cli.EXIT_OK, {"numpy", "eigennoise.embeddings"},
+         {"eigennoise.eigen", "eigennoise.harmonic"} | probe_stack),
+        (["embed", "random", "--n", "5", "--d", "2", "--output", str(tmp_path / "random.txt")],
+         cli.EXIT_OK, {"numpy", "eigennoise.embeddings"}, probe_stack),
+        (["report", "aggregate", "--input-dir", str(runs)],
+         cli.EXIT_OK, {"numpy", "eigennoise.mdl"}, probe_stack - {"eigennoise.mdl"}),
     )
-    for argv in commands:
+    for argv, code, loads, skips in commands:
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "eigennoise.cli",
                                *argv], env=_cli_env(), capture_output=True, text=True,
                               timeout=120)
-        assert proc.returncode == 0, proc.stderr
+        assert proc.returncode == code, proc.stderr
         loaded = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
                   if line.startswith("import time:")}
-        assert "eigennoise.embeddings" in loaded
-        assert not loaded & probe_stack, argv
+        assert loads <= loaded, argv
+        assert not loaded & skips, argv
 
 
 @needs_openblas
@@ -530,13 +559,23 @@ def test_commands_other_than_probe_run_load_no_probe_stack(tmp_path):
 def test_cli_loads_numpy_without_a_blas_pool(tmp_path, ambient, at_load):
     # OpenBLAS sizes its thread pool when numpy loads: unless the user set
     # OPENBLAS_NUM_THREADS, the CLI loads it with one thread, and it puts
-    # the environment back either way
+    # the environment back either way. The count is read right after the
+    # CLI's first load of numpy, which importing the CLI does not do.
     script = (
-        "import os\n"
+        "import os, sys\n"
         "before = dict(os.environ)\n"
         "from eigennoise import cli\n"
-        "threads = cli._bundled_openblas().scipy_openblas_get_num_threads64_\n"
-        "at_load, seen = threads(), []\n"
+        "assert 'numpy' not in sys.modules\n"
+        "load, at_load, seen = cli._load_numpy, [], []\n"
+        "def threads():\n"
+        "    return cli._bundled_openblas().scipy_openblas_get_num_threads64_()\n"
+        "def load_and_count():\n"
+        "    first = 'numpy' not in sys.modules\n"
+        "    numpy = load()\n"
+        "    if first:\n"
+        "        at_load.append(threads())\n"
+        "    return numpy\n"
+        "cli._load_numpy = load_and_count\n"
         "cli.cmd_embed_random = lambda args: seen.append(threads()) or cli.EXIT_OK\n"
         f"rc = cli.main(['embed', 'random', '--n', '5', '--d', '2', '--output', "
         f"{str(tmp_path / 'x.txt')!r}])\n"
@@ -546,7 +585,7 @@ def test_cli_loads_numpy_without_a_blas_pool(tmp_path, ambient, at_load):
     proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.split() == [str(at_load), "[1]", "0", "True"]
+    assert proc.stdout.split() == [f"[{at_load}]", "[1]", "0", "True"]
 
 
 @needs_fork

@@ -4,7 +4,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eigennoise import embeddings
 from eigennoise.embeddings import (
+    IMPORT_CHUNK_LINES,
     MIN_BLOCK_ROWS,
     OOV_TOKEN,
     PAD,
@@ -150,6 +152,105 @@ def test_import_text_duplicate_first_wins(tmp_path):
     src = _write(tmp_path / "emb.txt", "the 1.0\nthe 2.0\n")
     table, _ = import_text(src, vocab)
     assert table.rows[0, 0] == 1.0
+
+
+# Tokens hold characters that str.splitlines splits on (U+0085, U+2028) or
+# that str.split() strips (U+00A0); the values are the IEEE edge cases.
+# "1_0" and "١٢" are refused by np.loadtxt but taken by np.array, so their
+# chunk is parsed line by line; the others are parsed in bulk.
+_ODD_VOCAB = build_vocab(["the", "dog", "cat", "a\x85b", "c\u2028d", "\xa0e", "the"])
+_ODD_LINES = [
+    "the 0.1 -0.2",
+    "a\x85b nan -inf",
+    "dog 1e400 -0   ",
+    "the 9 9",  # a duplicate: the first line wins
+    "c\u2028d 2.2250738585072011e-308 4.9e-324",
+    "\xa0e 1_0 \u0661\u0662",
+    "cat -nan +inf",
+    "",
+    "a\x85b 7 7",
+    "zzz 1e-400 -1e400",
+    "cat 3 4",
+]
+
+
+@pytest.mark.parametrize("text, per_line_chunk", [
+    ("\r\n".join(_ODD_LINES) + "\r\n", 4),
+    ("11 2 \n" + "".join(line + (" \r\n" if i % 2 else " \n")
+                         for i, line in enumerate(_ODD_LINES)), 7),
+], ids=["glove", "vec"])
+def test_import_text_bulk_parse_matches_per_line(tmp_path, monkeypatch, text,
+                                                 per_line_chunk):
+    src = tmp_path / "emb.txt"
+    src.write_bytes(text.encode("utf-8"))
+    monkeypatch.setattr(embeddings, "IMPORT_CHUNK_LINES", 3)
+    read_lines, per_line = embeddings._read_lines, []
+
+    def spy(path, lines, *args):
+        per_line.append(lines[0][0])
+        return read_lines(path, lines, *args)
+
+    monkeypatch.setattr(embeddings, "_read_lines", spy)
+    table, report = import_text(src, _ODD_VOCAB)
+    assert per_line == [per_line_chunk]  # the chunk that holds "1_0"
+    monkeypatch.setattr(embeddings, "_read_chunk", read_lines)
+    want, want_report = import_text(src, _ODD_VOCAB)
+    assert np.array_equal(table.rows.view(np.uint64), want.rows.view(np.uint64))
+    assert report == want_report == import_text(src, _ODD_VOCAB, expected_d=2)[1]
+    assert table.rows[0].tolist() == [0.1, -0.2]
+    assert np.signbit(table.rows[1, 1]) and table.rows[1, 0] == np.inf
+    assert table.rows[5].tolist() == [10.0, 12.0]
+    assert (report.matched, report.unmatched) == (6, 0)
+
+
+@pytest.mark.parametrize("text, expected_d, message", [
+    ("the 1 2\ncat 3 4\ndog 5 6\ncat 0.5 x\n", None, "{src}:4: column 3: cannot parse 'x'"),
+    ("the 1 2\ncat 3 4\ndog 5 6\nthe 7 8\nzzz x 1\n", None,
+     "{src}:5: column 2: cannot parse 'x'"),
+    ("the 1 2\ncat 3 4\ndog 5 6\ncat 1 2 3\ndog x 1\n", None, "{src}:4: 3 values, expected 2"),
+    ("the 1 2\ncat 3 4\ndog 5 6\ndog x 1\ncat 1\n", None, "{src}:4: column 2: cannot parse 'x'"),
+    ("the 1 2\ncat 3 4\ndog 5 6\ntok  1\n", None, "{src}:4: column 2: cannot parse ''"),
+    ("the 1 2\ncat 3 4\ndog 5 6\nthe 7 8\nlonely\n", None,
+     "{src}:5: expected 'token v1 ... vd'"),
+    ("2 3\nthe 1 2 3\n", 2, "{src}:1: header declares 3 dimensions, expected 2"),
+    ("", None, "{src}: empty embedding file"),
+    ("\n \n\n\n", None, "{src}: empty embedding file"),
+], ids=["bad-value-in-vocab", "bad-value-outside-vocab", "count-before-bad-value",
+        "bad-value-before-count", "empty-field", "no-values", "header-dimension",
+        "empty-file", "blank-lines"])
+def test_import_text_bulk_parse_keeps_error_messages(tmp_path, monkeypatch, text,
+                                                     expected_d, message):
+    src = _write(tmp_path / "emb.txt", text)
+    monkeypatch.setattr(embeddings, "IMPORT_CHUNK_LINES", 3)
+    with pytest.raises(ValueError) as exc:
+        import_text(src, build_vocab(["the", "cat", "dog"]), expected_d=expected_d)
+    assert str(exc.value) == message.format(src=src)
+
+
+def test_import_text_rejects_what_only_loadtxt_accepts(tmp_path):
+    # np.loadtxt reads "\x1c1" as 1; np.array(fields, float) and float refuse it
+    src = _write(tmp_path / "emb.txt", "the 1 2\ncat \x1c1 2\n")
+    with pytest.raises(ValueError) as exc:
+        import_text(src, build_vocab(["the", "cat"]))
+    assert str(exc.value) == f"{src}:2: column 2: cannot parse '\\x1c1'"
+
+
+def test_import_text_memory_does_not_grow_with_the_file(tmp_path):
+    vocab = build_vocab([f"w{i}" for i in range(100)])
+    rng = np.random.default_rng(0)
+    peaks = []
+    for n_lines in (3 * IMPORT_CHUNK_LINES, 30 * IMPORT_CHUNK_LINES):
+        src = tmp_path / f"emb{n_lines}.txt"
+        with open(src, "w", encoding="utf-8") as fh:
+            for i, row in enumerate(rng.standard_normal((n_lines, 8)).tolist()):
+                fh.write(f"w{i} " + " ".join(f"{v:.6f}" for v in row) + "\n")
+        tracemalloc.start()
+        try:
+            import_text(src, vocab)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 2**16, peaks
 
 
 def test_export_import_round_trip(tmp_path):

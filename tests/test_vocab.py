@@ -122,3 +122,22 @@ def test_vocab_file_round_trip(tmp_path):
     assert back.entries == voc.entries
     first = path.read_text(encoding="utf-8").splitlines()[0]
     assert first == "the\t2\t1"
+
+
+def test_read_vocab_non_integer_count_names_line(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("the\t3\t1\ncat\tx\t2\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_vocab(path)
+    assert str(exc.value) == f"{path}:2: count and rank must be integers, got 'x' and '2'"
+    path.write_text("the\t3\t1\n\ncat\t2\tsecond\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}:3: .* got '2' and 'second'$"):
+        read_vocab(path)
+
+
+def test_token_listed_twice_names_both_ranks(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("the\t3\t1\ncat\t2\t2\nthe\t1\t3\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_vocab(path)
+    assert str(exc.value) == "token 'the' is listed at ranks 1 and 3"
