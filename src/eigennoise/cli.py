@@ -15,13 +15,13 @@ import argparse
 import json
 import os
 import sys
-from contextlib import ExitStack, contextmanager
+from contextlib import contextmanager
 from pathlib import Path
 
 # numpy, and every module that needs it, is imported inside the commands
 # that compute: --help, usage errors and vocab build load none of it, and
 # only probe run loads the experiment runner (matrix, with probe and the
-# process pools).
+# process pool).
 from . import datasets
 from . import vocab as vocab_mod
 
@@ -216,7 +216,8 @@ def cmd_embed_import(args) -> int:
 
 
 def run_cell(cell, ctx):
-    """Score one cell: the hook a wrapper (a tracer, say) replaces."""
+    """Score one cell in this process. ``probe run`` does not call it: it
+    stays only because ``bench/tracer.py`` names it as a traced layer."""
     from .matrix import run_cell as score
 
     return score(cell, ctx)
@@ -260,19 +261,11 @@ def _check_probe_run(args) -> None:
 
 
 def cmd_probe_run(args) -> int:
-    from concurrent.futures import ThreadPoolExecutor
-
     from . import matrix, mdl
 
     ctx = matrix.build_context(args)
-    # unfrozen cells take about 1.5x as long as frozen ones: start them first
-    cells = sorted(matrix.matrix_cells(args), key=lambda c: c.frozen)
-    workers = min(args.workers, len(cells))
-    # fork first: the thread pool's threads only wait on the workers
-    with matrix.forked_workers(ctx, workers, _pin_worker_blas), \
-            ThreadPoolExecutor(max_workers=workers) as pool:
-        results = list(pool.map(lambda c: run_cell(c, ctx), cells))
-    records = matrix.write_run(args, ctx, results)
+    cells = matrix.matrix_cells(args)
+    records = matrix.write_run(args, ctx, matrix.run_matrix(ctx, cells, args.workers))
     sys.stdout.write(mdl.format_table(records))
     failures = sum(rec["error"] is not None for rec in records)
     if failures:
@@ -338,8 +331,9 @@ def _one_blas_thread():
 
     The probe GEMMs and the thin QR of the analytic build are too small to
     gain from a second BLAS thread, and parallelism comes from the
-    ``probe run`` worker processes (``--workers``), each of which enters
-    this too. One thread also makes tables independent of the core count.
+    ``probe run`` worker processes (``--workers``), which are forked
+    inside this and inherit its count. One thread also makes tables
+    independent of the core count.
     Entering this loads numpy (``_load_numpy``), which already starts
     OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set; this
     pins the count for a user-set value and for library callers that
@@ -355,14 +349,6 @@ def _one_blas_thread():
         yield
     finally:
         lib.scipy_openblas_set_num_threads64_(previous)
-
-
-_worker_blas = ExitStack()
-
-
-def _pin_worker_blas() -> None:
-    """Worker-process initializer: one BLAS thread until the worker exits."""
-    _worker_blas.enter_context(_one_blas_thread())
 
 
 # --- parser -----------------------------------------------------------------

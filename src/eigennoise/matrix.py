@@ -4,17 +4,15 @@ A run scores every representation x window x frozen x seed cell of one
 task by MDL online codelength (Voita & Titov, arXiv:2003.12298) and by
 test accuracy. The parsed ``probe run`` options are the input:
 ``build_context`` reads the task into what every cell shares,
-``matrix_cells`` lists the cells, ``run_cell`` scores one, and
-``write_run`` writes ``cells/*.mdl.txt``, ``cells.json`` and
-``report.txt``, whose table is ``mdl.format_table``.
+``matrix_cells`` lists the cells, ``run_cell`` scores one, ``run_matrix``
+scores them all, and ``write_run`` writes ``cells/*.mdl.txt``,
+``cells.json`` and ``report.txt``, whose table is ``mdl.format_table``.
 
-Inside ``forked_workers(ctx, n, init)``, ``run_cell(cell, ctx)`` hands
-the cell to one of ``n`` worker processes forked after the context was
-built and waits for its result. The workers inherit the context through the fork,
-so only the ``CellSpec`` and the ``CellResult`` are pickled; each cell
-then runs on its own interpreter instead of sharing one lock with the
-other cells. Outside it (or where ``fork`` is unavailable) ``run_cell``
-scores in the calling process; either way one function scores the cell.
+``run_matrix`` hands the cells to worker processes forked after the
+context was built. The workers inherit the context through the fork, so
+only the ``CellSpec`` and the ``CellResult`` are pickled; each cell then
+runs on its own interpreter. Where ``fork`` is unavailable the cells are
+scored in the calling process; either way ``run_cell`` scores the cell.
 
 Layer functions are called through their modules (``mdl.online_codelength``,
 ``probe_mod.train_probe``), so replacing a module attribute reaches every
@@ -25,7 +23,6 @@ from __future__ import annotations
 
 import json
 import traceback
-from contextlib import contextmanager
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
 from pathlib import Path
@@ -111,7 +108,7 @@ def _failed(cell: CellSpec, exc: Exception) -> CellResult:
                       traceback="".join(traceback.format_exception(exc)))
 
 
-def _score(cell: CellSpec, ctx: MatrixContext) -> CellResult:
+def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
     try:
         base = _cell_table(cell, ctx)
         config = replace(ctx.config_base, seed=cell.seed)
@@ -140,57 +137,45 @@ def _score(cell: CellSpec, ctx: MatrixContext) -> CellResult:
         return _failed(cell, exc)
 
 
-# Set while forked_workers runs: the pool, and the context its workers
-# inherited through the fork (so the context is never pickled).
-_pool = None
-_pool_ctx: MatrixContext | None = None
+# Each forked worker's context, set by its initializer; never set in the parent.
+_worker_ctx: MatrixContext | None = None
 
 
-def _score_forked(cell: CellSpec) -> CellResult:
-    """Worker side of run_cell: score against the inherited context."""
-    return _score(cell, _pool_ctx)
+def _init_worker(ctx: MatrixContext) -> None:
+    global _worker_ctx
+    _worker_ctx = ctx
 
 
-def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
-    if _pool is None or ctx is not _pool_ctx:
-        return _score(cell, ctx)
-    try:
-        return _pool.submit(_score_forked, cell).result()
-    except Exception as exc:  # a dead worker breaks the pool: its cells fail
-        return _failed(cell, exc)
+def _run_worker_cell(cell: CellSpec) -> CellResult:
+    return run_cell(cell, _worker_ctx)
 
 
-@contextmanager
-def forked_workers(ctx: MatrixContext, workers: int, initializer):
-    """Score ``run_cell(cell, ctx)`` calls on ``workers`` forked processes.
+def run_matrix(ctx: MatrixContext, cells: list[CellSpec], workers: int) -> list[CellResult]:
+    """Score ``cells`` on ``min(workers, len(cells))`` forked processes.
 
-    ``fork``, not ``spawn``: a forked worker starts with the context
-    already built and pays no interpreter start-up. Every worker is
-    forked on entry, before the caller starts a thread: ``fork`` copies
-    only the calling thread, so a lock another thread held would stay
-    held in the child. ``initializer`` runs once in each
-    worker. The workers are joined on exit, so the process's resource
-    usage counts theirs. Where ``fork`` is unavailable, cells are scored
-    in the calling process. Not reentrant.
+    ``fork``, not ``spawn``: a worker starts with the context already
+    built, which it receives through the initializer's arguments and so
+    never pickles, and it inherits the caller's one-thread BLAS. A fork
+    pool forks every worker on the first submit, before it starts its
+    manager thread, and this starts no thread itself, so no worker
+    inherits a lock another thread held. A dead worker breaks the pool:
+    every cell it left unscored fails. The workers are joined before this
+    returns, so the process's resource usage counts theirs. Where
+    ``fork`` is unavailable, cells are scored in the calling process.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, wait
+    from concurrent.futures import ProcessPoolExecutor
 
-    global _pool, _pool_ctx
+    # unfrozen cells take about 1.5x as long as frozen ones: start them first
+    cells = sorted(cells, key=lambda c: c.frozen)
     if "fork" not in multiprocessing.get_all_start_methods():
-        yield
-        return
-    _pool_ctx = ctx
-    try:
-        with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork"),
-                                 initializer=initializer) as pool:
-            # a fork pool forks all its workers on the first submit; a
-            # broken pool fails each cell later, so the result is not read
-            wait([pool.submit(int)])
-            _pool = pool
-            yield
-    finally:
-        _pool = _pool_ctx = None
+        return [run_cell(cell, ctx) for cell in cells]
+    with ProcessPoolExecutor(min(workers, len(cells)),
+                             mp_context=multiprocessing.get_context("fork"),
+                             initializer=_init_worker, initargs=(ctx,)) as pool:
+        futures = [pool.submit(_run_worker_cell, cell) for cell in cells]
+    return [future.result() if future.exception() is None
+            else _failed(cell, future.exception()) for cell, future in zip(cells, futures)]
 
 
 def _discover_missing_splits(args) -> None:

@@ -213,13 +213,33 @@ def format_table(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
+RECORD_KEYS = ("task", "representation", "window", "frozen", "accuracy", "error",
+               "total_bits", "uniform_bits")
+
+
 def read_records(input_dir) -> list[dict]:
-    """The cell records of every ``cells.json`` under ``input_dir``."""
+    """The cell records of every ``cells.json`` under ``input_dir``. A file
+    that is not JSON, holds no ``cells`` list, or holds a record without one
+    of ``RECORD_KEYS`` (those ``format_table`` reads) raises a ValueError
+    that names it."""
     paths = sorted(Path(input_dir).rglob("cells.json"))
     if not paths:
         raise ValueError(f"no cells.json found under {input_dir}")
-    return [rec for path in paths
-            for rec in json.loads(path.read_text(encoding="utf-8"))["cells"]]
+    records = []
+    for path in paths:
+        try:
+            payload = json.loads(path.read_text(encoding="utf-8"))
+        except ValueError as exc:
+            raise ValueError(f"{path}: not valid JSON: {exc}") from None
+        cells = payload.get("cells") if isinstance(payload, dict) else None
+        if not isinstance(cells, list):
+            raise ValueError(f'{path}: expected an object with a "cells" list')
+        for i, rec in enumerate(cells):
+            missing = [key for key in RECORD_KEYS if not isinstance(rec, dict) or key not in rec]
+            if missing:
+                raise ValueError(f"{path}: cell {i} has no {missing[0]!r}")
+        records.extend(cells)
+    return records
 
 
 def format_report(report: CodelengthReport) -> str:

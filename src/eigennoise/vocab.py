@@ -30,16 +30,19 @@ class Vocabulary:
     _rank_by_token: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        ranks = [rank for _, _, rank in self.entries]
-        if ranks != list(range(1, len(ranks) + 1)):
-            raise ValueError("vocabulary ranks must be exactly 1..N in order")
-        counts = [count for _, count, _ in self.entries]
-        if any(c <= 0 for c in counts):
-            raise ValueError("vocabulary counts must be positive")
-        if any(counts[i] < counts[i + 1] for i in range(len(counts) - 1)):
-            raise ValueError("vocabulary counts must be non-increasing with rank")
+        """Check the entries; each failure names the first offending one."""
         rank_by_token: dict[str, int] = {}
-        for tok, _, rank in self.entries:
+        for i, (tok, count, rank) in enumerate(self.entries):
+            if rank != i + 1:
+                raise ValueError(f"vocabulary ranks must be exactly 1..N in order: "
+                                 f"token {tok!r} has rank {rank} where {i + 1} belongs")
+            if count <= 0:
+                raise ValueError(f"vocabulary counts must be positive: "
+                                 f"token {tok!r} at rank {rank} has count {count}")
+            if i and count > self.entries[i - 1][1]:
+                raise ValueError(f"vocabulary counts must be non-increasing with rank: "
+                                 f"token {tok!r} at rank {rank} has count {count}, "
+                                 f"above {self.entries[i - 1][1]} at rank {rank - 1}")
             first = rank_by_token.setdefault(tok, rank)
             if first != rank:
                 raise ValueError(f"token {tok!r} is listed at ranks {first} and {rank}")
@@ -137,7 +140,10 @@ def read_vocab(path: str | Path, case_folded: bool = False) -> Vocabulary:
                                  f"got {parts[1]!r} and {parts[2]!r}") from None
     if not entries:
         raise ValueError(f"{path}: empty vocabulary file")
-    return Vocabulary(entries=tuple(entries), case_folded=case_folded)
+    try:
+        return Vocabulary(entries=tuple(entries), case_folded=case_folded)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def token_stream(path: str | Path) -> Iterable[str]:

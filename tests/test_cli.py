@@ -4,7 +4,6 @@ import multiprocessing
 import os
 import subprocess
 import sys
-from contextlib import contextmanager
 from pathlib import Path
 
 import pytest
@@ -111,7 +110,25 @@ def test_embed_random_rejects_vocab_listing_a_token_twice(tmp_path, capsys):
               "--output", str(out))
     assert rc == cli.EXIT_DATA
     assert capsys.readouterr().err == (
-        "data error: token 'the' is listed at ranks 1 and 3\n")
+        f"data error: {vocab_path}: token 'the' is listed at ranks 1 and 3\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("lines, entry", [
+    (("the\t3\t1", "cat\t2\t3"), "ranks must be exactly 1..N in order: "
+     "token 'cat' has rank 3 where 2 belongs"),
+    (("the\t3\t1", "cat\t5\t2"), "counts must be non-increasing with rank: "
+     "token 'cat' at rank 2 has count 5, above 3 at rank 1"),
+    (("the\t0\t1",), "counts must be positive: token 'the' at rank 1 has count 0"),
+], ids=["rank-gap", "count-rises", "count-zero"])
+def test_embed_random_names_the_faulty_vocab_entry(tmp_path, capsys, lines, entry):
+    vocab_path = tmp_path / "vocab.tsv"
+    vocab_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out = tmp_path / "x.txt"
+    rc = _run("embed", "random", "--vocab", str(vocab_path), "--d", "1",
+              "--output", str(out))
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {vocab_path}: vocabulary {entry}\n"
     assert not out.exists()
 
 
@@ -323,51 +340,87 @@ def test_probe_run_survives_a_dead_worker(tmp_path):
     assert len(list((tmp_path / "run" / "cells").glob("*.error.txt"))) == 4
 
 
+def _record_scoring_pids(monkeypatch, path):
+    """Make every codelength call append its process id to ``path``, in
+    whichever process it runs (forked workers inherit the patch); returns
+    a reader of the ids written so far."""
+    codelength = mdl.online_codelength
+
+    def record(*args, **kwargs):
+        with open(path, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return codelength(*args, **kwargs)
+
+    monkeypatch.setattr(mdl, "online_codelength", record)
+    return lambda: [int(pid) for pid in path.read_text(encoding="utf-8").split()]
+
+
+@needs_fork
 def test_probe_run_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
     requested = []
+    process_pool = concurrent.futures.ProcessPoolExecutor
 
-    @contextmanager
-    def record(ctx, workers, initializer):
-        requested.append(workers)
-        yield  # no pool: cells are scored in-process
+    def record(max_workers, **kwargs):
+        requested.append(max_workers)
+        return process_pool(max_workers, **kwargs)
 
-    monkeypatch.setattr(matrix, "forked_workers", record)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
     assert cli.main(_tiny_synthetic_args(tmp_path / "run", extra=("--workers", "8"))) == 0
     assert requested == [4]
 
 
 @needs_fork
-def test_probe_run_forks_workers_before_threads_and_joins_them(tmp_path, monkeypatch):
-    forked = []
-    thread_pool = concurrent.futures.ThreadPoolExecutor
-
-    def record(*args, **kwargs):
-        forked.append(len(multiprocessing.active_children()))
-        return thread_pool(*args, **kwargs)
-
-    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", record)
+def test_probe_run_scores_every_cell_in_a_joined_worker(tmp_path, monkeypatch):
+    pids = _record_scoring_pids(monkeypatch, tmp_path / "pids.txt")
     assert cli.main(_tiny_synthetic_args(tmp_path / "run", extra=("--workers", "2"))) == 0
-    assert forked == [2]
+    scored = pids()
+    assert len(scored) == 4 and os.getpid() not in scored
+    assert len(set(scored)) <= 2
     assert multiprocessing.active_children() == []
 
 
 @needs_fork
 def test_probe_run_without_fork_scores_in_process(tmp_path, monkeypatch):
     forked, in_process = tmp_path / "forked", tmp_path / "in_process"
-    pooled = []
-    run_cell = cli.run_cell
-
-    def record(cell, ctx):
-        pooled.append(matrix._pool is not None)
-        return run_cell(cell, ctx)
-
-    monkeypatch.setattr(cli, "run_cell", record)
+    pids = _record_scoring_pids(monkeypatch, tmp_path / "pids.txt")
     assert cli.main(_tiny_synthetic_args(forked)) == 0
-    assert pooled == [True] * 4
+    assert len(pids()) == 4 and os.getpid() not in pids()
     monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
     assert cli.main(_tiny_synthetic_args(in_process)) == 0
-    assert pooled[4:] == [False] * 4
+    assert pids()[4:] == [os.getpid()] * 4
     assert (forked / "cells.json").read_bytes() == (in_process / "cells.json").read_bytes()
+
+
+@needs_fork
+@needs_openblas
+@pytest.mark.parametrize("ambient", [None, "2"])
+def test_probe_run_workers_run_on_one_blas_thread(tmp_path, ambient):
+    # a forked worker inherits the CLI's one-thread OpenBLAS count, also
+    # when the user set OPENBLAS_NUM_THREADS
+    counts = tmp_path / "threads.txt"
+    script = (
+        "import os, sys\n"
+        "from eigennoise import cli\n"
+        "cli._load_numpy()\n"  # numpy loads as in the CLI, before mdl needs it
+        "from eigennoise import mdl\n"
+        "print(os.getpid())\n"
+        "codelength = mdl.online_codelength\n"
+        "def record(*args, **kwargs):\n"
+        "    threads = cli._bundled_openblas().scipy_openblas_get_num_threads64_()\n"
+        f"    with open({str(counts)!r}, 'a', encoding='utf-8') as fh:\n"
+        "        fh.write(f'{os.getpid()} {threads}\\n')\n"
+        "    return codelength(*args, **kwargs)\n"
+        "mdl.online_codelength = record\n"
+        f"sys.exit(cli.main({_tiny_synthetic_args(tmp_path / 'run', extra=('--workers', '2'))!r}))\n"
+    )
+    env = _cli_env() if ambient is None else _cli_env(OPENBLAS_NUM_THREADS=ambient)
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    parent = proc.stdout.split()[0]
+    seen = [line.split() for line in counts.read_text(encoding="utf-8").splitlines()]
+    assert len(seen) == 4
+    assert all(pid != parent and threads == "1" for pid, threads in seen)
 
 
 def test_report_aggregate_merges_runs(tmp_path, capsys):
@@ -386,21 +439,6 @@ def test_report_aggregate_merges_runs(tmp_path, capsys):
     assert out_file.read_text() == table
 
 
-def test_probe_run_calls_cells_through_cli_run_cell(tmp_path, monkeypatch):
-    # cli.run_cell is the hook a wrapper (a tracer, say) replaces by attribute
-    seen = []
-    run_cell = cli.run_cell
-
-    def record(cell, ctx):
-        seen.append(cell.name)
-        return run_cell(cell, ctx)
-
-    monkeypatch.setattr(cli, "run_cell", record)
-    assert cli.main(_tiny_synthetic_args(tmp_path / "run")) == 0
-    assert sorted(seen) == ["eigennoise_seq_frozen_s0", "eigennoise_seq_unfrozen_s0",
-                            "random_seq_frozen_s0", "random_seq_unfrozen_s0"]
-
-
 def test_matrix_runs_from_parsed_arguments(tmp_path):
     assert cli.main(_tiny_synthetic_args(tmp_path / "cli")) == 0
     args = cli.build_parser().parse_args(_tiny_synthetic_args(tmp_path / "direct"))
@@ -415,6 +453,21 @@ def test_matrix_runs_from_parsed_arguments(tmp_path):
 
 def test_report_aggregate_empty_dir(tmp_path):
     assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_DATA
+
+
+@pytest.mark.parametrize("text, cause", [
+    ("{not json", "not valid JSON: "),
+    ('{"spec": {}}', 'expected an object with a "cells" list'),
+    ('{"cells": [{"task": "t", "representation": "random", "window": null, '
+     '"frozen": true, "accuracy": null, "error": null, "uniform_bits": 2.0}]}',
+     "cell 0 has no 'total_bits'"),
+], ids=["invalid-json", "no-cells-list", "record-missing-key"])
+def test_report_aggregate_names_a_malformed_cells_json(tmp_path, capsys, text, cause):
+    path = tmp_path / "run" / "cells.json"
+    path.parent.mkdir()
+    path.write_text(text, encoding="utf-8")
+    assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(f"data error: {path}: {cause}")
 
 
 def test_missing_train_file_is_data_error(tmp_path):

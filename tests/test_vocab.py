@@ -140,4 +140,4 @@ def test_token_listed_twice_names_both_ranks(tmp_path):
     path.write_text("the\t3\t1\ncat\t2\t2\nthe\t1\t3\n", encoding="utf-8")
     with pytest.raises(ValueError) as exc:
         read_vocab(path)
-    assert str(exc.value) == "token 'the' is listed at ranks 1 and 3"
+    assert str(exc.value) == f"{path}: token 'the' is listed at ranks 1 and 3"
