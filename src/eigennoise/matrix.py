@@ -14,6 +14,12 @@ only the ``CellSpec`` and the ``CellResult`` are pickled; each cell then
 runs on its own interpreter. Where ``fork`` is unavailable the cells are
 scored in the calling process; either way ``run_cell`` scores the cell.
 
+Every fit trains in single precision, ``PROBE_DTYPE``: ``_probe_table``
+casts each cell's starting table once (the shared eigennoise and imported
+tables when the context is built, a random table when a cell draws it),
+and the probe computes in its table's dtype. The logits and everything
+after them, codelength bits included, stay float64 (see ``probe``).
+
 Layer functions are called through their modules (``mdl.online_codelength``,
 ``probe_mod.train_probe``), so replacing a module attribute reaches every
 cell.
@@ -30,6 +36,9 @@ from pathlib import Path
 from . import datasets, eigen, embeddings, mdl
 from . import probe as probe_mod
 from . import vocab as vocab_mod
+
+# the dtype every fit trains in; tables written by ``embed`` stay float64
+PROBE_DTYPE = "float32"
 
 # options copied as parsed into the spec line of cells.json and report.txt
 SPEC_OPTIONS = ("representations", "frozen", "seeds", "d", "m", "mode", "vocab_cap",
@@ -91,15 +100,19 @@ class MatrixContext:
     test_data: dict
     schedule: mdl.BlockSchedule
     config_base: probe_mod.TrainConfig
-    tables: dict  # representation -> EmbeddingTable; random is drawn per seed
+    tables: dict  # representation -> PROBE_DTYPE EmbeddingTable; random is drawn per seed
     d: int
 
 
+def _probe_table(table: embeddings.EmbeddingTable) -> embeddings.EmbeddingTable:
+    return replace(table, rows=table.rows.astype(PROBE_DTYPE))
+
+
 def _cell_table(cell: CellSpec, ctx: MatrixContext) -> embeddings.EmbeddingTable:
-    """The cell's starting table. Shared tables are returned as they are:
-    every fit trains its own copy."""
+    """The cell's starting table, in ``PROBE_DTYPE``. Shared tables are
+    returned as they are: every fit trains its own copy."""
     if cell.representation == "random":
-        return embeddings.random_table(ctx.vocab.size, ctx.d, cell.seed)
+        return _probe_table(embeddings.random_table(ctx.vocab.size, ctx.d, cell.seed))
     return ctx.tables[cell.representation]
 
 
@@ -236,10 +249,11 @@ def build_context(args) -> MatrixContext:
             fact = eigen.eigennoise_analytic(
                 voc.size, args.d, m=args.m, mode=args.mode,
                 completion_seed=args.completion_seed)
-            tables[rep] = eigen.to_embedding(fact)
+            tables[rep] = _probe_table(eigen.to_embedding(fact))
         elif rep.startswith("import:"):
-            tables[rep], _ = embeddings.import_text(rep.split(":", 1)[1], voc,
-                                                    expected_d=args.d)
+            table, _ = embeddings.import_text(rep.split(":", 1)[1], voc,
+                                              expected_d=args.d)
+            tables[rep] = _probe_table(table)
 
     n_train = len(next(iter(data["train"].values())))
     config = probe_mod.TrainConfig(

@@ -213,15 +213,37 @@ def format_table(records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-RECORD_KEYS = ("task", "representation", "window", "frozen", "accuracy", "error",
-               "total_bits", "uniform_bits")
+_NONE = type(None)
+
+#: the keys ``format_table`` reads, each with the types its value may take
+RECORD_KEYS = {
+    "task": (str,),
+    "representation": (str,),
+    "window": (int, _NONE),
+    "frozen": (bool,),
+    "accuracy": (int, float, _NONE),
+    "error": (str, _NONE),
+    "total_bits": (int, float, _NONE),
+    "uniform_bits": (int, float, _NONE),
+}
+
+
+def _type_fault(rec: dict) -> str | None:
+    """Why a value of ``rec`` has a type ``format_table`` cannot read, or None."""
+    for key, types in RECORD_KEYS.items():
+        value = rec[key]
+        # bool is an int subclass, but only "frozen" may hold one
+        if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
+            expected = " or ".join("null" if t is _NONE else t.__name__ for t in types)
+            return f"{key!r} is {json.dumps(value)}, expected {expected}"
+    return None
 
 
 def read_records(input_dir) -> list[dict]:
     """The cell records of every ``cells.json`` under ``input_dir``. A file
     that is not JSON, holds no ``cells`` list, or holds a record without one
-    of ``RECORD_KEYS`` (those ``format_table`` reads) raises a ValueError
-    that names it."""
+    of ``RECORD_KEYS`` (those ``format_table`` reads) or with a value of
+    another type raises a ValueError that names it."""
     paths = sorted(Path(input_dir).rglob("cells.json"))
     if not paths:
         raise ValueError(f"no cells.json found under {input_dir}")
@@ -238,6 +260,9 @@ def read_records(input_dir) -> list[dict]:
             missing = [key for key in RECORD_KEYS if not isinstance(rec, dict) or key not in rec]
             if missing:
                 raise ValueError(f"{path}: cell {i} has no {missing[0]!r}")
+            fault = _type_fault(rec)
+            if fault is not None:
+                raise ValueError(f"{path}: cell {i}: {fault}")
         records.extend(cells)
     return records
 

@@ -4,9 +4,18 @@ learning-rate annealing.
 The probe is softmax(W2 relu(W1 h)) with a single hidden layer and no
 dropout. Inputs h come from one of three featurizations: a flattened
 token window (token tasks), the mean over a token sequence (sequence
-tasks), or precomputed vectors (synthetic tasks). When the attached
-embedding table is trainable, gradients flow into the referenced rows;
-the PAD row never receives gradient.
+tasks), or precomputed vectors. When the attached embedding table is
+trainable, gradients flow into the referenced rows; the PAD row never
+receives gradient.
+
+Precision: the probe computes in the dtype of its table (float64 when it
+has none). Features, weights, hidden activations, every gradient and the
+Adam moments keep that dtype, so a single-precision table trains a
+single-precision probe. From the logits on everything is float64:
+``_layers`` upcasts the (B, K) logits, so the softmax, the training and
+dev losses that drive annealing, log-probabilities and ``predict_proba``
+are float64, and backprop casts the logit gradient back to the hidden
+layer's dtype.
 """
 
 from __future__ import annotations
@@ -136,11 +145,6 @@ def sequence_data(ds: SequenceDataset, vocab: Vocabulary) -> ProbeData:
                              ds.num_classes, vocab.size)
 
 
-def synthetic_feature_data(ds: SyntheticDataset) -> ProbeData:
-    return ProbeData(labels=ds.labels.astype(int), num_classes=ds.num_classes,
-                     pooling="direct", features=ds.features)
-
-
 def synthetic_token_data(ds: SyntheticDataset, vocab: Vocabulary) -> ProbeData:
     rows_per_text = [_ranks_to_rows(toks, vocab) for toks in ds.tokens]
     return _padded_mean_data(rows_per_text, ds.labels.astype(int),
@@ -172,13 +176,15 @@ class ProbeModel:
 def init_probe(input_dim: int, num_classes: int, hidden: int = 512,
                seed: int = 0, table: EmbeddingTable | None = None,
                pooling: str = "direct") -> ProbeModel:
-    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight init."""
+    """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight init, drawn
+    in float64 and cast to the table's dtype."""
     rng = np.random.Generator(np.random.Philox(key=seed))
+    dtype = float if table is None else table.rows.dtype
     b1 = 1.0 / np.sqrt(input_dim)
     b2 = 1.0 / np.sqrt(hidden)
     return ProbeModel(
-        w1=rng.uniform(-b1, b1, (hidden, input_dim)),
-        w2=rng.uniform(-b2, b2, (num_classes, hidden)),
+        w1=rng.uniform(-b1, b1, (hidden, input_dim)).astype(dtype, copy=False),
+        w2=rng.uniform(-b2, b2, (num_classes, hidden)).astype(dtype, copy=False),
         table=table,
         pooling=pooling,
     )
@@ -186,7 +192,8 @@ def init_probe(input_dim: int, num_classes: int, hidden: int = 512,
 
 def gather_features(data: ProbeData, table: EmbeddingTable | None,
                     sel=slice(None)) -> np.ndarray:
-    """Materialize the (B, input_dim) feature block for selected examples."""
+    """Materialize the (B, input_dim) feature block for selected examples.
+    Index pooling keeps the table's dtype."""
     if data.pooling == "direct":
         return data.features[sel]
     if table is None:
@@ -195,15 +202,15 @@ def gather_features(data: ProbeData, table: EmbeddingTable | None,
     gathered = table.rows[idx]  # (B, w, d)
     if data.pooling == "concat":
         return gathered.reshape(len(idx), -1)
-    return gathered.sum(axis=1) / data.lengths[sel][:, None]
+    return gathered.sum(axis=1) / data.lengths[sel][:, None].astype(gathered.dtype)
 
 
 def _layers(model: ProbeModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-activation W1 h, hidden relu(W1 h), and the logits W2 hidden
-    shifted by their row maximum."""
+    """Pre-activation W1 h, hidden relu(W1 h), and the float64 logits
+    W2 hidden shifted by their row maximum."""
     pre = h @ model.w1.T
     hidden = np.maximum(pre, 0.0)
-    logits = hidden @ model.w2.T
+    logits = (hidden @ model.w2.T).astype(float, copy=False)
     return pre, hidden, logits - logits.max(axis=1, keepdims=True)
 
 
@@ -231,8 +238,10 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     Returns gradients for w1 and w2, plus a dense "table" gradient when
     the attached table is trainable and ``indices`` locate the rows each
     feature segment came from. The PAD row's gradient is forced to zero.
+    Gradients have the dtype of the hidden layer; the loss is computed in
+    float64.
     """
-    h = np.asarray(h, dtype=float)
+    h = np.asarray(h)
     if not np.isfinite(h).all():
         raise ValueError("probe input must be finite")
     labels = np.asarray(labels, dtype=int)
@@ -246,6 +255,7 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     dlogits = probs.copy()
     dlogits[np.arange(batch), labels] -= 1.0
     dlogits /= batch
+    dlogits = dlogits.astype(hidden.dtype, copy=False)
     grads = {
         "w2": dlogits.T @ hidden,
     }
@@ -258,14 +268,16 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
         if model.pooling == "concat":
             seg = dh.reshape(-1, d)
         elif model.pooling == "mean":
-            seg = np.repeat(dh / lengths[:, None], indices.shape[1], axis=0)
+            seg = np.repeat(dh / lengths[:, None].astype(dh.dtype), indices.shape[1],
+                            axis=0)
         else:
             raise ValueError("direct pooling has no table rows to differentiate")
         # One flat bincount over (row, column) cells adds each cell's terms
         # in batch order, as np.add.at does, so the sums are bit-identical.
+        # bincount sums in float64 whatever the weights' dtype.
         cells = (indices.reshape(-1, 1) * d + np.arange(d)).ravel()
-        gtable = np.bincount(cells, weights=seg.ravel(),
-                             minlength=table.rows.size).reshape(table.rows.shape)
+        gtable = np.bincount(cells, weights=seg.ravel(), minlength=table.rows.size)
+        gtable = gtable.astype(table.rows.dtype, copy=False).reshape(table.rows.shape)
         gtable[table.pad_row] = 0.0
         grads["table"] = gtable
     return loss, grads
@@ -284,7 +296,8 @@ class AdamState:
 def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray], lr: float) -> None:
     """One in-place Adam update with bias correction (beta1=0.9,
-    beta2=0.999, eps=1e-8). Parameter names are visited in sorted order."""
+    beta2=0.999, eps=1e-8). Parameter names are visited in sorted order;
+    the moments take each gradient's dtype."""
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t

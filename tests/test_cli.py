@@ -263,6 +263,39 @@ def test_probe_run_conll_token_task(tmp_path):
     assert all(c["accuracy"] is not None for c in payload["cells"])
 
 
+def test_probe_run_conll_cells_json_reproducible(tmp_path):
+    def run(out_dir):
+        assert _run("probe", "run", "--task", "conll",
+                    "--train", str(FIXTURES / "tiny.conll.train"),
+                    "--test", str(FIXTURES / "tiny.conll.test"),
+                    "--label-column", "3", "--windows", "0,2",
+                    "--representations", f"eigennoise,random,import:{FIXTURES / 'tiny.glove.txt'}",
+                    "--seeds", "0", "--d", "4", "--hidden", "8", "--max-epochs", "4",
+                    "--fractions", "25,50,100", "--output-dir", str(out_dir)) == 0
+        return (out_dir / "cells.json").read_bytes()
+
+    first = run(tmp_path / "a")
+    assert first == run(tmp_path / "b")
+    cells = json.loads(first)["cells"]
+    assert len(cells) == 12 and all(c["error"] is None for c in cells)
+
+
+def test_probe_run_leaves_the_shared_tables_unmodified(tmp_path):
+    args = cli.build_parser().parse_args(_tiny_synthetic_args(tmp_path / "run"))
+    with cli._one_blas_thread():
+        ctx = matrix.build_context(args)
+        before = {rep: table.rows.copy() for rep, table in ctx.tables.items()}
+        results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(args)]
+    assert {res.cell.frozen for res in results if res.error is None} == {True, False}
+    assert set(before) == {"eigennoise"}
+    # every cell starts from a PROBE_DTYPE table, the random one drawn per cell too
+    assert {matrix._cell_table(res.cell, ctx).rows.dtype for res in results} == {
+        ctx.tables["eigennoise"].rows.dtype}
+    for rep, rows in before.items():
+        assert ctx.tables[rep].rows.dtype == matrix.PROBE_DTYPE
+        assert ctx.tables[rep].rows.tobytes() == rows.tobytes()
+
+
 def test_probe_run_discovers_sibling_splits(tmp_path):
     out_dir = tmp_path / "run"
     rc = _run("probe", "run", "--task", "conll",
@@ -455,13 +488,27 @@ def test_report_aggregate_empty_dir(tmp_path):
     assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_DATA
 
 
+_RECORD = {"task": "t", "representation": "random", "window": 0, "frozen": True,
+           "seed": 0, "accuracy": 0.5, "error": None, "total_bits": 12.0,
+           "uniform_bits": 20.0}
+_WRONG_TYPES = [("task", 3, "str"), ("representation", None, "str"),
+                ("window", "2", "int or null"), ("window", True, "int or null"),
+                ("frozen", 1, "bool"), ("accuracy", "0.5", "int or float or null"),
+                ("error", 0, "str or null"), ("total_bits", "12", "int or float or null"),
+                ("uniform_bits", False, "int or float or null")]
+
+
 @pytest.mark.parametrize("text, cause", [
     ("{not json", "not valid JSON: "),
     ('{"spec": {}}', 'expected an object with a "cells" list'),
     ('{"cells": [{"task": "t", "representation": "random", "window": null, '
      '"frozen": true, "accuracy": null, "error": null, "uniform_bits": 2.0}]}',
      "cell 0 has no 'total_bits'"),
-], ids=["invalid-json", "no-cells-list", "record-missing-key"])
+    *[(json.dumps({"cells": [_RECORD, {**_RECORD, key: value}]}),
+       f"cell 1: {key!r} is {json.dumps(value)}, expected {expected}\n")
+      for key, value, expected in _WRONG_TYPES],
+], ids=["invalid-json", "no-cells-list", "record-missing-key",
+        *[f"{key}-{type(value).__name__}" for key, value, _ in _WRONG_TYPES]])
 def test_report_aggregate_names_a_malformed_cells_json(tmp_path, capsys, text, cause):
     path = tmp_path / "run" / "cells.json"
     path.parent.mkdir()

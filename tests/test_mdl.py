@@ -1,9 +1,11 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from eigennoise.datasets import synth_task
+from eigennoise.embeddings import random_table
 from eigennoise.mdl import (
     PROB_CLAMP,
     BlockSchedule,
@@ -17,7 +19,6 @@ from eigennoise.probe import (
     ProbeData,
     TrainConfig,
     predict_proba,
-    synthetic_feature_data,
     train_probe,
 )
 
@@ -153,9 +154,10 @@ def test_blocks_partition_the_stream():
 
 
 def test_monotone_data_benefit_on_separable_task():
-    train = synthetic_feature_data(synth_task("separable", 300, 4, k=2, seed=0))
-    dev = synthetic_feature_data(
-        synth_task("separable", 60, 4, k=2, seed=0, split="dev"))
+    train_ds = synth_task("separable", 300, 4, k=2, seed=0)
+    dev_ds = synth_task("separable", 60, 4, k=2, seed=0, split="dev")
+    train, dev = (ProbeData(labels=ds.labels.astype(int), num_classes=2,
+                            features=ds.features) for ds in (train_ds, dev_ds))
     schedule = make_schedule(300)
 
     def fit_predict(prefix, stage_dev, config):
@@ -207,3 +209,29 @@ def test_report_totals_are_block_sums():
                                TrainConfig(seed=2))
     assert report.total_bits == pytest.approx(sum(report.block_bits), abs=1e-9)
     assert all(b >= 0 for b in report.block_bits)
+
+
+def test_float32_probe_codelength_matches_float64():
+    """The single-precision probe moves a seeded token-task codelength by
+    less than 1e-6 relative, frozen and unfrozen."""
+    table = random_table(40, 6, seed=1)
+    rng = np.random.Generator(np.random.Philox(key=3))
+    indices = rng.integers(0, table.n, size=(400, 3))
+    # the label is read off the middle row's vector, so the table predicts it
+    labels = table.rows[indices[:, 1], :3].argmax(axis=1)
+    data = ProbeData(labels=labels, num_classes=3, pooling="concat", indices=indices)
+    config = TrainConfig(seed=0, batch_size=32, max_epochs=20, hidden=32)
+    for frozen in (True, False):
+        bits = {}
+        for dtype in (np.float64, np.float32):
+            base = replace(table, rows=table.rows.astype(dtype))
+
+            def fit_predict(prefix, stage_dev, cfg):
+                model, _ = train_probe(prefix, stage_dev, cfg,
+                                       table=base.copy(trainable=not frozen))
+                return lambda batch: predict_proba(model, batch)
+
+            bits[dtype] = online_codelength(data, make_schedule(len(data)), fit_predict,
+                                            config).total_bits
+        assert bits[np.float64] < len(data) * math.log2(3)  # the probe learns
+        assert bits[np.float32] == pytest.approx(bits[np.float64], rel=1e-6, abs=0)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigennoise.datasets import SequenceDataset, TokenDataset, synth_task
+from eigennoise import probe
 from eigennoise.embeddings import random_table
 from eigennoise.probe import (
     AdamState,
@@ -20,11 +22,16 @@ from eigennoise.probe import (
     init_probe,
     predict_proba,
     sequence_data,
-    synthetic_feature_data,
     token_window_data,
     train_probe,
 )
 from eigennoise.vocab import build_vocab
+
+
+def _direct(ds):
+    """Direct-pooling probe data over a synthetic task's feature vectors."""
+    return ProbeData(labels=ds.labels.astype(int), num_classes=ds.num_classes,
+                     features=ds.features)
 
 
 def _fd_grad(loss_fn, arr, eps=1e-5):
@@ -130,6 +137,7 @@ def test_backward_matches_finite_differences_on_weights():
     h = rng.standard_normal((4, 6))
     labels = np.array([0, 2, 1, 0])
     _, grads = backward(model, h, labels)
+    assert grads["w1"].dtype == grads["w2"].dtype == np.float64  # no table: float64
 
     def loss_fn():
         return float(-np.log(forward(model, h)[np.arange(4), labels]).mean())
@@ -295,7 +303,7 @@ def test_train_probe_constant_dev_loss_annealing_schedule():
 
 def test_train_probe_stops_at_max_epochs():
     ds = synth_task("separable", 60, 4, k=2, seed=0)
-    data = synthetic_feature_data(ds)
+    data = _direct(ds)
     config = TrainConfig(lr=0.001, seed=0, batch_size=16, max_epochs=3, hidden=8)
     _, trace = train_probe(data, data, config)
     assert len(trace) <= 3
@@ -303,7 +311,7 @@ def test_train_probe_stops_at_max_epochs():
 
 def test_train_probe_deterministic():
     ds = synth_task("separable", 80, 4, k=2, seed=1)
-    data = synthetic_feature_data(ds)
+    data = _direct(ds)
     config = TrainConfig(seed=42, batch_size=16, max_epochs=5, hidden=8)
     m1, t1 = train_probe(data, data, config)
     m2, t2 = train_probe(data, data, config)
@@ -312,8 +320,8 @@ def test_train_probe_deterministic():
 
 
 def test_train_probe_learns_separable_task():
-    train = synthetic_feature_data(synth_task("separable", 200, 4, k=2, seed=0))
-    dev = synthetic_feature_data(synth_task("separable", 60, 4, k=2, seed=0,
+    train = _direct(synth_task("separable", 200, 4, k=2, seed=0))
+    dev = _direct(synth_task("separable", 60, 4, k=2, seed=0,
                                             split="dev"))
     config = TrainConfig(seed=0, batch_size=32, max_epochs=30, hidden=32)
     model, _ = train_probe(train, dev, config)
@@ -350,7 +358,7 @@ def test_train_probe_unfrozen_updates_rows_but_not_pad():
 
 def test_loss_at_zero_weights_is_log_k():
     ds = synth_task("separable", 40, 4, k=2, seed=3)
-    data = synthetic_feature_data(ds)
+    data = _direct(ds)
     model = init_probe(4, 2, hidden=8, seed=0)
     model.w1[:] = 0.0
     model.w2[:] = 0.0
@@ -371,4 +379,69 @@ def test_train_probe_rejects_empty():
     empty = data.subset(np.array([], dtype=int))
     with pytest.raises(ValueError):
         train_probe(empty, data, TrainConfig())
+
+
+
+# --- precision ----------------------------------------------------------------
+
+
+def _windows(table, pooling, n=60, seed=9):
+    """Token windows over ``table`` with PAD in every example; labels follow
+    the first row."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    indices = np.column_stack([rng.integers(0, table.n, n), rng.integers(0, table.n, n),
+                               np.full(n, table.pad_row)])
+    return ProbeData(labels=indices[:, 0] % 2, num_classes=2, pooling=pooling,
+                     indices=indices, lengths=np.full(n, 2) if pooling == "mean" else None)
+
+
+@pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "unfrozen"])
+@pytest.mark.parametrize("pooling", ["concat", "mean"])
+def test_train_probe_on_a_float32_table_stays_float32(monkeypatch, pooling, frozen):
+    table = random_table(10, 4, seed=0)
+    table = replace(table, rows=table.rows.astype(np.float32), trainable=not frozen)
+    data = _windows(table, pooling)
+    before = table.rows.copy()
+    steps = []
+    adam = probe.adam_step
+
+    def spy(state, params, grads, lr):
+        adam(state, params, grads, lr)
+        steps.append({name: (grads[name].dtype, state.m[name].dtype, state.v[name].dtype)
+                      for name in grads})
+
+    monkeypatch.setattr(probe, "adam_step", spy)
+    config = TrainConfig(seed=0, batch_size=16, max_epochs=3, hidden=8)
+    model, trace = train_probe(data, data, config, table=table)
+    names = {"w1", "w2"} if frozen else {"w1", "w2", "table"}
+    assert steps and all(set(step) == names for step in steps)
+    assert {dt for step in steps for dts in step.values() for dt in dts} == {np.dtype(np.float32)}
+    assert model.w1.dtype == model.w2.dtype == table.rows.dtype == np.float32
+    assert gather_features(data, table).dtype == np.float32
+    # from the logits on, float64
+    assert probe._layers(model, gather_features(data, table))[2].dtype == np.float64
+    assert predict_proba(model, data).dtype == np.float64
+    assert all(isinstance(t.dev_loss, float) for t in trace)
+    if frozen:
+        np.testing.assert_array_equal(table.rows, before)
+    else:
+        assert np.abs(table.rows[:10] - before[:10]).max() > 0
+        assert np.array_equal(table.rows[table.pad_row], np.zeros(4, dtype=np.float32))
+
+
+@pytest.mark.parametrize("pooling", ["concat", "mean"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_backward_gradients_take_the_table_dtype(dtype, pooling):
+    table = random_table(6, 3, seed=3)
+    table = replace(table, rows=table.rows.astype(dtype), trainable=True)
+    data = _windows(table, pooling, n=8)
+    model = init_probe(data.input_dim(table.d), 2, hidden=5, seed=3,
+                       table=table, pooling=pooling)
+    h = gather_features(data, table)
+    loss, grads = backward(model, h, data.labels, indices=data.indices,
+                           lengths=data.lengths)
+    assert isinstance(loss, float)
+    assert model.w1.dtype == model.w2.dtype == h.dtype == dtype
+    assert {name: g.dtype for name, g in grads.items()} == {
+        "w1": dtype, "w2": dtype, "table": dtype}
 
