@@ -205,4 +205,4 @@ def to_embedding(fact: EigenFactorization) -> EmbeddingTable:
     """Embedding table from U_d; zero OOV and PAD rows appended."""
     rows = np.zeros((fact.n + 2, fact.d))
     rows[: fact.n] = fact.u
-    return EmbeddingTable(rows=rows, d=fact.d, source="eigennoise")
+    return EmbeddingTable(rows=rows, d=fact.d)

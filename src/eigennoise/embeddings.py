@@ -3,6 +3,7 @@
 A table for a vocabulary of N ranks has N+2 rows: row i-1 holds rank i's
 vector, row N is the OOV row, row N+1 is the PAD row. PAD stays exactly
 zero forever; OOV starts zero and may train in unfrozen mode.
+``token_rows`` is the one map from tokens to these rows.
 """
 
 from __future__ import annotations
@@ -15,16 +16,13 @@ import tempfile
 import threading
 from contextlib import ExitStack
 from dataclasses import dataclass, replace
-from itertools import islice
+from itertools import islice, repeat
 from pathlib import Path
-from typing import IO
+from typing import IO, Iterable
 
 import numpy as np
 
-from .vocab import OOV, Vocabulary
-
-#: Sentinel index for out-of-sentence window positions.
-PAD = -2
+from .vocab import Vocabulary
 
 OOV_TOKEN = "<oov>"
 PAD_TOKEN = "<pad>"
@@ -52,7 +50,6 @@ MIN_BLOCK_ROWS = 500
 class EmbeddingTable:
     rows: np.ndarray  # (N + 2, d)
     d: int
-    source: str  # eigennoise | random | imported
     trainable: bool = False
 
     def __post_init__(self):
@@ -74,16 +71,15 @@ class EmbeddingTable:
         return replace(self, rows=self.rows.copy(), trainable=trainable)
 
 
-def row_index(table_n: int, rank_or_sentinel: int) -> int:
-    """Map a rank (1..N) or OOV/PAD sentinel to a 0-based row index."""
-    r = rank_or_sentinel
-    if r == OOV:
-        return table_n
-    if r == PAD:
-        return table_n + 1
-    if not 1 <= r <= table_n:
-        raise ValueError(f"rank {r} outside 1..{table_n}")
-    return r - 1
+def token_rows(vocab: Vocabulary, tokens: Iterable[str]) -> np.ndarray:
+    """The table row of each token, as an int array: rank r is row r-1,
+    and a token outside ``vocab`` is the OOV row N. Tokens are lower-cased
+    first when the vocabulary is case-folded."""
+    if vocab.case_folded:
+        tokens = map(str.lower, tokens)
+    # rank N+1 lands on row N, the OOV row
+    ranks = map(vocab.rank_by_token.get, tokens, repeat(vocab.size + 1))
+    return np.fromiter(ranks, dtype=int) - 1
 
 
 def random_table(n: int, d: int, seed: int) -> EmbeddingTable:
@@ -98,7 +94,7 @@ def random_table(n: int, d: int, seed: int) -> EmbeddingTable:
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = np.zeros((n + 2, d))
     rows[:n] = rng.standard_normal((n, d))
-    return EmbeddingTable(rows=rows, d=d, source="random")
+    return EmbeddingTable(rows=rows, d=d)
 
 
 @dataclass(frozen=True)
@@ -129,7 +125,8 @@ def import_text(
     Each line is "token v1 v2 ... vd"; trailing whitespace is ignored. A
     first line of exactly two integers is the ``.vec`` "<count> <dim>"
     header and is skipped after its dimension is checked. Every line is
-    validated, but only vocabulary tokens are kept. Vocabulary tokens
+    validated, but only vocabulary tokens are kept, matched against
+    ``vocab.rank_by_token`` as written (no case folding). Vocabulary tokens
     missing from the file keep the zero OOV-style row and are counted as
     unmatched. On duplicate tokens the first line wins.
 
@@ -148,14 +145,14 @@ def import_text(
     with open(path, encoding="utf-8") as fh:
         numbered = enumerate(fh, start=1)
         while lines := list(islice(numbered, IMPORT_CHUNK_LINES)):
-            d = _read_chunk(path, lines, d, vocab._rank_by_token, found)
+            d = _read_chunk(path, lines, d, vocab.rank_by_token, found)
     if d is None:
         raise ValueError(f"{path}: empty embedding file")
     rows = np.zeros((vocab.size + 2, d))
     for rank, vec in found.items():
         rows[rank - 1] = vec
     report = AlignmentReport(matched=len(found), unmatched=vocab.size - len(found))
-    return EmbeddingTable(rows=rows, d=d, source="imported"), report
+    return EmbeddingTable(rows=rows, d=d), report
 
 
 def _header_dim(path, line: str, d: int | None) -> int:

@@ -205,7 +205,9 @@ def _discover_missing_splits(args) -> None:
 
 def build_context(args) -> MatrixContext:
     """Read the task's splits, rank the vocabulary, featurize every split
-    and build the shared tables. A conll task needs ``args.windows``."""
+    once and build the shared tables. A conll task needs ``args.windows``;
+    each split is featurized at the widest, and every window shares its
+    labels and reads a column slice of its indices."""
     if args.task == "synthetic":
         eval_n = max(args.classes * 10, args.n // 5)
         splits = {
@@ -229,20 +231,23 @@ def build_context(args) -> MatrixContext:
                                 case_fold=datasets.resolve_case_fold(args.case_fold,
                                                                      args.task),
                                 max_size=args.vocab_cap)
+    if args.d > voc.size:
+        raise ValueError(
+            f"embedding dimension {args.d} exceeds vocabulary size {voc.size}"
+        )
 
     def featurize(ds) -> dict:
         if args.task == "conll":
-            return {w: probe_mod.token_window_data(ds, voc, w) for w in args.windows}
+            widest = max(args.windows)
+            wide = probe_mod.token_window_data(ds, voc, widest)
+            return {w: replace(wide, indices=wide.indices[:, widest - w:widest + w + 1])
+                    for w in args.windows}
         if args.task == "tsv":
             return {None: probe_mod.sequence_data(ds, voc)}
         return {None: probe_mod.synthetic_token_data(ds, voc)}
 
     data = {name: featurize(ds) for name, ds in splits.items()}
 
-    if args.d > voc.size:
-        raise ValueError(
-            f"embedding dimension {args.d} exceeds vocabulary size {voc.size}"
-        )
     tables = {}
     for rep in args.representations:
         if rep == "eigennoise":

@@ -21,13 +21,14 @@ layer's dtype.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
+from itertools import chain
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .datasets import SequenceDataset, SyntheticDataset, TokenDataset
-from .embeddings import EmbeddingTable, row_index
-from .vocab import Vocabulary, rank_of, tokenize
+from .embeddings import EmbeddingTable, token_rows
+from .vocab import Vocabulary, tokenize
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -106,58 +107,51 @@ class ProbeData:
         )
 
 
-def _ranks_to_rows(tokens: Sequence[str], vocab: Vocabulary) -> list[int]:
-    return [row_index(vocab.size, rank_of(vocab, t)) for t in tokens]
-
-
 def token_window_data(ds: TokenDataset, vocab: Vocabulary, m: int) -> ProbeData:
-    """One example per (sentence, position): a width-(2m+1) index window."""
+    """One example per (sentence, position): a width-(2m+1) index window.
+
+    The split is laid out as one row stream: m PAD rows, then each
+    sentence followed by m PAD rows. A token's window is the stream's
+    2m+1 rows centred on it, so positions outside its sentence read PAD.
+    The windows of a smaller m are the middle columns of these.
+    """
+    lengths = [len(sent) for sent in ds.sentences]
+    rows = token_rows(vocab, chain.from_iterable(ds.sentences))
+    # a token of sentence s sits m * (s + 1) rows after its place in the bare split
+    centres = np.arange(len(rows)) + m * np.repeat(np.arange(1, len(lengths) + 1), lengths)
+    stream = np.full(len(rows) + m * (len(lengths) + 1), vocab.size + 1, dtype=int)
+    stream[centres] = rows
     label_index = {lab: i for i, lab in enumerate(ds.label_set)}
-    pad_row = vocab.size + 1
-    windows = []
-    labels = []
-    for sent, labs in zip(ds.sentences, ds.labels):
-        rows = _ranks_to_rows(sent, vocab)
-        for pos, lab in enumerate(labs):
-            win = [
-                rows[p] if 0 <= p < len(rows) else pad_row
-                for p in range(pos - m, pos + m + 1)
-            ]
-            windows.append(win)
-            labels.append(label_index[lab])
+    labels = map(label_index.__getitem__, chain.from_iterable(ds.labels))
     return ProbeData(
-        labels=np.array(labels, dtype=int),
+        labels=np.fromiter(labels, dtype=int),
         num_classes=ds.num_classes,
         pooling="concat",
-        indices=np.array(windows, dtype=int),
+        indices=sliding_window_view(stream, 2 * m + 1)[centres - m],
     )
 
 
 def sequence_data(ds: SequenceDataset, vocab: Vocabulary) -> ProbeData:
     """One mean-pooled example per text; tokens outside the vocab hit OOV."""
-    rows_per_text = []
-    for i, text in enumerate(ds.texts):
-        toks = tokenize(text)
+    sequences = [tokenize(text) for text in ds.texts]
+    for i, toks in enumerate(sequences):
         if not toks:
             raise ValueError(f"text {i} tokenizes to nothing; cannot featurize")
-        rows_per_text.append(_ranks_to_rows(toks, vocab))
-    return _padded_mean_data(rows_per_text, np.array(ds.labels, dtype=int),
-                             ds.num_classes, vocab.size)
+    return _padded_mean_data(sequences, np.array(ds.labels, dtype=int), ds.num_classes,
+                             vocab)
 
 
 def synthetic_token_data(ds: SyntheticDataset, vocab: Vocabulary) -> ProbeData:
-    rows_per_text = [_ranks_to_rows(toks, vocab) for toks in ds.tokens]
-    return _padded_mean_data(rows_per_text, ds.labels.astype(int),
-                             ds.num_classes, vocab.size)
+    return _padded_mean_data(ds.tokens, ds.labels.astype(int), ds.num_classes, vocab)
 
 
-def _padded_mean_data(rows_per_text, labels, num_classes, vocab_size) -> ProbeData:
-    pad_row = vocab_size + 1
-    lengths = np.array([len(r) for r in rows_per_text], dtype=int)
-    width = int(lengths.max())
-    idx = np.full((len(rows_per_text), width), pad_row, dtype=int)
-    for i, rows in enumerate(rows_per_text):
-        idx[i, : len(rows)] = rows
+def _padded_mean_data(sequences, labels, num_classes, vocab: Vocabulary) -> ProbeData:
+    """Mean-pooling data: the table rows of sequence i fill the first
+    ``lengths[i]`` entries of index row i, and the rest are PAD."""
+    lengths = np.array([len(toks) for toks in sequences], dtype=int)
+    idx = np.full((len(sequences), int(lengths.max())), vocab.size + 1, dtype=int)
+    idx[np.arange(idx.shape[1]) < lengths[:, None]] = token_rows(
+        vocab, chain.from_iterable(sequences))
     return ProbeData(labels=labels, num_classes=num_classes, pooling="mean",
                      indices=idx, lengths=lengths)
 

@@ -12,9 +12,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-#: Sentinel rank returned for tokens outside the vocabulary.
-OOV = -1
-
 DEFAULT_MAX_SIZE = 20_000
 
 # Characters stripped from token edges when tokenizing raw text.
@@ -23,11 +20,15 @@ _PUNCT = ".,!?;:\"'()[]{}<>"
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Immutable token -> (count, rank) map with ranks 1..N."""
+    """Immutable token -> (count, rank) map with ranks 1..N.
+
+    ``rank_by_token`` holds the ranks of the tokens as stored: when
+    ``case_folded``, a token must be lower-cased before it is looked up.
+    """
 
     entries: tuple[tuple[str, int, int], ...]  # (token, count, rank), rank ascending
     case_folded: bool = False
-    _rank_by_token: dict[str, int] = field(init=False, repr=False, compare=False)
+    rank_by_token: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Check the entries; each failure names the first offending one."""
@@ -46,7 +47,7 @@ class Vocabulary:
             first = rank_by_token.setdefault(tok, rank)
             if first != rank:
                 raise ValueError(f"token {tok!r} is listed at ranks {first} and {rank}")
-        object.__setattr__(self, "_rank_by_token", rank_by_token)
+        object.__setattr__(self, "rank_by_token", rank_by_token)
 
     @property
     def size(self) -> int:
@@ -97,13 +98,6 @@ def build_vocab(
         (tok, count, rank) for rank, (tok, count) in enumerate(ordered, start=1)
     )
     return Vocabulary(entries=entries, case_folded=case_fold)
-
-
-def rank_of(vocab: Vocabulary, token: str) -> int:
-    """Rank in 1..N for known tokens, :data:`OOV` otherwise."""
-    if vocab.case_folded:
-        token = token.lower()
-    return vocab._rank_by_token.get(token, OOV)
 
 
 def harmonic_number(n: int) -> float:

@@ -60,7 +60,7 @@ def criterion(number, description):
     return deco
 
 
-@criterion(1, "analytic eigenpairs match the Jacobi oracle, both modes")
+@criterion(1, "analytic eigenpairs match the LAPACK eigh oracle, both modes")
 def test_eigen_oracle_equivalence():
     start = time.perf_counter()
     rng = np.random.Generator(np.random.Philox(key=20240601))

@@ -9,15 +9,14 @@ from eigennoise.embeddings import (
     IMPORT_CHUNK_LINES,
     MIN_BLOCK_ROWS,
     OOV_TOKEN,
-    PAD,
     PAD_TOKEN,
     EmbeddingTable,
     export_text,
     import_text,
     random_table,
-    row_index,
+    token_rows,
 )
-from eigennoise.vocab import OOV, build_vocab
+from eigennoise.vocab import build_vocab
 
 needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
 
@@ -62,15 +61,14 @@ def test_random_table_rejects_degenerate_sizes():
         random_table(5, 0, seed=0)
 
 
-def test_row_index_mapping():
-    assert row_index(10, 1) == 0
-    assert row_index(10, 10) == 9
-    assert row_index(10, OOV) == 10
-    assert row_index(10, PAD) == 11
-    with pytest.raises(ValueError):
-        row_index(10, 11)
-    with pytest.raises(ValueError):
-        row_index(10, 0)
+def test_token_rows_layout():
+    voc = build_vocab(["the", "cat", "the", "sat"])  # the=1, cat=2, sat=3
+    rows = token_rows(voc, ["the", "sat", "dog", "The", "cat"])
+    np.testing.assert_array_equal(rows, [0, 2, 3, 3, 1])  # rank r is row r-1, OOV row N
+    assert rows.dtype == int
+    assert token_rows(voc, []).shape == (0,)
+    folded = build_vocab(["The", "the", "Cat"], case_fold=True)
+    np.testing.assert_array_equal(token_rows(folded, ["THE", "cat", "Dog"]), [0, 1, 2])
 
 
 def _write(path, text):
@@ -286,7 +284,7 @@ def test_export_bytes_match_per_value_format(tmp_path, monkeypatch, forks):
         rows = np.zeros((vocab.size + 2, len(values)))
         rows[0:vocab.size:2] = values
         rows[1:vocab.size:2] = values[::-1]
-        table = EmbeddingTable(rows=rows, d=len(values), source="imported")
+        table = EmbeddingTable(rows=rows, d=len(values))
         out = tmp_path / f"{name}.txt"
         export_text(table, out, vocab=vocab)
         labels = vocab.tokens() + [OOV_TOKEN, PAD_TOKEN]

@@ -92,6 +92,89 @@ def test_featurize_sequence_mean():
         sequence_data(empty, _VOCAB)
 
 
+def _reference_row(vocab, token):
+    """A token's table row, decided from the vocabulary's ranks alone."""
+    rank = vocab.rank_by_token.get(token.lower() if vocab.case_folded else token)
+    return vocab.size if rank is None else rank - 1
+
+
+def _reference_windows(ds, vocab, m):
+    """token_window_data's indices and labels, built position by position."""
+    windows, labels = [], []
+    for sent, labs in zip(ds.sentences, ds.labels):
+        for pos, lab in enumerate(labs):
+            windows.append([_reference_row(vocab, sent[p]) if 0 <= p < len(sent)
+                            else vocab.size + 1 for p in range(pos - m, pos + m + 1)])
+            labels.append(ds.label_set.index(lab))
+    return np.array(windows, dtype=int), np.array(labels, dtype=int)
+
+
+def _reference_mean_indices(texts, vocab):
+    """Mean-pooling indices and lengths, filled text by text."""
+    lengths = [len(toks) for toks in texts]
+    idx = np.full((len(texts), max(lengths)), vocab.size + 1, dtype=int)
+    for i, toks in enumerate(texts):
+        idx[i, :len(toks)] = [_reference_row(vocab, t) for t in toks]
+    return idx, np.array(lengths, dtype=int)
+
+
+# sentences shorter than the window, of one token, with tokens outside the
+# vocabulary ("zz"), and with case that a folded vocabulary ignores ("B", "C")
+_EDGE_SENTENCES = (("a",), ("B", "zz"), ("c",), ("a", "b", "C", "d", "e", "zz", "a"), ("e",))
+
+
+@pytest.mark.parametrize("case_fold", [False, True], ids=["cased", "folded"])
+@pytest.mark.parametrize("m", [0, 1, 2, 5, 10])
+def test_token_windows_match_a_per_position_loop(m, case_fold):
+    vocab = build_vocab(list("abcdeab") + ["C"], case_fold=case_fold)
+    labels = tuple(tuple("XY"[len(t) % 2] for t in sent) for sent in _EDGE_SENTENCES)
+    ds = TokenDataset(sentences=_EDGE_SENTENCES, labels=labels, label_set=("Y", "X"))
+    data = token_window_data(ds, vocab, m)
+    windows, expected_labels = _reference_windows(ds, vocab, m)
+    assert data.indices.dtype == windows.dtype and data.labels.dtype == expected_labels.dtype
+    np.testing.assert_array_equal(data.indices, windows)
+    np.testing.assert_array_equal(data.labels, expected_labels)
+    assert (data.pooling, data.num_classes) == ("concat", 2)
+
+
+@given(st.lists(st.lists(st.sampled_from(["a", "b", "A", "zz", "e", "Q"]), min_size=1,
+                         max_size=6), min_size=1, max_size=6),
+       st.sampled_from([0, 1, 2, 5, 10]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_token_windows_match_the_loop_on_any_split(sentences, m, case_fold):
+    vocab = build_vocab(list("abcdeA"), case_fold=case_fold)
+    sentences = tuple(map(tuple, sentences))
+    ds = TokenDataset(sentences=sentences, labels=tuple(("O",) * len(s) for s in sentences),
+                      label_set=("O",))
+    data = token_window_data(ds, vocab, m)
+    np.testing.assert_array_equal(data.indices, _reference_windows(ds, vocab, m)[0])
+    # a smaller window is the middle columns of a wider one
+    wide = token_window_data(ds, vocab, 10).indices
+    np.testing.assert_array_equal(data.indices, wide[:, 10 - m:10 + m + 1])
+
+
+@pytest.mark.parametrize("case_fold", [False, True], ids=["cased", "folded"])
+def test_mean_indices_match_a_per_text_loop(case_fold):
+    vocab = build_vocab(list("abcdeab") + ["C"], case_fold=case_fold)
+    texts = [" ".join(sent) for sent in _EDGE_SENTENCES]
+    ds = SequenceDataset(texts=tuple(texts), labels=(0, 1, 0, 1, 1), label_set=("x", "y"))
+    data = sequence_data(ds, vocab)
+    idx, lengths = _reference_mean_indices(_EDGE_SENTENCES, vocab)
+    np.testing.assert_array_equal(data.indices, idx)
+    np.testing.assert_array_equal(data.lengths, lengths)
+    np.testing.assert_array_equal(data.labels, [0, 1, 0, 1, 1])
+
+    synth = synth_task("noisy", 40, 4, k=3, seed=5)
+    synth_vocab = build_vocab([t for toks in synth.tokens[::2] for t in toks],
+                              case_fold=case_fold)  # the odd texts bring OOV tokens
+    data = probe.synthetic_token_data(synth, synth_vocab)
+    idx, lengths = _reference_mean_indices(synth.tokens, synth_vocab)
+    np.testing.assert_array_equal(data.indices, idx)
+    np.testing.assert_array_equal(data.lengths, lengths)
+    np.testing.assert_array_equal(data.labels, synth.labels)
+    assert (idx == synth_vocab.size).any()
+
+
 # --- forward ----------------------------------------------------------------
 
 

@@ -4,12 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigennoise.embeddings import token_rows
 from eigennoise.vocab import (
-    OOV,
     Vocabulary,
     build_vocab,
     harmonic_number,
-    rank_of,
     read_vocab,
     tokenize,
     write_vocab,
@@ -24,11 +23,10 @@ def test_build_vocab_counts_and_ranks():
 
 def test_build_vocab_tie_break_first_occurrence():
     voc = build_vocab(["a", "b"])
-    assert rank_of(voc, "a") == 1
-    assert rank_of(voc, "b") == 2
+    assert voc.rank_by_token == {"a": 1, "b": 2}
     # reversed stream flips the tie-break
     voc2 = build_vocab(["b", "a"])
-    assert rank_of(voc2, "b") == 1
+    assert voc2.rank_by_token["b"] == 1
 
 
 def test_build_vocab_uniform_stream_assigns_all_ranks():
@@ -48,22 +46,16 @@ def test_build_vocab_empty_stream_errors():
 
 def test_build_vocab_case_fold():
     voc = build_vocab(["The", "the", "Cat"], case_fold=True)
-    assert rank_of(voc, "The") == 1
-    assert rank_of(voc, "the") == 1
-    assert rank_of(voc, "CAT") == 2
+    assert voc.rank_by_token == {"the": 1, "cat": 2}
+    assert token_rows(voc, ["The", "the", "CAT"]).tolist() == [0, 0, 1]
 
 
 def test_build_vocab_max_size_maps_tail_to_oov():
     tokens = ["a"] * 3 + ["b"] * 2 + ["c"]
     voc = build_vocab(tokens, max_size=2)
     assert voc.size == 2
-    assert rank_of(voc, "c") == OOV
-
-
-def test_rank_of_oov():
-    voc = build_vocab(["the", "cat", "the"])
-    assert rank_of(voc, "the") == 1
-    assert rank_of(voc, "dog") == OOV
+    assert "c" not in voc.rank_by_token
+    assert token_rows(voc, ["c"]).tolist() == [2]  # the OOV row
 
 
 def test_vocabulary_invariants_enforced():
@@ -92,7 +84,7 @@ def test_harmonic_number_monotone_and_log_bounded(n):
 @given(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, max_size=40))
 def test_every_stream_token_is_in_vocab(tokens):
     voc = build_vocab(tokens)
-    assert all(rank_of(voc, t) != OOV for t in tokens)
+    assert all(t in voc.rank_by_token for t in tokens)
 
 
 @given(st.permutations(list(range(6))))
