@@ -61,7 +61,7 @@ def test_random_table_rejects_degenerate_sizes():
         random_table(5, 0, seed=0)
 
 
-def test_token_rows_layout():
+def test_row_index_mapping():
     voc = build_vocab(["the", "cat", "the", "sat"])  # the=1, cat=2, sat=3
     rows = token_rows(voc, ["the", "sat", "dog", "The", "cat"])
     np.testing.assert_array_equal(rows, [0, 2, 3, 3, 1])  # rank r is row r-1, OOV row N

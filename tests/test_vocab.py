@@ -58,6 +58,13 @@ def test_build_vocab_max_size_maps_tail_to_oov():
     assert token_rows(voc, ["c"]).tolist() == [2]  # the OOV row
 
 
+def test_rank_of_oov():
+    voc = build_vocab(["the", "cat", "the"])
+    assert voc.rank_by_token["the"] == 1
+    assert "dog" not in voc.rank_by_token
+    assert token_rows(voc, ["the", "dog"]).tolist() == [0, 2]  # dog takes the OOV row
+
+
 def test_vocabulary_invariants_enforced():
     with pytest.raises(ValueError):
         Vocabulary(entries=(("a", 1, 1), ("b", 2, 2)))  # counts increase
