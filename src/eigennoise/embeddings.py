@@ -3,7 +3,8 @@
 A table for a vocabulary of N ranks has N+2 rows: row i-1 holds rank i's
 vector, row N is the OOV row, row N+1 is the PAD row. PAD stays exactly
 zero forever; OOV starts zero and may train in unfrozen mode.
-``token_rows`` is the one map from tokens to these rows.
+``token_rows`` is the one map from tokens to these rows, and ``pad_row``
+the one place the PAD row is decided.
 """
 
 from __future__ import annotations
@@ -65,10 +66,15 @@ class EmbeddingTable:
 
     @property
     def pad_row(self) -> int:
-        return self.n + 1
+        return pad_row(self.n)
 
     def copy(self, trainable: bool) -> "EmbeddingTable":
         return replace(self, rows=self.rows.copy(), trainable=trainable)
+
+
+def pad_row(n: int) -> int:
+    """The PAD row of a table with ``n`` rank rows: row N+1, after OOV."""
+    return n + 1
 
 
 def token_rows(vocab: Vocabulary, tokens: Iterable[str]) -> np.ndarray:

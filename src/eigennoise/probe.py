@@ -8,10 +8,11 @@ tasks), or precomputed vectors. When the attached embedding table is
 trainable, gradients flow into the referenced rows; the PAD row never
 receives gradient.
 
-Precision: the probe computes in the dtype of its table (float64 when it
-has none). Features, weights, hidden activations, every gradient and the
-Adam moments keep that dtype, so a single-precision table trains a
-single-precision probe. From the logits on everything is float64:
+Precision: the probe computes in the dtype of its table, or of its direct
+features (at least float32; float64 when it has neither). Features,
+weights, hidden activations, every gradient and the Adam moments keep
+that dtype, so a single-precision table trains a single-precision
+probe. From the logits on everything is float64:
 ``_layers`` upcasts the (B, K) logits, so the softmax, the training and
 dev losses that drive annealing, log-probabilities and ``predict_proba``
 are float64, and backprop casts the logit gradient back to the hidden
@@ -27,7 +28,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .datasets import SequenceDataset, SyntheticDataset, TokenDataset
-from .embeddings import EmbeddingTable, token_rows
+from .embeddings import EmbeddingTable, pad_row, token_rows
 from .vocab import Vocabulary, tokenize
 
 ADAM_BETA1 = 0.9
@@ -119,7 +120,7 @@ def token_window_data(ds: TokenDataset, vocab: Vocabulary, m: int) -> ProbeData:
     rows = token_rows(vocab, chain.from_iterable(ds.sentences))
     # a token of sentence s sits m * (s + 1) rows after its place in the bare split
     centres = np.arange(len(rows)) + m * np.repeat(np.arange(1, len(lengths) + 1), lengths)
-    stream = np.full(len(rows) + m * (len(lengths) + 1), vocab.size + 1, dtype=int)
+    stream = np.full(len(rows) + m * (len(lengths) + 1), pad_row(vocab.size), dtype=int)
     stream[centres] = rows
     label_index = {lab: i for i, lab in enumerate(ds.label_set)}
     labels = map(label_index.__getitem__, chain.from_iterable(ds.labels))
@@ -149,7 +150,7 @@ def _padded_mean_data(sequences, labels, num_classes, vocab: Vocabulary) -> Prob
     """Mean-pooling data: the table rows of sequence i fill the first
     ``lengths[i]`` entries of index row i, and the rest are PAD."""
     lengths = np.array([len(toks) for toks in sequences], dtype=int)
-    idx = np.full((len(sequences), int(lengths.max())), vocab.size + 1, dtype=int)
+    idx = np.full((len(sequences), int(lengths.max())), pad_row(vocab.size), dtype=int)
     idx[np.arange(idx.shape[1]) < lengths[:, None]] = token_rows(
         vocab, chain.from_iterable(sequences))
     return ProbeData(labels=labels, num_classes=num_classes, pooling="mean",
@@ -169,11 +170,13 @@ class ProbeModel:
 
 def init_probe(input_dim: int, num_classes: int, hidden: int = 512,
                seed: int = 0, table: EmbeddingTable | None = None,
-               pooling: str = "direct") -> ProbeModel:
+               pooling: str = "direct", dtype=None) -> ProbeModel:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight init, drawn
-    in float64 and cast to the table's dtype."""
+    in float64 and cast to ``dtype``: by default the table's, float64
+    when there is none."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    dtype = float if table is None else table.rows.dtype
+    if dtype is None:
+        dtype = float if table is None else table.rows.dtype
     b1 = 1.0 / np.sqrt(input_dim)
     b2 = 1.0 / np.sqrt(hidden)
     return ProbeModel(
@@ -234,6 +237,16 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     feature segment came from. The PAD row's gradient is forced to zero.
     Gradients have the dtype of the hidden layer; the loss is computed in
     float64.
+
+    The table gradient is summed in float64 and cast to the table's dtype.
+    Under concat pooling one ``bincount`` over (row, column) cells adds
+    every window position's gradient in batch order. Under mean pooling
+    the sum runs over the batch's unique rows: a (B, U) matrix counts how
+    often each example holds each row, and ``counts.T @ (dh / lengths)``
+    gives every row's gradient at once. For a float32 table this equals
+    the per-position sum bit for bit: a float32 value times a small count
+    is exact in float64. For a float64 table the two sums round
+    differently in the last bits.
     """
     h = np.asarray(h)
     if not np.isfinite(h).all():
@@ -260,18 +273,24 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
         dh = dhidden @ model.w1  # (B, input_dim)
         d = table.d
         if model.pooling == "concat":
-            seg = dh.reshape(-1, d)
+            # One flat bincount over (row, column) cells adds each cell's
+            # terms in batch order, as np.add.at does, so the sums are
+            # bit-identical. bincount sums in float64 whatever the weights'
+            # dtype.
+            cells = (indices.reshape(-1, 1) * d + np.arange(d)).ravel()
+            gtable = np.bincount(cells, weights=dh.ravel(), minlength=table.rows.size)
+            gtable = gtable.astype(table.rows.dtype, copy=False).reshape(table.rows.shape)
         elif model.pooling == "mean":
-            seg = np.repeat(dh / lengths[:, None].astype(dh.dtype), indices.shape[1],
-                            axis=0)
+            # every position of example b adds dh[b] / lengths[b] to its row
+            rows, inverse = np.unique(indices, return_inverse=True)
+            slots = np.arange(batch)[:, None] * len(rows) + inverse.reshape(indices.shape)
+            counts = np.bincount(slots.ravel(), minlength=batch * len(rows))
+            per_example = dh / lengths[:, None].astype(dh.dtype)
+            gtable = np.zeros_like(table.rows)
+            gtable[rows] = (counts.reshape(batch, len(rows)).T.astype(float)
+                            @ per_example.astype(float))
         else:
             raise ValueError("direct pooling has no table rows to differentiate")
-        # One flat bincount over (row, column) cells adds each cell's terms
-        # in batch order, as np.add.at does, so the sums are bit-identical.
-        # bincount sums in float64 whatever the weights' dtype.
-        cells = (indices.reshape(-1, 1) * d + np.arange(d)).ravel()
-        gtable = np.bincount(cells, weights=seg.ravel(), minlength=table.rows.size)
-        gtable = gtable.astype(table.rows.dtype, copy=False).reshape(table.rows.shape)
         gtable[table.pad_row] = 0.0
         grads["table"] = gtable
     return loss, grads
@@ -348,8 +367,13 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
     if len(train) == 0 or len(dev) == 0:
         raise ValueError("train and dev sets must be non-empty")
     input_dim = train.input_dim(table.d if table is not None else None)
+    # direct features set the probe's dtype (at least float32); index
+    # pooling computes in the table's
+    dtype = (np.result_type(train.features.dtype, np.float32)
+             if train.pooling == "direct" else None)
     model = init_probe(input_dim, train.num_classes, hidden=config.hidden,
-                       seed=config.seed, table=table, pooling=train.pooling)
+                       seed=config.seed, table=table, pooling=train.pooling,
+                       dtype=dtype)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     params = {"w1": model.w1, "w2": model.w2}
     if table is not None and table.trainable:

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from eigennoise import cli, datasets, matrix, probe, vocab
+from eigennoise import cli, datasets, matrix, mdl, probe, vocab
 
 
 def _parse(*argv):
@@ -43,6 +45,90 @@ def test_cells_never_write_to_shared_table(tmp_path):
     assert all(res.error is None for res in results)
     assert np.array_equal(shared.rows, before)
     assert not shared.trainable
+
+
+def _frozen_desk(tmp_path):
+    """A small frozen synthetic (mean-pooled) task and its context."""
+    args = _parse("--task", "synthetic", "--n", "300", "--d", "8", "--hidden", "16",
+                  "--max-epochs", "3", "--seeds", "0", "--frozen", "true",
+                  "--output-dir", str(tmp_path))
+    with cli._one_blas_thread():
+        return matrix.build_context(args)
+
+
+@pytest.mark.parametrize("rep", ["eigennoise", "random"])
+def test_pooled_features_match_the_per_batch_gather(tmp_path, rep):
+    ctx = _frozen_desk(tmp_path)
+    cell = matrix.CellSpec(representation=rep, window=None, frozen=True, seed=0)
+    base = matrix._cell_table(cell, ctx)
+    size = ctx.config_base.batch_size
+    for split in (ctx.train_data, ctx.dev_data, ctx.test_data):
+        data = split[None]
+        pooled = matrix._pooled(data, base)
+        assert pooled.pooling == "direct"
+        assert pooled.features.dtype == np.float32
+        assert np.array_equal(pooled.labels, data.labels)
+        # the batches of a seeded training epoch
+        perm = np.random.Generator(np.random.Philox(key=cell.seed)).permutation(len(data))
+        for start in range(0, len(perm), size):
+            sel = perm[start:start + size]
+            assert np.array_equal(pooled.features[sel], probe.gather_features(data, base, sel))
+        assert np.array_equal(pooled.features, probe.gather_features(data, base))
+
+
+def test_frozen_mean_cell_pools_each_split_once(tmp_path, monkeypatch):
+    ctx = _frozen_desk(tmp_path)
+    cell = matrix.CellSpec(representation="eigennoise", window=None, frozen=True, seed=0)
+    gathered, fits = [], []
+    gather, train_probe = probe.gather_features, probe.train_probe
+
+    def spy_gather(data, table, sel=slice(None)):
+        if data.pooling != "direct":
+            gathered.append(data)
+        return gather(data, table, sel)
+
+    def spy_train(train, dev, config, table=None):
+        model, trace = train_probe(train, dev, config, table=table)
+        fits.append((train, dev, table, model))
+        return model, trace
+
+    monkeypatch.setattr(probe, "gather_features", spy_gather)
+    monkeypatch.setattr(probe, "train_probe", spy_train)
+    result = matrix.run_cell(cell, ctx)
+    assert result.error is None
+    splits = (ctx.train_data[None], ctx.dev_data[None], ctx.test_data[None])
+    assert [id(data) for data in gathered] == [id(data) for data in splits]
+    # one fit per codelength stage after the first, and the accuracy fit
+    assert len(fits) == len(ctx.schedule.boundaries)
+    for train, dev, table, model in fits:
+        assert table is None
+        assert train.pooling == dev.pooling == "direct"
+        assert train.features.dtype == dev.features.dtype == np.float32
+        assert model.w1.dtype == model.w2.dtype == np.float32
+
+
+def test_frozen_mean_cell_scores_as_if_trained_on_the_table(tmp_path):
+    ctx = _frozen_desk(tmp_path)
+    cell = matrix.CellSpec(representation="random", window=None, frozen=True, seed=0)
+    with cli._one_blas_thread():
+        result = matrix.run_cell(cell, ctx)
+        base = matrix._cell_table(cell, ctx)
+        config = replace(ctx.config_base, seed=cell.seed)
+        train, dev, test = ctx.train_data[None], ctx.dev_data[None], ctx.test_data[None]
+
+        def fit(fit_train, fit_dev, cfg):
+            table = base.copy(trainable=False)
+            return probe.train_probe(fit_train, fit_dev, cfg, table=table)[0]
+
+        def fit_predict(prefix, stage_dev, cfg):
+            model = fit(prefix, stage_dev, cfg)
+            return lambda batch: probe.predict_proba(model, batch)
+
+        report = mdl.online_codelength(train, ctx.schedule, fit_predict, config, dev=dev)
+        accuracy = probe.evaluate_accuracy(fit(train, dev, config), test)
+    assert result.error is None
+    assert result.report == report
+    assert result.accuracy == accuracy
 
 
 def test_build_context_slices_each_window_from_one_featurization(tmp_path, monkeypatch):

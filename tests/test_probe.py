@@ -3,7 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from eigennoise.datasets import SequenceDataset, TokenDataset, synth_task
@@ -298,6 +298,71 @@ def test_backward_table_gradient_bit_identical_to_add_at(pooling):
                   np.broadcast_to(contrib[:, None, :], indices.shape + (table.d,)))
     reference[pad] = 0.0
     assert np.array_equal(grads["table"], reference)
+
+
+def _input_gradient(model, h, labels):
+    """d(mean loss)/dh, step for step as ``backward`` computes it."""
+    pre, hidden, logits = probe._layers(model, h)
+    expl = np.exp(logits)
+    dlogits = expl / expl.sum(axis=1, keepdims=True)
+    dlogits[np.arange(len(labels)), labels] -= 1.0
+    dlogits /= len(labels)
+    dlogits = dlogits.astype(hidden.dtype, copy=False)
+    return ((dlogits @ model.w2) * (pre > 0)) @ model.w1
+
+
+def _bincount_mean_gradient(table, indices, lengths, dh):
+    """The mean-pooling table gradient as one bincount over (row, column)
+    cells of every token position, summed in float64 in batch order."""
+    d = table.d
+    seg = np.repeat(dh / lengths[:, None].astype(dh.dtype), indices.shape[1], axis=0)
+    cells = (indices.reshape(-1, 1) * d + np.arange(d)).ravel()
+    gtable = np.bincount(cells, weights=seg.ravel(), minlength=table.rows.size)
+    gtable = gtable.astype(table.rows.dtype).reshape(table.rows.shape)
+    gtable[table.pad_row] = 0.0
+    return gtable
+
+
+@given(n=st.integers(1, 300), d=st.integers(1, 60), batch=st.integers(1, 64),
+       width=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), zipf=st.booleans(),
+       dtype=st.sampled_from([np.float32, np.float64]))
+@example(n=5, d=3, batch=1, width=40, seed=0, zipf=True, dtype=np.float32)
+@example(n=60, d=50, batch=64, width=20, seed=1, zipf=True, dtype=np.float32)
+@settings(max_examples=120, deadline=None)
+def test_mean_table_gradient_matches_the_bincount_formula(n, d, batch, width, seed, zipf,
+                                                          dtype):
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    table = random_table(n, d, seed=seed)
+    table = replace(table, rows=table.rows.astype(dtype), trainable=True)
+    lengths = rng.integers(1, width + 1, batch)
+    # Zipf draws repeat rows within and across sequences; row n is OOV
+    if zipf:
+        rows = np.minimum(rng.zipf(1.5, (batch, width)) - 1, n)
+    else:
+        rows = rng.integers(0, n + 1, (batch, width))
+    lengths[0] = width
+    rows[0, -1] = rows[0, 0]  # a row repeated inside one sequence
+    indices = np.where(np.arange(width) < lengths[:, None], rows, table.pad_row)
+    labels = rng.integers(0, 3, batch)
+    data = ProbeData(labels=labels, num_classes=3, pooling="mean", indices=indices,
+                     lengths=lengths)
+    model = init_probe(d, 3, hidden=8, seed=seed, table=table, pooling="mean")
+    h = gather_features(data, table)
+    _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
+
+    dh = _input_gradient(model, h, labels)
+    reference = _bincount_mean_gradient(table, indices, lengths, dh)
+    assert grads["table"].dtype == dtype
+    if dtype == np.float32:
+        # float32 terms times small counts are exact in float64, so both sums
+        # round to the same float32
+        assert np.array_equal(grads["table"], reference)
+    else:
+        # float64 terms round in float64 and the two sum in different orders:
+        # they agree to within the summation error bound
+        abs_sum = _bincount_mean_gradient(table, indices, lengths, np.abs(dh))
+        bound = 2 * indices.size * np.finfo(np.float64).eps * abs_sum
+        assert np.all(np.abs(grads["table"] - reference) <= bound)
 
 
 def test_backward_gradient_locality():
