@@ -12,18 +12,16 @@ cells failed (the rest still ran).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
 
-# numpy, and every module that needs it, is imported inside the commands
-# that compute: --help, usage errors and vocab build load none of it, and
-# only probe run loads the experiment runner (matrix, with probe and the
+# Every other module is imported inside the commands that use it: --help
+# and usage errors load only argparse and defaults, vocab build no numpy,
+# and only probe run the experiment runner (matrix, with probe and the
 # process pool).
-from . import datasets
-from . import vocab as vocab_mod
+from . import defaults
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -31,8 +29,6 @@ EXIT_DATA = 2
 EXIT_CELL_FAILURES = 3
 
 ALLOWED_WINDOWS = (0, 2, 5, 10)
-# probe run options whose defaults are the fields of probe.TrainConfig
-TRAIN_OPTIONS = ("hidden", "lr", "batch_size", "max_epochs", "patience")
 DEFAULT_SEEDS = (0, 1234, 322111)
 SEED_LIMIT = 2**128  # numpy's Philox takes keys in [0, 2**128)
 
@@ -54,38 +50,12 @@ class _Parser(argparse.ArgumentParser):
         check = getattr(parsed, "check", None)
         if check is not None:
             check(parsed)
-        if parsed.func in (cmd_embed_eigennoise, cmd_probe_run):
-            _fill_numeric_defaults(parsed)
         return parsed
-
-
-def _fill_numeric_defaults(args) -> None:
-    """Give the options left unset the defaults that numpy modules define:
-    ``--m`` that of ``harmonic.DEFAULT_WINDOW`` and, for ``probe run``,
-    the others those of ``probe.TrainConfig`` and
-    ``mdl.DEFAULT_FRACTIONS``. They are read here, after the checks, not
-    in ``build_parser``, so that only the commands that use them load
-    numpy."""
-    _load_numpy()
-    from . import harmonic
-
-    if args.m is None:
-        args.m = harmonic.DEFAULT_WINDOW
-    if args.func is not cmd_probe_run:
-        return
-    from . import mdl, probe
-
-    train_defaults = probe.TrainConfig()
-    for name in TRAIN_OPTIONS:
-        if getattr(args, name) is None:
-            setattr(args, name, getattr(train_defaults, name))
-    if args.fractions is None:
-        args.fractions = mdl.DEFAULT_FRACTIONS
 
 
 def _option_values(args, dests):
     """(option name, value) pairs; an option may hold one int or a tuple,
-    or None while its default is not filled in."""
+    or None when it is unset and has no default."""
     for dest in dests:
         value = getattr(args, dest)
         if value is None:
@@ -119,6 +89,9 @@ def _check_vocab_build(args) -> None:
 
 
 def cmd_vocab_build(args) -> int:
+    from . import datasets
+    from . import vocab as vocab_mod
+
     if args.format == "text":
         tokens = list(vocab_mod.token_stream(args.input))
     else:  # labels are not read: point the label column at the tokens
@@ -151,14 +124,19 @@ def _check_embed_import(args) -> None:
     _check_min(args, 1, "expected_d")
 
 
-def _load_or_size_vocab(args) -> tuple[vocab_mod.Vocabulary | None, int]:
+def _load_or_size_vocab(args):
+    """The ``--vocab`` vocabulary (or None) and the table's size."""
+    from .vocab import read_vocab
+
     if args.vocab is not None:
-        voc = vocab_mod.read_vocab(args.vocab)
+        voc = read_vocab(args.vocab)
         return voc, voc.size
     return None, args.n
 
 
 def _write_embedding(table, voc, path, meta: dict) -> None:
+    import json
+
     from . import embeddings
 
     embeddings.export_text(table, path, vocab=voc)
@@ -198,8 +176,9 @@ def cmd_embed_random(args) -> int:
 
 def cmd_embed_import(args) -> int:
     from . import embeddings
+    from .vocab import read_vocab
 
-    voc = vocab_mod.read_vocab(args.vocab)
+    voc = read_vocab(args.vocab)
     table, report = embeddings.import_text(args.source, voc,
                                            expected_d=args.expected_d)
     meta = {
@@ -247,10 +226,10 @@ def _check_probe_run(args) -> None:
                "patience", "workers", "vocab_cap")
     _check_min(args, 0, "data_seed", "token_column", "label_column")
     _check_seeds(args, "seeds", "completion_seed")
-    if args.lr is not None and not 0 < args.lr < float("inf"):
+    if not 0 < args.lr < float("inf"):
         raise UsageError(f"--lr must be > 0 and finite, got {args.lr}")
-    if args.fractions is not None and not (all(0 < f <= 100 for f in args.fractions)
-                                           and any(f < 100 for f in args.fractions)):
+    if not (all(0 < f <= 100 for f in args.fractions)
+            and any(f < 100 for f in args.fractions)):
         raise UsageError("--fractions must be in (0, 100] with at least one below 100, "
                          f"got {','.join(f'{f:g}' for f in args.fractions)}")
     if args.task == "conll" and not args.windows:
@@ -385,7 +364,7 @@ def build_parser() -> _Parser:
     p_build.add_argument("--format", choices=("text", "tsv", "conll"), default="text")
     p_build.add_argument("--token-column", type=int, default=0)
     p_build.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
-    p_build.add_argument("--max-size", type=int, default=vocab_mod.DEFAULT_MAX_SIZE)
+    p_build.add_argument("--max-size", type=int, default=defaults.DEFAULT_MAX_SIZE)
     p_build.add_argument("--output", required=True)
     p_build.set_defaults(func=cmd_vocab_build, check=_check_vocab_build)
 
@@ -395,7 +374,7 @@ def build_parser() -> _Parser:
     p_en = embed_sub.add_parser("eigennoise", help="closed-form rank embeddings")
     _add_size_source(p_en)
     p_en.add_argument("--d", type=int, required=True)
-    p_en.add_argument("--m", type=int)  # default: _fill_numeric_defaults
+    p_en.add_argument("--m", type=int, default=defaults.DEFAULT_WINDOW)
     p_en.add_argument("--mode", choices=("linear", "log"), default="linear")
     p_en.add_argument("--completion-seed", type=int, default=0)
     p_en.add_argument("--output", required=True)
@@ -420,7 +399,7 @@ def build_parser() -> _Parser:
     probe_sub = p_probe.add_subparsers(dest="subcommand", required=True)
     p_run = probe_sub.add_parser("run", help="run the experiment matrix")
     p_run.add_argument("--task", choices=("synthetic", "tsv", "conll"), required=True)
-    p_run.add_argument("--kind", choices=datasets.SYNTH_KINDS, default="separable")
+    p_run.add_argument("--kind", choices=defaults.SYNTH_KINDS, default="separable")
     p_run.add_argument("--n", type=int, default=2000, help="synthetic train size")
     p_run.add_argument("--classes", type=int, default=2)
     p_run.add_argument("--data-seed", type=int, default=7,
@@ -436,19 +415,17 @@ def build_parser() -> _Parser:
     p_run.add_argument("--frozen", choices=("both", "true", "false"), default="both")
     p_run.add_argument("--seeds", type=_csv_ints, default=DEFAULT_SEEDS)
     p_run.add_argument("--d", type=int, default=50)
-    p_run.add_argument("--m", type=int)
+    p_run.add_argument("--m", type=int, default=defaults.DEFAULT_WINDOW)
     p_run.add_argument("--mode", choices=("linear", "log"), default="linear")
     p_run.add_argument("--completion-seed", type=int, default=0)
-    p_run.add_argument("--vocab-cap", type=int, default=vocab_mod.DEFAULT_MAX_SIZE)
+    p_run.add_argument("--vocab-cap", type=int, default=defaults.DEFAULT_MAX_SIZE)
     p_run.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
-    # --m, TRAIN_OPTIONS and --fractions get their defaults in
-    # _fill_numeric_defaults
-    p_run.add_argument("--hidden", type=int)
-    p_run.add_argument("--lr", type=float)
-    p_run.add_argument("--batch-size", type=int)
-    p_run.add_argument("--max-epochs", type=int)
-    p_run.add_argument("--patience", type=int)
-    p_run.add_argument("--fractions", type=_csv_floats)
+    p_run.add_argument("--hidden", type=int, default=defaults.DEFAULT_HIDDEN)
+    p_run.add_argument("--lr", type=float, default=defaults.DEFAULT_LR)
+    p_run.add_argument("--batch-size", type=int, default=defaults.DEFAULT_BATCH_SIZE)
+    p_run.add_argument("--max-epochs", type=int, default=defaults.DEFAULT_MAX_EPOCHS)
+    p_run.add_argument("--patience", type=int, default=defaults.DEFAULT_PATIENCE)
+    p_run.add_argument("--fractions", type=_csv_floats, default=defaults.DEFAULT_FRACTIONS)
     p_run.add_argument("--workers", type=int, default=os.cpu_count() or 1)
     p_run.add_argument("--output-dir", required=True)
     p_run.set_defaults(func=cmd_probe_run, check=_check_probe_run)

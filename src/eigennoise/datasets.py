@@ -12,6 +12,7 @@ from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import TYPE_CHECKING
 
+from .defaults import SYNTH_KINDS
 from .vocab import tokenize
 
 if TYPE_CHECKING:  # only synth_task needs numpy: reading a task loads none
@@ -192,7 +193,6 @@ def dataset_tokens(ds) -> list[str]:
 
 # --- synthetic tasks -------------------------------------------------------
 
-SYNTH_KINDS = ("separable", "noisy")
 _SPLIT_INDEX = {"train": 0, "dev": 1, "test": 2}
 _LEXICON_SIZE = 30
 _SEQ_LEN_RANGE = (10, 21)

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .embeddings import EmbeddingTable
-from .harmonic import DEFAULT_WINDOW, DENSE_CAP, HarmonicModel
-
-ORDERING_RULES = ("by_magnitude", "by_value")
+from .defaults import DEFAULT_WINDOW
+from .harmonic import DENSE_CAP, HarmonicModel
 
 
 @dataclass(frozen=True)
@@ -82,20 +81,16 @@ def dense_eigh(matrix: np.ndarray, tol: float = 1e-8,
                              vectors=_fix_signs(vectors[:, order]))
 
 
-def _ordering(values: np.ndarray, rule: str) -> np.ndarray:
-    if rule == "by_magnitude":
-        return np.argsort(-np.abs(values), kind="stable")
-    if rule == "by_value":
-        return np.argsort(-values, kind="stable")
-    raise ValueError(f"ordering_rule must be one of {ORDERING_RULES}, got {rule!r}")
+def _by_magnitude(values: np.ndarray) -> np.ndarray:
+    """Indices of ``values`` by descending magnitude, ties in index order."""
+    return np.argsort(-np.abs(values), kind="stable")
 
 
-def truncate(full: FullDecomposition, d: int,
-             ordering_rule: str = "by_magnitude") -> EigenFactorization:
-    """Retain d eigenpairs of a full decomposition under the ordering rule."""
+def truncate(full: FullDecomposition, d: int) -> EigenFactorization:
+    """Retain the d eigenpairs of largest eigenvalue magnitude."""
     if not 1 <= d <= full.n:
         raise ValueError(f"d={d} outside 1..{full.n}")
-    keep = _ordering(full.eigenvalues, ordering_rule)[:d]
+    keep = _by_magnitude(full.eigenvalues)[:d]
     values = full.eigenvalues[keep]
     u = full.vectors[:, keep]
     return EigenFactorization(n=full.n, d=d, eigenvalues=values, u=u,
@@ -187,7 +182,7 @@ def eigennoise_analytic(
         values, vectors = _log_mode_pairs(model)
     else:
         raise ValueError(f"mode must be 'linear' or 'log', got {mode!r}")
-    order = _ordering(values, "by_magnitude")
+    order = _by_magnitude(values)
     values, vectors = values[order], _fix_signs(vectors[:, order])
     k = min(len(values), d)
     values, vectors = values[:k], vectors[:, :k]

@@ -134,7 +134,9 @@ def import_text(
     validated, but only vocabulary tokens are kept, matched against
     ``vocab.rank_by_token`` as written (no case folding). Vocabulary tokens
     missing from the file keep the zero OOV-style row and are counted as
-    unmatched. On duplicate tokens the first line wins.
+    unmatched. On duplicate tokens the first line wins. A file with no
+    vector line, even one whose dimension a header or ``expected_d``
+    gives, is an error.
 
     The file is read IMPORT_CHUNK_LINES lines at a time, so memory is
     bounded by the vocabulary and one chunk, not by the file. A chunk's
@@ -147,12 +149,13 @@ def import_text(
     table is the same either way.
     """
     found: dict[int, np.ndarray] = {}
-    d = expected_d
+    d, vectors = expected_d, 0
     with open(path, encoding="utf-8") as fh:
         numbered = enumerate(fh, start=1)
         while lines := list(islice(numbered, IMPORT_CHUNK_LINES)):
-            d = _read_chunk(path, lines, d, vocab.rank_by_token, found)
-    if d is None:
+            d, n = _read_chunk(path, lines, d, vocab.rank_by_token, found)
+            vectors += n
+    if not vectors:
         raise ValueError(f"{path}: empty embedding file")
     rows = np.zeros((vocab.size + 2, d))
     for rank, vec in found.items():
@@ -169,8 +172,9 @@ def _header_dim(path, line: str, d: int | None) -> int:
     return header_d
 
 
-def _read_chunk(path, lines, d, rank_by_token, found) -> int | None:
-    """Parse (line number, line) pairs in bulk; return the dimension.
+def _read_chunk(path, lines, d, rank_by_token, found) -> tuple[int | None, int]:
+    """Parse (line number, line) pairs in bulk; return the dimension and
+    the number of vector lines.
 
     Adds each vocabulary line's vector to ``found`` unless its rank is
     there. Falls back to ``_read_lines`` as ``import_text`` describes.
@@ -191,7 +195,7 @@ def _read_chunk(path, lines, d, rank_by_token, found) -> int | None:
         tokens.append(token)
         rests.append(rest)
     if not rests:
-        return width
+        return width, 0
     values = "".join(rests)
     if not values.isascii() or values.encode("ascii").translate(None, _PLAIN):
         return _read_lines(path, lines, d, rank_by_token, found)
@@ -204,11 +208,12 @@ def _read_chunk(path, lines, d, rank_by_token, found) -> int | None:
         rank = rank_by_token.get(token)
         if rank is not None and rank not in found:
             found[rank] = block[i].copy()  # a view would keep the chunk alive
-    return width
+    return width, len(tokens)
 
 
-def _read_lines(path, lines, d, rank_by_token, found) -> int | None:
+def _read_lines(path, lines, d, rank_by_token, found) -> tuple[int | None, int]:
     """The per-line parse of ``_read_chunk``, one ``np.array`` per line."""
+    vectors = 0
     for lineno, line in lines:
         line = line.rstrip()
         if not line:
@@ -237,10 +242,11 @@ def _read_lines(path, lines, d, rank_by_token, found) -> int | None:
                         f"{path}:{lineno}: column {col}: cannot parse {f!r}"
                     ) from None
             raise
+        vectors += 1
         rank = rank_by_token.get(token)
         if rank is not None:
             found.setdefault(rank, vec)
-    return d
+    return d, vectors
 
 
 def _write_rows(fh, labels, rows, template: str) -> None:

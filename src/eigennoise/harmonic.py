@@ -13,9 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .defaults import DEFAULT_WINDOW
 from .vocab import harmonic_number
 
-DEFAULT_WINDOW = 5
 DENSE_CAP = 4096
 
 

@@ -20,6 +20,8 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
+from .defaults import DEFAULT_FRACTIONS
+
 if TYPE_CHECKING:  # report aggregate uses this module without the probe stack
     from .probe import ProbeData, TrainConfig
 
@@ -27,8 +29,6 @@ if TYPE_CHECKING:  # report aggregate uses this module without the probe stack
     #: batch to an (n, K) matrix of predicted class probabilities.
     FitPredict = Callable[[ProbeData, ProbeData, TrainConfig],
                           Callable[[ProbeData], np.ndarray]]
-
-DEFAULT_FRACTIONS = (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.25, 12.5, 25.0, 50.0, 100.0)
 
 #: Smallest admissible predicted probability for a true label.
 PROB_CLAMP = 2.0**-64

@@ -27,6 +27,7 @@ from itertools import chain
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
+from . import defaults
 from .datasets import SequenceDataset, SyntheticDataset, TokenDataset
 from .embeddings import EmbeddingTable, pad_row, token_rows
 from .vocab import Vocabulary, tokenize
@@ -39,12 +40,12 @@ ANNEAL_FACTOR = 0.5  # lr multiplier after an epoch without a new best dev loss
 
 @dataclass
 class TrainConfig:
-    lr: float = 0.001
-    patience: int = 4
+    lr: float = defaults.DEFAULT_LR
+    patience: int = defaults.DEFAULT_PATIENCE
     seed: int = 0
-    batch_size: int = 64
-    max_epochs: int = 50
-    hidden: int = 512
+    batch_size: int = defaults.DEFAULT_BATCH_SIZE
+    max_epochs: int = defaults.DEFAULT_MAX_EPOCHS
+    hidden: int = defaults.DEFAULT_HIDDEN
 
     def __post_init__(self):
         if self.lr <= 0:
@@ -209,17 +210,6 @@ def _layers(model: ProbeModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     hidden = np.maximum(pre, 0.0)
     logits = (hidden @ model.w2.T).astype(float, copy=False)
     return pre, hidden, logits - logits.max(axis=1, keepdims=True)
-
-
-def forward(model: ProbeModel, h: np.ndarray) -> np.ndarray:
-    """softmax(W2 relu(W1 h)), stabilized by max subtraction."""
-    h = np.asarray(h, dtype=float)
-    if not np.isfinite(h).all():
-        raise ValueError("probe input must be finite")
-    single = h.ndim == 1
-    expl = np.exp(_layers(model, h[None, :] if single else h)[2])
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    return probs[0] if single else probs
 
 
 def _log_probs(model: ProbeModel, h: np.ndarray) -> np.ndarray:

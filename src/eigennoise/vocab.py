@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
-DEFAULT_MAX_SIZE = 20_000
+from .defaults import DEFAULT_MAX_SIZE
 
 # Characters stripped from token edges when tokenizing raw text.
 _PUNCT = ".,!?;:\"'()[]{}<>"

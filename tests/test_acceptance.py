@@ -35,9 +35,9 @@ from eigennoise.probe import (
     ProbeData,
     TrainConfig,
     backward,
-    forward,
     gather_features,
     init_probe,
+    predict_proba,
 )
 from eigennoise.vocab import build_vocab
 
@@ -117,7 +117,7 @@ def test_eckart_young_residual():
     full = dense_eigh(target)
     by_mag = np.sort(np.abs(full.eigenvalues))[::-1]
     for d in (1, 2, 4):
-        fact = truncate(full, d, "by_magnitude")
+        fact = truncate(full, d)
         expected = float((by_mag[d:] ** 2).sum())
         got = loss_eq2(BiasFreeModel(fact.u, fact.v), target)
         np.testing.assert_allclose(got, expected, rtol=1e-6, atol=1e-6)
@@ -130,7 +130,7 @@ def test_trainer_matches_eigen_optimum():
     target = materialize_log(HarmonicModel(n=8, m=5))
     full = dense_eigh(target)
     for d in (1, 2):
-        fact = truncate(full, d, "by_magnitude")
+        fact = truncate(full, d)
         opt = loss_eq2(BiasFreeModel(fact.u, fact.v), target)
         for seed in PAPER_SEEDS:
             res = train_factorization("eq2", target, d=d, steps=5000,
@@ -203,8 +203,7 @@ def test_probe_gradient_checks():
                             lengths=lengths)
 
         def loss_fn():
-            feats = gather_features(data, table)
-            probs = forward(model, feats)
+            probs = predict_proba(model, data)
             return float(-np.log(
                 probs[np.arange(len(data)), data.labels]).mean())
 

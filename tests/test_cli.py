@@ -167,6 +167,42 @@ def test_embed_import_ragged_leaves_no_output(tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text", ["", "\n \n\n", "2 4\n"],
+                         ids=["empty", "blank-lines", "header-only"])
+@pytest.mark.parametrize("expected_d", [None, "4"])
+def test_embed_import_without_vectors_is_data_error(tmp_path, capsys, text, expected_d):
+    vocab_path = tmp_path / "vocab.tsv"
+    _run("vocab", "build", "--input", str(FIXTURES / "tiny.conll.train"),
+         "--format", "conll", "--output", str(vocab_path))
+    src = tmp_path / "emb.vec"
+    src.write_text(text, encoding="utf-8")
+    out = tmp_path / "aligned.txt"
+    capsys.readouterr()
+    rc = _run("embed", "import", "--source", str(src), "--vocab", str(vocab_path),
+              *(() if expected_d is None else ("--expected-d", expected_d)),
+              "--output", str(out))
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {src}: empty embedding file\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("text", ["", "\n \n\n", "2 8\n"],
+                         ids=["empty", "blank-lines", "header-only"])
+def test_probe_run_import_without_vectors_fails_before_any_cell(tmp_path, capsys,
+                                                                monkeypatch, text):
+    src = tmp_path / "emb.vec"
+    src.write_text(text, encoding="utf-8")
+    scored = []
+    monkeypatch.setattr(matrix, "run_matrix", lambda *args: scored.append(args) or [])
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    rc = cli.main(_tiny_synthetic_args(out_dir, extra=("--representations",
+                                                       f"eigennoise,import:{src}")))
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == f"data error: {src}: empty embedding file\n"
+    assert not scored and not out_dir.exists()
+
+
 def test_probe_run_usage_errors(tmp_path, capsys):
     out = str(tmp_path / "runs")
     assert _run("probe", "run", "--task", "synthetic", "--representations",
@@ -484,6 +520,39 @@ def test_matrix_runs_from_parsed_arguments(tmp_path):
             == (tmp_path / "cli" / "cells.json").read_bytes())
 
 
+# every default of probe run --task synthetic, written out as options
+PROBE_RUN_DEFAULTS = (
+    "--kind", "separable", "--n", "2000", "--classes", "2", "--data-seed", "7",
+    "--token-column", "0", "--label-column", "3", "--representations", "eigennoise,random",
+    "--frozen", "both", "--seeds", "0,1234,322111", "--d", "50", "--m", "5",
+    "--mode", "linear", "--completion-seed", "0", "--vocab-cap", "20000",
+    "--case-fold", "auto", "--hidden", "512", "--lr", "0.001", "--batch-size", "64",
+    "--max-epochs", "50", "--patience", "4",
+    "--fractions", "0.1,0.2,0.4,0.8,1.6,3.2,6.25,12.5,25,50,100",
+    "--workers", str(os.cpu_count() or 1))
+
+
+def test_defaults_written_out_change_no_output(tmp_path, monkeypatch):
+    # what a run would score is recorded, not scored: the spec depends on
+    # the options and the task only
+    plans = []
+    monkeypatch.setattr(matrix, "run_matrix", lambda ctx, cells, workers: plans.append(
+        (ctx.config_base, ctx.schedule, cells, workers)) or [])
+    outputs = []
+    for probe_options, embed_options in (
+            ((), ()),
+            (PROBE_RUN_DEFAULTS, ("--m", "5", "--mode", "linear", "--completion-seed", "0"))):
+        out = tmp_path / str(len(outputs))
+        assert _run("probe", "run", "--task", "synthetic", *probe_options,
+                    "--output-dir", str(out / "run")) == cli.EXIT_OK
+        assert _run("embed", "eigennoise", "--n", "100", "--d", "8", *embed_options,
+                    "--output", str(out / "emb.txt")) == cli.EXIT_OK
+        outputs.append([(out / name).read_bytes()
+                        for name in ("run/cells.json", "emb.txt.meta.json", "emb.txt")])
+    assert outputs[0] == outputs[1]
+    assert plans[0] == plans[1]
+
+
 def test_report_aggregate_empty_dir(tmp_path):
     assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_DATA
 
@@ -618,6 +687,9 @@ def test_commands_other_than_probe_run_load_no_probe_stack(tmp_path):
     probe_stack = {"eigennoise.matrix", "eigennoise.probe", "eigennoise.mdl",
                    "concurrent.futures", "multiprocessing"}
     numeric = {"numpy", "eigennoise.embeddings", "eigennoise.eigen", "eigennoise.harmonic"}
+    # --help and usage errors need only argparse and the defaults
+    parsing_only = numeric | probe_stack | {"eigennoise.datasets", "eigennoise.vocab"}
+    datasets = {"eigennoise.datasets"}
     vocab = tmp_path / "vocab.tsv"
     runs = tmp_path / "runs"
     runs.mkdir()
@@ -628,20 +700,21 @@ def test_commands_other_than_probe_run_load_no_probe_stack(tmp_path):
                                      encoding="utf-8")
     # argv, exit code, modules it loads, modules it must not load
     commands = (
-        (["--help"], cli.EXIT_OK, {"eigennoise.datasets"}, numeric | probe_stack),
+        (["--help"], cli.EXIT_OK, {"eigennoise.defaults"}, parsing_only),
         (["embed", "random", "--n", "0", "--d", "2", "--output", str(tmp_path / "r.txt")],
-         cli.EXIT_USAGE, {"eigennoise.datasets"}, numeric | probe_stack),
+         cli.EXIT_USAGE, {"eigennoise.defaults"}, parsing_only),
         (["vocab", "build", "--format", "conll", "--input",
           str(FIXTURES / "tiny.conll.train"), "--output", str(vocab)],
-         cli.EXIT_OK, {"eigennoise.datasets"}, numeric | probe_stack),
+         cli.EXIT_OK, datasets, numeric | probe_stack),
         (["embed", "import", "--source", str(FIXTURES / "tiny.glove.txt"),
           "--vocab", str(vocab), "--output", str(tmp_path / "imported.txt")],
          cli.EXIT_OK, {"numpy", "eigennoise.embeddings"},
-         {"eigennoise.eigen", "eigennoise.harmonic"} | probe_stack),
+         {"eigennoise.eigen", "eigennoise.harmonic"} | probe_stack | datasets),
         (["embed", "random", "--n", "5", "--d", "2", "--output", str(tmp_path / "random.txt")],
-         cli.EXIT_OK, {"numpy", "eigennoise.embeddings"}, probe_stack),
+         cli.EXIT_OK, {"numpy", "eigennoise.embeddings"}, probe_stack | datasets),
         (["report", "aggregate", "--input-dir", str(runs)],
-         cli.EXIT_OK, {"numpy", "eigennoise.mdl"}, probe_stack - {"eigennoise.mdl"}),
+         cli.EXIT_OK, {"numpy", "eigennoise.mdl"},
+         probe_stack - {"eigennoise.mdl"} | datasets),
     )
     for argv, code, loads, skips in commands:
         proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "eigennoise.cli",

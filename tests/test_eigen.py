@@ -71,7 +71,7 @@ def test_truncate_rank_one_exact_at_any_d():
 
 def test_truncate_discarded_eigenvalue_energy():
     full = dense_eigh(np.array([[2.0, 1.0], [1.0, 2.0]]))
-    fact = truncate(full, 1, "by_magnitude")
+    fact = truncate(full, 1)
     err2 = np.linalg.norm(fact.u @ fact.v.T - np.array([[2.0, 1.0], [1.0, 2.0]])) ** 2
     assert err2 == pytest.approx(1.0, rel=1e-9)
 
@@ -79,22 +79,21 @@ def test_truncate_discarded_eigenvalue_energy():
 def test_truncate_full_d_is_identity():
     a = materialize_log(HarmonicModel(n=5, m=3))
     full = dense_eigh(a)
-    fact = truncate(full, 5, "by_value")
-    np.testing.assert_allclose(fact.eigenvalues, full.eigenvalues, rtol=1e-12)
+    fact = truncate(full, 5)
+    np.testing.assert_allclose(np.sort(fact.eigenvalues), np.sort(full.eigenvalues),
+                               rtol=1e-12)
     np.testing.assert_allclose(fact.u @ fact.v.T, a, atol=1e-9)
 
 
 def test_truncate_ordering_rules_differ_on_log_matrix():
     a = materialize_log(HarmonicModel(n=8, m=5))
     full = dense_eigh(a)
-    by_mag = truncate(full, 2, "by_magnitude")
-    by_val = truncate(full, 2, "by_value")
-    # magnitude ordering keeps both nonzero pairs; value ordering keeps the
-    # positive one plus a zero pair
+    by_mag = truncate(full, 2)
+    # truncate orders by magnitude and keeps both nonzero pairs; the first
+    # two by value (the decomposition's order) are the positive one and a
+    # zero pair
     assert np.abs(by_mag.eigenvalues).min() > 1e-6
-    assert np.abs(by_val.eigenvalues).min() < 1e-10
-    with pytest.raises(ValueError):
-        truncate(full, 2, "by_size")
+    assert np.abs(full.eigenvalues[:2]).min() < 1e-10
 
 
 def test_analytic_linear_small_case():

@@ -213,9 +213,13 @@ def test_import_text_bulk_parse_matches_per_line(tmp_path, monkeypatch, text,
     ("2 3\nthe 1 2 3\n", 2, "{src}:1: header declares 3 dimensions, expected 2"),
     ("", None, "{src}: empty embedding file"),
     ("\n \n\n\n", None, "{src}: empty embedding file"),
+    ("", 2, "{src}: empty embedding file"),
+    ("2 2\n\n", None, "{src}: empty embedding file"),
+    ("2 2\n", 2, "{src}: empty embedding file"),
 ], ids=["bad-value-in-vocab", "bad-value-outside-vocab", "count-before-bad-value",
         "bad-value-before-count", "empty-field", "no-values", "header-dimension",
-        "empty-file", "blank-lines"])
+        "empty-file", "blank-lines", "empty-file-expected-d", "header-only",
+        "header-only-expected-d"])
 def test_import_text_bulk_parse_keeps_error_messages(tmp_path, monkeypatch, text,
                                                      expected_d, message):
     src = _write(tmp_path / "emb.txt", text)

@@ -100,7 +100,7 @@ def test_loss_eq2_eckart_young_residual():
     target = materialize_log(HarmonicModel(n=9, m=5))
     full = dense_eigh(target)
     for d in (1, 2, 4):
-        fact = truncate(full, d, "by_magnitude")
+        fact = truncate(full, d)
         discarded = np.sort(np.abs(full.eigenvalues))[::-1][d:]
         expected = float((discarded**2).sum())
         got = loss_eq2(BiasFreeModel(fact.u, fact.v), target)
@@ -180,7 +180,7 @@ def test_train_reaches_eigen_optimal_residual():
     target = materialize_log(HarmonicModel(n=8, m=5))
     full = dense_eigh(target)
     for d in (1, 2):
-        fact = truncate(full, d, "by_magnitude")
+        fact = truncate(full, d)
         opt = loss_eq2(BiasFreeModel(fact.u, fact.v), target)
         res = train_factorization("eq2", target, d=d, steps=3000,
                                   learning_rate=0.005, seed=0)
@@ -189,7 +189,7 @@ def test_train_reaches_eigen_optimal_residual():
 
 def test_trained_model_never_beats_eigen_truncation():
     target = materialize_log(HarmonicModel(n=8, m=5))
-    fact = truncate(dense_eigh(target), 1, "by_magnitude")
+    fact = truncate(dense_eigh(target), 1)
     opt = loss_eq2(BiasFreeModel(fact.u, fact.v), target)
     for seed in range(5):
         res = train_factorization("eq2", target, d=1, steps=1500,

@@ -17,7 +17,6 @@ from eigennoise.probe import (
     backward,
     evaluate_accuracy,
     evaluate_loss,
-    forward,
     gather_features,
     init_probe,
     predict_proba,
@@ -178,12 +177,19 @@ def test_mean_indices_match_a_per_text_loop(case_fold):
 # --- forward ----------------------------------------------------------------
 
 
+def _proba(model, h):
+    """predict_proba over the rows of h, as direct features."""
+    data = ProbeData(labels=np.zeros(len(h), dtype=int), num_classes=model.w2.shape[0],
+                     features=h)
+    return predict_proba(model, data)
+
+
 def test_forward_zero_weights_is_uniform():
     model = init_probe(4, 3, hidden=8, seed=0)
     model.w1[:] = 0.0
     model.w2[:] = 0.0
-    probs = forward(model, np.ones(4))
-    np.testing.assert_allclose(probs, np.full(3, 1.0 / 3.0), rtol=1e-12)
+    probs = _proba(model, np.ones((1, 4)))
+    np.testing.assert_allclose(probs, np.full((1, 3), 1.0 / 3.0), rtol=1e-12)
 
 
 def test_forward_constructed_logits():
@@ -191,8 +197,8 @@ def test_forward_constructed_logits():
     model.w1[:] = 1.0
     model.w2[0, 0] = math.log(3.0)
     model.w2[1, 0] = 0.0
-    probs = forward(model, np.array([1.0]))
-    np.testing.assert_allclose(probs, [0.75, 0.25], rtol=1e-12)
+    probs = _proba(model, np.array([[1.0]]))
+    np.testing.assert_allclose(probs, [[0.75, 0.25]], rtol=1e-12)
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -200,15 +206,9 @@ def test_forward_constructed_logits():
 def test_forward_is_a_distribution(seed):
     rng = np.random.Generator(np.random.Philox(key=seed))
     model = init_probe(6, 4, hidden=5, seed=seed)
-    probs = forward(model, rng.standard_normal((7, 6)))
+    probs = _proba(model, rng.standard_normal((7, 6)))
     assert (probs >= 0).all()
     np.testing.assert_allclose(probs.sum(axis=1), np.ones(7), atol=1e-9)
-
-
-def test_forward_rejects_nonfinite():
-    model = init_probe(2, 2, hidden=2, seed=0)
-    with pytest.raises(ValueError, match="finite"):
-        forward(model, np.array([np.nan, 0.0]))
 
 
 # --- backward ---------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_backward_matches_finite_differences_on_weights():
     assert grads["w1"].dtype == grads["w2"].dtype == np.float64  # no table: float64
 
     def loss_fn():
-        return float(-np.log(forward(model, h)[np.arange(4), labels]).mean())
+        return float(-probe._log_probs(model, h)[np.arange(4), labels].mean())
 
     np.testing.assert_allclose(grads["w1"], _fd_grad(loss_fn, model.w1),
                                rtol=1e-4, atol=1e-8)
@@ -250,7 +250,7 @@ def test_backward_table_gradients_match_finite_differences(pooling):
 
     def loss_fn():
         h = gather_features(data, table)
-        logp = np.log(forward(model, h)[np.arange(4), labels])
+        logp = probe._log_probs(model, h)[np.arange(4), labels]
         return float(-logp.mean())
 
     h = gather_features(data, table)
@@ -396,8 +396,8 @@ def test_backward_saturated_prediction_has_tiny_gradient():
     model.w1[:] = np.array([[50.0, 0.0], [0.0, 50.0]])
     model.w2[:] = np.array([[50.0, -50.0], [-50.0, 50.0]])
     h = np.array([[1.0, 0.0]])
-    probs = forward(model, h[0])
-    assert probs[0] > 1.0 - 1e-12
+    probs = _proba(model, h)
+    assert probs[0, 0] > 1.0 - 1e-12
     _, grads = backward(model, h, np.array([0]))
     assert np.abs(grads["w1"]).max() < 1e-9
     assert np.abs(grads["w2"]).max() < 1e-9
