@@ -1,0 +1,263 @@
+#!/usr/bin/env python3
+"""Run one fixed set of CLI commands from two source trees and compare.
+
+    python scripts/parity.py PARENT_SRC CHANGE_SRC
+
+Each argument is a checkout of this repository. The inputs are written
+once into a shared directory: a seeded token-zipf task
+(``bench/tokenzipf.generate``, seed 17, 2,000 train tokens) with its
+GloVe and ``.vec`` vectors, a small text corpus, and malformed
+``.txt``/``.vec`` vector files. Each tree then runs the whole set in a
+work directory of its own, naming every output relative to it, so both
+sides print the same paths:
+
+* ``--help`` of every parser, the usage errors of every command and a
+  few data errors;
+* ``vocab build`` (conll and text) and ``report aggregate``;
+* ``embed eigennoise`` and ``embed random`` at 20,000 ranks and d=50, and
+  on the task's vocabulary;
+* ``embed import`` of both vector files and of every malformed one;
+* the desk run (``probe run --task synthetic --n 500 --seeds 0``) and a
+  24-cell token-zipf run (eigennoise, random and GloVe import; windows
+  0, 2, 5 and 10; frozen and unfrozen; seed 0).
+
+It compares the exit code, stdout and stderr of every command, then every
+file in the two work directories, ``report.txt`` without its timestamp
+line. It prints the first difference and exits 1, or exits 0 when there
+is none. The inputs and work directories are written under a temporary
+directory, which is removed when there is no difference and kept
+otherwise. Needs numpy only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMESTAMP = b"# probe run at "
+
+# malformed vector files: (name, lines after any header)
+MALFORMED = {
+    "ragged": ["the 1 2", "cat 3"],
+    "bad-value": ["the 1 2", "cat 3 x"],
+    "bad-value-before-ragged": ["the 1 2", "cat x 4", "mat 5"],
+    "underscore": ["the 1_0 2", "cat 3 4"],  # np.loadtxt refuses 1_0, float takes it
+    "file-separator": ["the 1 2", "cat \x1c1 2"],  # np.loadtxt takes \x1c1, float refuses
+}
+
+
+def make_inputs(directory: Path) -> dict[str, Path]:
+    """Write every input the set reads into ``directory``; returns their
+    paths by name."""
+    spec = importlib.util.spec_from_file_location("tokenzipf",
+                                                  ROOT / "bench" / "tokenzipf.py")
+    tokenzipf = importlib.util.module_from_spec(spec)
+    dont_write = sys.dont_write_bytecode
+    sys.dont_write_bytecode = True  # leave no cache under bench/
+    try:
+        spec.loader.exec_module(tokenzipf)
+    finally:
+        sys.dont_write_bytecode = dont_write
+    tokenzipf.generate(directory, seed=17, train_tokens=2000)
+    inputs = {name: directory / file for name, file in tokenzipf.FILES.items()}
+    inputs["corpus"] = directory / "corpus.txt"
+    inputs["corpus"].write_text("the cat sat on the mat\nthe cat ran\n", encoding="utf-8")
+    for name, lines in MALFORMED.items():
+        glove, vec = directory / f"{name}.txt", directory / f"{name}.vec"
+        glove.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+        vec.write_text(f"{len(lines)} 2\n" + "".join(line + " \n" for line in lines),
+                       encoding="utf-8")
+        inputs[f"{name}.txt"], inputs[f"{name}.vec"] = glove, vec
+    late = inputs["late-ragged"] = directory / "late-ragged.txt"
+    # a ragged line many chunks into the file
+    late.write_text(inputs["glove"].read_text(encoding="utf-8") + "zzz 1\n",
+                    encoding="utf-8")
+    return inputs
+
+
+def _probe_usage_errors() -> list[list[str]]:
+    run = ["probe", "run", "--output-dir", "never"]
+    synthetic = [*run, "--task", "synthetic", "--n", "60"]
+    conll = [*run, "--task", "conll", "--train", "x.conll"]
+    limit = str(2**128)
+    return [
+        [*run],
+        [*synthetic, "--representations", "glove"],
+        [*synthetic, "--windows", "0,2"],
+        [*synthetic, "--windows", "a"],
+        [*synthetic, "--seeds", ""],
+        [*synthetic, "--kind", "nope"],
+        [*run, "--task", "conll"],
+        [*run, "--task", "tsv"],
+        [*conll, "--windows", "0,3"],
+        [*conll, "--windows", ""],
+        [*conll, "--d", "0"],
+        *([*synthetic, f"{option}={value}"] for option, value in (
+            ("--d", "0"), ("--m", "0"), ("--classes", "0"), ("--hidden", "0"),
+            ("--batch-size", "0"), ("--max-epochs", "0"), ("--patience", "0"),
+            ("--workers", "0"), ("--vocab-cap", "0"), ("--seeds", "-1"),
+            ("--seeds", "0,-1"), ("--seeds", limit), ("--seeds", f"0,{limit}"),
+            ("--data-seed", "-1"), ("--completion-seed", "-1"),
+            ("--completion-seed", limit), ("--token-column", "-1"),
+            ("--label-column", "-1"), ("--lr", "0"), ("--lr", "-0.1"), ("--lr", "nan"),
+            ("--lr", "inf"), ("--fractions", "0"), ("--fractions", "150"),
+            ("--fractions", "-5,50"), ("--fractions", "100"), ("--fractions", "a"))),
+    ]
+
+
+def command_set(inputs: dict[str, Path]) -> list[list[str]]:
+    """The fixed set, in run order, as argument lists of the CLI."""
+    parsers = [[], ["vocab"], ["vocab", "build"], ["embed"], ["embed", "eigennoise"],
+               ["embed", "random"], ["embed", "import"], ["probe"], ["probe", "run"],
+               ["report"], ["report", "aggregate"]]
+    build = ["vocab", "build", "--input", "in.txt", "--output", "never.tsv"]
+    limit = str(2**128)
+    usage = [
+        [], ["bogus"], ["embed"], ["embed", "random", "--n", "5"],
+        [*build, "--max-size", "0"], [*build, "--token-column", "-1"],
+        [*build, "--format", "xml"],
+        ["embed", "random", "--n", "5", "--vocab", "v.tsv", "--d", "2", "--output", "o"],
+        *(["embed", "eigennoise", "--n", "5", "--d", "2", "--output", "never.txt", *extra]
+          for extra in (["--d", "0"], ["--m", "0"], ["--n", "0"], ["--mode", "cubic"],
+                        ["--completion-seed", "-1"], ["--completion-seed", limit])),
+        *(["embed", "random", "--n", "5", "--d", "2", "--output", "never.txt", *extra]
+          for extra in (["--d", "0"], ["--n", "0"], ["--seed", "-1"], ["--seed", limit])),
+        ["embed", "import", "--source", "s.txt", "--vocab", "v.tsv", "--output", "o",
+         "--expected-d", "0"],
+        ["report", "aggregate"],
+        *_probe_usage_errors(),
+    ]
+    data_errors = [
+        ["vocab", "build", "--input", "missing.txt", "--output", "never.tsv"],
+        ["embed", "eigennoise", "--n", "5", "--d", "8", "--output", "never.txt"],
+        ["embed", "import", "--source", "missing.txt", "--vocab", "vocab.tsv",
+         "--output", "never.txt"],
+        ["probe", "run", "--task", "conll", "--train", "missing.conll",
+         "--output-dir", "never"],
+        ["report", "aggregate", "--input-dir", "missing"],
+    ]
+    imports = [["embed", "import", "--source", str(inputs[kind]), "--vocab", "vocab.tsv",
+                "--output", f"imported-{kind}.txt", *extra]
+               for kind, extra in (("glove", []), ("vec", []),
+                                   ("vec", ["--expected-d", "50"]), ("late-ragged", []))]
+    imports += [["embed", "import", "--source", str(inputs[f"{name}.{ext}"]),
+                 "--vocab", "small.tsv", "--output", f"imported-{name}-{ext}.txt"]
+                for name in MALFORMED for ext in ("txt", "vec")]
+    task = ["--train", str(inputs["train"]), "--dev", str(inputs["dev"]),
+            "--test", str(inputs["test"])]
+    return [
+        *([*words, "--help"] for words in parsers),
+        *usage,
+        *data_errors,
+        ["vocab", "build", "--format", "conll", "--input", str(inputs["train"]),
+         "--output", "vocab.tsv"],
+        ["vocab", "build", "--input", str(inputs["corpus"]), "--output", "small.tsv"],
+        ["embed", "eigennoise", "--n", "20000", "--d", "50", "--output", "en-20k.txt"],
+        ["embed", "random", "--n", "20000", "--d", "50", "--output", "random-20k.txt"],
+        ["embed", "eigennoise", "--vocab", "vocab.tsv", "--d", "16", "--mode", "log",
+         "--output", "en-log.txt"],
+        ["embed", "random", "--vocab", "vocab.tsv", "--d", "16", "--seed", "3",
+         "--output", "random-vocab.txt"],
+        *imports,
+        ["probe", "run", "--task", "synthetic", "--n", "500", "--seeds", "0",
+         "--output-dir", "desk"],
+        ["probe", "run", "--task", "conll", *task, "--representations",
+         f"eigennoise,random,import:{inputs['glove']}", "--windows", "0,2,5,10",
+         "--seeds", "0", "--frozen", "both", "--output-dir", "zipf"],
+        ["report", "aggregate", "--input-dir", "desk"],
+        ["report", "aggregate", "--input-dir", "zipf", "--output", "zipf-aggregate.txt"],
+    ]
+
+
+def source_dir(tree: Path) -> Path:
+    """``tree``'s ``src`` directory. Exits when it holds no eigennoise
+    package: both sides would then fail alike and show no difference."""
+    src = (tree / "src").resolve()
+    if not (src / "eigennoise" / "cli.py").is_file():
+        sys.exit(f"{tree}: not a checkout of eigennoise (no src/eigennoise/cli.py)")
+    return src
+
+
+def run_tree(src: Path, work: Path, commands: list[list[str]]) -> list[tuple]:
+    """Run each command from the package in ``src``, in ``work``; returns
+    (exit code, stdout, stderr) per command."""
+    work.mkdir(parents=True, exist_ok=True)
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    results = []
+    for argv in commands:
+        proc = subprocess.run([sys.executable, "-m", "eigennoise.cli", *argv], cwd=work,
+                              env=env, capture_output=True, timeout=900)
+        results.append((proc.returncode, proc.stdout, proc.stderr))
+    return results
+
+
+def _first_line_difference(a: bytes, b: bytes) -> str:
+    lines_a, lines_b = a.splitlines(), b.splitlines()
+    for i, (x, y) in enumerate(zip(lines_a, lines_b), start=1):
+        if x != y:
+            return f"line {i}:\n  parent: {x[:200]!r}\n  change: {y[:200]!r}"
+    i = min(len(lines_a), len(lines_b)) + 1
+    return f"line {i}: {len(lines_a)} lines against {len(lines_b)}"
+
+
+def _output_files(work: Path) -> dict[str, bytes]:
+    files = {}
+    for path in sorted(work.rglob("*")):
+        if path.is_file():
+            data = path.read_bytes()
+            if path.name == "report.txt" and data.startswith(TIMESTAMP):
+                data = data.partition(b"\n")[2]
+            files[path.relative_to(work).as_posix()] = data
+    return files
+
+
+def first_difference(commands: list[list[str]], parent: tuple[Path, list],
+                     change: tuple[Path, list]) -> str | None:
+    """The first difference between two sides' (work directory, results),
+    or None."""
+    (parent_work, parent_results), (change_work, change_results) = parent, change
+    for argv, old, new in zip(commands, parent_results, change_results):
+        for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
+            if a != b:
+                where = (f"{a} against {b}" if what == "exit code"
+                         else _first_line_difference(a, b))
+                return f"eigennoise {' '.join(argv)}: {what}: {where}"
+    old_files, new_files = _output_files(parent_work), _output_files(change_work)
+    for name in sorted(old_files.keys() | new_files.keys()):
+        if name not in new_files or name not in old_files:
+            side = "change" if name not in new_files else "parent"
+            return f"{name}: missing on the {side} side"
+        if old_files[name] != new_files[name]:
+            return f"{name}: {_first_line_difference(old_files[name], new_files[name])}"
+    return None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("parent_src", type=Path)
+    parser.add_argument("change_src", type=Path)
+    args = parser.parse_args(argv)
+    sources = {"parent": source_dir(args.parent_src), "change": source_dir(args.change_src)}
+    work = Path(tempfile.mkdtemp(prefix="eigennoise-parity-"))
+    commands = command_set(make_inputs(work / "inputs"))
+    sides = [(work / side, run_tree(src, work / side, commands))
+             for side, src in sources.items()]
+    difference = first_difference(commands, *sides)
+    if difference is not None:
+        print(f"first difference: {difference}\nwork directories kept under {work}")
+        return 1
+    print(f"no difference in {len(commands)} commands and "
+          f"{len(_output_files(sides[0][0]))} output files")
+    shutil.rmtree(work)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

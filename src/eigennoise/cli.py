@@ -33,6 +33,18 @@ DEFAULT_SEEDS = (0, 1234, 322111)
 SEED_LIMIT = 2**128  # numpy's Philox takes keys in [0, 2**128)
 
 
+#: The least value of each integer option, for every command that has it,
+#: in the order they are checked.
+MINIMUM = {
+    "d": 1, "m": 1, "classes": 1, "hidden": 1, "batch_size": 1, "max_epochs": 1,
+    "patience": 1, "workers": 1, "vocab_cap": 1, "max_size": 1, "expected_d": 1,
+    "data_seed": 0, "token_column": 0, "label_column": 0, "seed": 0, "seeds": 0,
+    "completion_seed": 0, "n": 1,
+}
+#: The options that key numpy's Philox, so must also be below SEED_LIMIT.
+PHILOX_KEYS = ("seed", "seeds", "completion_seed")
+
+
 class UsageError(Exception):
     pass
 
@@ -44,48 +56,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def parse_args(self, args=None, namespace=None):
-        """Parse, then run the command's checks: every usage error is
-        raised here, before any command loads numpy."""
+        """Parse, check every integer option against MINIMUM, then run the
+        command's own checks: every usage error is raised here, before any
+        command loads numpy."""
         parsed = super().parse_args(args, namespace)
+        for dest, least in MINIMUM.items():
+            value = getattr(parsed, dest, None)
+            if value is None:  # unset, or not an option of this command
+                continue
+            option = f"--{dest.replace('_', '-')}"
+            values = value if isinstance(value, tuple) else (value,)
+            for v in values:
+                if v < least:
+                    raise UsageError(f"{option} must be >= {least}, got {v}")
+            for v in values if dest in PHILOX_KEYS else ():
+                if v >= SEED_LIMIT:
+                    raise UsageError(f"{option} must be < 2**128, got {v}")
         check = getattr(parsed, "check", None)
         if check is not None:
             check(parsed)
         return parsed
 
 
-def _option_values(args, dests):
-    """(option name, value) pairs; an option may hold one int or a tuple,
-    or None when it is unset and has no default."""
-    for dest in dests:
-        value = getattr(args, dest)
-        if value is None:
-            continue
-        for v in value if isinstance(value, tuple) else (value,):
-            yield f"--{dest.replace('_', '-')}", v
-
-
-def _check_min(args, minimum: int, *dests: str) -> None:
-    """Raise a usage error naming the first option with a value below
-    ``minimum``."""
-    for option, v in _option_values(args, dests):
-        if v < minimum:
-            raise UsageError(f"{option} must be >= {minimum}, got {v}")
-
-
-def _check_seeds(args, *dests: str) -> None:
-    """Raise a usage error naming the first seed outside Philox's range."""
-    _check_min(args, 0, *dests)
-    for option, v in _option_values(args, dests):
-        if v >= SEED_LIMIT:
-            raise UsageError(f"{option} must be < 2**128, got {v}")
-
-
 # --- vocab build ------------------------------------------------------------
-
-
-def _check_vocab_build(args) -> None:
-    _check_min(args, 1, "max_size")
-    _check_min(args, 0, "token_column")
 
 
 def cmd_vocab_build(args) -> int:
@@ -106,22 +99,6 @@ def cmd_vocab_build(args) -> int:
 
 
 # --- embed ------------------------------------------------------------------
-
-
-def _check_embed_eigennoise(args) -> None:
-    _check_min(args, 1, "d", "m")
-    _check_seeds(args, "completion_seed")
-    _check_min(args, 1, "n")
-
-
-def _check_embed_random(args) -> None:
-    _check_min(args, 1, "d")
-    _check_seeds(args, "seed")
-    _check_min(args, 1, "n")
-
-
-def _check_embed_import(args) -> None:
-    _check_min(args, 1, "expected_d")
 
 
 def _load_or_size_vocab(args):
@@ -203,7 +180,9 @@ def run_cell(cell, ctx):
 
 
 def _check_probe_run(args) -> None:
-    """Check the options and settle the window and duplicate choices."""
+    """Check what MINIMUM does not (the options that depend on each
+    other, the floats and the windows) and settle the window and duplicate
+    choices."""
     if args.windows is None:
         args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
     elif args.task != "conll":
@@ -222,10 +201,6 @@ def _check_probe_run(args) -> None:
             )
     if not args.seeds:
         raise UsageError("need at least one seed")
-    _check_min(args, 1, "d", "m", "classes", "hidden", "batch_size", "max_epochs",
-               "patience", "workers", "vocab_cap")
-    _check_min(args, 0, "data_seed", "token_column", "label_column")
-    _check_seeds(args, "seeds", "completion_seed")
     if not 0 < args.lr < float("inf"):
         raise UsageError(f"--lr must be > 0 and finite, got {args.lr}")
     if not (all(0 < f <= 100 for f in args.fractions)
@@ -366,7 +341,7 @@ def build_parser() -> _Parser:
     p_build.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
     p_build.add_argument("--max-size", type=int, default=defaults.DEFAULT_MAX_SIZE)
     p_build.add_argument("--output", required=True)
-    p_build.set_defaults(func=cmd_vocab_build, check=_check_vocab_build)
+    p_build.set_defaults(func=cmd_vocab_build)
 
     p_embed = top.add_parser("embed", help="embedding table construction")
     embed_sub = p_embed.add_subparsers(dest="subcommand", required=True)
@@ -378,14 +353,14 @@ def build_parser() -> _Parser:
     p_en.add_argument("--mode", choices=("linear", "log"), default="linear")
     p_en.add_argument("--completion-seed", type=int, default=0)
     p_en.add_argument("--output", required=True)
-    p_en.set_defaults(func=cmd_embed_eigennoise, check=_check_embed_eigennoise)
+    p_en.set_defaults(func=cmd_embed_eigennoise)
 
     p_rand = embed_sub.add_parser("random", help="standard-normal baseline")
     _add_size_source(p_rand)
     p_rand.add_argument("--d", type=int, required=True)
     p_rand.add_argument("--seed", type=int, default=0)
     p_rand.add_argument("--output", required=True)
-    p_rand.set_defaults(func=cmd_embed_random, check=_check_embed_random)
+    p_rand.set_defaults(func=cmd_embed_random)
 
     p_imp = embed_sub.add_parser("import",
                                  help="align GloVe or word2vec/fastText .vec vectors")
@@ -393,7 +368,7 @@ def build_parser() -> _Parser:
     p_imp.add_argument("--vocab", required=True)
     p_imp.add_argument("--expected-d", type=int, default=None)
     p_imp.add_argument("--output", required=True)
-    p_imp.set_defaults(func=cmd_embed_import, check=_check_embed_import)
+    p_imp.set_defaults(func=cmd_embed_import)
 
     p_probe = top.add_parser("probe", help="MDL probing experiments")
     probe_sub = p_probe.add_subparsers(dest="subcommand", required=True)

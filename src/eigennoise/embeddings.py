@@ -36,9 +36,9 @@ _VEC_HEADER = re.compile(r"[0-9]+ [0-9]+")
 #: chunks were slower (d=300: 4,096 lines +6%, 8,192 +13%) and hold more.
 IMPORT_CHUNK_LINES = 1024
 
-# The characters of a chunk's values that the bulk parse accepts. Others
-# (say \x1c..\x1f, which np.loadtxt strips around a number but
-# np.array(fields, float) rejects) send the chunk through the per-line parse.
+# The characters of a chunk's values that np.loadtxt parses. Others (say
+# \x1c..\x1f, which np.loadtxt strips around a number but
+# np.array(fields, float) rejects) send the chunk to np.array.
 _PLAIN = (string.digits + string.ascii_letters + "+-. ").encode("ascii")
 
 #: Fewest rows ``export_text`` gives one block. Forking a writer and
@@ -140,13 +140,12 @@ def import_text(
 
     The file is read IMPORT_CHUNK_LINES lines at a time, so memory is
     bounded by the vocabulary and one chunk, not by the file. A chunk's
-    values are parsed by one ``np.loadtxt`` call. A chunk with a line
-    that is malformed, or that holds a value loadtxt rejects or a
-    character outside digits, ASCII letters and "+-.", is parsed line by
-    line with ``np.array(fields, float)`` instead: that raises the first
-    error in file order, naming ``path:line``, or accepts what the bulk
-    parse refused (such as ``1_0``). Both parsers round correctly, so the
-    table is the same either way.
+    values are parsed by one ``np.loadtxt`` call, or by one
+    ``np.array(fields, float)`` call when a value holds a character
+    outside digits, ASCII letters and "+-." or loadtxt rejects it; the
+    latter accepts what loadtxt refuses (such as ``1_0``). Both round
+    correctly, so the table is the same either way. The first error in
+    file order is raised, naming ``path:line``.
     """
     found: dict[int, np.ndarray] = {}
     d, vectors = expected_d, 0
@@ -164,89 +163,76 @@ def import_text(
     return EmbeddingTable(rows=rows, d=d), report
 
 
-def _header_dim(path, line: str, d: int | None) -> int:
-    """The dimension a ``.vec`` header line declares, checked against d."""
-    header_d = int(line.split(" ")[1])
-    if d is not None and header_d != d:
-        raise ValueError(f"{path}:1: header declares {header_d} dimensions, expected {d}")
-    return header_d
-
-
 def _read_chunk(path, lines, d, rank_by_token, found) -> tuple[int | None, int]:
-    """Parse (line number, line) pairs in bulk; return the dimension and
-    the number of vector lines.
+    """Parse (line number, line) pairs; return the dimension and the number
+    of vector lines.
 
-    Adds each vocabulary line's vector to ``found`` unless its rank is
-    there. Falls back to ``_read_lines`` as ``import_text`` describes.
+    One walk splits each line into its token and values and checks the
+    value count. Every line before the first malformed one is then parsed
+    in one call, so a bad value on an earlier line is reported first: by
+    ``np.loadtxt`` when every value is plain (digits, ASCII letters and
+    "+-."), else, or when loadtxt refuses, by ``np.array(fields, float)``.
+    Only a value that both refuse is located field by field. Adds each
+    vocabulary line's vector to ``found`` unless its rank is there.
     """
-    width, tokens, rests = d, [], []
+    tokens, rests, numbers, fault = [], [], [], None
     for lineno, line in lines:
         line = line.rstrip()
         if not line:
             continue
         if lineno == 1 and _VEC_HEADER.fullmatch(line):
-            width = _header_dim(path, line, width)
+            header_d = int(line.split(" ")[1])
+            if d is not None and header_d != d:
+                raise ValueError(
+                    f"{path}:1: header declares {header_d} dimensions, expected {d}")
+            d = header_d
             continue
         token, sep, rest = line.partition(" ")
-        if width is None:
-            width = rest.count(" ") + 1
-        if not sep or rest.count(" ") != width - 1:
-            return _read_lines(path, lines, d, rank_by_token, found)
+        if not sep:
+            fault = f"{path}:{lineno}: expected 'token v1 ... vd'"
+            break
+        count = rest.count(" ") + 1
+        if d is None:
+            d = count
+        if count != d:
+            fault = f"{path}:{lineno}: {count} values, expected {d}"
+            break
         tokens.append(token)
         rests.append(rest)
-    if not rests:
-        return width, 0
-    values = "".join(rests)
-    if not values.isascii() or values.encode("ascii").translate(None, _PLAIN):
-        return _read_lines(path, lines, d, rank_by_token, found)
-    try:
-        block = np.loadtxt(rests, dtype=float, delimiter=" ", comments=None,
-                           quotechar=None, ndmin=2)
-    except ValueError:
-        return _read_lines(path, lines, d, rank_by_token, found)
-    for i, token in enumerate(tokens):
+        numbers.append(lineno)
+    block = _parse_values(path, rests, numbers) if rests else ()
+    if fault is not None:
+        raise ValueError(fault)
+    for token, row in zip(tokens, block):
         rank = rank_by_token.get(token)
         if rank is not None and rank not in found:
-            found[rank] = block[i].copy()  # a view would keep the chunk alive
-    return width, len(tokens)
+            found[rank] = row.copy()  # a view would keep the chunk alive
+    return d, len(tokens)
 
 
-def _read_lines(path, lines, d, rank_by_token, found) -> tuple[int | None, int]:
-    """The per-line parse of ``_read_chunk``, one ``np.array`` per line."""
-    vectors = 0
-    for lineno, line in lines:
-        line = line.rstrip()
-        if not line:
-            continue
-        if lineno == 1 and _VEC_HEADER.fullmatch(line):
-            d = _header_dim(path, line, d)
-            continue
-        parts = line.split(" ")
-        if len(parts) < 2:
-            raise ValueError(f"{path}:{lineno}: expected 'token v1 ... vd'")
-        token, fields = parts[0], parts[1:]
-        if d is None:
-            d = len(fields)
-        if len(fields) != d:
-            raise ValueError(
-                f"{path}:{lineno}: {len(fields)} values, expected {d}"
-            )
+def _parse_values(path, rests, numbers) -> np.ndarray:
+    """The (lines, d) values of ``rests``, as ``_read_chunk`` describes;
+    ``numbers`` holds their line numbers."""
+    values = "".join(rests)
+    if values.isascii() and not values.encode("ascii").translate(None, _PLAIN):
         try:
-            vec = np.array(fields, dtype=float)
+            return np.loadtxt(rests, dtype=float, delimiter=" ", comments=None,
+                              quotechar=None, ndmin=2)
         except ValueError:
-            for col, f in enumerate(fields, start=2):
+            pass
+    fields = [rest.split(" ") for rest in rests]
+    try:
+        return np.array(fields, dtype=float)
+    except ValueError:
+        for lineno, row in zip(numbers, fields):
+            for col, f in enumerate(row, start=2):
                 try:
                     float(f)
                 except ValueError:
                     raise ValueError(
                         f"{path}:{lineno}: column {col}: cannot parse {f!r}"
                     ) from None
-            raise
-        vectors += 1
-        rank = rank_by_token.get(token)
-        if rank is not None:
-            found.setdefault(rank, vec)
-    return d, vectors
+        raise
 
 
 def _write_rows(fh, labels, rows, template: str) -> None:

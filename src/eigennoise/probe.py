@@ -228,12 +228,13 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     Gradients have the dtype of the hidden layer; the loss is computed in
     float64.
 
-    The table gradient is summed in float64 and cast to the table's dtype.
-    Under concat pooling one ``bincount`` over (row, column) cells adds
-    every window position's gradient in batch order. Under mean pooling
-    the sum runs over the batch's unique rows: a (B, U) matrix counts how
-    often each example holds each row, and ``counts.T @ (dh / lengths)``
-    gives every row's gradient at once. For a float32 table this equals
+    The table gradient is summed in float64 over the batch's U unique
+    rows, then cast into a zeroed table-shaped array. Under concat pooling
+    one ``bincount`` over U·d (row, column) cells adds every window
+    position's gradient in batch order, bit-identical to a whole-table
+    sum. Under mean pooling a (B, U) matrix counts how often each example
+    holds each row, and ``counts.T @ (dh / lengths)`` gives every row's
+    gradient at once. For a float32 table this equals
     the per-position sum bit for bit: a float32 value times a small count
     is exact in float64. For a float64 table the two sums round
     differently in the last bits.
@@ -261,26 +262,27 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     table = model.table
     if table is not None and table.trainable and indices is not None:
         dh = dhidden @ model.w1  # (B, input_dim)
-        d = table.d
+        rows, inverse = np.unique(indices, return_inverse=True)
         if model.pooling == "concat":
-            # One flat bincount over (row, column) cells adds each cell's
-            # terms in batch order, as np.add.at does, so the sums are
-            # bit-identical. bincount sums in float64 whatever the weights'
-            # dtype.
-            cells = (indices.reshape(-1, 1) * d + np.arange(d)).ravel()
-            gtable = np.bincount(cells, weights=dh.ravel(), minlength=table.rows.size)
-            gtable = gtable.astype(table.rows.dtype, copy=False).reshape(table.rows.shape)
+            # One flat bincount over (unique row, column) cells adds each
+            # cell's terms in batch order, as np.add.at does, so the sums
+            # are bit-identical. bincount sums in float64 whatever the
+            # weights' dtype.
+            d = table.d
+            cells = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
+            grad = np.bincount(cells, weights=dh.ravel(), minlength=len(rows) * d)
+            grad = grad.reshape(len(rows), d)
         elif model.pooling == "mean":
             # every position of example b adds dh[b] / lengths[b] to its row
-            rows, inverse = np.unique(indices, return_inverse=True)
             slots = np.arange(batch)[:, None] * len(rows) + inverse.reshape(indices.shape)
             counts = np.bincount(slots.ravel(), minlength=batch * len(rows))
             per_example = dh / lengths[:, None].astype(dh.dtype)
-            gtable = np.zeros_like(table.rows)
-            gtable[rows] = (counts.reshape(batch, len(rows)).T.astype(float)
-                            @ per_example.astype(float))
+            grad = (counts.reshape(batch, len(rows)).T.astype(float)
+                    @ per_example.astype(float))
         else:
             raise ValueError("direct pooling has no table rows to differentiate")
+        gtable = np.zeros_like(table.rows)
+        gtable[rows] = grad  # cast to the table's dtype
         gtable[table.pad_row] = 0.0
         grads["table"] = gtable
     return loss, grads

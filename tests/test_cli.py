@@ -227,7 +227,8 @@ def test_probe_run_usage_errors(tmp_path, capsys):
                           ("--lr", "-0.1"), ("--lr", "nan"), ("--lr", "inf"),
                           ("--vocab-cap", "0"), ("--fractions", "0"), ("--fractions", "150"),
                           ("--fractions", "-5,50"), ("--fractions", "100"),
-                          ("--token-column", "-1"), ("--label-column", "-1")):
+                          ("--token-column", "-1"), ("--label-column", "-1"),
+                          ("--n", "0")):
         capsys.readouterr()
         # option=value: argparse would read "-5,50" as an option of its own
         assert _run("probe", "run", "--task", "synthetic", "--n", "60", f"{option}={value}",

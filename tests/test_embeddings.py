@@ -155,7 +155,7 @@ def test_import_text_duplicate_first_wins(tmp_path):
 # Tokens hold characters that str.splitlines splits on (U+0085, U+2028) or
 # that str.split() strips (U+00A0); the values are the IEEE edge cases.
 # "1_0" and "١٢" are refused by np.loadtxt but taken by np.array, so their
-# chunk is parsed line by line; the others are parsed in bulk.
+# chunk is parsed by np.array; the others by np.loadtxt.
 _ODD_VOCAB = build_vocab(["the", "dog", "cat", "a\x85b", "c\u2028d", "\xa0e", "the"])
 _ODD_LINES = [
     "the 0.1 -0.2",
@@ -172,29 +172,33 @@ _ODD_LINES = [
 ]
 
 
-@pytest.mark.parametrize("text, per_line_chunk", [
-    ("\r\n".join(_ODD_LINES) + "\r\n", 4),
-    ("11 2 \n" + "".join(line + (" \r\n" if i % 2 else " \n")
-                         for i, line in enumerate(_ODD_LINES)), 7),
+def _float_oracle(vocab, lines):
+    """The table rows ``import_text`` must build from ``lines``: float()
+    of each field, the first line of a token winning."""
+    rows = np.zeros((vocab.size + 2, 2))
+    seen = set()
+    for line in lines:
+        token, *fields = line.rstrip().split(" ")
+        rank = vocab.rank_by_token.get(token)
+        if fields and rank is not None and rank not in seen:
+            seen.add(rank)
+            rows[rank - 1] = [float(f) for f in fields]
+    return rows
+
+
+@pytest.mark.parametrize("text", [
+    "\r\n".join(_ODD_LINES) + "\r\n",
+    "11 2 \n" + "".join(line + (" \r\n" if i % 2 else " \n")
+                       for i, line in enumerate(_ODD_LINES)),
 ], ids=["glove", "vec"])
-def test_import_text_bulk_parse_matches_per_line(tmp_path, monkeypatch, text,
-                                                 per_line_chunk):
+def test_import_text_bulk_parse_matches_per_line(tmp_path, monkeypatch, text):
     src = tmp_path / "emb.txt"
     src.write_bytes(text.encode("utf-8"))
     monkeypatch.setattr(embeddings, "IMPORT_CHUNK_LINES", 3)
-    read_lines, per_line = embeddings._read_lines, []
-
-    def spy(path, lines, *args):
-        per_line.append(lines[0][0])
-        return read_lines(path, lines, *args)
-
-    monkeypatch.setattr(embeddings, "_read_lines", spy)
     table, report = import_text(src, _ODD_VOCAB)
-    assert per_line == [per_line_chunk]  # the chunk that holds "1_0"
-    monkeypatch.setattr(embeddings, "_read_chunk", read_lines)
-    want, want_report = import_text(src, _ODD_VOCAB)
-    assert np.array_equal(table.rows.view(np.uint64), want.rows.view(np.uint64))
-    assert report == want_report == import_text(src, _ODD_VOCAB, expected_d=2)[1]
+    want = _float_oracle(_ODD_VOCAB, _ODD_LINES)
+    assert np.array_equal(table.rows.view(np.uint64), want.view(np.uint64))
+    assert report == import_text(src, _ODD_VOCAB, expected_d=2)[1]
     assert table.rows[0].tolist() == [0.1, -0.2]
     assert np.signbit(table.rows[1, 1]) and table.rows[1, 0] == np.inf
     assert table.rows[5].tolist() == [10.0, 12.0]
@@ -216,10 +220,11 @@ def test_import_text_bulk_parse_matches_per_line(tmp_path, monkeypatch, text,
     ("", 2, "{src}: empty embedding file"),
     ("2 2\n\n", None, "{src}: empty embedding file"),
     ("2 2\n", 2, "{src}: empty embedding file"),
+    ("the 1 2\ncat 3 4\ndog 5 6\ncat 1_0 x\n", None, "{src}:4: column 3: cannot parse 'x'"),
 ], ids=["bad-value-in-vocab", "bad-value-outside-vocab", "count-before-bad-value",
         "bad-value-before-count", "empty-field", "no-values", "header-dimension",
         "empty-file", "blank-lines", "empty-file-expected-d", "header-only",
-        "header-only-expected-d"])
+        "header-only-expected-d", "bad-value-in-non-plain-chunk"])
 def test_import_text_bulk_parse_keeps_error_messages(tmp_path, monkeypatch, text,
                                                      expected_d, message):
     src = _write(tmp_path / "emb.txt", text)

@@ -311,11 +311,15 @@ def _input_gradient(model, h, labels):
     return ((dlogits @ model.w2) * (pre > 0)) @ model.w1
 
 
-def _bincount_mean_gradient(table, indices, lengths, dh):
-    """The mean-pooling table gradient as one bincount over (row, column)
-    cells of every token position, summed in float64 in batch order."""
+def _bincount_table_gradient(table, indices, lengths, dh):
+    """The table gradient as one bincount over the (row, column) cells of
+    the whole table and every token position, summed in float64 in batch
+    order; ``lengths`` is None under concat pooling."""
     d = table.d
-    seg = np.repeat(dh / lengths[:, None].astype(dh.dtype), indices.shape[1], axis=0)
+    if lengths is None:
+        seg = dh.reshape(-1, d)
+    else:
+        seg = np.repeat(dh / lengths[:, None].astype(dh.dtype), indices.shape[1], axis=0)
     cells = (indices.reshape(-1, 1) * d + np.arange(d)).ravel()
     gtable = np.bincount(cells, weights=seg.ravel(), minlength=table.rows.size)
     gtable = gtable.astype(table.rows.dtype).reshape(table.rows.shape)
@@ -325,12 +329,18 @@ def _bincount_mean_gradient(table, indices, lengths, dh):
 
 @given(n=st.integers(1, 300), d=st.integers(1, 60), batch=st.integers(1, 64),
        width=st.integers(1, 40), seed=st.integers(0, 2**32 - 1), zipf=st.booleans(),
-       dtype=st.sampled_from([np.float32, np.float64]))
-@example(n=5, d=3, batch=1, width=40, seed=0, zipf=True, dtype=np.float32)
-@example(n=60, d=50, batch=64, width=20, seed=1, zipf=True, dtype=np.float32)
+       dtype=st.sampled_from([np.float32, np.float64]),
+       pooling=st.sampled_from(["mean", "concat"]))
+@example(n=5, d=3, batch=1, width=40, seed=0, zipf=True, dtype=np.float32, pooling="mean")
+@example(n=60, d=50, batch=64, width=20, seed=1, zipf=True, dtype=np.float32,
+         pooling="mean")
+@example(n=990, d=50, batch=64, width=5, seed=2, zipf=True, dtype=np.float32,
+         pooling="concat")
+@example(n=990, d=50, batch=64, width=21, seed=3, zipf=True, dtype=np.float64,
+         pooling="concat")
 @settings(max_examples=120, deadline=None)
 def test_mean_table_gradient_matches_the_bincount_formula(n, d, batch, width, seed, zipf,
-                                                          dtype):
+                                                          dtype, pooling):
     rng = np.random.Generator(np.random.Philox(key=seed))
     table = random_table(n, d, seed=seed)
     table = replace(table, rows=table.rows.astype(dtype), trainable=True)
@@ -341,26 +351,30 @@ def test_mean_table_gradient_matches_the_bincount_formula(n, d, batch, width, se
     else:
         rows = rng.integers(0, n + 1, (batch, width))
     lengths[0] = width
-    rows[0, -1] = rows[0, 0]  # a row repeated inside one sequence
+    rows[0, -1] = rows[0, 0]  # a row repeated inside one sequence (or window)
     indices = np.where(np.arange(width) < lengths[:, None], rows, table.pad_row)
+    if pooling == "concat":
+        lengths = None  # PAD stands for the positions outside the sentence
     labels = rng.integers(0, 3, batch)
-    data = ProbeData(labels=labels, num_classes=3, pooling="mean", indices=indices,
+    data = ProbeData(labels=labels, num_classes=3, pooling=pooling, indices=indices,
                      lengths=lengths)
-    model = init_probe(d, 3, hidden=8, seed=seed, table=table, pooling="mean")
+    model = init_probe(data.input_dim(d), 3, hidden=8, seed=seed, table=table,
+                       pooling=pooling)
     h = gather_features(data, table)
     _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
 
     dh = _input_gradient(model, h, labels)
-    reference = _bincount_mean_gradient(table, indices, lengths, dh)
+    reference = _bincount_table_gradient(table, indices, lengths, dh)
     assert grads["table"].dtype == dtype
-    if dtype == np.float32:
-        # float32 terms times small counts are exact in float64, so both sums
-        # round to the same float32
+    if dtype == np.float32 or pooling == "concat":
+        # concat adds the same terms in the same order per cell; under mean
+        # pooling float32 terms times small counts are exact in float64, so
+        # both sums round to the same float32
         assert np.array_equal(grads["table"], reference)
     else:
         # float64 terms round in float64 and the two sum in different orders:
         # they agree to within the summation error bound
-        abs_sum = _bincount_mean_gradient(table, indices, lengths, np.abs(dh))
+        abs_sum = _bincount_table_gradient(table, indices, lengths, np.abs(dh))
         bound = 2 * indices.size * np.finfo(np.float64).eps * abs_sum
         assert np.all(np.abs(grads["table"] - reference) <= bound)
 

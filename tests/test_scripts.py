@@ -5,6 +5,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 SCRIPTS = ROOT / "scripts"
 
@@ -33,3 +35,54 @@ def test_tracer_layers_exist(monkeypatch):
             assert callable(getattr(module, fn, None)), f"eigennoise.{mod}.{fn}"
     hooked = set(tracer.TAGS) | set(tracer.EXTRAS) | tracer.MEMORY_TRACED
     assert hooked <= set(tracer.LAYER_NAMES)
+
+
+@pytest.fixture
+def parity(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("parity", SCRIPTS / "parity.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _parity_subset(parity, inputs):
+    """A help, a usage error, two vocabularies, one good and one malformed
+    import."""
+    outputs = (["vocab.tsv"], ["small.tsv"], ["imported-glove.txt"],
+               ["imported-bad-value-before-ragged-vec.txt"])
+    return [argv for argv in parity.command_set(inputs)
+            if argv == ["--help"] or "--max-size" in argv or argv[-1:] in outputs]
+
+
+def test_parity_same_tree_has_no_difference(tmp_path, parity):
+    commands = _parity_subset(parity, parity.make_inputs(tmp_path / "inputs"))
+    assert len(commands) == 6
+    sides = [(tmp_path / side, parity.run_tree(ROOT / "src", tmp_path / side, commands))
+             for side in ("parent", "change")]
+    assert parity.first_difference(commands, *sides) is None
+    assert [code for code, _, _ in sides[0][1]] == [0, 1, 0, 0, 0, 2]
+    # report bodies are compared without their timestamp line
+    for (work, _), stamp in zip(sides, ("00:00", "11:11")):
+        (work / "report.txt").write_text(f"# probe run at {stamp}\nbody\n")
+    assert parity.first_difference(commands, *sides) is None
+
+
+def test_parity_names_a_patched_output(tmp_path, parity):
+    commands = _parity_subset(parity, parity.make_inputs(tmp_path / "inputs"))
+    parent, change = [(tmp_path / side,
+                       parity.run_tree(ROOT / "src", tmp_path / side, commands))
+                      for side in ("parent", "change")]
+    table = change[0] / "imported-glove.txt"
+    lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
+    lines[3] = lines[3].replace(" ", " -", 1)
+    table.write_text("".join(lines), encoding="utf-8")
+    assert parity.first_difference(commands, parent, change).startswith(
+        "imported-glove.txt: line 4:\n  parent: ")
+    table.unlink()
+    assert parity.first_difference(commands, parent, change) == (
+        "imported-glove.txt: missing on the change side")
+    code, stdout, stderr = change[1][-1]
+    change[1][-1] = (code, stdout, stderr.replace(b"column", b"field"))
+    assert parity.first_difference(commands, parent, change).startswith(
+        f"eigennoise {' '.join(commands[-1])}: stderr: line 1:")
