@@ -15,7 +15,8 @@ sides print the same paths:
   few data errors;
 * ``vocab build`` (conll and text) and ``report aggregate``;
 * ``embed eigennoise`` and ``embed random`` at 20,000 ranks and d=50, and
-  on the task's vocabulary;
+  on the task's vocabulary; ``embed eigennoise`` at 400 ranks and d=300,
+  whose completion spans many Gram-Schmidt blocks;
 * ``embed import`` of both vector files and of every malformed one;
 * the desk run (``probe run --task synthetic --n 500 --seeds 0``) and a
   24-cell token-zipf run (eigennoise, random and GloVe import; windows
@@ -100,9 +101,9 @@ def _probe_usage_errors() -> list[list[str]]:
         [*conll, "--windows", ""],
         [*conll, "--d", "0"],
         *([*synthetic, f"{option}={value}"] for option, value in (
-            ("--d", "0"), ("--m", "0"), ("--classes", "0"), ("--hidden", "0"),
-            ("--batch-size", "0"), ("--max-epochs", "0"), ("--patience", "0"),
-            ("--workers", "0"), ("--vocab-cap", "0"), ("--seeds", "-1"),
+            ("--n", "0"), ("--d", "0"), ("--m", "0"), ("--classes", "0"),
+            ("--hidden", "0"), ("--batch-size", "0"), ("--max-epochs", "0"),
+            ("--patience", "0"), ("--workers", "0"), ("--vocab-cap", "0"), ("--seeds", "-1"),
             ("--seeds", "0,-1"), ("--seeds", limit), ("--seeds", f"0,{limit}"),
             ("--data-seed", "-1"), ("--completion-seed", "-1"),
             ("--completion-seed", limit), ("--token-column", "-1"),
@@ -161,6 +162,7 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
         ["vocab", "build", "--input", str(inputs["corpus"]), "--output", "small.tsv"],
         ["embed", "eigennoise", "--n", "20000", "--d", "50", "--output", "en-20k.txt"],
         ["embed", "random", "--n", "20000", "--d", "50", "--output", "random-20k.txt"],
+        ["embed", "eigennoise", "--n", "400", "--d", "300", "--output", "en-400x300.txt"],
         ["embed", "eigennoise", "--vocab", "vocab.tsv", "--d", "16", "--mode", "log",
          "--output", "en-log.txt"],
         ["embed", "random", "--vocab", "vocab.tsv", "--d", "16", "--seed", "3",

@@ -4,12 +4,13 @@ Two routes to the same factors:
 
 * an analytic construction exploiting the model's low rank (rank 1 in
   linear space, rank 2 in log space), whose degenerate zero-eigenspace
-  is filled by a seeded Haar-random orthonormal frame from one thin QR;
-  it never forms an N x N array;
+  is filled by a seeded Haar-random orthonormal frame, built in place
+  in U_d by blocked Gram-Schmidt; it never forms an N x N array;
 * LAPACK's dense symmetric eigensolver, used as the brute-force oracle.
 
 The retained factor U_d (unit eigenvector columns) is the embedding; V_d
-carries the eigenvalue scaling and is exposed for diagnostics only.
+carries the eigenvalue scaling, is computed from U_d when read, and is
+exposed for diagnostics only.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ import numpy as np
 from .embeddings import EmbeddingTable
 from .defaults import DEFAULT_WINDOW
 from .harmonic import DENSE_CAP, HarmonicModel
+
+#: Columns per block of the completion's Gram-Schmidt, chosen by timing
+#: 20,000 x 50 and 20,000 x 300 builds: 8 was slower at d=300, 32 slower
+#: at d=50. Not an option.
+GS_BLOCK = 16
+#: Rows of the completion's Gaussian draw made at a time. The values and
+#: their order are those of one whole draw, without its N x (d - k)
+#: temporary, which raised the peak RSS of a 20,000 x 50 build by ~5 MB.
+DRAW_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -45,7 +55,11 @@ class EigenFactorization:
     d: int
     eigenvalues: np.ndarray  # (d,)
     u: np.ndarray  # (N, d)
-    v: np.ndarray  # (N, d)
+
+    @property
+    def v(self) -> np.ndarray:
+        """V_d, computed on each access: (N, d)."""
+        return self.u * self.eigenvalues[None, :]
 
 
 def _fix_signs(vectors: np.ndarray) -> np.ndarray:
@@ -93,8 +107,7 @@ def truncate(full: FullDecomposition, d: int) -> EigenFactorization:
     keep = _by_magnitude(full.eigenvalues)[:d]
     values = full.eigenvalues[keep]
     u = full.vectors[:, keep]
-    return EigenFactorization(n=full.n, d=d, eigenvalues=values, u=u,
-                              v=u * values[None, :])
+    return EigenFactorization(n=full.n, d=d, eigenvalues=values, u=u)
 
 
 def _log_mode_pairs(model: HarmonicModel) -> tuple[np.ndarray, np.ndarray]:
@@ -136,21 +149,32 @@ def _log_mode_pairs(model: HarmonicModel) -> tuple[np.ndarray, np.ndarray]:
     return values, vectors
 
 
-def _seeded_complement(model_cols: np.ndarray, width: int, seed: int) -> np.ndarray:
-    """``width`` orthonormal columns orthogonal to the orthonormal ``model_cols``.
+def _orthonormalize_from(u: np.ndarray, k: int) -> None:
+    """Make columns k.. of ``u`` orthonormal in place, given orthonormal
+    columns 0..k-1.
 
-    A seeded Gaussian N x width block is projected off the model columns
-    (twice, which removes what round-off leaves after one pass) and
-    thin-QR factored. Up to column signs, Q is a Haar-random frame of the
-    complement (Mezzadri, arXiv:math-ph/0609050); the signs are left
-    to the caller's ``_fix_signs``, which makes the usual sign(diag(R))
-    correction a no-op. Cost O(N * width^2).
+    Blocked classical Gram-Schmidt, applied twice (CGS2). Each block of
+    ``GS_BLOCK`` columns is projected twice off every earlier column with
+    one matrix product. The block is then copied to contiguous rows; each
+    row is projected twice off the rows before it, normalized and
+    sign-fixed by the ``_fix_signs`` rule, and the rows are written back.
+    On Gaussian columns this gives the Q of a thin QR whose R has a
+    positive diagonal: a Haar-random frame of the complement (Mezzadri,
+    arXiv:math-ph/0609050). Cost O(N * d^2); the temporaries that grow
+    with N are two N x ``GS_BLOCK`` arrays.
     """
-    rng = np.random.Generator(np.random.Philox(key=seed))
-    g = rng.standard_normal((model_cols.shape[0], width))
-    for _ in range(2):
-        g -= model_cols @ (model_cols.T @ g)
-    return np.linalg.qr(g)[0]
+    for j0 in range(k, u.shape[1], GS_BLOCK):
+        block, done = u[:, j0:j0 + GS_BLOCK], u[:, :j0]
+        for _ in range(2):
+            block -= done @ (done.T @ block)
+        rows = block.T.copy()
+        for i, row in enumerate(rows):
+            for _ in range(2):
+                row -= (rows[:i] @ row) @ rows[:i]
+            row /= np.linalg.norm(row)
+            if row[np.argmax(np.abs(row))] < 0:
+                row *= -1.0
+        block[...] = rows.T
 
 
 def eigennoise_analytic(
@@ -168,7 +192,11 @@ def eigennoise_analytic(
     columns 1-2, ordered by magnitude. All remaining columns are
     an orthonormal frame of the zero eigenspace drawn from the Haar
     distribution by ``completion_seed``: the same seed gives the same
-    table. Nothing N x N is formed; cost O(N*d^2) time, O(N*d) memory.
+    table. U_d is allocated once; the model columns and a Philox
+    Gaussian draw are written into it, ``DRAW_ROWS`` rows at a time, and
+    the draw is orthonormalized in place (``_orthonormalize_from``).
+    Nothing N x N is formed; cost O(N*d^2) time, O(N*d) memory: U_d and
+    two N x ``GS_BLOCK`` temporaries.
     """
     completion_seed = operator.index(completion_seed)  # None would unseed Philox
     if not 1 <= d <= n:
@@ -183,17 +211,16 @@ def eigennoise_analytic(
     else:
         raise ValueError(f"mode must be 'linear' or 'log', got {mode!r}")
     order = _by_magnitude(values)
-    values, vectors = values[order], _fix_signs(vectors[:, order])
     k = min(len(values), d)
-    values, vectors = values[:k], vectors[:, :k]
+    values = np.concatenate([values[order[:k]], np.zeros(d - k)])
+    u = np.empty((n, d))
+    u[:, :k] = _fix_signs(vectors[:, order[:k]])
     if d > k:
-        completion = _seeded_complement(vectors, d - k, completion_seed)
-        u = np.hstack([vectors, _fix_signs(completion)])
-        values = np.concatenate([values, np.zeros(d - k)])
-    else:
-        u = vectors
-    return EigenFactorization(n=n, d=d, eigenvalues=values, u=u,
-                              v=u * values[None, :])
+        rng = np.random.Generator(np.random.Philox(key=completion_seed))
+        for r0 in range(0, n, DRAW_ROWS):  # the stream of one (n, d - k) draw
+            u[r0:r0 + DRAW_ROWS, k:] = rng.standard_normal((min(DRAW_ROWS, n - r0), d - k))
+        _orthonormalize_from(u, k)
+    return EigenFactorization(n=n, d=d, eigenvalues=values, u=u)
 
 
 def to_embedding(fact: EigenFactorization) -> EmbeddingTable:

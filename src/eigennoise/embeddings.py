@@ -99,7 +99,7 @@ def random_table(n: int, d: int, seed: int) -> EmbeddingTable:
         raise ValueError(f"need n, d >= 1, got n={n}, d={d}")
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = np.zeros((n + 2, d))
-    rows[:n] = rng.standard_normal((n, d))
+    rng.standard_normal(out=rows[:n])  # drawn in place, in C order
     return EmbeddingTable(rows=rows, d=d)
 
 

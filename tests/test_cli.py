@@ -762,6 +762,39 @@ def test_cli_loads_numpy_without_a_blas_pool(tmp_path, ambient, at_load):
     assert proc.stdout.split() == [f"[{at_load}]", "[1]", "0", "True"]
 
 
+@pytest.mark.skipif(not sys.platform.startswith("linux"),
+                    reason="ru_maxrss is in KiB and carried across exec on Linux")
+def test_embed_eigennoise_peak_rss_grows_by_about_two_tables(tmp_path):
+    # Linux carries ru_maxrss across exec, so each command runs as the
+    # grandchild of a small parent rather than as a child of pytest,
+    # whose RSS it would start from
+    n, d = 20000, 50
+    script = (
+        "import os, sys\n"
+        "for size in sys.argv[1:]:\n"
+        "    pid = os.fork()\n"
+        "    if pid == 0:\n"
+        "        try:\n"
+        "            os.execv(sys.executable, [sys.executable, '-m', 'eigennoise.cli',\n"
+        "                     'embed', 'eigennoise', '--n', size, '--d', '50',\n"
+        "                     '--output', 'table-' + size + '.txt'])\n"
+        "        finally:\n"
+        "            os._exit(127)\n"
+        "    _, status, usage = os.wait4(pid, 0)\n"
+        "    print('maxrss', os.waitstatus_to_exitcode(status), usage.ru_maxrss)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script, str(n), "1000"], cwd=tmp_path,
+                          env=_cli_env(), capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    (rc_big, kib_big), (rc_small, kib_small) = (
+        map(int, line.split()[1:]) for line in proc.stdout.splitlines()
+        if line.startswith("maxrss "))
+    assert rc_big == rc_small == 0
+    # U and the table's copy of it are 2 N d 8 bytes; the parent's QR
+    # path added about 36 MB
+    assert (kib_big - kib_small) * 1024 < 3.5 * n * d * 8
+
+
 @needs_fork
 @pytest.mark.parametrize("in_parent, failure, cause", [
     (False, "os._exit(1)", "writing rows 1001..2001: exit status 1"),

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigennoise import eigen
 from eigennoise.eigen import (
     dense_eigh,
     eigennoise_analytic,
@@ -182,7 +183,9 @@ def test_analytic_default_vocab_cap(mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 100e6  # one N x N float64 array would be 3.2 GB
+    # U, plus the Gaussian draw while it is copied in; one N x N float64
+    # array would be 3.2 GB
+    assert peak < 2.5 * n * d * 8
     u = fact.u
     assert np.abs(u.T @ u - np.eye(d)).max() <= 1e-8
     ranks = np.arange(1, n + 1, dtype=float)
@@ -198,6 +201,50 @@ def test_analytic_default_vocab_cap(mode):
         eigennoise_analytic(n, d, mode=mode, completion_seed=0).u, u)
     other = eigennoise_analytic(n, d, mode=mode, completion_seed=1)
     assert np.abs(other.u[:, k:] - u[:, k:]).max() > 1e-3
+
+
+def _model_span(n, mode):
+    ranks = np.arange(1, n + 1, dtype=float)
+    if mode == "linear":
+        return (1.0 / ranks / np.linalg.norm(1.0 / ranks))[:, None]
+    return np.linalg.qr(np.column_stack([np.ones(n), np.log(ranks)]))[0]
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+@pytest.mark.parametrize("d", [33, 70, 130])
+def test_analytic_completion_across_blocks(mode, d):
+    # d - k spans 3 to 9 Gram-Schmidt blocks, the last one partial
+    for n in (d, d + 1, 10 * d):
+        span = _model_span(n, mode)
+        k = span.shape[1]
+        first = None
+        for seed in (0, 1, 7):
+            fact = eigennoise_analytic(n, d, mode=mode, completion_seed=seed)
+            u = fact.u
+            assert u.shape == (n, d)
+            assert np.abs(u.T @ u - np.eye(d)).max() <= 1e-12
+            assert np.abs(span.T @ u[:, k:]).max() <= 1e-12
+            np.testing.assert_array_equal(
+                eigennoise_analytic(n, d, mode=mode, completion_seed=seed).u, u)
+            np.testing.assert_array_equal(fact.v, u * fact.eigenvalues)
+            if first is None:
+                first = u
+            else:
+                np.testing.assert_array_equal(u[:, :k], first[:, :k])
+                assert np.abs(u[:, k:] - first[:, k:]).max() > 1e-3
+
+
+@pytest.mark.parametrize("mode, k", [("linear", 1), ("log", 2)])
+@pytest.mark.parametrize("draw_rows", [7, 1024])
+def test_analytic_completion_starts_from_one_whole_draw(monkeypatch, mode, k, draw_rows):
+    # the draw is written into U in pieces of DRAW_ROWS rows; the pieces
+    # must carry the values, in order, of one (n, d - k) Philox draw
+    n, d, seed = 50, 9, 5
+    monkeypatch.setattr(eigen, "DRAW_ROWS", draw_rows)
+    monkeypatch.setattr(eigen, "_orthonormalize_from", lambda u, k: None)
+    u = eigennoise_analytic(n, d, mode=mode, completion_seed=seed).u
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    np.testing.assert_array_equal(u[:, k:], rng.standard_normal((n, d - k)))
 
 
 def test_analytic_rejects_bad_d():

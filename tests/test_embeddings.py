@@ -54,6 +54,16 @@ def test_random_table_seed_determinism():
     assert (a.rows != c.rows).any()
 
 
+@pytest.mark.parametrize("n, d, seed", [(1, 1, 0), (37, 5, 3), (20000, 50, 0)])
+def test_random_table_matches_one_whole_draw(n, d, seed):
+    # the in-place draw keeps the Philox stream and fill order of one
+    # (n, d) draw, so tables are bit-identical to the earlier formula
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    expected = np.zeros((n + 2, d))
+    expected[:n] = rng.standard_normal((n, d))
+    np.testing.assert_array_equal(random_table(n, d, seed).rows, expected)
+
+
 def test_random_table_rejects_degenerate_sizes():
     with pytest.raises(ValueError):
         random_table(0, 5, seed=0)
