@@ -790,8 +790,8 @@ def test_embed_eigennoise_peak_rss_grows_by_about_two_tables(tmp_path):
         map(int, line.split()[1:]) for line in proc.stdout.splitlines()
         if line.startswith("maxrss "))
     assert rc_big == rc_small == 0
-    # U and the table's copy of it are 2 N d 8 bytes; the parent's QR
-    # path added about 36 MB
+    # U and the table's copy of it are 2 N d 8 bytes; a completion
+    # through numpy's thin QR added about 36 MB
     assert (kib_big - kib_small) * 1024 < 3.5 * n * d * 8
 
 

@@ -213,7 +213,7 @@ def _model_span(n, mode):
 @pytest.mark.parametrize("mode", ["linear", "log"])
 @pytest.mark.parametrize("d", [33, 70, 130])
 def test_analytic_completion_across_blocks(mode, d):
-    # d - k spans 3 to 9 Gram-Schmidt blocks, the last one partial
+    # d - k spans 2 to 9 Gram-Schmidt blocks of 16, mostly with a partial last one
     for n in (d, d + 1, 10 * d):
         span = _model_span(n, mode)
         k = span.shape[1]
