@@ -14,9 +14,10 @@ sides print the same paths:
 * ``--help`` of every parser, the usage errors of every command and a
   few data errors;
 * ``vocab build`` (conll and text) and ``report aggregate``;
-* ``embed eigennoise`` and ``embed random`` at 20,000 ranks and d=50, and
-  on the task's vocabulary; ``embed eigennoise`` at 400 ranks and d=300,
-  whose completion spans many Gram-Schmidt blocks;
+* ``embed eigennoise`` (linear and log mode) and ``embed random`` at
+  20,000 ranks and d=50, and on the task's vocabulary; ``embed
+  eigennoise`` at 400 ranks and d=300, whose completion spans many
+  Gram-Schmidt blocks;
 * ``embed import`` of both vector files and of every malformed one;
 * the desk run (``probe run --task synthetic --n 500 --seeds 0``) and a
   24-cell token-zipf run (eigennoise, random and GloVe import; windows
@@ -161,6 +162,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--output", "vocab.tsv"],
         ["vocab", "build", "--input", str(inputs["corpus"]), "--output", "small.tsv"],
         ["embed", "eigennoise", "--n", "20000", "--d", "50", "--output", "en-20k.txt"],
+        ["embed", "eigennoise", "--n", "20000", "--d", "50", "--mode", "log",
+         "--output", "en-20k-log.txt"],
         ["embed", "random", "--n", "20000", "--d", "50", "--output", "random-20k.txt"],
         ["embed", "eigennoise", "--n", "400", "--d", "300", "--output", "en-400x300.txt"],
         ["embed", "eigennoise", "--vocab", "vocab.tsv", "--d", "16", "--mode", "log",

@@ -128,9 +128,8 @@ def cmd_embed_eigennoise(args) -> int:
     voc, n = _load_or_size_vocab(args)
     if args.d > n:
         raise ValueError(f"--d {args.d} exceeds vocabulary size {n}")
-    fact = eigen.eigennoise_analytic(
-        n, args.d, m=args.m, mode=args.mode, completion_seed=args.completion_seed)
-    table = eigen.to_embedding(fact)
+    table = eigen.to_embedding(eigen.eigennoise_analytic(
+        n, args.d, m=args.m, mode=args.mode, completion_seed=args.completion_seed))
     meta = {
         "source": "eigennoise", "n": n, "d": args.d, "m": args.m,
         "mode": args.mode, "completion_seed": args.completion_seed,

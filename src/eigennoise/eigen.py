@@ -8,9 +8,9 @@ Two routes to the same factors:
   in U_d by blocked Gram-Schmidt; it never forms an N x N array;
 * LAPACK's dense symmetric eigensolver, used as the brute-force oracle.
 
-The retained factor U_d (unit eigenvector columns) is the embedding; V_d
-carries the eigenvalue scaling, is computed from U_d when read, and is
-exposed for diagnostics only.
+The retained factor U_d (unit eigenvector columns) is the embedding, built
+in the first N rows of its table; V_d carries the eigenvalue scaling, is
+computed from U_d when read, and is exposed for diagnostics only.
 """
 
 from __future__ import annotations
@@ -51,10 +51,13 @@ class FullDecomposition:
 class EigenFactorization:
     """d retained eigenpairs: U_d has unit columns, V_d = U_d * diag(eigenvalues)."""
 
-    n: int
-    d: int
     eigenvalues: np.ndarray  # (d,)
-    u: np.ndarray  # (N, d)
+    rows: np.ndarray  # (N + 2, d): U_d, then the zero OOV and PAD rows of the table
+
+    @property
+    def u(self) -> np.ndarray:
+        """U_d, the first N rows of ``rows``: (N, d)."""
+        return self.rows[:-2]
 
     @property
     def v(self) -> np.ndarray:
@@ -105,9 +108,9 @@ def truncate(full: FullDecomposition, d: int) -> EigenFactorization:
     if not 1 <= d <= full.n:
         raise ValueError(f"d={d} outside 1..{full.n}")
     keep = _by_magnitude(full.eigenvalues)[:d]
-    values = full.eigenvalues[keep]
-    u = full.vectors[:, keep]
-    return EigenFactorization(n=full.n, d=d, eigenvalues=values, u=u)
+    rows = np.zeros((full.n + 2, d))
+    rows[:-2] = full.vectors[:, keep]
+    return EigenFactorization(eigenvalues=full.eigenvalues[keep], rows=rows)
 
 
 def _log_mode_pairs(model: HarmonicModel) -> tuple[np.ndarray, np.ndarray]:
@@ -192,11 +195,11 @@ def eigennoise_analytic(
     columns 1-2, ordered by magnitude. All remaining columns are
     an orthonormal frame of the zero eigenspace drawn from the Haar
     distribution by ``completion_seed``: the same seed gives the same
-    table. U_d is allocated once; the model columns and a Philox
-    Gaussian draw are written into it, ``DRAW_ROWS`` rows at a time, and
-    the draw is orthonormalized in place (``_orthonormalize_from``).
-    Nothing N x N is formed; cost O(N*d^2) time, O(N*d) memory: U_d and
-    two N x ``GS_BLOCK`` temporaries.
+    table. The (N+2) x d table is allocated once; the model columns and a
+    Philox Gaussian draw are written into its first N rows (U_d),
+    ``DRAW_ROWS`` rows at a time, and the draw is orthonormalized in place
+    (``_orthonormalize_from``). Nothing N x N is formed; cost O(N*d^2)
+    time, O(N*d) memory: the table and two N x ``GS_BLOCK`` temporaries.
     """
     completion_seed = operator.index(completion_seed)  # None would unseed Philox
     if not 1 <= d <= n:
@@ -213,18 +216,17 @@ def eigennoise_analytic(
     order = _by_magnitude(values)
     k = min(len(values), d)
     values = np.concatenate([values[order[:k]], np.zeros(d - k)])
-    u = np.empty((n, d))
+    rows = np.zeros((n + 2, d))
+    u = rows[:n]
     u[:, :k] = _fix_signs(vectors[:, order[:k]])
     if d > k:
         rng = np.random.Generator(np.random.Philox(key=completion_seed))
         for r0 in range(0, n, DRAW_ROWS):  # the stream of one (n, d - k) draw
             u[r0:r0 + DRAW_ROWS, k:] = rng.standard_normal((min(DRAW_ROWS, n - r0), d - k))
         _orthonormalize_from(u, k)
-    return EigenFactorization(n=n, d=d, eigenvalues=values, u=u)
+    return EigenFactorization(eigenvalues=values, rows=rows)
 
 
 def to_embedding(fact: EigenFactorization) -> EmbeddingTable:
-    """Embedding table from U_d; zero OOV and PAD rows appended."""
-    rows = np.zeros((fact.n + 2, fact.d))
-    rows[: fact.n] = fact.u
-    return EmbeddingTable(rows=rows, d=fact.d)
+    """The embedding table over ``fact.rows``, which it shares: no copy."""
+    return EmbeddingTable(rows=fact.rows)

@@ -50,14 +50,16 @@ MIN_BLOCK_ROWS = 500
 @dataclass
 class EmbeddingTable:
     rows: np.ndarray  # (N + 2, d)
-    d: int
     trainable: bool = False
 
     def __post_init__(self):
-        if self.rows.ndim != 2 or self.rows.shape[1] != self.d:
-            raise ValueError(f"rows shape {self.rows.shape} inconsistent with d={self.d}")
-        if self.rows.shape[0] < 3:
-            raise ValueError("table needs at least one rank row plus OOV and PAD")
+        if self.rows.ndim != 2 or self.rows.shape[0] < 3:
+            raise ValueError(f"table needs (N + 2, d) rows, N >= 1, got {self.rows.shape}")
+
+    @property
+    def d(self) -> int:
+        """Embedding dimension."""
+        return self.rows.shape[1]
 
     @property
     def n(self) -> int:
@@ -100,7 +102,7 @@ def random_table(n: int, d: int, seed: int) -> EmbeddingTable:
     rng = np.random.Generator(np.random.Philox(key=seed))
     rows = np.zeros((n + 2, d))
     rng.standard_normal(out=rows[:n])  # drawn in place, in C order
-    return EmbeddingTable(rows=rows, d=d)
+    return EmbeddingTable(rows=rows)
 
 
 @dataclass(frozen=True)
@@ -138,8 +140,9 @@ def import_text(
     vector line, even one whose dimension a header or ``expected_d``
     gives, is an error.
 
-    The file is read IMPORT_CHUNK_LINES lines at a time, so memory is
-    bounded by the vocabulary and one chunk, not by the file. A chunk's
+    The file is read IMPORT_CHUNK_LINES lines at a time, and each matched
+    vector is written straight into the table, allocated at the first
+    vector line: memory is the table and one chunk, not the file. A chunk's
     values are parsed by one ``np.loadtxt`` call, or by one
     ``np.array(fields, float)`` call when a value holds a character
     outside digits, ASCII letters and "+-." or loadtxt rejects it; the
@@ -147,33 +150,36 @@ def import_text(
     correctly, so the table is the same either way. The first error in
     file order is raised, naming ``path:line``.
     """
-    found: dict[int, np.ndarray] = {}
-    d, vectors = expected_d, 0
+    rows, matched, d = None, np.zeros(vocab.size, dtype=bool), expected_d
     with open(path, encoding="utf-8") as fh:
         numbered = enumerate(fh, start=1)
         while lines := list(islice(numbered, IMPORT_CHUNK_LINES)):
-            d, n = _read_chunk(path, lines, d, vocab.rank_by_token, found)
-            vectors += n
-    if not vectors:
+            d, tokens, block = _read_chunk(path, lines, d)
+            if rows is None and tokens:
+                rows = np.zeros((vocab.size + 2, d))
+            for token, row in zip(tokens, block):
+                rank = vocab.rank_by_token.get(token)
+                if rank is not None and not matched[rank - 1]:
+                    matched[rank - 1] = True
+                    rows[rank - 1] = row
+            del lines, tokens, block  # free the chunk before the next is read
+    if rows is None:
         raise ValueError(f"{path}: empty embedding file")
-    rows = np.zeros((vocab.size + 2, d))
-    for rank, vec in found.items():
-        rows[rank - 1] = vec
-    report = AlignmentReport(matched=len(found), unmatched=vocab.size - len(found))
-    return EmbeddingTable(rows=rows, d=d), report
+    found = int(matched.sum())
+    report = AlignmentReport(matched=found, unmatched=vocab.size - found)
+    return EmbeddingTable(rows=rows), report
 
 
-def _read_chunk(path, lines, d, rank_by_token, found) -> tuple[int | None, int]:
-    """Parse (line number, line) pairs; return the dimension and the number
-    of vector lines.
+def _read_chunk(path, lines, d) -> tuple[int | None, list[str], np.ndarray]:
+    """Parse (line number, line) pairs; return the dimension, and the token
+    and the (lines, d) values of each vector line.
 
     One walk splits each line into its token and values and checks the
     value count. Every line before the first malformed one is then parsed
     in one call, so a bad value on an earlier line is reported first: by
     ``np.loadtxt`` when every value is plain (digits, ASCII letters and
     "+-."), else, or when loadtxt refuses, by ``np.array(fields, float)``.
-    Only a value that both refuse is located field by field. Adds each
-    vocabulary line's vector to ``found`` unless its rank is there.
+    Only a value that both refuse is located field by field.
     """
     tokens, rests, numbers, fault = [], [], [], None
     for lineno, line in lines:
@@ -203,11 +209,7 @@ def _read_chunk(path, lines, d, rank_by_token, found) -> tuple[int | None, int]:
     block = _parse_values(path, rests, numbers) if rests else ()
     if fault is not None:
         raise ValueError(fault)
-    for token, row in zip(tokens, block):
-        rank = rank_by_token.get(token)
-        if rank is not None and rank not in found:
-            found[rank] = row.copy()  # a view would keep the chunk alive
-    return d, len(tokens)
+    return d, tokens, block
 
 
 def _parse_values(path, rests, numbers) -> np.ndarray:

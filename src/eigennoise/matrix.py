@@ -113,7 +113,7 @@ def _probe_table(table: embeddings.EmbeddingTable) -> embeddings.EmbeddingTable:
 
 def _cell_table(cell: CellSpec, ctx: MatrixContext) -> embeddings.EmbeddingTable:
     """The cell's starting table, in ``PROBE_DTYPE``. Shared tables are
-    returned as they are: every fit trains its own copy."""
+    returned as they are: only an unfrozen fit trains a copy."""
     if cell.representation == "random":
         return _probe_table(embeddings.random_table(ctx.vocab.size, ctx.d, cell.seed))
     return ctx.tables[cell.representation]
@@ -148,7 +148,10 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
             train, dev, test = (_pooled(data, base) for data in (train, dev, test))
 
         def fit(fit_train, fit_dev, cfg):
-            table = None if pool_once else base.copy(trainable=not cell.frozen)
+            if cell.frozen:  # only read: the shared table, or none once pooled
+                table = None if pool_once else base
+            else:
+                table = base.copy(trainable=True)
             return probe_mod.train_probe(fit_train, fit_dev, cfg, table=table)[0]
 
         def fit_predict(prefix, stage_dev, cfg):
@@ -270,10 +273,9 @@ def build_context(args) -> MatrixContext:
     tables = {}
     for rep in args.representations:
         if rep == "eigennoise":
-            fact = eigen.eigennoise_analytic(
+            tables[rep] = _probe_table(eigen.to_embedding(eigen.eigennoise_analytic(
                 voc.size, args.d, m=args.m, mode=args.mode,
-                completion_seed=args.completion_seed)
-            tables[rep] = _probe_table(eigen.to_embedding(fact))
+                completion_seed=args.completion_seed)))
         elif rep.startswith("import:"):
             table, _ = embeddings.import_text(rep.split(":", 1)[1], voc,
                                               expected_d=args.d)

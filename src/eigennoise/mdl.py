@@ -121,13 +121,13 @@ def online_codelength(
     clamps = [0]
     for stage in range(1, len(bounds)):
         lo, hi = bounds[stage - 1], bounds[stage]
-        prefix = stream.subset(np.arange(lo))
+        prefix = stream.subset(slice(lo))
         if dev is not None:
             stage_train, stage_dev = prefix, dev
         else:
             stage_train, stage_dev = holdout(prefix, config.seed, stage)
         predict = fit_predict(stage_train, stage_dev, config)
-        block = stream.subset(np.arange(lo, hi))
+        block = stream.subset(slice(lo, hi))
         probs = np.asarray(predict(block), dtype=float)
         p_true = probs[np.arange(len(block)), block.labels]
         clamped = int((p_true < PROB_CLAMP).sum())

@@ -169,7 +169,7 @@ class ProbeModel:
     pooling: str = "direct"
 
 
-def init_probe(input_dim: int, num_classes: int, hidden: int = 512,
+def init_probe(input_dim: int, num_classes: int, hidden: int = defaults.DEFAULT_HIDDEN,
                seed: int = 0, table: EmbeddingTable | None = None,
                pooling: str = "direct", dtype=None) -> ProbeModel:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight init, drawn

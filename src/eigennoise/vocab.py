@@ -117,7 +117,7 @@ def write_vocab(vocab: Vocabulary, path: str | Path) -> None:
             fh.write(f"{tok}\t{count}\t{rank}\n")
 
 
-def read_vocab(path: str | Path, case_folded: bool = False) -> Vocabulary:
+def read_vocab(path: str | Path) -> Vocabulary:
     entries = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
@@ -135,7 +135,7 @@ def read_vocab(path: str | Path, case_folded: bool = False) -> Vocabulary:
     if not entries:
         raise ValueError(f"{path}: empty vocabulary file")
     try:
-        return Vocabulary(entries=tuple(entries), case_folded=case_folded)
+        return Vocabulary(entries=tuple(entries))
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 

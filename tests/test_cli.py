@@ -29,7 +29,7 @@ def test_vocab_build_from_text(tmp_path, capsys):
     src.write_text("the cat sat. The cat!\n", encoding="utf-8")
     out = tmp_path / "vocab.tsv"
     assert _run("vocab", "build", "--input", str(src), "--output", str(out)) == 0
-    voc = read_vocab(out, case_folded=True)
+    voc = read_vocab(out)
     assert voc.entries[0][:2] == ("the", 2)
     assert voc.entries[1][:2] == ("cat", 2)
     capsys.readouterr()

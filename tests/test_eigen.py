@@ -265,6 +265,21 @@ def test_to_embedding_appends_zero_rows():
     np.testing.assert_array_equal(table.rows[2:], np.zeros((2, 1)))
 
 
+@pytest.mark.parametrize("build", [
+    lambda: eigennoise_analytic(30, 5, mode="linear", completion_seed=1),
+    lambda: eigennoise_analytic(30, 5, mode="log", completion_seed=1),
+    lambda: truncate(dense_eigh(materialize(HarmonicModel(n=30, m=2)).values), 5),
+], ids=["analytic-linear", "analytic-log", "truncate"])
+def test_to_embedding_shares_the_factor(build):
+    # the factor is built in the table's rows: wrapping it copies nothing
+    fact = build()
+    table = to_embedding(fact)
+    assert np.shares_memory(table.rows, fact.u)
+    assert table.rows.shape == (32, 5) and (table.n, table.d) == (30, 5)
+    np.testing.assert_array_equal(table.rows[:30], fact.u)
+    np.testing.assert_array_equal(table.rows[30:], np.zeros((2, 5)))
+
+
 def test_to_embedding_paper_scale_shape():
     fact = eigennoise_analytic(2000, 50, mode="linear")
     table = to_embedding(fact)

@@ -270,6 +270,34 @@ def test_import_text_memory_does_not_grow_with_the_file(tmp_path):
     assert peaks[1] < peaks[0] + 2**16, peaks
 
 
+def test_import_text_holds_each_vector_once(tmp_path, monkeypatch):
+    # Every line is a vocabulary vector, so a second copy of the matched
+    # vectors beside the table would double what the table takes. Small
+    # chunks keep the parse's temporaries well below the table's size.
+    monkeypatch.setattr(embeddings, "IMPORT_CHUNK_LINES", 128)
+    n, d = 5000, 50
+    vocab = build_vocab([f"w{i}" for i in range(n)])
+    rng = np.random.default_rng(3)
+    values = rng.standard_normal((n + 1, d))
+    order = rng.permutation(n)
+    src = tmp_path / "emb.txt"
+    with open(src, "w", encoding="utf-8") as fh:
+        for i, row in zip([*order, order[0]], values.tolist()):
+            fh.write(f"w{i} " + " ".join(f"{v:.6f}" for v in row) + "\n")
+    table_bytes = (n + 2) * d * 8
+    tracemalloc.start()
+    try:
+        table, report = import_text(src, vocab)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * table_bytes, (peak, table_bytes)
+    assert (report.matched, report.unmatched) == (n, 0)
+    # the duplicate line for w<order[0]> comes last; its first line wins
+    np.testing.assert_allclose(table.rows[order[0]], values[0], atol=5e-7)
+    np.testing.assert_allclose(table.rows[order], values[:n], atol=5e-7)
+
+
 def test_export_import_round_trip(tmp_path):
     vocab = build_vocab(["alpha", "beta", "alpha"])
     table = random_table(2, 3, seed=11)
@@ -303,7 +331,7 @@ def test_export_bytes_match_per_value_format(tmp_path, monkeypatch, forks):
         rows = np.zeros((vocab.size + 2, len(values)))
         rows[0:vocab.size:2] = values
         rows[1:vocab.size:2] = values[::-1]
-        table = EmbeddingTable(rows=rows, d=len(values))
+        table = EmbeddingTable(rows=rows)
         out = tmp_path / f"{name}.txt"
         export_text(table, out, vocab=vocab)
         labels = vocab.tokens() + [OOV_TOKEN, PAD_TOKEN]

@@ -1,9 +1,12 @@
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from eigennoise import cli, datasets, matrix, mdl, probe, vocab
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def _parse(*argv):
@@ -45,6 +48,41 @@ def test_cells_never_write_to_shared_table(tmp_path):
     assert all(res.error is None for res in results)
     assert np.array_equal(shared.rows, before)
     assert not shared.trainable
+
+
+def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(tmp_path, monkeypatch):
+    glove = FIXTURES / "tiny.glove.txt"
+    args = _parse("--task", "conll", "--train", str(FIXTURES / "tiny.conll.train"),
+                  "--windows", "0,2", "--d", "4", "--hidden", "8", "--max-epochs", "2",
+                  "--seeds", "0", "--representations", f"eigennoise,import:{glove}",
+                  "--output-dir", str(tmp_path))
+    fits = []
+    train_probe = probe.train_probe
+
+    def spy_train(train, dev, config, table=None):
+        fits.append((train.pooling, table))
+        return train_probe(train, dev, config, table=table)
+
+    monkeypatch.setattr(probe, "train_probe", spy_train)
+    with cli._one_blas_thread():
+        ctx = matrix.build_context(args)
+        before = {rep: table.rows.copy() for rep, table in ctx.tables.items()}
+        for cell in matrix.matrix_cells(args):
+            start = len(fits)
+            assert matrix.run_cell(cell, ctx).error is None
+            shared = ctx.tables[cell.representation]
+            for pooling, table in fits[start:]:
+                assert pooling == "concat"
+                if cell.frozen:
+                    assert table is shared
+                else:
+                    assert table.trainable and not np.shares_memory(table.rows, shared.rows)
+    unfrozen = [table for _, table in fits if table.trainable]
+    assert len(fits) > len(unfrozen) > 0
+    assert len({id(table.rows) for table in unfrozen}) == len(unfrozen)
+    for rep, table in ctx.tables.items():
+        assert not table.trainable
+        assert np.array_equal(table.rows, before[rep])
 
 
 def _frozen_desk(tmp_path):
