@@ -17,7 +17,9 @@ sides print the same paths:
 * ``embed eigennoise`` (linear and log mode) and ``embed random`` at
   20,000 ranks and d=50, and on the task's vocabulary; ``embed
   eigennoise`` at 400 ranks and d=300, whose completion spans many
-  Gram-Schmidt blocks;
+  Gram-Schmidt blocks, and at 5,000 ranks, d=300 and log mode, whose
+  draw spans five ``DRAW_ROWS`` chunks and whose last of 19 blocks is
+  partial;
 * ``embed import`` of both vector files and of every malformed one;
 * the desk run (``probe run --task synthetic --n 500 --seeds 0``) and a
   24-cell token-zipf run (eigennoise, random and GloVe import; windows
@@ -166,6 +168,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--output", "en-20k-log.txt"],
         ["embed", "random", "--n", "20000", "--d", "50", "--output", "random-20k.txt"],
         ["embed", "eigennoise", "--n", "400", "--d", "300", "--output", "en-400x300.txt"],
+        ["embed", "eigennoise", "--n", "5000", "--d", "300", "--mode", "log",
+         "--output", "en-5000x300-log.txt"],
         ["embed", "eigennoise", "--vocab", "vocab.tsv", "--d", "16", "--mode", "log",
          "--output", "en-log.txt"],
         ["embed", "random", "--vocab", "vocab.tsv", "--d", "16", "--seed", "3",

@@ -163,19 +163,26 @@ def _orthonormalize_from(u: np.ndarray, k: int) -> None:
     sign-fixed by the ``_fix_signs`` rule, and the rows are written back.
     On Gaussian columns this gives the Q of a thin QR whose R has a
     positive diagonal: a Haar-random frame of the complement (Mezzadri,
-    arXiv:math-ph/0609050). Cost O(N * d^2); the temporaries that grow
-    with N are two N x ``GS_BLOCK`` arrays.
+    arXiv:math-ph/0609050). Cost O(N * d^2). Both buffers are allocated
+    once: one ``GS_BLOCK`` x N buffer holds each block's projection
+    product and then its rows, and one N-vector each row's projection
+    and magnitudes.
     """
+    n = u.shape[0]
+    scratch, vec = np.empty(GS_BLOCK * n), np.empty(n)
     for j0 in range(k, u.shape[1], GS_BLOCK):
         block, done = u[:, j0:j0 + GS_BLOCK], u[:, :j0]
+        width = block.shape[1]
+        product = scratch[:n * width].reshape(n, width)
         for _ in range(2):
-            block -= done @ (done.T @ block)
-        rows = block.T.copy()
+            block -= np.matmul(done, done.T @ block, out=product)
+        rows = scratch[:width * n].reshape(width, n)
+        rows[...] = block.T
         for i, row in enumerate(rows):
             for _ in range(2):
-                row -= (rows[:i] @ row) @ rows[:i]
+                row -= np.matmul(rows[:i] @ row, rows[:i], out=vec)
             row /= np.linalg.norm(row)
-            if row[np.argmax(np.abs(row))] < 0:
+            if row[np.argmax(np.abs(row, out=vec))] < 0:
                 row *= -1.0
         block[...] = rows.T
 
@@ -199,7 +206,7 @@ def eigennoise_analytic(
     Philox Gaussian draw are written into its first N rows (U_d),
     ``DRAW_ROWS`` rows at a time, and the draw is orthonormalized in place
     (``_orthonormalize_from``). Nothing N x N is formed; cost O(N*d^2)
-    time, O(N*d) memory: the table and two N x ``GS_BLOCK`` temporaries.
+    time, O(N*d) memory: the table and one ``GS_BLOCK`` x N buffer.
     """
     completion_seed = operator.index(completion_seed)  # None would unseed Philox
     if not 1 <= d <= n:

@@ -764,7 +764,7 @@ def test_cli_loads_numpy_without_a_blas_pool(tmp_path, ambient, at_load):
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"),
                     reason="ru_maxrss is in KiB and carried across exec on Linux")
-def test_embed_eigennoise_peak_rss_grows_by_about_two_tables(tmp_path):
+def test_embed_eigennoise_peak_rss_grows_by_about_one_table(tmp_path):
     # Linux carries ru_maxrss across exec, so each command runs as the
     # grandchild of a small parent rather than as a child of pytest,
     # whose RSS it would start from
@@ -790,9 +790,10 @@ def test_embed_eigennoise_peak_rss_grows_by_about_two_tables(tmp_path):
         map(int, line.split()[1:]) for line in proc.stdout.splitlines()
         if line.startswith("maxrss "))
     assert rc_big == rc_small == 0
-    # U and the table's copy of it are 2 N d 8 bytes; a completion
-    # through numpy's thin QR added about 36 MB
-    assert (kib_big - kib_small) * 1024 < 3.5 * n * d * 8
+    # the factor is the table (N d 8 bytes), and the completion's one
+    # GS_BLOCK x N buffer adds 0.32 of that at d=50; a second table-sized
+    # array would exceed the bound
+    assert (kib_big - kib_small) * 1024 < 1.5 * n * d * 8
 
 
 @needs_fork

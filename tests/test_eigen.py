@@ -183,9 +183,9 @@ def test_analytic_default_vocab_cap(mode):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # U, plus the Gaussian draw while it is copied in; one N x N float64
-    # array would be 3.2 GB
-    assert peak < 2.5 * n * d * 8
+    # the table and one GS_BLOCK x N Gram-Schmidt buffer (0.32 of it at
+    # d=50); one N x N float64 array would be 3.2 GB
+    assert peak < 1.6 * n * d * 8
     u = fact.u
     assert np.abs(u.T @ u - np.eye(d)).max() <= 1e-8
     ranks = np.arange(1, n + 1, dtype=float)
@@ -245,6 +245,36 @@ def test_analytic_completion_starts_from_one_whole_draw(monkeypatch, mode, k, dr
     u = eigennoise_analytic(n, d, mode=mode, completion_seed=seed).u
     rng = np.random.Generator(np.random.Philox(key=seed))
     np.testing.assert_array_equal(u[:, k:], rng.standard_normal((n, d - k)))
+
+
+def _reference_orthonormalize_from(u, k):
+    # the completion as it was built with an N x GS_BLOCK projection product
+    # and a copy of each block's rows
+    for j0 in range(k, u.shape[1], eigen.GS_BLOCK):
+        block, done = u[:, j0:j0 + eigen.GS_BLOCK], u[:, :j0]
+        for _ in range(2):
+            block -= done @ (done.T @ block)
+        rows = block.T.copy()
+        for i, row in enumerate(rows):
+            for _ in range(2):
+                row -= (rows[:i] @ row) @ rows[:i]
+            row /= np.linalg.norm(row)
+            if row[np.argmax(np.abs(row))] < 0:
+                row *= -1.0
+        block[...] = rows.T
+
+
+@pytest.mark.parametrize("mode", ["linear", "log"])
+@pytest.mark.parametrize("draw_rows", [7, 1024])
+@pytest.mark.parametrize("n, d", [(50, 9), (1000, 33), (2500, 130), (4097, 50)])
+def test_analytic_completion_equals_whole_block_reference(monkeypatch, mode, draw_rows, n, d):
+    # the projection runs DRAW_ROWS rows at a time into preallocated
+    # buffers; every shape here ends in a partial row chunk and a partial
+    # or single-column Gram-Schmidt block, and the table must not change
+    monkeypatch.setattr(eigen, "DRAW_ROWS", draw_rows)
+    rows = eigennoise_analytic(n, d, mode=mode, completion_seed=3).rows
+    monkeypatch.setattr(eigen, "_orthonormalize_from", _reference_orthonormalize_from)
+    assert np.array_equal(rows, eigennoise_analytic(n, d, mode=mode, completion_seed=3).rows)
 
 
 def test_analytic_rejects_bad_d():
