@@ -268,9 +268,10 @@ def _reference_orthonormalize_from(u, k):
 @pytest.mark.parametrize("draw_rows", [7, 1024])
 @pytest.mark.parametrize("n, d", [(50, 9), (1000, 33), (2500, 130), (4097, 50)])
 def test_analytic_completion_equals_whole_block_reference(monkeypatch, mode, draw_rows, n, d):
-    # the projection runs DRAW_ROWS rows at a time into preallocated
-    # buffers; every shape here ends in a partial row chunk and a partial
-    # or single-column Gram-Schmidt block, and the table must not change
+    # every block's projection product and rows share one preallocated
+    # buffer; each shape ends in a partial DRAW_ROWS chunk of the draw, and
+    # in one mode or the other in a partial or one-column Gram-Schmidt
+    # block, and the table must not change
     monkeypatch.setattr(eigen, "DRAW_ROWS", draw_rows)
     rows = eigennoise_analytic(n, d, mode=mode, completion_seed=3).rows
     monkeypatch.setattr(eigen, "_orthonormalize_from", _reference_orthonormalize_from)
