@@ -20,7 +20,8 @@ sides print the same paths:
   Gram-Schmidt blocks, and at 5,000 ranks, d=300 and log mode, whose
   draw spans five ``DRAW_ROWS`` chunks and whose last of 19 blocks is
   partial;
-* ``embed import`` of both vector files and of every malformed one;
+* ``embed import`` of both vector files, of every malformed one, and of
+  a file of edge values that reaches every branch of the export;
 * the desk run (``probe run --task synthetic --n 500 --seeds 0``) and a
   24-cell token-zipf run (eigennoise, random and GloVe import; windows
   0, 2, 5 and 10; frozen and unfrozen; seed 0).
@@ -37,8 +38,10 @@ from __future__ import annotations
 
 import argparse
 import importlib.util
+import math
 import os
 import shutil
+import struct
 import subprocess
 import sys
 import tempfile
@@ -55,6 +58,22 @@ MALFORMED = {
     "underscore": ["the 1_0 2", "cat 3 4"],  # np.loadtxt refuses 1_0, float takes it
     "file-separator": ["the 1 2", "cat \x1c1 2"],  # np.loadtxt takes \x1c1, float refuses
 }
+
+
+def edge_values() -> list[str]:
+    """Values at every branch of the vector export, as text: zeros, a
+    subnormal, non-finite values, the switch from fixed to exponent
+    notation, carries into a ninth digit, exact ties, each power of ten
+    from 1e-6 to 1e9 with its neighbours, and float32-born values; each
+    with both signs."""
+    values = ["0", "5e-324", "inf", "nan", "1e-05", "0.0001", "99999999.5", "99999995.0",
+              "1e8", "12345678.5", "123456785.0", "9.99999995e-05", "1e22", "1e-300"]
+    for k in range(-6, 10):
+        power = float(f"1e{k}")
+        values += [repr(math.nextafter(power, 0)), repr(power),
+                   repr(math.nextafter(power, math.inf))]
+    values += [repr(struct.unpack("f", struct.pack("f", v))[0]) for v in (0.1, 1 / 3, 2.5e-5, 7e7)]
+    return values + ["-" + v for v in values]
 
 
 def make_inputs(directory: Path) -> dict[str, Path]:
@@ -79,6 +98,13 @@ def make_inputs(directory: Path) -> dict[str, Path]:
         vec.write_text(f"{len(lines)} 2\n" + "".join(line + " \n" for line in lines),
                        encoding="utf-8")
         inputs[f"{name}.txt"], inputs[f"{name}.vec"] = glove, vec
+    # the edge values over the six tokens of the corpus's vocabulary
+    values, tokens = edge_values(), ["the", "cat", "sat", "on", "mat", "ran"]
+    d = len(values) // len(tokens)
+    inputs["edges"] = directory / "edges.txt"
+    inputs["edges"].write_text("".join(
+        f"{token} {' '.join(values[i * d:(i + 1) * d])}\n" for i, token in enumerate(tokens)),
+        encoding="utf-8")
     late = inputs["late-ragged"] = directory / "late-ragged.txt"
     # a ragged line many chunks into the file
     late.write_text(inputs["glove"].read_text(encoding="utf-8") + "zzz 1\n",
@@ -154,6 +180,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
     imports += [["embed", "import", "--source", str(inputs[f"{name}.{ext}"]),
                  "--vocab", "small.tsv", "--output", f"imported-{name}-{ext}.txt"]
                 for name in MALFORMED for ext in ("txt", "vec")]
+    imports.append(["embed", "import", "--source", str(inputs["edges"]), "--vocab", "small.tsv",
+                    "--output", "imported-edges.txt"])
     task = ["--train", str(inputs["train"]), "--dev", str(inputs["dev"]),
             "--test", str(inputs["test"])]
     return [

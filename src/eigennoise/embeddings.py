@@ -9,17 +9,14 @@ the one place the PAD row is decided.
 
 from __future__ import annotations
 
-import os
+import functools
+import math
 import re
-import shutil
 import string
-import tempfile
-import threading
-from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from itertools import islice, repeat
 from pathlib import Path
-from typing import IO, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -40,11 +37,17 @@ IMPORT_CHUNK_LINES = 1024
 # \x1c..\x1f, which np.loadtxt strips around a number but
 # np.array(fields, float) rejects) send the chunk to np.array.
 _PLAIN = (string.digits + string.ascii_letters + "+-. ").encode("ascii")
+# Lines checked against _PLAIN at once: 64 lines of a 1,024-line chunk
+# were checked faster than the whole chunk in one string (0.45 against
+# 0.66 ms at d=50), which also doubled the chunk's memory.
+_PLAIN_CHECK_LINES = 64
 
-#: Fewest rows ``export_text`` gives one block. Forking a writer and
-#: copying its file back costs about as much as formatting 250 rows at
-#: d=50 (2 cores); twice that leaves a margin.
-MIN_BLOCK_ROWS = 500
+# Values ``export_text`` formats per numpy pass. A pass costs about 40 us
+# however small; larger passes hold more (a pass peaks at about 120
+# bytes a value). Writing a 20,002x50 table took 0.18 s of CPU at
+# 1,024 values, 0.15 s at 2,048 and at 4,096; 5,002x300 took 0.31, 0.24
+# and 0.21 s.
+_EXPORT_CHUNK_VALUES = 2048
 
 
 @dataclass
@@ -212,11 +215,20 @@ def _read_chunk(path, lines, d) -> tuple[int | None, list[str], np.ndarray]:
     return d, tokens, block
 
 
+def _plain(rests: list[str]) -> bool:
+    """Whether every character of ``rests`` is in _PLAIN. Lines are
+    checked _PLAIN_CHECK_LINES at a time, so no copy of the chunk is made."""
+    for start in range(0, len(rests), _PLAIN_CHECK_LINES):
+        part = "".join(rests[start:start + _PLAIN_CHECK_LINES])
+        if not part.isascii() or part.encode("ascii").translate(None, _PLAIN):
+            return False
+    return True
+
+
 def _parse_values(path, rests, numbers) -> np.ndarray:
     """The (lines, d) values of ``rests``, as ``_read_chunk`` describes;
     ``numbers`` holds their line numbers."""
-    values = "".join(rests)
-    if values.isascii() and not values.encode("ascii").translate(None, _PLAIN):
+    if _plain(rests):
         try:
             return np.loadtxt(rests, dtype=float, delimiter=" ", comments=None,
                               quotechar=None, ndmin=2)
@@ -237,57 +249,129 @@ def _parse_values(path, rests, numbers) -> np.ndarray:
         raise
 
 
-def _write_rows(fh, labels, rows, template: str) -> None:
-    """Write each row under its label with one %-template call. Rows are
-    converted one at a time so the table never exists as N*d Python
-    floats."""
-    for label, row in zip(labels, rows):
-        fh.write(template % (label, *row.tolist()))
+# A value whose 8-digit significand s lies within this distance of a
+# half-integer is left to the %-template: the kernel's s is off by less
+# than 5e-8, so outside it np.rint(s) is the correctly rounded significand
+# that %.8g prints (ties, which %.8g rounds half-even, fall inside).
+_TIE_MARGIN = 1e-6
 
 
-def _row_blocks(n_rows: int) -> list[tuple[int, int]]:
-    """Contiguous (start, stop) row blocks, one per CPU while each keeps
-    at least MIN_BLOCK_ROWS rows."""
-    count = max(1, min(os.cpu_count() or 1, n_rows // MIN_BLOCK_ROWS))
-    edges = [n_rows * i // count for i in range(count + 1)]
-    return list(zip(edges, edges[1:]))
+def _word(text: str) -> int:
+    """``text``'s ASCII bytes as a little-endian integer."""
+    return int.from_bytes(text.encode("ascii"), "little")
 
 
-def _fork_writer(directory: Path, stack: ExitStack, write,
-                 *args) -> tuple[int, IO[bytes], int]:
-    """Fork a child that runs ``write(fh, *args)`` into an unnamed
-    temporary file in ``directory`` and leaves with ``os._exit``. Returns
-    the child's pid, the file, and the read end of a pipe that carries the
-    child's error message; ``stack`` closes both."""
-    tmp = stack.enter_context(tempfile.TemporaryFile(dir=directory))
-    err_read, err_write = os.pipe()
-    stack.callback(os.close, err_read)
-    try:
-        pid = os.fork()
-        if pid == 0:
-            status = 1
-            try:
-                with open(tmp.fileno(), "w", encoding="utf-8", closefd=False) as fh:
-                    write(fh, *args)
-                status = 0
-            except BaseException as exc:
-                os.write(err_write, f"{type(exc).__name__}: {exc}".encode()[:1024])
-            finally:
-                os._exit(status)
-    finally:
-        os.close(err_write)  # only the parent gets here
-    return pid, tmp, err_read
+@functools.cache
+def _format_tables() -> tuple[np.ndarray, ...]:
+    """The lookup tables of ``_format_values`` (about 0.16 MB), built on
+    first use.
+
+    By 4-digit group: its ASCII digits, first digit in the low byte, and
+    how many it keeps once trailing zeros are dropped (0 for 0; plus 4 for
+    a low group). By the 11-bit exponent field of a double: the index of
+    e0 = floor(log10 2**k), the decimal exponent of every double in that
+    binade or one less, and 10**(7 - e0); zeros, subnormals and non-finite
+    values get the index of e = 0 and a NaN scale. By decimal exponent e
+    in [-308, 308], indexed e + 308: 10**(7 - e) and the pieces of the
+    slot layout ``_format_values`` describes.
+    """
+    ascii_digits = np.frombuffer(b"0123456789", np.uint8)
+    groups = np.empty((10, 10, 10, 10, 4), np.uint8)  # by the group's four digits
+    for place in range(4):
+        groups[..., place] = ascii_digits.reshape([10 if i == place else 1 for i in range(4)])
+    digits = groups.view("<u4").ravel().astype(np.uint64)
+    kept = np.full((10, 10, 10, 10), 4, np.uint8)
+    kept[..., 0], kept[..., 0, 0], kept[..., 0, 0, 0], kept[0, 0, 0, 0] = 3, 2, 1, 0
+    kept_low = kept + 4
+    kept_low[0, 0, 0, 0] = 0
+    kept, kept_low = kept.ravel(), kept_low.ravel()
+    masks = [(1 << 8 * count) - 1 for count in range(9)]  # the low bytes of a word
+    layout = []  # (literal, shift left, shift right, suffix, integer, fraction, point)
+    for e in range(-308, 309):
+        if -4 <= e < 0:  # "0.", -e - 1 zeros, the digits
+            layout.append((_word(" \0" + "0." + "0" * (-e - 1)), 56, 8, 0, 0, 0, 0))
+            continue
+        fixed = 0 <= e < 8
+        point = e + 1 if fixed else 1  # digits before the point
+        layout.append((_word(" "), 16, 48, 0 if fixed else _word(f"e{e:+03d}") << 24,
+                       masks[point] if fixed else 0, masks[8] & ~masks[point],
+                       _word(".") << 8 * point if point < 8 else 0))
+    scale = np.array([float(f"1e{7 - e}") for e in range(-308, 309)])
+    # k log10(2) stays over 4e-4 from an integer for every binade k, so
+    # the floor is exact
+    first = np.array([0, *(math.floor(k * math.log10(2)) for k in range(-1022, 1024)), 0],
+                     np.int16) + 308
+    first_scale = scale.take(first)
+    first_scale[[0, -1]] = np.nan
+    tables = (digits, kept, kept_low, first, first_scale, scale, np.array(masks, np.uint64),
+              *np.array(list(zip(*layout)), np.uint64))
+    for table in tables:
+        table.flags.writeable = False  # shared by every call
+    return tables
 
 
-def _reap(pid: int, err_read: int) -> str | None:
-    """Wait for a writer child; None if it succeeded, else the cause."""
-    code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-    if code == 0:
-        return None
-    message = os.read(err_read, 1024).decode(errors="replace")
-    if message:
-        return message
-    return f"killed by signal {-code}" if code < 0 else f"exit status {code}"
+def _format_values(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The bytes of ``" %.8g"`` for each value of the 2-D float64 array
+    ``x``, in 16-byte slots with zero bytes as holes; and whether each slot
+    is exact. The slots of inexact values (ties, non-finite values,
+    subnormals, |x| below about 1e-301) hold garbage.
+
+    A value's decimal exponent e and 8-digit significand m come from one
+    lookup by its exponent field, one product and at most one carry. A
+    slot holds " ", the sign, then in fixed notation with e < 0 "0.", -e-1
+    zeros and the digits from byte 7; otherwise the digits with a point
+    after the integer part (one digit in exponent notation) and, in
+    exponent notation, "e+XX" or "e-XXX" from byte 11. Dropped trailing
+    zeros are holes, and so is a point that no digit follows.
+    """
+    (digits, kept, kept_low, first, first_scale, scale, keep_mask, literal, shift_left,
+     shift_right, suffix, integer, fraction, point) = _format_tables()
+    field = (x.view(np.int64) >> 52) & 0x7FF
+    a = np.abs(x)
+    with np.errstate(invalid="ignore"):
+        s = a * first_scale.take(field)  # in [1e7, 1e9) when finite
+        exact = (np.abs(s - np.rint(s)) < 0.5 - _TIE_MARGIN) | (a == 0)
+        e = first.take(field)
+        e += s >= 1e8 - 0.5  # the significand needs e0 + 1
+        s = a * scale.take(e)
+        m = np.rint(s)
+        exact &= np.abs(s - m) < 0.5 - _TIE_MARGIN
+        m = m.astype(np.int64)
+    high = (m * 3_518_437_209) >> 45  # m // 10_000 for 0 <= m < 2**32
+    low = m - high * 10_000
+    text = (digits.take(high, mode="clip")
+            | digits.take(low, mode="clip") << np.uint64(32))
+    keep = np.maximum(kept_low.take(low, mode="clip"), kept.take(high, mode="clip"))
+    text &= keep_mask.take(keep) | integer.take(e)
+    after = text & fraction.take(e)  # the digits after the point
+    run = text + after * np.uint64(255) + (after != 0) * point.take(e)
+    slots = np.empty(x.shape + (2,), "<u8")
+    slots[..., 0] = (literal.take(e) | (x.view(np.uint64) >> np.uint64(63)) * np.uint64(0x2D00)
+                     | run << shift_left.take(e))
+    slots[..., 1] = (run >> shift_right.take(e) | (after >> np.uint64(56)) << np.uint64(16)
+                     | suffix.take(e))
+    return slots.view(np.uint8).reshape(x.shape + (16,)), exact
+
+
+def _format_rows(labels: list[str], rows: np.ndarray, template: str) -> bytes:
+    """The UTF-8 bytes of ``template % (label, *row)`` for each label and
+    row: ``_format_values``' slots behind each label, holes removed. A row
+    with an inexact value, and every row when a label holds a NUL, is
+    formatted by ``template`` instead."""
+    names = [label.encode("utf-8") for label in labels]
+    slots, exact = _format_values(np.asarray(rows, dtype=np.float64))
+    exact = exact.all(axis=1) & (b"\0" not in b"".join(names))
+    heads = np.array(names, dtype=bytes)
+    lines = np.empty((len(names), heads.itemsize + slots[0].size + 1), np.uint8)
+    lines[:, :heads.itemsize] = heads.view(np.uint8).reshape(len(names), -1)
+    lines[:, heads.itemsize:-1] = slots.reshape(len(names), -1)
+    lines[:, -1] = ord("\n")
+    if exact.all():
+        return lines.tobytes().translate(None, b"\0")
+    return b"".join(
+        line.tobytes().translate(None, b"\0") if ok
+        else (template % (label, *row.tolist())).encode("utf-8")
+        for line, ok, label, row in zip(lines, exact, labels, rows))
 
 
 def export_text(
@@ -301,16 +385,13 @@ def export_text(
     given, otherwise "rank_<r>". The OOV and PAD rows are written last
     under reserved labels. Every value is written as ``%.8g``.
 
-    The rows are split into min(CPUs, rows // MIN_BLOCK_ROWS) contiguous
-    blocks. Where ``fork`` exists and no other thread runs, each block
-    after the first is written by a forked child into an unnamed
-    temporary file in the output's directory, while this process writes
-    the first block into the output; the children's files are then
-    appended in order. Otherwise (one block, no ``fork``, or other
-    threads) every row is written here. The bytes are the same either
-    way. If any block fails, every child is waited for, the partial
-    output is removed, and ``OSError`` names the block's rows and the
-    cause.
+    The rows are formatted _EXPORT_CHUNK_VALUES values at a time, in this
+    process, by a numpy kernel that gives the bytes of the
+    ``"%s" + " %.8g" * d + "\\n"`` template (see ``_format_values``); a
+    row holding a value the kernel cannot round exactly (a tie,
+    non-finite, subnormal or below about 1e-301) is formatted by that
+    template itself. If writing fails, the partial output is removed and
+    ``OSError`` names the path and the cause.
     """
     if vocab is not None and vocab.size != table.n:
         raise ValueError(f"vocab size {vocab.size} != table size {table.n}")
@@ -319,42 +400,15 @@ def export_text(
     ]
     labels += [OOV_TOKEN, PAD_TOKEN]
     template = "%s" + " %.8g" * table.d + "\n"
-    blocks = _row_blocks(len(labels))
-    if not hasattr(os, "fork") or threading.active_count() > 1:
-        blocks = [(0, len(labels))]  # fork copies only the calling thread
-
-    def write_block(fh, start: int, stop: int) -> None:
-        _write_rows(fh, labels[start:stop], table.rows[start:stop], template)
-
-    def failed(start: int, stop: int, cause) -> OSError:
-        return OSError(f"{path}: writing rows {start}..{stop - 1}: {cause}")
-
-    children = []  # (start, stop, pid, temporary file, error pipe), in row order
-    fh = open(path, "w", encoding="utf-8")
+    step = max(1, _EXPORT_CHUNK_VALUES // table.d)
+    fh = open(path, "wb")
     try:
-        with fh, ExitStack() as stack:
-            directory = Path(path).resolve().parent
-            for start, stop in blocks[1:]:
-                children.append((start, stop, *_fork_writer(directory, stack, write_block,
-                                                             start, stop)))
-            try:
-                write_block(fh, *blocks[0])
-                fh.flush()
-            except OSError as exc:
-                raise failed(*blocks[0], exc) from exc
-            while children:
-                start, stop, pid, tmp, err_read = children.pop(0)
-                cause = _reap(pid, err_read)
-                if cause is not None:
-                    raise failed(start, stop, cause)
-                tmp.seek(0)
-                try:
-                    shutil.copyfileobj(tmp, fh.buffer)
-                    fh.buffer.flush()
-                except OSError as exc:
-                    raise failed(start, stop, exc) from exc
-    except BaseException:
-        for _, _, pid, _, _ in children:
-            os.waitpid(pid, 0)
+        with fh:
+            for start in range(0, len(labels), step):
+                stop = start + step
+                fh.write(_format_rows(labels[start:stop], table.rows[start:stop], template))
+    except BaseException as exc:
         Path(path).unlink(missing_ok=True)
+        if isinstance(exc, OSError):
+            raise OSError(f"{path}: {exc}") from exc
         raise

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eigennoise import cli, eigen, matrix, mdl
+from eigennoise import cli, eigen, embeddings, matrix, mdl
 from eigennoise.vocab import read_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -796,36 +796,23 @@ def test_embed_eigennoise_peak_rss_grows_by_about_one_table(tmp_path):
     assert (kib_big - kib_small) * 1024 < 1.5 * n * d * 8
 
 
-@needs_fork
-@pytest.mark.parametrize("in_parent, failure, cause", [
-    (False, "os._exit(1)", "writing rows 1001..2001: exit status 1"),
-    (False, "os.kill(os.getpid(), 9)", "writing rows 1001..2001: killed by signal 9"),
-    (False, "raise OSError(28, 'No space left on device')",
-     "writing rows 1001..2001: OSError: [Errno 28] No space left on device"),
-    (True, "raise OSError(28, 'No space left on device')",
-     "writing rows 0..1000: [Errno 28] No space left on device"),
-], ids=["child-exits", "child-killed", "child-raises", "parent-raises"])
-def test_embed_export_failure_leaves_no_output(tmp_path, in_parent, failure, cause):
-    # two blocks of 1001 rows: a forked child writes rows 1001..2001, and
-    # the patched row writer fails in it or in the parent
+def test_embed_export_failure_leaves_no_output(tmp_path, monkeypatch, capsys):
+    # the second of four chunks fails as a full disk would: the file, with
+    # the first chunk in it, is removed
+    format_rows, calls = embeddings._format_rows, []
+
+    def failing(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise OSError(28, "No space left on device")
+        return format_rows(*args)
+
+    monkeypatch.setattr(embeddings, "_format_rows", failing)
     out_dir = tmp_path / "out"
     out_dir.mkdir()
-    script = (
-        "import os, sys\n"
-        "from eigennoise import cli, embeddings\n"
-        "parent, write_rows = os.getpid(), embeddings._write_rows\n"
-        "def failing(*args):\n"
-        f"    if (os.getpid() == parent) == {in_parent}:\n"
-        f"        {failure}\n"
-        "    write_rows(*args)\n"
-        "embeddings._write_rows = failing\n"
-        "os.cpu_count = lambda: 2\n"
-        "sys.exit(cli.main(['embed', 'random', '--n', '2000', '--d', '4', '--output', "
-        f"{str(out_dir / 'x.txt')!r}]))\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], env=_cli_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == cli.EXIT_DATA, proc.stderr
-    assert proc.stderr.startswith("data error: ")
-    assert proc.stderr.endswith(f"x.txt: {cause}\n")
+    out = out_dir / "x.txt"
+    assert _run("embed", "random", "--n", "2000", "--d", "4",
+                "--output", str(out)) == cli.EXIT_DATA
+    assert len(calls) == 2
+    assert capsys.readouterr().err == f"data error: {out}: [Errno 28] No space left on device\n"
     assert list(out_dir.iterdir()) == []

@@ -1,4 +1,3 @@
-import os
 import tracemalloc
 
 import numpy as np
@@ -7,7 +6,6 @@ import pytest
 from eigennoise import embeddings
 from eigennoise.embeddings import (
     IMPORT_CHUNK_LINES,
-    MIN_BLOCK_ROWS,
     OOV_TOKEN,
     PAD_TOKEN,
     EmbeddingTable,
@@ -17,26 +15,6 @@ from eigennoise.embeddings import (
     token_rows,
 )
 from eigennoise.vocab import build_vocab
-
-needs_fork = pytest.mark.skipif(not hasattr(os, "fork"), reason="no fork")
-
-
-@pytest.fixture
-def forks(monkeypatch):
-    """The pids os.fork returned to this process during the test."""
-    pids = []
-    fork = os.fork
-
-    def counting_fork():
-        pid = fork()
-        if pid:
-            pids.append(pid)
-        return pid
-
-    if hasattr(os, "fork"):
-        monkeypatch.setattr(os, "fork", counting_fork)
-    return pids
-
 
 def test_random_table_standard_normal_statistics():
     table = random_table(20000, 50, seed=0)
@@ -273,8 +251,10 @@ def test_import_text_memory_does_not_grow_with_the_file(tmp_path):
 def test_import_text_holds_each_vector_once(tmp_path, monkeypatch):
     # Every line is a vocabulary vector, so a second copy of the matched
     # vectors beside the table would double what the table takes. Small
-    # chunks keep the parse's temporaries well below the table's size.
-    monkeypatch.setattr(embeddings, "IMPORT_CHUNK_LINES", 128)
+    # chunks keep the parse's temporaries well below the table's size. At
+    # the default size a chunk's lines and their values take about the
+    # table's bytes, and a copy of the chunk's values to check their
+    # characters took the peak to 2.5 times.
     n, d = 5000, 50
     vocab = build_vocab([f"w{i}" for i in range(n)])
     rng = np.random.default_rng(3)
@@ -285,13 +265,15 @@ def test_import_text_holds_each_vector_once(tmp_path, monkeypatch):
         for i, row in zip([*order, order[0]], values.tolist()):
             fh.write(f"w{i} " + " ".join(f"{v:.6f}" for v in row) + "\n")
     table_bytes = (n + 2) * d * 8
-    tracemalloc.start()
-    try:
-        table, report = import_text(src, vocab)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1.5 * table_bytes, (peak, table_bytes)
+    for chunk_lines, bound in ((128, 1.5), (IMPORT_CHUNK_LINES, 2.3)):
+        monkeypatch.setattr(embeddings, "IMPORT_CHUNK_LINES", chunk_lines)
+        tracemalloc.start()
+        try:
+            table, report = import_text(src, vocab)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * table_bytes, (chunk_lines, peak, table_bytes)
     assert (report.matched, report.unmatched) == (n, 0)
     # the duplicate line for w<order[0]> comes last; its first line wins
     np.testing.assert_allclose(table.rows[order[0]], values[0], atol=5e-7)
@@ -321,39 +303,65 @@ def test_export_without_vocab_uses_rank_labels(tmp_path):
     assert first.split()[0] == "rank_1"
 
 
-def test_export_bytes_match_per_value_format(tmp_path, monkeypatch, forks):
-    values = [0.0, -0.0, 5e-324, 1e-5, 1e-4, 12345678.0, 123456789.0, 1e20,
-              np.inf, -np.inf, np.nan, 1 / 3]
-    # with 3 CPUs the larger table is written as 3 blocks, 2 of them forked
-    monkeypatch.setattr(os, "cpu_count", lambda: 3)
-    for name, extra in (("small", 0), ("split", 3 * MIN_BLOCK_ROWS)):
-        vocab = build_vocab(["żółw", "naïve", "żółw"] + [f"słowo{i}" for i in range(extra)])
-        rows = np.zeros((vocab.size + 2, len(values)))
-        rows[0:vocab.size:2] = values
-        rows[1:vocab.size:2] = values[::-1]
+def _export_edge_values() -> list[float]:
+    """Values at every branch of the export kernel and of the choice
+    between it and the %-template: zeros, a subnormal, non-finite values,
+    the switch from fixed to exponent notation, carries into a ninth digit,
+    exact ties, each power of ten from 1e-6 to 1e9 with its neighbours, and
+    float32-born values."""
+    values = [0.0, -0.0, 5e-324, np.inf, -np.inf, np.nan, 1e-5, 1e-4, 99999999.5,
+              99999995.0, 1e8, 12345678.5, 123456785.0, 9.99999995e-05, 1e22, 1e-300,
+              1 / 3, -2.5e-7, 1234567.5, 2.0**-12]
+    for k in range(-6, 10):
+        power = float(f"1e{k}")
+        values += [np.nextafter(power, 0.0), power, np.nextafter(power, np.inf)]
+    values += np.random.default_rng(5).standard_normal(16).astype(np.float32).tolist()
+    return values
+
+
+def test_export_bytes_match_per_value_format(tmp_path, monkeypatch):
+    inexact = []  # rows the kernel leaves to the template, per chunk
+    format_values = embeddings._format_values
+
+    def counting(x):
+        slots, exact = format_values(x)
+        inexact.append(int((~exact.all(axis=1)).sum()))
+        return slots, exact
+
+    monkeypatch.setattr(embeddings, "_format_values", counting)
+    edges = np.array(_export_edge_values())
+    rng = np.random.default_rng(23)
+    sweep = 10.0 ** rng.uniform(-30, 30, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    # 9-digit decimals ending in 5: their significands lie at or near a tie
+    near_ties = [float(f"{m}5e{k}") for m, k in zip(rng.integers(10**7, 10**8, 5000),
+                                                     rng.integers(-30, 30, 5000))]
+    tables = [
+        # each edge value beside its negation, under UTF-8 labels
+        ("edges", np.stack([edges, -edges], axis=1), ["żółw", "naïve", "żółw"]),
+        ("sweep", sweep.reshape(-1, 50), None),
+        ("near-ties", np.reshape(near_ties, (-1, 1)), None),
+        # a label holding a NUL sends its chunk to the template
+        ("d300", rng.standard_normal((40, 300)), ["nul\0", "d300", "nul\0"]),
+    ]
+    for name, values, tokens in tables:
+        # the two distinct tokens and one more per remaining rank row
+        vocab = tokens and build_vocab(tokens + [f"słowo{i}" for i in range(len(values) - 2)])
+        rows = np.zeros((len(values) + 2, values.shape[1]))
+        rows[:len(values)] = values
         table = EmbeddingTable(rows=rows)
         out = tmp_path / f"{name}.txt"
+        inexact.clear()
         export_text(table, out, vocab=vocab)
-        labels = vocab.tokens() + [OOV_TOKEN, PAD_TOKEN]
+        labels = (vocab.tokens() if vocab else [f"rank_{r}" for r in range(1, table.n + 1)])
         expected = "".join(
             label + " " + " ".join(f"{v:.8g}" for v in row) + "\n"
-            for label, row in zip(labels, table.rows)
+            for label, row in zip(labels + [OOV_TOKEN, PAD_TOKEN], table.rows)
         )
-        assert out.read_bytes() == expected.encode("utf-8")
-    assert len(forks) == (2 if hasattr(os, "fork") else 0)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["small.txt", "split.txt"]
-
-
-@needs_fork
-def test_export_forked_blocks_match_in_process(tmp_path, monkeypatch, forks):
-    table = random_table(20000, 50, seed=0)
-    monkeypatch.setattr(os, "cpu_count", lambda: 2)
-    export_text(table, tmp_path / "forked.txt")
-    assert len(forks) == 1
-    monkeypatch.delattr(os, "fork")
-    export_text(table, tmp_path / "in_process.txt")
-    assert len(forks) == 1
-    assert (tmp_path / "forked.txt").read_bytes() == (tmp_path / "in_process.txt").read_bytes()
+        assert out.read_bytes() == expected.encode("utf-8"), name
+        if name == "edges":
+            assert 0 < sum(inexact) < len(rows), inexact
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "d300.txt", "edges.txt", "near-ties.txt", "sweep.txt"]
 
 
 def test_export_does_not_hold_the_table_as_python_floats(tmp_path):
