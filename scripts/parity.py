@@ -6,14 +6,15 @@
 Each argument is a checkout of this repository. The inputs are written
 once into a shared directory: a seeded token-zipf task
 (``bench/tokenzipf.generate``, seed 17, 2,000 train tokens) with its
-GloVe and ``.vec`` vectors, a small text corpus, and malformed
+GloVe and ``.vec`` vectors, a small text corpus, a seeded
+``label<TAB>text`` task (train and test splits), and malformed
 ``.txt``/``.vec`` vector files. Each tree then runs the whole set in a
 work directory of its own, naming every output relative to it, so both
 sides print the same paths:
 
 * ``--help`` of every parser, the usage errors of every command and a
   few data errors;
-* ``vocab build`` (conll and text) and ``report aggregate``;
+* ``vocab build`` (conll, tsv and text) and ``report aggregate``;
 * ``embed eigennoise`` (linear and log mode) and ``embed random`` at
   20,000 ranks and d=50, and on the task's vocabulary; ``embed
   eigennoise`` at 400 ranks and d=300, whose completion spans many
@@ -22,9 +23,11 @@ sides print the same paths:
   partial;
 * ``embed import`` of both vector files, of every malformed one, and of
   a file of edge values that reaches every branch of the export;
-* the desk run (``probe run --task synthetic --n 500 --seeds 0``) and a
+* the desk run (``probe run --task synthetic --n 500 --seeds 0``), a
   24-cell token-zipf run (eigennoise, random and GloVe import; windows
-  0, 2, 5 and 10; frozen and unfrozen; seed 0).
+  0, 2, 5 and 10; frozen and unfrozen; seed 0) and a 4-cell tsv run
+  with a test split and no dev split, so every stage and the accuracy
+  fit hold out their own dev examples.
 
 It compares the exit code, stdout and stderr of every command, then every
 file in the two work directories, ``report.txt`` without its timestamp
@@ -40,6 +43,7 @@ import argparse
 import importlib.util
 import math
 import os
+import random
 import shutil
 import struct
 import subprocess
@@ -76,6 +80,25 @@ def edge_values() -> list[str]:
     return values + ["-" + v for v in values]
 
 
+def write_tsv(path: Path, seed: int, records: int) -> None:
+    """``records`` seeded ``label<TAB>text`` lines over three interleaved
+    labels: each text mixes words of its label's lexicon with shared ones,
+    in mixed case and with edge punctuation."""
+    rng = random.Random(seed)
+    shared = ["the", "a", "game", "ref", "team", "today", "fans"]
+    lexicon = {"pos": ["great", "win", "love", "Brilliant", "joy"],
+               "neg": ["awful", "loss", "hate", "Boring", "foul"],
+               "neutral": ["match", "kickoff", "score", "Stadium", "half"]}
+    lines = []
+    for _ in range(records):
+        label = rng.choice(sorted(lexicon))
+        words = [rng.choice(lexicon[label] if rng.random() < 0.6 else shared)
+                 for _ in range(rng.randint(3, 9))]
+        words = [w.upper() if rng.random() < 0.1 else w for w in words]
+        lines.append(f"{label}\t{' '.join(words)}{rng.choice(['', '!', '.', ' :)'])}\n")
+    path.write_text("".join(lines), encoding="utf-8")
+
+
 def make_inputs(directory: Path) -> dict[str, Path]:
     """Write every input the set reads into ``directory``; returns their
     paths by name."""
@@ -92,6 +115,9 @@ def make_inputs(directory: Path) -> dict[str, Path]:
     inputs = {name: directory / file for name, file in tokenzipf.FILES.items()}
     inputs["corpus"] = directory / "corpus.txt"
     inputs["corpus"].write_text("the cat sat on the mat\nthe cat ran\n", encoding="utf-8")
+    for split, seed, records in (("train", 5, 240), ("test", 6, 60)):
+        inputs[f"tsv-{split}"] = directory / f"tweets-{split}.tsv"
+        write_tsv(inputs[f"tsv-{split}"], seed, records)
     for name, lines in MALFORMED.items():
         glove, vec = directory / f"{name}.txt", directory / f"{name}.vec"
         glove.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -191,6 +217,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
         ["vocab", "build", "--format", "conll", "--input", str(inputs["train"]),
          "--output", "vocab.tsv"],
         ["vocab", "build", "--input", str(inputs["corpus"]), "--output", "small.tsv"],
+        ["vocab", "build", "--format", "tsv", "--input", str(inputs["tsv-train"]),
+         "--output", "tweets-vocab.tsv"],
         ["embed", "eigennoise", "--n", "20000", "--d", "50", "--output", "en-20k.txt"],
         ["embed", "eigennoise", "--n", "20000", "--d", "50", "--mode", "log",
          "--output", "en-20k-log.txt"],
@@ -208,6 +236,9 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
         ["probe", "run", "--task", "conll", *task, "--representations",
          f"eigennoise,random,import:{inputs['glove']}", "--windows", "0,2,5,10",
          "--seeds", "0", "--frozen", "both", "--output-dir", "zipf"],
+        ["probe", "run", "--task", "tsv", "--train", str(inputs["tsv-train"]),
+         "--test", str(inputs["tsv-test"]), "--d", "8", "--seeds", "0",
+         "--output-dir", "tsv"],
         ["report", "aggregate", "--input-dir", "desk"],
         ["report", "aggregate", "--input-dir", "zipf", "--output", "zipf-aggregate.txt"],
     ]

@@ -307,18 +307,19 @@ def _one_blas_thread():
 # --- parser -----------------------------------------------------------------
 
 
-def _csv_ints(text: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(x) for x in text.split(",") if x != "")
-    except ValueError:
-        raise UsageError(f"expected comma-separated integers, got {text!r}") from None
+def _csv(kind, what: str):
+    """A parser of comma-separated ``kind`` values, named ``what`` in its
+    usage error."""
+    def parse(text: str) -> tuple:
+        try:
+            return tuple(kind(x) for x in text.split(",") if x != "")
+        except ValueError:
+            raise UsageError(f"expected comma-separated {what}, got {text!r}") from None
+    return parse
 
 
-def _csv_floats(text: str) -> tuple[float, ...]:
-    try:
-        return tuple(float(x) for x in text.split(",") if x != "")
-    except ValueError:
-        raise UsageError(f"expected comma-separated numbers, got {text!r}") from None
+_csv_ints = _csv(int, "integers")
+_csv_floats = _csv(float, "numbers")
 
 
 def _add_size_source(parser) -> None:

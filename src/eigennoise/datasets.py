@@ -9,6 +9,7 @@ silently (unknown labels raise).
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -72,8 +73,6 @@ def parse_conll(path: str | Path, token_column: int = 0,
     starting with -DOCSTART- are skipped."""
     sentences: list[tuple[str, ...]] = []
     labels: list[tuple[str, ...]] = []
-    label_set: list[str] = []
-    seen = set()
     cur_toks: list[str] = []
     cur_labs: list[str] = []
 
@@ -101,14 +100,12 @@ def parse_conll(path: str | Path, token_column: int = 0,
             tok, lab = cols[token_column], cols[label_column]
             cur_toks.append(tok)
             cur_labs.append(lab)
-            if lab not in seen:
-                seen.add(lab)
-                label_set.append(lab)
     flush()
     if not sentences:
         raise ValueError(f"{path}: no sentences found")
+    label_set = tuple(dict.fromkeys(chain.from_iterable(labels)))  # first appearance
     return TokenDataset(sentences=tuple(sentences), labels=tuple(labels),
-                        label_set=tuple(label_set), split=split)
+                        label_set=label_set, split=split)
 
 
 def write_conll(ds: TokenDataset, path: str | Path) -> None:
@@ -124,8 +121,7 @@ def parse_tsv(path: str | Path, split: str = "train") -> SequenceDataset:
     """One record per line: label<TAB>text. Label ids follow first appearance."""
     texts: list[str] = []
     ids: list[int] = []
-    label_set: list[str] = []
-    index: dict[str, int] = {}
+    index: dict[str, int] = {}  # label -> id, in first-appearance order
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -134,15 +130,12 @@ def parse_tsv(path: str | Path, split: str = "train") -> SequenceDataset:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected label<TAB>text")
             label, text = line.split("\t", 1)
-            if label not in index:
-                index[label] = len(label_set)
-                label_set.append(label)
-            ids.append(index[label])
+            ids.append(index.setdefault(label, len(index)))
             texts.append(text)
     if not texts:
         raise ValueError(f"{path}: empty dataset file")
     return SequenceDataset(texts=tuple(texts), labels=tuple(ids),
-                           label_set=tuple(label_set), split=split)
+                           label_set=tuple(index), split=split)
 
 
 def apply_label_set(ds, label_set: tuple[str, ...]):

@@ -23,7 +23,8 @@ import numpy as np
 
 from .embeddings import EmbeddingTable
 from .defaults import DEFAULT_WINDOW
-from .harmonic import DENSE_CAP, HarmonicModel
+from . import harmonic
+from .harmonic import HarmonicModel
 
 #: Columns per block of the completion's Gram-Schmidt, chosen by timing
 #: 20,000 x 50 and 20,000 x 300 builds: 8 was slower at d=300, 32 slower
@@ -33,6 +34,8 @@ GS_BLOCK = 16
 #: their order are those of one whole draw, without its N x (d - k)
 #: temporary, which raised the peak RSS of a 20,000 x 50 build by ~5 MB.
 DRAW_ROWS = 1024
+#: The largest asymmetry ``dense_eigh`` accepts.
+ASYMMETRY_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,23 +78,22 @@ def _fix_signs(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def dense_eigh(matrix: np.ndarray, tol: float = 1e-8,
-               max_dense: int = DENSE_CAP) -> FullDecomposition:
+def dense_eigh(matrix: np.ndarray) -> FullDecomposition:
     """Dense symmetric eigensolver (LAPACK via ``numpy.linalg.eigh``).
 
-    Rejects non-square input, N above ``max_dense`` and asymmetry above
-    ``tol``, then decomposes the symmetrised matrix. This is the
-    brute-force oracle the analytic construction is checked against.
+    Rejects non-square input, N above ``harmonic.DENSE_CAP`` and asymmetry
+    above ``ASYMMETRY_TOL``, then decomposes the symmetrised matrix. This
+    is the brute-force oracle the analytic construction is checked against.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n > max_dense:
-        raise ValueError(f"N={n} exceeds the dense cap {max_dense}")
+    if n > harmonic.DENSE_CAP:
+        raise ValueError(f"N={n} exceeds the dense cap {harmonic.DENSE_CAP}")
     asym = float(np.abs(a - a.T).max()) if n > 1 else 0.0
-    if asym > tol:
-        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {tol:.3e}")
+    if asym > ASYMMETRY_TOL:
+        raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {ASYMMETRY_TOL:.3e}")
     values, vectors = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-values, kind="stable")
     return FullDecomposition(eigenvalues=values[order],
@@ -143,10 +145,8 @@ def _log_mode_pairs(model: HarmonicModel) -> tuple[np.ndarray, np.ndarray]:
     values = np.array([half_tr + rad, half_tr - rad])
     vectors = np.empty((n, 2))
     for k, lam in enumerate(values):
-        if abs(t12) > 0:
-            w = np.array([t12, lam - t11])
-        else:
-            w = np.array([1.0, 0.0]) if abs(lam - t11) <= abs(lam - t22) else np.array([0.0, 1.0])
+        # t12 = -|beta - mean(beta)| sqrt(n) <= -log 2 for n >= 2, so w is never 0
+        w = np.array([t12, lam - t11])
         w = w / np.linalg.norm(w)
         vectors[:, k] = w[0] * q1 + w[1] * q2
     return values, vectors

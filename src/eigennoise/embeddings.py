@@ -14,7 +14,7 @@ import math
 import re
 import string
 from dataclasses import dataclass, replace
-from itertools import islice, repeat
+from itertools import chain, islice, repeat
 from pathlib import Path
 from typing import Iterable
 
@@ -395,18 +395,17 @@ def export_text(
     """
     if vocab is not None and vocab.size != table.n:
         raise ValueError(f"vocab size {vocab.size} != table size {table.n}")
-    labels = vocab.tokens() if vocab is not None else [
-        f"rank_{r}" for r in range(1, table.n + 1)
-    ]
-    labels += [OOV_TOKEN, PAD_TOKEN]
+    names = (vocab.tokens() if vocab is not None  # rank labels are made chunk by chunk
+             else (f"rank_{r}" for r in range(1, table.n + 1)))
+    labels = chain(names, (OOV_TOKEN, PAD_TOKEN))
     template = "%s" + " %.8g" * table.d + "\n"
     step = max(1, _EXPORT_CHUNK_VALUES // table.d)
     fh = open(path, "wb")
     try:
         with fh:
-            for start in range(0, len(labels), step):
-                stop = start + step
-                fh.write(_format_rows(labels[start:stop], table.rows[start:stop], template))
+            for start in range(0, len(table.rows), step):
+                fh.write(_format_rows(list(islice(labels, step)),
+                                      table.rows[start:start + step], template))
     except BaseException as exc:
         Path(path).unlink(missing_ok=True)
         if isinstance(exc, OSError):

@@ -16,6 +16,7 @@ import numpy as np
 from .defaults import DEFAULT_WINDOW
 from .vocab import harmonic_number
 
+#: The largest N that is materialized densely, read at each call.
 DENSE_CAP = 4096
 
 
@@ -68,15 +69,15 @@ class CoocMatrix:
         return self.values.shape[0]
 
 
-def materialize(model: HarmonicModel, max_dense: int = DENSE_CAP) -> CoocMatrix:
+def materialize(model: HarmonicModel) -> CoocMatrix:
     """Dense N x N matrix of the model, with marginals.
 
     Only feasible for small N; larger vocabularies should stay on the
     analytic path (eigen.eigennoise_analytic), which never materializes.
     """
-    if model.n > max_dense:
+    if model.n > DENSE_CAP:
         raise ValueError(
-            f"N={model.n} exceeds the dense cap {max_dense}; "
+            f"N={model.n} exceeds the dense cap {DENSE_CAP}; "
             "use the analytic eigen path instead of materializing"
         )
     inv_rank = 1.0 / np.arange(1, model.n + 1, dtype=float)
@@ -84,10 +85,10 @@ def materialize(model: HarmonicModel, max_dense: int = DENSE_CAP) -> CoocMatrix:
     return CoocMatrix.from_values(values)
 
 
-def materialize_log(model: HarmonicModel, max_dense: int = DENSE_CAP) -> np.ndarray:
+def materialize_log(model: HarmonicModel) -> np.ndarray:
     """Dense matrix of log joint frequencies (the factorization target)."""
-    if model.n > max_dense:
-        raise ValueError(f"N={model.n} exceeds the dense cap {max_dense}")
+    if model.n > DENSE_CAP:
+        raise ValueError(f"N={model.n} exceeds the dense cap {DENSE_CAP}")
     log_rank = np.log(np.arange(1, model.n + 1, dtype=float))
     return math.log(model.scale) - log_rank[:, None] - log_rank[None, :]
 

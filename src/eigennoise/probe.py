@@ -245,13 +245,13 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     labels = np.asarray(labels, dtype=int)
     batch = len(labels)
     pre, hidden, logits = _layers(model, h)
-    expl = np.exp(logits)
-    probs = expl / expl.sum(axis=1, keepdims=True)
-    logz = np.log(expl.sum(axis=1))
-    loss = float(-(logits[np.arange(batch), labels] - logz).mean())
+    examples = np.arange(batch)
+    dlogits = np.exp(logits)  # turned in place into the softmax, then its gradient
+    total = dlogits.sum(axis=1, keepdims=True)
+    loss = float(-(logits[examples, labels] - np.log(total[:, 0])).mean())
 
-    dlogits = probs.copy()
-    dlogits[np.arange(batch), labels] -= 1.0
+    dlogits /= total
+    dlogits[examples, labels] -= 1.0
     dlogits /= batch
     dlogits = dlogits.astype(hidden.dtype, copy=False)
     grads = {
@@ -274,7 +274,7 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
             grad = grad.reshape(len(rows), d)
         elif model.pooling == "mean":
             # every position of example b adds dh[b] / lengths[b] to its row
-            slots = np.arange(batch)[:, None] * len(rows) + inverse.reshape(indices.shape)
+            slots = examples[:, None] * len(rows) + inverse.reshape(indices.shape)
             counts = np.bincount(slots.ravel(), minlength=batch * len(rows))
             per_example = dh / lengths[:, None].astype(dh.dtype)
             grad = (counts.reshape(batch, len(rows)).T.astype(float)

@@ -88,15 +88,10 @@ def build_vocab(
         raise ValueError("cannot build a vocabulary from an empty token stream")
     if max_size < 1:
         raise ValueError(f"max_size must be >= 1, got {max_size}")
-    first_seen: dict[str, int] = {}
-    for pos, tok in enumerate(tokens):
-        if tok not in first_seen:
-            first_seen[tok] = pos
-    ordered = sorted(counts.items(), key=lambda kv: (-kv[1], first_seen[kv[0]]))
-    ordered = ordered[:max_size]
-    entries = tuple(
-        (tok, count, rank) for rank, (tok, count) in enumerate(ordered, start=1)
-    )
+    # a Counter holds its keys in first-occurrence order, and most_common
+    # keeps that order among equal counts
+    entries = tuple((tok, count, rank) for rank, (tok, count)
+                    in enumerate(counts.most_common(max_size), start=1))
     return Vocabulary(entries=entries, case_folded=case_fold)
 
 

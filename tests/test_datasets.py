@@ -79,6 +79,11 @@ def test_parse_tsv_three_labels(tmp_path):
     path = tmp_path / "task.tsv"
     path.write_text("a\tx\nb\ty\nc\tz\n", encoding="utf-8")
     assert parse_tsv(path).num_classes == 3
+    # interleaved labels keep their first-appearance ids
+    path.write_text("b\tx\na\ty\nb\tz\nc\tw\na\tv\nc\tu\n", encoding="utf-8")
+    ds = parse_tsv(path)
+    assert ds.label_set == ("b", "a", "c")
+    assert ds.labels == (0, 1, 0, 2, 1, 2)
 
 
 def test_parse_tsv_missing_tab(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigennoise import harmonic
 from eigennoise.harmonic import (
     CoocMatrix,
     HarmonicModel,
@@ -46,9 +47,12 @@ def test_materialize_marginal_identity(n, m):
     assert c.total == pytest.approx(2.0 * m * n * harmonic_number(n), rel=1e-9)
 
 
-def test_materialize_dense_cap():
-    with pytest.raises(ValueError, match="dense cap"):
-        materialize(HarmonicModel(n=10), max_dense=5)
+def test_materialize_dense_cap(monkeypatch):
+    monkeypatch.setattr(harmonic, "DENSE_CAP", 5)
+    with pytest.raises(ValueError, match="dense cap 5"):
+        materialize(HarmonicModel(n=10))
+    with pytest.raises(ValueError, match="dense cap 5"):
+        materialize_log(HarmonicModel(n=10))
 
 
 def test_materialize_scale_linear_in_m():

@@ -27,6 +27,16 @@ def test_build_vocab_tie_break_first_occurrence():
     # reversed stream flips the tie-break
     voc2 = build_vocab(["b", "a"])
     assert voc2.rank_by_token["b"] == 1
+    # a three-way tie reached in the reverse of first-occurrence order, under
+    # a later, more frequent token; and cut by max_size inside the tie
+    stream = ["x", "y", "z", "z", "y", "x", "w", "w", "w"]
+    assert build_vocab(stream).entries == (("w", 3, 1), ("x", 2, 2), ("y", 2, 3),
+                                           ("z", 2, 4))
+    assert build_vocab(stream, max_size=3).entries == (("w", 3, 1), ("x", 2, 2),
+                                                       ("y", 2, 3))
+    # case folding merges before ranking: "B" occurs before "a"
+    assert build_vocab(["B", "a", "b", "A"], case_fold=True).entries == (
+        ("b", 2, 1), ("a", 2, 2))
 
 
 def test_build_vocab_uniform_stream_assigns_all_ranks():
