@@ -59,7 +59,9 @@ MALFORMED = {
     "ragged": ["the 1 2", "cat 3"],
     "bad-value": ["the 1 2", "cat 3 x"],
     "bad-value-before-ragged": ["the 1 2", "cat x 4", "mat 5"],
-    "underscore": ["the 1_0 2", "cat 3 4"],  # np.loadtxt refuses 1_0, float takes it
+    # float() alone takes 1_0 and non-ASCII digits; the import refuses them
+    "underscore": ["the 1_0 2", "cat 3 4"],
+    "non-ascii-digit": ["the \u0661 2", "cat 3 4"],
     "file-separator": ["the 1 2", "cat \x1c1 2"],  # np.loadtxt takes \x1c1, float refuses
 }
 

@@ -282,11 +282,11 @@ def _bundled_openblas() -> ctypes.CDLL | None:
 def _one_blas_thread():
     """Run numpy's OpenBLAS on one thread, then restore the old count.
 
-    The probe GEMMs and the thin QR of the analytic build are too small to
-    gain from a second BLAS thread, and parallelism comes from the
-    ``probe run`` worker processes (``--workers``), which are forked
-    inside this and inherit its count. One thread also makes tables
-    independent of the core count.
+    The probe GEMMs and the blocked Gram-Schmidt GEMMs of the analytic
+    build are too small to gain from a second BLAS thread, and
+    parallelism comes from the ``probe run`` worker processes
+    (``--workers``), which are forked inside this and inherit its count.
+    One thread also makes tables independent of the core count.
     Entering this loads numpy (``_load_numpy``), which already starts
     OpenBLAS on one thread unless ``OPENBLAS_NUM_THREADS`` is set; this
     pins the count for a user-set value and for library callers that

@@ -68,14 +68,11 @@ class EigenFactorization:
         return self.u * self.eigenvalues[None, :]
 
 
-def _fix_signs(vectors: np.ndarray) -> np.ndarray:
-    """Flip columns so each one's largest-magnitude entry is positive."""
-    out = vectors.copy()
-    for j in range(out.shape[1]):
-        col = out[:, j]
+def _fix_signs(vectors: np.ndarray) -> None:
+    """Flip columns in place so each one's largest-magnitude entry is positive."""
+    for col in vectors.T:
         if col[np.argmax(np.abs(col))] < 0:
-            out[:, j] = -col
-    return out
+            col *= -1.0
 
 
 def dense_eigh(matrix: np.ndarray) -> FullDecomposition:
@@ -89,15 +86,15 @@ def dense_eigh(matrix: np.ndarray) -> FullDecomposition:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     n = a.shape[0]
-    if n > harmonic.DENSE_CAP:
-        raise ValueError(f"N={n} exceeds the dense cap {harmonic.DENSE_CAP}")
+    harmonic.check_dense(n)
     asym = float(np.abs(a - a.T).max()) if n > 1 else 0.0
     if asym > ASYMMETRY_TOL:
         raise ValueError(f"matrix asymmetry {asym:.3e} exceeds tolerance {ASYMMETRY_TOL:.3e}")
     values, vectors = np.linalg.eigh((a + a.T) / 2.0)
     order = np.argsort(-values, kind="stable")
-    return FullDecomposition(eigenvalues=values[order],
-                             vectors=_fix_signs(vectors[:, order]))
+    vectors = vectors[:, order]
+    _fix_signs(vectors)
+    return FullDecomposition(eigenvalues=values[order], vectors=vectors)
 
 
 def _by_magnitude(values: np.ndarray) -> np.ndarray:
@@ -159,14 +156,14 @@ def _orthonormalize_from(u: np.ndarray, k: int) -> None:
     Blocked classical Gram-Schmidt, applied twice (CGS2). Each block of
     ``GS_BLOCK`` columns is projected twice off every earlier column with
     one matrix product. The block is then copied to contiguous rows; each
-    row is projected twice off the rows before it, normalized and
-    sign-fixed by the ``_fix_signs`` rule, and the rows are written back.
+    row is projected twice off the rows before it and normalized, and the
+    rows are written back and sign-fixed (``_fix_signs``). Flipping a
+    finished row leaves later rows' bits as they are: (-r.x)(-r) = (r.x)r.
     On Gaussian columns this gives the Q of a thin QR whose R has a
     positive diagonal: a Haar-random frame of the complement (Mezzadri,
     arXiv:math-ph/0609050). Cost O(N * d^2). Both buffers are allocated
     once: one ``GS_BLOCK`` x N buffer holds each block's projection
-    product and then its rows, and one N-vector each row's projection
-    and magnitudes.
+    product and then its rows, and one N-vector each row's projection.
     """
     n = u.shape[0]
     scratch, vec = np.empty(GS_BLOCK * n), np.empty(n)
@@ -182,9 +179,8 @@ def _orthonormalize_from(u: np.ndarray, k: int) -> None:
             for _ in range(2):
                 row -= np.matmul(rows[:i] @ row, rows[:i], out=vec)
             row /= np.linalg.norm(row)
-            if row[np.argmax(np.abs(row, out=vec))] < 0:
-                row *= -1.0
         block[...] = rows.T
+        _fix_signs(block)
 
 
 def eigennoise_analytic(
@@ -225,7 +221,8 @@ def eigennoise_analytic(
     values = np.concatenate([values[order[:k]], np.zeros(d - k)])
     rows = np.zeros((n + 2, d))
     u = rows[:n]
-    u[:, :k] = _fix_signs(vectors[:, order[:k]])
+    u[:, :k] = vectors[:, order[:k]]
+    _fix_signs(u[:, :k])
     if d > k:
         rng = np.random.Generator(np.random.Philox(key=completion_seed))
         for r0 in range(0, n, DRAW_ROWS):  # the stream of one (n, d - k) draw

@@ -33,9 +33,10 @@ _VEC_HEADER = re.compile(r"[0-9]+ [0-9]+")
 #: chunks were slower (d=300: 4,096 lines +6%, 8,192 +13%) and hold more.
 IMPORT_CHUNK_LINES = 1024
 
-# The characters of a chunk's values that np.loadtxt parses. Others (say
-# \x1c..\x1f, which np.loadtxt strips around a number but
-# np.array(fields, float) rejects) send the chunk to np.array.
+# The characters a value may hold. On values made of these, np.loadtxt
+# and float() take the same strings and give the same doubles; others
+# are refused, both those only np.loadtxt takes (\x1c..\x1f around a
+# number) and those only float() takes ("1_0", non-ASCII digits).
 _PLAIN = (string.digits + string.ascii_letters + "+-. ").encode("ascii")
 # Lines checked against _PLAIN at once: 64 lines of a 1,024-line chunk
 # were checked faster than the whole chunk in one string (0.45 against
@@ -146,12 +147,10 @@ def import_text(
     The file is read IMPORT_CHUNK_LINES lines at a time, and each matched
     vector is written straight into the table, allocated at the first
     vector line: memory is the table and one chunk, not the file. A chunk's
-    values are parsed by one ``np.loadtxt`` call, or by one
-    ``np.array(fields, float)`` call when a value holds a character
-    outside digits, ASCII letters and "+-." or loadtxt rejects it; the
-    latter accepts what loadtxt refuses (such as ``1_0``). Both round
-    correctly, so the table is the same either way. The first error in
-    file order is raised, naming ``path:line``.
+    values are parsed by one ``np.loadtxt`` call, which rounds correctly.
+    A value must be a string that ``float()`` takes, made of digits, ASCII
+    letters and "+-."; so ``1_0`` and non-ASCII digits are refused. The
+    first error in file order is raised, naming ``path:line``.
     """
     rows, matched, d = None, np.zeros(vocab.size, dtype=bool), expected_d
     with open(path, encoding="utf-8") as fh:
@@ -179,10 +178,11 @@ def _read_chunk(path, lines, d) -> tuple[int | None, list[str], np.ndarray]:
 
     One walk splits each line into its token and values and checks the
     value count. Every line before the first malformed one is then parsed
-    in one call, so a bad value on an earlier line is reported first: by
-    ``np.loadtxt`` when every value is plain (digits, ASCII letters and
-    "+-."), else, or when loadtxt refuses, by ``np.array(fields, float)``.
-    Only a value that both refuse is located field by field.
+    in one ``np.loadtxt`` call when every value is plain (digits, ASCII
+    letters and "+-."), so a bad value on an earlier line is reported
+    first. When a value is not plain or loadtxt refuses one, the first
+    value that is not plain or that ``float()`` refuses is located field
+    by field.
     """
     tokens, rests, numbers, fault = [], [], [], None
     for lineno, line in lines:
@@ -234,19 +234,17 @@ def _parse_values(path, rests, numbers) -> np.ndarray:
                               quotechar=None, ndmin=2)
         except ValueError:
             pass
-    fields = [rest.split(" ") for rest in rests]
-    try:
-        return np.array(fields, dtype=float)
-    except ValueError:
-        for lineno, row in zip(numbers, fields):
-            for col, f in enumerate(row, start=2):
+    # float() refuses a plain value exactly when np.loadtxt does, so a
+    # value is found here
+    for lineno, rest in zip(numbers, rests):
+        for col, f in enumerate(rest.split(" "), start=2):
+            if _plain([f]):
                 try:
                     float(f)
+                    continue
                 except ValueError:
-                    raise ValueError(
-                        f"{path}:{lineno}: column {col}: cannot parse {f!r}"
-                    ) from None
-        raise
+                    pass
+            raise ValueError(f"{path}:{lineno}: column {col}: cannot parse {f!r}")
 
 
 # A value whose 8-digit significand s lies within this distance of a

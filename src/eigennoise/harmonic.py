@@ -69,17 +69,20 @@ class CoocMatrix:
         return self.values.shape[0]
 
 
+def check_dense(n: int) -> None:
+    """Refuse an N x N dense array for N above ``DENSE_CAP``."""
+    if n > DENSE_CAP:
+        raise ValueError(f"N={n} exceeds the dense cap {DENSE_CAP}; "
+                         "use the analytic eigen path (eigen.eigennoise_analytic)")
+
+
 def materialize(model: HarmonicModel) -> CoocMatrix:
     """Dense N x N matrix of the model, with marginals.
 
     Only feasible for small N; larger vocabularies should stay on the
     analytic path (eigen.eigennoise_analytic), which never materializes.
     """
-    if model.n > DENSE_CAP:
-        raise ValueError(
-            f"N={model.n} exceeds the dense cap {DENSE_CAP}; "
-            "use the analytic eigen path instead of materializing"
-        )
+    check_dense(model.n)
     inv_rank = 1.0 / np.arange(1, model.n + 1, dtype=float)
     values = model.scale * np.outer(inv_rank, inv_rank)
     return CoocMatrix.from_values(values)
@@ -87,8 +90,7 @@ def materialize(model: HarmonicModel) -> CoocMatrix:
 
 def materialize_log(model: HarmonicModel) -> np.ndarray:
     """Dense matrix of log joint frequencies (the factorization target)."""
-    if model.n > DENSE_CAP:
-        raise ValueError(f"N={model.n} exceeds the dense cap {DENSE_CAP}")
+    check_dense(model.n)
     log_rank = np.log(np.arange(1, model.n + 1, dtype=float))
     return math.log(model.scale) - log_rank[:, None] - log_rank[None, :]
 

@@ -160,11 +160,8 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
 
         report = mdl.online_codelength(train, ctx.schedule, fit_predict, config, dev=dev)
         accuracy = None
-        if test is not None:
-            if dev is not None:
-                acc_train, acc_dev = train, dev
-            else:  # stage 0: the codelength stages hold out with stages 1..
-                acc_train, acc_dev = mdl.holdout(train, cell.seed, 0)
+        if test is not None:  # stage 0: the codelength stages hold out with stages 1..
+            acc_train, acc_dev = mdl.holdout(train, dev, cell.seed, 0)
             accuracy = probe_mod.evaluate_accuracy(fit(acc_train, acc_dev, config), test)
         return CellResult(cell=cell, report=report, accuracy=accuracy)
     except Exception as exc:  # cell failures are recorded, not fatal

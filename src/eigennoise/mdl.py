@@ -121,11 +121,7 @@ def online_codelength(
     clamps = [0]
     for stage in range(1, len(bounds)):
         lo, hi = bounds[stage - 1], bounds[stage]
-        prefix = stream.subset(slice(lo))
-        if dev is not None:
-            stage_train, stage_dev = prefix, dev
-        else:
-            stage_train, stage_dev = holdout(prefix, config.seed, stage)
+        stage_train, stage_dev = holdout(stream.subset(slice(lo)), dev, config.seed, stage)
         predict = fit_predict(stage_train, stage_dev, config)
         block = stream.subset(slice(lo, hi))
         probs = np.asarray(predict(block), dtype=float)
@@ -144,8 +140,12 @@ def online_codelength(
     )
 
 
-def holdout(prefix: ProbeData, seed: int, stage: int) -> tuple[ProbeData, ProbeData]:
-    """Seeded 10% dev holdout (at least one example each side)."""
+def holdout(prefix: ProbeData, dev: ProbeData | None, seed: int,
+            stage: int) -> tuple[ProbeData, ProbeData]:
+    """The (train, dev) split of a fit on ``prefix``: the given ``dev``
+    split, else a seeded 10% holdout (at least one example each side)."""
+    if dev is not None:
+        return prefix, dev
     n = len(prefix)
     if n < 2:
         return prefix, prefix  # degenerate stage: dev == train

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from eigennoise import eigen, harmonic
+from eigennoise import eigen
 from eigennoise.eigen import (
     dense_eigh,
     eigennoise_analytic,
@@ -54,12 +54,6 @@ def test_dense_eigh_reconstruction_random_symmetric():
 def test_dense_eigh_rejects_asymmetry():
     with pytest.raises(ValueError, match="asymmetry"):
         dense_eigh(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_dense_eigh_rejects_oversize(monkeypatch):
-    monkeypatch.setattr(harmonic, "DENSE_CAP", 5)
-    with pytest.raises(ValueError, match="dense cap 5"):
-        dense_eigh(np.eye(10))
 
 
 def test_truncate_rank_one_exact_at_any_d():

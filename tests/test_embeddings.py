@@ -142,8 +142,9 @@ def test_import_text_duplicate_first_wins(tmp_path):
 
 # Tokens hold characters that str.splitlines splits on (U+0085, U+2028) or
 # that str.split() strips (U+00A0); the values are the IEEE edge cases.
-# "1_0" and "١٢" are refused by np.loadtxt but taken by np.array, so their
-# chunk is parsed by np.array; the others by np.loadtxt.
+# Every value is plain (digits, ASCII letters and "+-."), so every chunk
+# is parsed by np.loadtxt; "1_0" and "١٢", which only float() takes, are
+# refused (test_import_text_bulk_parse_keeps_error_messages).
 _ODD_VOCAB = build_vocab(["the", "dog", "cat", "a\x85b", "c\u2028d", "\xa0e", "the"])
 _ODD_LINES = [
     "the 0.1 -0.2",
@@ -151,7 +152,7 @@ _ODD_LINES = [
     "dog 1e400 -0   ",
     "the 9 9",  # a duplicate: the first line wins
     "c\u2028d 2.2250738585072011e-308 4.9e-324",
-    "\xa0e 1_0 \u0661\u0662",
+    "\xa0e 10 12",
     "cat -nan +inf",
     "",
     "a\x85b 7 7",
@@ -208,11 +209,15 @@ def test_import_text_bulk_parse_matches_per_line(tmp_path, monkeypatch, text):
     ("", 2, "{src}: empty embedding file"),
     ("2 2\n\n", None, "{src}: empty embedding file"),
     ("2 2\n", 2, "{src}: empty embedding file"),
-    ("the 1 2\ncat 3 4\ndog 5 6\ncat 1_0 x\n", None, "{src}:4: column 3: cannot parse 'x'"),
+    ("the 1 2\ncat 3 4\ndog 5 6\ncat 1_0 x\n", None, "{src}:4: column 2: cannot parse '1_0'"),
+    ("the 1 2\ncat 3 4\ndog 5 6\ncat 1 1_0\n", None, "{src}:4: column 3: cannot parse '1_0'"),
+    ("the 1 2\ncat 3 4\ndog 5 6\ncat \u0661\u0662 1\n", None,
+     "{src}:4: column 2: cannot parse '\u0661\u0662'"),
 ], ids=["bad-value-in-vocab", "bad-value-outside-vocab", "count-before-bad-value",
         "bad-value-before-count", "empty-field", "no-values", "header-dimension",
         "empty-file", "blank-lines", "empty-file-expected-d", "header-only",
-        "header-only-expected-d", "bad-value-in-non-plain-chunk"])
+        "header-only-expected-d", "bad-value-in-non-plain-chunk", "underscore",
+        "non-ascii-digits"])
 def test_import_text_bulk_parse_keeps_error_messages(tmp_path, monkeypatch, text,
                                                      expected_d, message):
     src = _write(tmp_path / "emb.txt", text)
@@ -223,7 +228,7 @@ def test_import_text_bulk_parse_keeps_error_messages(tmp_path, monkeypatch, text
 
 
 def test_import_text_rejects_what_only_loadtxt_accepts(tmp_path):
-    # np.loadtxt reads "\x1c1" as 1; np.array(fields, float) and float refuse it
+    # np.loadtxt reads "\x1c1" as 1; float() refuses it, and so does the import
     src = _write(tmp_path / "emb.txt", "the 1 2\ncat \x1c1 2\n")
     with pytest.raises(ValueError) as exc:
         import_text(src, build_vocab(["the", "cat"]))

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigennoise import harmonic
+from eigennoise.eigen import dense_eigh
 from eigennoise.harmonic import (
     CoocMatrix,
     HarmonicModel,
@@ -47,12 +48,17 @@ def test_materialize_marginal_identity(n, m):
     assert c.total == pytest.approx(2.0 * m * n * harmonic_number(n), rel=1e-9)
 
 
-def test_materialize_dense_cap(monkeypatch):
+@pytest.mark.parametrize("build", [
+    lambda: materialize(HarmonicModel(n=10)),
+    lambda: materialize_log(HarmonicModel(n=10)),
+    lambda: dense_eigh(np.eye(10)),
+], ids=["materialize", "materialize_log", "dense_eigh"])
+def test_dense_cap(monkeypatch, build):
     monkeypatch.setattr(harmonic, "DENSE_CAP", 5)
-    with pytest.raises(ValueError, match="dense cap 5"):
-        materialize(HarmonicModel(n=10))
-    with pytest.raises(ValueError, match="dense cap 5"):
-        materialize_log(HarmonicModel(n=10))
+    with pytest.raises(ValueError) as exc:
+        build()
+    assert str(exc.value) == ("N=10 exceeds the dense cap 5; "
+                              "use the analytic eigen path (eigen.eigennoise_analytic)")
 
 
 def test_materialize_scale_linear_in_m():

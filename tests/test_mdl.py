@@ -11,6 +11,7 @@ from eigennoise.mdl import (
     BlockSchedule,
     aggregate,
     format_report,
+    holdout,
     make_schedule,
     online_codelength,
     write_report,
@@ -171,6 +172,30 @@ def test_monotone_data_benefit_on_separable_task():
         per_example_block2 = report.block_bits[1] / (bounds[1] - bounds[0])
         per_example_last = report.block_bits[-1] / (bounds[-1] - bounds[-2])
         assert per_example_last < per_example_block2
+
+
+def test_holdout_splits_a_seeded_tenth_unless_dev_is_given():
+    prefix = ProbeData(labels=np.zeros(25, dtype=int), num_classes=2,
+                       features=np.arange(25.0)[:, None])
+
+    def ids(data):
+        return data.features[:, 0].tolist()
+
+    train, dev = holdout(prefix, None, seed=3, stage=1)
+    assert (len(train), len(dev)) == (23, 2)
+    assert sorted(ids(train) + ids(dev)) == ids(prefix)
+    again = holdout(prefix, None, seed=3, stage=1)
+    assert (ids(again[0]), ids(again[1])) == (ids(train), ids(dev))
+    assert ids(holdout(prefix, None, seed=3, stage=2)[1]) != ids(dev)
+    for n in (2, 9):  # at least one example each side
+        train, dev = holdout(prefix.subset(slice(n)), None, seed=3, stage=1)
+        assert (len(train), len(dev)) == (n - 1, 1)
+    one = prefix.subset(slice(1))
+    train, dev = holdout(one, None, seed=3, stage=1)
+    assert train is one and dev is one
+    given = prefix.subset(slice(4))
+    train, dev = holdout(prefix, given, seed=3, stage=1)
+    assert train is prefix and dev is given
 
 
 def test_aggregate_mean_and_sample_std():
