@@ -157,7 +157,7 @@ def _orthonormalize_from(u: np.ndarray, k: int) -> None:
     ``GS_BLOCK`` columns is projected twice off every earlier column with
     one matrix product. The block is then copied to contiguous rows; each
     row is projected twice off the rows before it and normalized, and the
-    rows are written back and sign-fixed (``_fix_signs``). Flipping a
+    rows are sign-fixed (``_fix_signs``) and written back. Flipping a
     finished row leaves later rows' bits as they are: (-r.x)(-r) = (r.x)r.
     On Gaussian columns this gives the Q of a thin QR whose R has a
     positive diagonal: a Haar-random frame of the complement (Mezzadri,
@@ -179,8 +179,8 @@ def _orthonormalize_from(u: np.ndarray, k: int) -> None:
             for _ in range(2):
                 row -= np.matmul(rows[:i] @ row, rows[:i], out=vec)
             row /= np.linalg.norm(row)
+        _fix_signs(rows.T)
         block[...] = rows.T
-        _fix_signs(block)
 
 
 def eigennoise_analytic(

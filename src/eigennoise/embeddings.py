@@ -34,9 +34,10 @@ _VEC_HEADER = re.compile(r"[0-9]+ [0-9]+")
 IMPORT_CHUNK_LINES = 1024
 
 # The characters a value may hold. On values made of these, np.loadtxt
-# and float() take the same strings and give the same doubles; others
-# are refused, both those only np.loadtxt takes (\x1c..\x1f around a
-# number) and those only float() takes ("1_0", non-ASCII digits).
+# and float() take the same strings and give the same doubles. A value
+# holding another character is refused, though np.loadtxt alone takes
+# \x1c..\x1f around a number, float() alone "1_0" and non-ASCII digits,
+# and both take other whitespace around it.
 _PLAIN = (string.digits + string.ascii_letters + "+-. ").encode("ascii")
 # Lines checked against _PLAIN at once: 64 lines of a 1,024-line chunk
 # were checked faster than the whole chunk in one string (0.45 against
@@ -149,8 +150,9 @@ def import_text(
     vector line: memory is the table and one chunk, not the file. A chunk's
     values are parsed by one ``np.loadtxt`` call, which rounds correctly.
     A value must be a string that ``float()`` takes, made of digits, ASCII
-    letters and "+-."; so ``1_0`` and non-ASCII digits are refused. The
-    first error in file order is raised, naming ``path:line``.
+    letters and "+-."; so ``1_0``, non-ASCII digits and whitespace other
+    than the separating space are refused. The first error in file order
+    is raised, naming ``path:line``.
     """
     rows, matched, d = None, np.zeros(vocab.size, dtype=bool), expected_d
     with open(path, encoding="utf-8") as fh:

@@ -213,11 +213,12 @@ def test_import_text_bulk_parse_matches_per_line(tmp_path, monkeypatch, text):
     ("the 1 2\ncat 3 4\ndog 5 6\ncat 1 1_0\n", None, "{src}:4: column 3: cannot parse '1_0'"),
     ("the 1 2\ncat 3 4\ndog 5 6\ncat \u0661\u0662 1\n", None,
      "{src}:4: column 2: cannot parse '\u0661\u0662'"),
+    ("the 1 2\ncat 3 4\ndog 5 6\ncat 1 \t2\n", None, "{src}:4: column 3: cannot parse '\\t2'"),
 ], ids=["bad-value-in-vocab", "bad-value-outside-vocab", "count-before-bad-value",
         "bad-value-before-count", "empty-field", "no-values", "header-dimension",
         "empty-file", "blank-lines", "empty-file-expected-d", "header-only",
         "header-only-expected-d", "bad-value-in-non-plain-chunk", "underscore",
-        "non-ascii-digits"])
+        "non-ascii-digits", "tab-before-value"])
 def test_import_text_bulk_parse_keeps_error_messages(tmp_path, monkeypatch, text,
                                                      expected_d, message):
     src = _write(tmp_path / "emb.txt", text)
