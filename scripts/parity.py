@@ -7,10 +7,10 @@ Each argument is a checkout of this repository. The inputs are written
 once into a shared directory: a seeded token-zipf task
 (``bench/tokenzipf.generate``, seed 17, 2,000 train tokens) with its
 GloVe and ``.vec`` vectors, a small text corpus, a seeded
-``label<TAB>text`` task (train and test splits), and malformed
-``.txt``/``.vec`` vector files. Each tree then runs the whole set in a
-work directory of its own, naming every output relative to it, so both
-sides print the same paths:
+``label<TAB>text`` task (train and test splits), malformed
+``.txt``/``.vec`` vector files and malformed vocabularies. Each tree
+then runs the whole set in a work directory of its own, naming every
+output relative to it, so both sides print the same paths:
 
 * ``--help`` of every parser, the usage errors of every command and a
   few data errors;
@@ -20,7 +20,7 @@ sides print the same paths:
   eigennoise`` at 400 ranks and d=300, whose completion spans many
   Gram-Schmidt blocks, and at 5,000 ranks, d=300 and log mode, whose
   draw spans five ``DRAW_ROWS`` chunks and whose last of 19 blocks is
-  partial;
+  partial; ``embed random`` over each malformed vocabulary;
 * ``embed import`` of both vector files, of every malformed one, and of
   a file of edge values that reaches every branch of the export;
 * the desk run (``probe run --task synthetic --n 500 --seeds 0``), a
@@ -31,10 +31,10 @@ sides print the same paths:
 
 It compares the exit code, stdout and stderr of every command, then every
 file in the two work directories, ``report.txt`` without its timestamp
-line. It prints the first difference and exits 1, or exits 0 when there
-is none. The inputs and work directories are written under a temporary
-directory, which is removed when there is no difference and kept
-otherwise. Needs numpy only.
+line. It prints every difference, each with its first differing line,
+and exits 1, or exits 0 when there is none. The inputs and work
+directories are written under a temporary directory, which is removed
+when there is no difference and kept otherwise. Needs numpy only.
 """
 
 from __future__ import annotations
@@ -63,6 +63,12 @@ MALFORMED = {
     "underscore": ["the 1_0 2", "cat 3 4"],
     "non-ascii-digit": ["the \u0661 2", "cat 3 4"],
     "file-separator": ["the 1 2", "cat \x1c1 2"],  # np.loadtxt takes \x1c1, float refuses
+}
+# malformed vocabularies: (name, token<TAB>count<TAB>rank lines); their
+# tokens cannot be written to a vector file and read back
+MALFORMED_VOCAB = {
+    "space-token": ["a b\t3\t1", "cat\t2\t2"],
+    "empty-token": ["the\t3\t1", "\t2\t2"],
 }
 
 
@@ -126,6 +132,10 @@ def make_inputs(directory: Path) -> dict[str, Path]:
         vec.write_text(f"{len(lines)} 2\n" + "".join(line + " \n" for line in lines),
                        encoding="utf-8")
         inputs[f"{name}.txt"], inputs[f"{name}.vec"] = glove, vec
+    for name, lines in MALFORMED_VOCAB.items():
+        inputs[f"{name}-vocab"] = directory / f"{name}-vocab.tsv"
+        inputs[f"{name}-vocab"].write_text("".join(line + "\n" for line in lines),
+                                           encoding="utf-8")
     # the edge values over the six tokens of the corpus's vocabulary
     values, tokens = edge_values(), ["the", "cat", "sat", "on", "mat", "ran"]
     d = len(values) // len(tokens)
@@ -232,6 +242,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--output", "en-log.txt"],
         ["embed", "random", "--vocab", "vocab.tsv", "--d", "16", "--seed", "3",
          "--output", "random-vocab.txt"],
+        *(["embed", "random", "--vocab", str(inputs[f"{name}-vocab"]), "--d", "2",
+           "--output", f"random-{name}.txt"] for name in MALFORMED_VOCAB),
         *imports,
         ["probe", "run", "--task", "synthetic", "--n", "500", "--seeds", "0",
          "--output-dir", "desk"],
@@ -288,25 +300,27 @@ def _output_files(work: Path) -> dict[str, bytes]:
     return files
 
 
-def first_difference(commands: list[list[str]], parent: tuple[Path, list],
-                     change: tuple[Path, list]) -> str | None:
-    """The first difference between two sides' (work directory, results),
-    or None."""
+def differences(commands: list[list[str]], parent: tuple[Path, list],
+                change: tuple[Path, list]) -> list[str]:
+    """Every difference between two sides' (work directory, results): each
+    command's exit code, stdout and stderr in run order, then each file by
+    name."""
     (parent_work, parent_results), (change_work, change_results) = parent, change
+    found = []
     for argv, old, new in zip(commands, parent_results, change_results):
         for what, a, b in zip(("exit code", "stdout", "stderr"), old, new):
             if a != b:
                 where = (f"{a} against {b}" if what == "exit code"
                          else _first_line_difference(a, b))
-                return f"eigennoise {' '.join(argv)}: {what}: {where}"
+                found.append(f"eigennoise {' '.join(argv)}: {what}: {where}")
     old_files, new_files = _output_files(parent_work), _output_files(change_work)
     for name in sorted(old_files.keys() | new_files.keys()):
         if name not in new_files or name not in old_files:
             side = "change" if name not in new_files else "parent"
-            return f"{name}: missing on the {side} side"
-        if old_files[name] != new_files[name]:
-            return f"{name}: {_first_line_difference(old_files[name], new_files[name])}"
-    return None
+            found.append(f"{name}: missing on the {side} side")
+        elif old_files[name] != new_files[name]:
+            found.append(f"{name}: {_first_line_difference(old_files[name], new_files[name])}")
+    return found
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -319,9 +333,10 @@ def main(argv: list[str] | None = None) -> int:
     commands = command_set(make_inputs(work / "inputs"))
     sides = [(work / side, run_tree(src, work / side, commands))
              for side, src in sources.items()]
-    difference = first_difference(commands, *sides)
-    if difference is not None:
-        print(f"first difference: {difference}\nwork directories kept under {work}")
+    found = differences(commands, *sides)
+    if found:
+        print("".join(f"difference: {line}\n" for line in found)
+              + f"{len(found)} differences; work directories kept under {work}")
         return 1
     print(f"no difference in {len(commands)} commands and "
           f"{len(_output_files(sides[0][0]))} output files")

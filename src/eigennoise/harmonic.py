@@ -14,10 +14,19 @@ from dataclasses import dataclass
 import numpy as np
 
 from .defaults import DEFAULT_WINDOW
-from .vocab import harmonic_number
 
 #: The largest N that is materialized densely, read at each call.
 DENSE_CAP = 4096
+
+
+def harmonic_number(n: int) -> float:
+    """H_n = sum_{k=1..n} 1/k, summed in ascending k for determinism."""
+    if n < 1:
+        raise ValueError(f"harmonic_number requires n >= 1, got {n}")
+    total = 0.0
+    for k in range(1, n + 1):
+        total += 1.0 / k
+    return total
 
 
 @dataclass(frozen=True)

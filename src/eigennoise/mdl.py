@@ -70,8 +70,11 @@ class CodelengthReport:
     block_clamps: tuple[int, ...]
     boundaries: tuple[int, ...]
     num_classes: int
-    n: int
     seed: int
+
+    @property
+    def n(self) -> int:
+        return self.boundaries[-1]
 
     @property
     def total_bits(self) -> float:
@@ -135,7 +138,6 @@ def online_codelength(
         block_clamps=tuple(clamps),
         boundaries=bounds,
         num_classes=k,
-        n=len(data),
         seed=config.seed,
     )
 

@@ -166,12 +166,11 @@ class ProbeModel:
     w1: np.ndarray  # (hidden, input_dim)
     w2: np.ndarray  # (num_classes, hidden)
     table: EmbeddingTable | None = None
-    pooling: str = "direct"
 
 
 def init_probe(input_dim: int, num_classes: int, hidden: int = defaults.DEFAULT_HIDDEN,
                seed: int = 0, table: EmbeddingTable | None = None,
-               pooling: str = "direct", dtype=None) -> ProbeModel:
+               dtype=None) -> ProbeModel:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight init, drawn
     in float64 and cast to ``dtype``: by default the table's, float64
     when there is none."""
@@ -184,23 +183,20 @@ def init_probe(input_dim: int, num_classes: int, hidden: int = defaults.DEFAULT_
         w1=rng.uniform(-b1, b1, (hidden, input_dim)).astype(dtype, copy=False),
         w2=rng.uniform(-b2, b2, (num_classes, hidden)).astype(dtype, copy=False),
         table=table,
-        pooling=pooling,
     )
 
 
-def gather_features(data: ProbeData, table: EmbeddingTable | None,
-                    sel=slice(None)) -> np.ndarray:
-    """Materialize the (B, input_dim) feature block for selected examples.
-    Index pooling keeps the table's dtype."""
+def gather_features(data: ProbeData, table: EmbeddingTable | None) -> np.ndarray:
+    """Materialize the (B, input_dim) feature block of ``data``. Index
+    pooling keeps the table's dtype."""
     if data.pooling == "direct":
-        return data.features[sel]
+        return data.features
     if table is None:
         raise ValueError(f"{data.pooling} pooling requires an embedding table")
-    idx = data.indices[sel]
-    gathered = table.rows[idx]  # (B, w, d)
+    gathered = table.rows[data.indices]  # (B, w, d)
     if data.pooling == "concat":
-        return gathered.reshape(len(idx), -1)
-    return gathered.sum(axis=1) / data.lengths[sel][:, None].astype(gathered.dtype)
+        return gathered.reshape(len(gathered), -1)
+    return gathered.sum(axis=1) / data.lengths[:, None].astype(gathered.dtype)
 
 
 def _layers(model: ProbeModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -228,16 +224,17 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     Gradients have the dtype of the hidden layer; the loss is computed in
     float64.
 
-    The table gradient is summed in float64 over the batch's U unique
-    rows, then cast into a zeroed table-shaped array. Under concat pooling
-    one ``bincount`` over U·d (row, column) cells adds every window
-    position's gradient in batch order, bit-identical to a whole-table
-    sum. Under mean pooling a (B, U) matrix counts how often each example
-    holds each row, and ``counts.T @ (dh / lengths)`` gives every row's
-    gradient at once. For a float32 table this equals
-    the per-position sum bit for bit: a float32 value times a small count
-    is exact in float64. For a float64 table the two sums round
-    differently in the last bits.
+    The formula follows ``lengths``: without them ``indices`` are concat
+    windows, with them mean-pooled sequences. The table gradient is
+    summed in float64 over the batch's U unique rows, then cast into a
+    zeroed table-shaped array. Under concat pooling one ``bincount`` over
+    U·d (row, column) cells adds every window position's gradient in
+    batch order, bit-identical to a whole-table sum. Under mean pooling a
+    (B, U) matrix counts how often each example holds each row, and
+    ``counts.T @ (dh / lengths)`` gives every row's gradient at once. For
+    a float32 table this equals the per-position sum bit for bit: a
+    float32 value times a small count is exact in float64. For a float64
+    table the two sums round differently in the last bits.
     """
     h = np.asarray(h)
     if not np.isfinite(h).all():
@@ -263,24 +260,22 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     if table is not None and table.trainable and indices is not None:
         dh = dhidden @ model.w1  # (B, input_dim)
         rows, inverse = np.unique(indices, return_inverse=True)
-        if model.pooling == "concat":
-            # One flat bincount over (unique row, column) cells adds each
-            # cell's terms in batch order, as np.add.at does, so the sums
-            # are bit-identical. bincount sums in float64 whatever the
-            # weights' dtype.
+        if lengths is None:
+            # concat: one flat bincount over (unique row, column) cells
+            # adds each cell's terms in batch order, as np.add.at does, so
+            # the sums are bit-identical. bincount sums in float64 whatever
+            # the weights' dtype.
             d = table.d
             cells = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
             grad = np.bincount(cells, weights=dh.ravel(), minlength=len(rows) * d)
             grad = grad.reshape(len(rows), d)
-        elif model.pooling == "mean":
-            # every position of example b adds dh[b] / lengths[b] to its row
+        else:
+            # mean: every position of example b adds dh[b] / lengths[b] to its row
             slots = examples[:, None] * len(rows) + inverse.reshape(indices.shape)
             counts = np.bincount(slots.ravel(), minlength=batch * len(rows))
             per_example = dh / lengths[:, None].astype(dh.dtype)
             grad = (counts.reshape(batch, len(rows)).T.astype(float)
                     @ per_example.astype(float))
-        else:
-            raise ValueError("direct pooling has no table rows to differentiate")
         gtable = np.zeros_like(table.rows)
         gtable[rows] = grad  # cast to the table's dtype
         gtable[table.pad_row] = 0.0
@@ -364,8 +359,7 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
     dtype = (np.result_type(train.features.dtype, np.float32)
              if train.pooling == "direct" else None)
     model = init_probe(input_dim, train.num_classes, hidden=config.hidden,
-                       seed=config.seed, table=table, pooling=train.pooling,
-                       dtype=dtype)
+                       seed=config.seed, table=table, dtype=dtype)
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     params = {"w1": model.w1, "w2": model.w2}
     if table is not None and table.trainable:
@@ -380,18 +374,14 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
         seen = 0
         loss_sum = 0.0
         for start in range(0, len(perm), config.batch_size):
-            sel = perm[start : start + config.batch_size]
-            h = gather_features(train, table, sel)
-            loss, grads = backward(
-                model, h, train.labels[sel],
-                indices=None if train.indices is None else train.indices[sel],
-                lengths=None if train.lengths is None else train.lengths[sel],
-            )
+            batch = train.subset(perm[start : start + config.batch_size])
+            loss, grads = backward(model, gather_features(batch, table), batch.labels,
+                                   indices=batch.indices, lengths=batch.lengths)
             if not np.isfinite(loss):
                 raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
             adam_step(state, params, grads, lr)
-            loss_sum += loss * len(sel)
-            seen += len(sel)
+            loss_sum += loss * len(batch)
+            seen += len(batch)
         dev_loss = evaluate_loss(model, dev)
         if not np.isfinite(dev_loss):
             raise ArithmeticError(f"non-finite dev loss at epoch {epoch}")

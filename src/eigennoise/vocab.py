@@ -22,6 +22,9 @@ _PUNCT = ".,!?;:\"'()[]{}<>"
 class Vocabulary:
     """Immutable token -> (count, rank) map with ranks 1..N.
 
+    A token is non-empty and holds no space, tab, CR or LF: those separate
+    the fields and lines of the vocabulary and vector files.
+
     ``rank_by_token`` holds the ranks of the tokens as stored: when
     ``case_folded``, a token must be lower-cased before it is looked up.
     """
@@ -37,6 +40,9 @@ class Vocabulary:
             if rank != i + 1:
                 raise ValueError(f"vocabulary ranks must be exactly 1..N in order: "
                                  f"token {tok!r} has rank {rank} where {i + 1} belongs")
+            if not tok or " " in tok or "\t" in tok or "\r" in tok or "\n" in tok:
+                raise ValueError(f"vocabulary tokens must be non-empty and hold no space, "
+                                 f"tab, CR or LF: token {tok!r} at rank {rank}")
             if count <= 0:
                 raise ValueError(f"vocabulary counts must be positive: "
                                  f"token {tok!r} at rank {rank} has count {count}")
@@ -93,16 +99,6 @@ def build_vocab(
     entries = tuple((tok, count, rank) for rank, (tok, count)
                     in enumerate(counts.most_common(max_size), start=1))
     return Vocabulary(entries=entries, case_folded=case_fold)
-
-
-def harmonic_number(n: int) -> float:
-    """H_n = sum_{k=1..n} 1/k, summed in ascending k for determinism."""
-    if n < 1:
-        raise ValueError(f"harmonic_number requires n >= 1, got {n}")
-    total = 0.0
-    for k in range(1, n + 1):
-        total += 1.0 / k
-    return total
 
 
 def write_vocab(vocab: Vocabulary, path: str | Path) -> None:

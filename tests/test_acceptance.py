@@ -196,8 +196,7 @@ def test_probe_gradient_checks():
                                  num_classes=k, pooling="mean",
                                  indices=indices, lengths=lengths)
         model = init_probe(data.input_dim(None if table is None else table.d),
-                           k, hidden=hidden, seed=case, table=table,
-                           pooling=data.pooling)
+                           k, hidden=hidden, seed=case, table=table)
         h = gather_features(data, table)
         _, grads = backward(model, h, data.labels, indices=indices,
                             lengths=lengths)

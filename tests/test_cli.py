@@ -120,7 +120,9 @@ def test_embed_random_rejects_vocab_listing_a_token_twice(tmp_path, capsys):
     (("the\t3\t1", "cat\t5\t2"), "counts must be non-increasing with rank: "
      "token 'cat' at rank 2 has count 5, above 3 at rank 1"),
     (("the\t0\t1",), "counts must be positive: token 'the' at rank 1 has count 0"),
-], ids=["rank-gap", "count-rises", "count-zero"])
+    (("a b\t3\t1",), "tokens must be non-empty and hold no space, tab, CR or LF: "
+     "token 'a b' at rank 1"),
+], ids=["rank-gap", "count-rises", "count-zero", "token-holds-space"])
 def test_embed_random_names_the_faulty_vocab_entry(tmp_path, capsys, lines, entry):
     vocab_path = tmp_path / "vocab.tsv"
     vocab_path.write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -10,11 +10,11 @@ from eigennoise.eigen import dense_eigh
 from eigennoise.harmonic import (
     CoocMatrix,
     HarmonicModel,
+    harmonic_number,
     materialize,
     materialize_log,
     pmi_matrix,
 )
-from eigennoise.vocab import harmonic_number
 
 
 def test_xhat_entry_derived_values():

@@ -245,8 +245,7 @@ def test_backward_table_gradients_match_finite_differences(pooling):
     labels = np.array([0, 1, 1, 0])
     data = ProbeData(labels=labels, num_classes=2, pooling=pooling,
                      indices=indices, lengths=lengths)
-    model = init_probe(data.input_dim(table.d), 2, hidden=4, seed=11,
-                       table=table, pooling=pooling)
+    model = init_probe(data.input_dim(table.d), 2, hidden=4, seed=11, table=table)
 
     def loss_fn():
         h = gather_features(data, table)
@@ -277,8 +276,7 @@ def test_backward_table_gradient_bit_identical_to_add_at(pooling):
     labels = rng.integers(0, 3, size=len(indices))
     data = ProbeData(labels=labels, num_classes=3, pooling=pooling,
                      indices=indices, lengths=lengths)
-    model = init_probe(data.input_dim(table.d), 3, hidden=7, seed=5,
-                       table=table, pooling=pooling)
+    model = init_probe(data.input_dim(table.d), 3, hidden=7, seed=5, table=table)
     h = gather_features(data, table)
     _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
 
@@ -358,8 +356,7 @@ def test_mean_table_gradient_matches_the_bincount_formula(n, d, batch, width, se
     labels = rng.integers(0, 3, batch)
     data = ProbeData(labels=labels, num_classes=3, pooling=pooling, indices=indices,
                      lengths=lengths)
-    model = init_probe(data.input_dim(d), 3, hidden=8, seed=seed, table=table,
-                       pooling=pooling)
+    model = init_probe(data.input_dim(d), 3, hidden=8, seed=seed, table=table)
     h = gather_features(data, table)
     _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
 
@@ -385,7 +382,7 @@ def test_backward_gradient_locality():
     indices = np.array([[0, 1], [1, 2]])
     data = ProbeData(labels=np.array([0, 1]), num_classes=2, pooling="concat",
                      indices=indices)
-    model = init_probe(6, 2, hidden=4, seed=4, table=table, pooling="concat")
+    model = init_probe(6, 2, hidden=4, seed=4, table=table)
     h = gather_features(data, table)
     _, grads = backward(model, h, data.labels, indices=indices)
     touched = sorted(set(indices.ravel()))
@@ -399,7 +396,7 @@ def test_backward_frozen_mode_has_no_table_grads():
     indices = np.array([[0, 1]])
     data = ProbeData(labels=np.array([0]), num_classes=2, pooling="concat",
                      indices=indices)
-    model = init_probe(6, 2, hidden=4, seed=2, table=table, pooling="concat")
+    model = init_probe(6, 2, hidden=4, seed=2, table=table)
     h = gather_features(data, table)
     _, grads = backward(model, h, data.labels, indices=indices)
     assert "table" not in grads
@@ -597,8 +594,7 @@ def test_backward_gradients_take_the_table_dtype(dtype, pooling):
     table = random_table(6, 3, seed=3)
     table = replace(table, rows=table.rows.astype(dtype), trainable=True)
     data = _windows(table, pooling, n=8)
-    model = init_probe(data.input_dim(table.d), 2, hidden=5, seed=3,
-                       table=table, pooling=pooling)
+    model = init_probe(data.input_dim(table.d), 2, hidden=5, seed=3, table=table)
     h = gather_features(data, table)
     loss, grads = backward(model, h, data.labels, indices=data.indices,
                            lengths=data.lengths)

@@ -60,12 +60,12 @@ def test_parity_same_tree_has_no_difference(tmp_path, parity):
     assert len(commands) == 6
     sides = [(tmp_path / side, parity.run_tree(ROOT / "src", tmp_path / side, commands))
              for side in ("parent", "change")]
-    assert parity.first_difference(commands, *sides) is None
+    assert parity.differences(commands, *sides) == []
     assert [code for code, _, _ in sides[0][1]] == [0, 1, 0, 0, 0, 2]
     # report bodies are compared without their timestamp line
     for (work, _), stamp in zip(sides, ("00:00", "11:11")):
         (work / "report.txt").write_text(f"# probe run at {stamp}\nbody\n")
-    assert parity.first_difference(commands, *sides) is None
+    assert parity.differences(commands, *sides) == []
 
 
 def test_parity_names_a_patched_output(tmp_path, parity):
@@ -73,16 +73,16 @@ def test_parity_names_a_patched_output(tmp_path, parity):
     parent, change = [(tmp_path / side,
                        parity.run_tree(ROOT / "src", tmp_path / side, commands))
                       for side in ("parent", "change")]
+    # patch a table line, delete a file and change a stderr: all three are named
     table = change[0] / "imported-glove.txt"
     lines = table.read_text(encoding="utf-8").splitlines(keepends=True)
     lines[3] = lines[3].replace(" ", " -", 1)
     table.write_text("".join(lines), encoding="utf-8")
-    assert parity.first_difference(commands, parent, change).startswith(
-        "imported-glove.txt: line 4:\n  parent: ")
-    table.unlink()
-    assert parity.first_difference(commands, parent, change) == (
-        "imported-glove.txt: missing on the change side")
+    (change[0] / "small.tsv").unlink()
     code, stdout, stderr = change[1][-1]
     change[1][-1] = (code, stdout, stderr.replace(b"column", b"field"))
-    assert parity.first_difference(commands, parent, change).startswith(
-        f"eigennoise {' '.join(commands[-1])}: stderr: line 1:")
+    found = parity.differences(commands, parent, change)
+    assert len(found) == 3
+    assert found[0].startswith(f"eigennoise {' '.join(commands[-1])}: stderr: line 1:")
+    assert found[1].startswith("imported-glove.txt: line 4:\n  parent: ")
+    assert found[2] == "small.tsv: missing on the change side"

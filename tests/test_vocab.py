@@ -5,10 +5,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from eigennoise.embeddings import token_rows
+from eigennoise.harmonic import harmonic_number
 from eigennoise.vocab import (
     Vocabulary,
     build_vocab,
-    harmonic_number,
     read_vocab,
     tokenize,
     write_vocab,
@@ -82,6 +82,14 @@ def test_vocabulary_invariants_enforced():
         Vocabulary(entries=(("a", 2, 1), ("b", 1, 3)))  # rank gap
 
 
+@pytest.mark.parametrize("token", ["", "a b", "a\tb", "a\rb", "a\nb", " a", "b\n"])
+def test_vocabulary_refuses_a_token_the_text_formats_cannot_hold(token):
+    with pytest.raises(ValueError) as exc:
+        Vocabulary(entries=(("the", 3, 1), (token, 2, 2)))
+    assert str(exc.value) == ("vocabulary tokens must be non-empty and hold no space, "
+                              f"tab, CR or LF: token {token!r} at rank 2")
+
+
 def test_harmonic_number_small_values():
     assert harmonic_number(1) == 1.0
     assert harmonic_number(2) == 1.5
@@ -141,6 +149,13 @@ def test_read_vocab_non_integer_count_names_line(tmp_path):
     assert str(exc.value) == f"{path}:2: count and rank must be integers, got 'x' and '2'"
     path.write_text("the\t3\t1\n\ncat\t2\tsecond\n", encoding="utf-8")
     with pytest.raises(ValueError, match=f"^{path}:3: .* got '2' and 'second'$"):
+        read_vocab(path)
+
+
+def test_read_vocab_names_an_empty_token(tmp_path):
+    path = tmp_path / "vocab.tsv"
+    path.write_text("the\t3\t1\n\t2\t2\n", encoding="utf-8")
+    with pytest.raises(ValueError, match=f"^{path}: vocabulary tokens .*: token '' at rank 2$"):
         read_vocab(path)
 
 
