@@ -7,13 +7,15 @@ Each argument is a checkout of this repository. The inputs are written
 once into a shared directory: a seeded token-zipf task
 (``bench/tokenzipf.generate``, seed 17, 2,000 train tokens) with its
 GloVe and ``.vec`` vectors, a small text corpus, a seeded
-``label<TAB>text`` task (train and test splits), malformed
+``label<TAB>text`` task (train and test splits, and a test file with a
+label that the train file lacks), malformed
 ``.txt``/``.vec`` vector files and malformed vocabularies. Each tree
 then runs the whole set in a work directory of its own, naming every
 output relative to it, so both sides print the same paths:
 
 * ``--help`` of every parser, the usage errors of every command and a
-  few data errors;
+  few data errors, among them a tsv ``probe run`` whose test file holds
+  an unknown label;
 * ``vocab build`` (conll, tsv and text) and ``report aggregate``;
 * ``embed eigennoise`` (linear and log mode) and ``embed random`` at
   20,000 ranks and d=50, and on the task's vocabulary; ``embed
@@ -126,6 +128,8 @@ def make_inputs(directory: Path) -> dict[str, Path]:
     for split, seed, records in (("train", 5, 240), ("test", 6, 60)):
         inputs[f"tsv-{split}"] = directory / f"tweets-{split}.tsv"
         write_tsv(inputs[f"tsv-{split}"], seed, records)
+    inputs["tsv-unknown"] = directory / "tweets-unknown.tsv"
+    inputs["tsv-unknown"].write_text("pos\tgreat game\nmixed\tgreat loss\n", encoding="utf-8")
     for name, lines in MALFORMED.items():
         glove, vec = directory / f"{name}.txt", directory / f"{name}.vec"
         glove.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -209,6 +213,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--output", "never.txt"],
         ["probe", "run", "--task", "conll", "--train", "missing.conll",
          "--output-dir", "never"],
+        ["probe", "run", "--task", "tsv", "--train", str(inputs["tsv-train"]),
+         "--test", str(inputs["tsv-unknown"]), "--output-dir", "never"],
         ["report", "aggregate", "--input-dir", "missing"],
     ]
     imports = [["embed", "import", "--source", str(inputs[kind]), "--vocab", "vocab.tsv",

@@ -89,7 +89,7 @@ def cmd_vocab_build(args) -> int:
         tokens = list(vocab_mod.token_stream(args.input))
     else:  # labels are not read: point the label column at the tokens
         tokens = datasets.dataset_tokens(datasets.read_split(
-            args.format, args.input, "train", args.token_column, args.token_column))
+            args.format, args.input, args.token_column, args.token_column))
     voc = vocab_mod.build_vocab(
         tokens, case_fold=datasets.resolve_case_fold(args.case_fold, args.format),
         max_size=args.max_size)
@@ -188,6 +188,10 @@ def _check_probe_run(args) -> None:
         raise UsageError("--windows applies only to token (conll) tasks")
     if args.task in ("tsv", "conll") and args.train is None:
         raise UsageError(f"--train is required for --task {args.task}")
+    files = [f"--{name}" for name in ("train", "dev", "test")
+             if getattr(args, name) is not None]
+    if args.task == "synthetic" and files:
+        raise UsageError(f"--task synthetic reads no task files; drop {', '.join(files)}")
     # duplicates would run (and write) the same cell twice
     args.representations = tuple(dict.fromkeys(args.representations))
     args.seeds = tuple(dict.fromkeys(args.seeds))

@@ -1,9 +1,11 @@
 """Task ingestion: CoNLL-style token classification, TSV sequence
 classification, and seeded synthetic tasks for desk-scale experiments.
 
-Label sets are ordered by first appearance in the file that defined
-them; applying a training label set to dev/test never re-indexes
-silently (unknown labels raise).
+A read task keeps its tokens and its labels as strings: a tsv text is
+tokenized once, when its file is read, and labels become ids only at
+featurization. Label sets are ordered by first appearance in the file
+that defined them; applying a training label set to dev/test never
+re-indexes silently (unknown labels raise).
 """
 
 from __future__ import annotations
@@ -20,6 +22,15 @@ if TYPE_CHECKING:  # only synth_task needs numpy: reading a task loads none
     import numpy as np
 
 
+def _check_labels(labels, label_set: tuple[str, ...]) -> None:
+    """Raise on the first label outside ``label_set``. A file's own label
+    set holds all its labels, so only a training label set can miss one."""
+    known = set(label_set)
+    for lab in labels:
+        if lab not in known:
+            raise ValueError(f"label {lab!r} is unknown to the training label set")
+
+
 @dataclass(frozen=True)
 class TokenDataset:
     """Sentences with one label per token (POS/NER-style)."""
@@ -27,19 +38,14 @@ class TokenDataset:
     sentences: tuple[tuple[str, ...], ...]
     labels: tuple[tuple[str, ...], ...]  # parallel to sentences
     label_set: tuple[str, ...]
-    split: str = "train"
 
     def __post_init__(self):
         if len(self.sentences) != len(self.labels):
             raise ValueError("sentences and labels must be parallel")
-        known = set(self.label_set)
         for sent, labs in zip(self.sentences, self.labels):
             if len(sent) != len(labs):
                 raise ValueError("every sentence needs one label per token")
-            for lab in labs:
-                if lab not in known:
-                    raise ValueError(f"label {lab!r} in split {self.split!r} is "
-                                     "unknown to the label set")
+        _check_labels(chain.from_iterable(self.labels), self.label_set)
 
     @property
     def num_classes(self) -> int:
@@ -48,19 +54,16 @@ class TokenDataset:
 
 @dataclass(frozen=True)
 class SequenceDataset:
-    """Whole-text classification records."""
+    """Whole-text classification records, each text as its tokens."""
 
-    texts: tuple[str, ...]
-    labels: tuple[int, ...]  # indices into label_set
+    tokens: tuple[tuple[str, ...], ...]
+    labels: tuple[str, ...]  # parallel to tokens
     label_set: tuple[str, ...]
-    split: str = "train"
 
     def __post_init__(self):
-        if len(self.texts) != len(self.labels):
-            raise ValueError("texts and labels must be parallel")
-        for lab in self.labels:
-            if not 0 <= lab < len(self.label_set):
-                raise ValueError(f"label id {lab} outside label_set")
+        if len(self.tokens) != len(self.labels):
+            raise ValueError("tokens and labels must be parallel")
+        _check_labels(self.labels, self.label_set)
 
     @property
     def num_classes(self) -> int:
@@ -68,7 +71,7 @@ class SequenceDataset:
 
 
 def parse_conll(path: str | Path, token_column: int = 0,
-                label_column: int = 3, split: str = "train") -> TokenDataset:
+                label_column: int = 3) -> TokenDataset:
     """Whitespace-column format: blank line ends a sentence, lines
     starting with -DOCSTART- are skipped."""
     sentences: list[tuple[str, ...]] = []
@@ -105,7 +108,7 @@ def parse_conll(path: str | Path, token_column: int = 0,
         raise ValueError(f"{path}: no sentences found")
     label_set = tuple(dict.fromkeys(chain.from_iterable(labels)))  # first appearance
     return TokenDataset(sentences=tuple(sentences), labels=tuple(labels),
-                        label_set=label_set, split=split)
+                        label_set=label_set)
 
 
 def write_conll(ds: TokenDataset, path: str | Path) -> None:
@@ -117,11 +120,11 @@ def write_conll(ds: TokenDataset, path: str | Path) -> None:
             fh.write("\n")
 
 
-def parse_tsv(path: str | Path, split: str = "train") -> SequenceDataset:
-    """One record per line: label<TAB>text. Label ids follow first appearance."""
-    texts: list[str] = []
-    ids: list[int] = []
-    index: dict[str, int] = {}  # label -> id, in first-appearance order
+def parse_tsv(path: str | Path) -> SequenceDataset:
+    """One record per line: label<TAB>text, the text kept as its tokens.
+    The label set follows first appearance."""
+    tokens: list[tuple[str, ...]] = []
+    labels: list[str] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -130,32 +133,21 @@ def parse_tsv(path: str | Path, split: str = "train") -> SequenceDataset:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected label<TAB>text")
             label, text = line.split("\t", 1)
-            ids.append(index.setdefault(label, len(index)))
-            texts.append(text)
-    if not texts:
+            labels.append(label)
+            tokens.append(tuple(tokenize(text)))
+    if not tokens:
         raise ValueError(f"{path}: empty dataset file")
-    return SequenceDataset(texts=tuple(texts), labels=tuple(ids),
-                           label_set=tuple(index), split=split)
+    return SequenceDataset(tokens=tuple(tokens), labels=tuple(labels),
+                           label_set=tuple(dict.fromkeys(labels)))
 
 
 def apply_label_set(ds, label_set: tuple[str, ...]):
-    """Re-map a dev/test split onto the training label set.
+    """Give a dev/test split the training label set.
 
-    Unknown labels are an error, never a silent re-index.
+    Unknown labels are an error (``__post_init__`` raises), never a
+    silent re-index.
     """
-    if isinstance(ds, TokenDataset):  # __post_init__ rejects unknown labels
-        return replace(ds, label_set=tuple(label_set))
-    index = {lab: i for i, lab in enumerate(label_set)}
-    new_ids = []
-    for lab_id in ds.labels:
-        name = ds.label_set[lab_id]
-        if name not in index:
-            raise ValueError(
-                f"label {name!r} in split {ds.split!r} is unknown to the "
-                "training label set"
-            )
-        new_ids.append(index[name])
-    return replace(ds, labels=tuple(new_ids), label_set=tuple(label_set))
+    return replace(ds, label_set=tuple(label_set))
 
 
 def resolve_case_fold(choice: str, task_format: str) -> bool:
@@ -167,19 +159,15 @@ def resolve_case_fold(choice: str, task_format: str) -> bool:
     return task_format != "conll"
 
 
-def read_split(task_format: str, path, split: str, token_column: int,
-               label_column: int):
+def read_split(task_format: str, path, token_column: int, label_column: int):
     """Parse one ``tsv`` (label<TAB>text) or ``conll`` (columns) file."""
     if task_format == "tsv":
-        return parse_tsv(path, split=split)
-    return parse_conll(path, token_column=token_column,
-                       label_column=label_column, split=split)
+        return parse_tsv(path)
+    return parse_conll(path, token_column=token_column, label_column=label_column)
 
 
 def dataset_tokens(ds) -> list[str]:
     """Every token of a tsv, conll or synthetic dataset, in stream order."""
-    if isinstance(ds, SequenceDataset):
-        return [t for text in ds.texts for t in tokenize(text)]
     sequences = ds.sentences if isinstance(ds, TokenDataset) else ds.tokens
     return [t for seq in sequences for t in seq]
 

@@ -237,14 +237,17 @@ def build_context(args) -> MatrixContext:
         task_label = f"synthetic-{args.kind}"
     else:
         _discover_missing_splits(args)
-        train = datasets.read_split(args.task, args.train, "train", args.token_column,
+        train = datasets.read_split(args.task, args.train, args.token_column,
                                     args.label_column)
         splits = {"train": train}
         for name, path in (("dev", args.dev), ("test", args.test)):
             if path is not None:
-                ds = datasets.read_split(args.task, path, name, args.token_column,
+                ds = datasets.read_split(args.task, path, args.token_column,
                                          args.label_column)
-                splits[name] = datasets.apply_label_set(ds, train.label_set)
+                try:
+                    splits[name] = datasets.apply_label_set(ds, train.label_set)
+                except ValueError as exc:
+                    raise ValueError(f"{path}: {exc}") from None
         task_label = Path(args.train).stem
     voc = vocab_mod.build_vocab(datasets.dataset_tokens(splits["train"]),
                                 case_fold=datasets.resolve_case_fold(args.case_fold,

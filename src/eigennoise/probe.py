@@ -30,7 +30,7 @@ from numpy.lib.stride_tricks import sliding_window_view
 from . import defaults
 from .datasets import SequenceDataset, SyntheticDataset, TokenDataset
 from .embeddings import EmbeddingTable, pad_row, token_rows
-from .vocab import Vocabulary, tokenize
+from .vocab import Vocabulary
 
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -123,24 +123,27 @@ def token_window_data(ds: TokenDataset, vocab: Vocabulary, m: int) -> ProbeData:
     centres = np.arange(len(rows)) + m * np.repeat(np.arange(1, len(lengths) + 1), lengths)
     stream = np.full(len(rows) + m * (len(lengths) + 1), pad_row(vocab.size), dtype=int)
     stream[centres] = rows
-    label_index = {lab: i for i, lab in enumerate(ds.label_set)}
-    labels = map(label_index.__getitem__, chain.from_iterable(ds.labels))
     return ProbeData(
-        labels=np.fromiter(labels, dtype=int),
+        labels=_label_ids(chain.from_iterable(ds.labels), ds.label_set),
         num_classes=ds.num_classes,
         pooling="concat",
         indices=sliding_window_view(stream, 2 * m + 1)[centres - m],
     )
 
 
+def _label_ids(labels, label_set: tuple[str, ...]) -> np.ndarray:
+    """Each label's index in ``label_set``."""
+    index = {lab: i for i, lab in enumerate(label_set)}
+    return np.fromiter(map(index.__getitem__, labels), dtype=int)
+
+
 def sequence_data(ds: SequenceDataset, vocab: Vocabulary) -> ProbeData:
     """One mean-pooled example per text; tokens outside the vocab hit OOV."""
-    sequences = [tokenize(text) for text in ds.texts]
-    for i, toks in enumerate(sequences):
+    for i, toks in enumerate(ds.tokens):
         if not toks:
             raise ValueError(f"text {i} tokenizes to nothing; cannot featurize")
-    return _padded_mean_data(sequences, np.array(ds.labels, dtype=int), ds.num_classes,
-                             vocab)
+    return _padded_mean_data(ds.tokens, _label_ids(ds.labels, ds.label_set),
+                             ds.num_classes, vocab)
 
 
 def synthetic_token_data(ds: SyntheticDataset, vocab: Vocabulary) -> ProbeData:

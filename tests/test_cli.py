@@ -236,6 +236,14 @@ def test_probe_run_usage_errors(tmp_path, capsys):
         assert _run("probe", "run", "--task", "synthetic", "--n", "60", f"{option}={value}",
                     "--output-dir", out) == cli.EXIT_USAGE
         assert f"usage error: {option} must be" in capsys.readouterr().err
+    for files in (["--train", "x.tsv"], ["--train", "nonexistent", "--dev", "nope"],
+                  ["--test", "t.tsv"]):
+        capsys.readouterr()
+        assert _run("probe", "run", "--task", "synthetic", "--n", "40", *files,
+                    "--output-dir", out) == cli.EXIT_USAGE
+        named = ", ".join(files[::2])
+        assert capsys.readouterr().err == (
+            f"usage error: --task synthetic reads no task files; drop {named}\n")
     assert not (tmp_path / "runs").exists()
 
 
@@ -300,6 +308,54 @@ def test_probe_run_conll_token_task(tmp_path):
     payload = json.loads((out_dir / "cells.json").read_text(encoding="utf-8"))
     assert {c["window"] for c in payload["cells"]} == {0, 2}
     assert all(c["accuracy"] is not None for c in payload["cells"])
+
+
+def _tiny_task_args(tmp_path, out_dir):
+    return ["--d", "2", "--hidden", "8", "--max-epochs", "1", "--seeds", "0",
+            "--representations", "eigennoise", "--frozen", "true",
+            "--fractions", "50,100", "--output-dir", str(tmp_path / out_dir)]
+
+
+def test_probe_run_tsv_tokenizes_each_text_once(tmp_path, monkeypatch):
+    from eigennoise import datasets, probe
+
+    records = {"train": ["pos\tgreat game today", "neg\tawful ref!", "pos\tso good",
+                         "neg\tbad loss today"],
+               "dev": ["pos\tgreat day", "neg\tawful"], "test": ["neg\tloss", "pos\tgood"]}
+    for split, lines in records.items():
+        (tmp_path / f"t.{split}").write_text("".join(line + "\n" for line in lines),
+                                             encoding="utf-8")
+    calls = []
+    for module in (datasets, probe):
+        tokenize = getattr(module, "tokenize", None)
+        if tokenize is not None:
+            monkeypatch.setattr(module, "tokenize",
+                                lambda text, tokenize=tokenize: calls.append(text)
+                                or tokenize(text))
+    assert _run("probe", "run", "--task", "tsv", "--train", str(tmp_path / "t.train"),
+                *_tiny_task_args(tmp_path, "run")) == 0
+    assert sorted(calls) == sorted(line.split("\t")[1]
+                                   for lines in records.values() for line in lines)
+
+
+@pytest.mark.parametrize("task", ["tsv", "conll"])
+@pytest.mark.parametrize("split", ["dev", "test"])
+def test_probe_run_unknown_label_names_its_file(tmp_path, capsys, task, split):
+    if task == "tsv":
+        train, other = "pos\tgood day\nneg\tbad day\n", "pos\tgood\nXX\tbad\n"
+        columns = []
+    else:
+        train, other = "EU NNP\nrejects VBZ\n\nGerman JJ\n", "EU NNP\ncall XX\n"
+        columns = ["--label-column", "1", "--windows", "0"]
+    (tmp_path / "c.train").write_text(train, encoding="utf-8")
+    path = tmp_path / f"c.{split}"
+    path.write_text(other, encoding="utf-8")
+    assert _run("probe", "run", "--task", task, "--train", str(tmp_path / "c.train"),
+                f"--{split}", str(path), *columns,
+                *_tiny_task_args(tmp_path, "run")) == cli.EXIT_DATA == 2
+    assert capsys.readouterr().err == (
+        f"data error: {path}: label 'XX' is unknown to the training label set\n")
+    assert not (tmp_path / "run").exists()
 
 
 def test_probe_run_conll_cells_json_reproducible(tmp_path):

@@ -70,8 +70,8 @@ def test_parse_tsv_basic(tmp_path):
     path = tmp_path / "task.tsv"
     path.write_text("1\tgreat game\n0\tawful ref\n1\tso good\n", encoding="utf-8")
     ds = parse_tsv(path)
-    assert ds.texts == ("great game", "awful ref", "so good")
-    assert ds.labels == (0, 1, 0)
+    assert ds.tokens == (("great", "game"), ("awful", "ref"), ("so", "good"))
+    assert ds.labels == ("1", "0", "1")
     assert ds.label_set == ("1", "0")
 
 
@@ -79,11 +79,11 @@ def test_parse_tsv_three_labels(tmp_path):
     path = tmp_path / "task.tsv"
     path.write_text("a\tx\nb\ty\nc\tz\n", encoding="utf-8")
     assert parse_tsv(path).num_classes == 3
-    # interleaved labels keep their first-appearance ids
+    # interleaved labels keep their first-appearance order
     path.write_text("b\tx\na\ty\nb\tz\nc\tw\na\tv\nc\tu\n", encoding="utf-8")
     ds = parse_tsv(path)
     assert ds.label_set == ("b", "a", "c")
-    assert ds.labels == (0, 1, 0, 2, 1, 2)
+    assert ds.labels == ("b", "a", "b", "c", "a", "c")
 
 
 def test_parse_tsv_missing_tab(tmp_path):
@@ -101,24 +101,22 @@ def test_parse_tsv_empty(tmp_path):
 
 
 def test_apply_label_set_remaps_ids(tmp_path):
-    train = SequenceDataset(texts=("a", "b"), labels=(0, 1),
+    train = SequenceDataset(tokens=(("a",), ("b",)), labels=("pos", "neg"),
                             label_set=("pos", "neg"))
-    dev = SequenceDataset(texts=("c",), labels=(0,), label_set=("neg",),
-                          split="dev")
+    dev = SequenceDataset(tokens=(("c",),), labels=("neg",), label_set=("neg",))
     remapped = apply_label_set(dev, train.label_set)
-    assert remapped.labels == (1,)
+    assert remapped.labels == ("neg",)
     assert remapped.label_set == ("pos", "neg")
 
 
 def test_apply_label_set_rejects_unknown():
     train_labels = ("pos", "neg")
-    dev = SequenceDataset(texts=("c",), labels=(0,), label_set=("other",),
-                          split="dev")
+    dev = SequenceDataset(tokens=(("c",),), labels=("other",), label_set=("other",))
     with pytest.raises(ValueError, match="unknown"):
         apply_label_set(dev, train_labels)
     tok = TokenDataset(sentences=(("x",),), labels=(("B-LOC",),),
-                       label_set=("B-LOC",), split="test")
-    with pytest.raises(ValueError, match="'B-LOC' in split 'test' is unknown"):
+                       label_set=("B-LOC",))
+    with pytest.raises(ValueError, match="'B-LOC' is unknown to the training label set"):
         apply_label_set(tok, ("O",))
 
 

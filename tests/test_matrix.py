@@ -177,7 +177,7 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
         ds = datasets.TokenDataset(
             sentences=tuple(tuple(f"t{i}" for i in rng.zipf(1.5, k) % 90) for k in lengths),
             labels=tuple(tuple(rng.choice(["A", "B", "C"], k)) for k in lengths),
-            label_set=("A", "B", "C"), split=split)
+            label_set=("A", "B", "C"))
         datasets.write_conll(ds, tmp_path / f"task.{split}")
     args = _parse("--task", "conll", "--train", str(tmp_path / "task.train"),
                   "--label-column", "1", "--windows", "0,2,5,10",
@@ -187,18 +187,18 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
     window_data = probe.token_window_data
 
     def spy(ds, voc, m):
-        featurized.append((ds.split, m))
+        featurized.append((len(ds.sentences), m))
         return window_data(ds, voc, m)
 
     monkeypatch.setattr(probe, "token_window_data", spy)
     with cli._one_blas_thread():
         ctx = matrix.build_context(args)
-    assert featurized == [("train", 10), ("dev", 10), ("test", 10)]
+    assert featurized == [(60, 10), (20, 10), (20, 10)]
     label_set = datasets.parse_conll(tmp_path / "task.train", 0, 1).label_set
     for split, data in (("train", ctx.train_data), ("dev", ctx.dev_data),
                         ("test", ctx.test_data)):
         ds = datasets.apply_label_set(
-            datasets.parse_conll(tmp_path / f"task.{split}", 0, 1, split), label_set)
+            datasets.parse_conll(tmp_path / f"task.{split}", 0, 1), label_set)
         assert sorted(data) == [0, 2, 5, 10]
         for w in (0, 2, 5, 10):
             direct = window_data(ds, ctx.vocab, w)

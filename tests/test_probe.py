@@ -81,12 +81,13 @@ def test_featurize_token_pads_outside_sentence():
 
 def test_featurize_sequence_mean():
     table = random_table(5, 3, seed=2)
-    ds = SequenceDataset(texts=("d", "a b", "zz zz"), labels=(0, 0, 0), label_set=("x",))
+    ds = SequenceDataset(tokens=(("d",), ("a", "b"), ("zz", "zz")), labels=("x", "x", "x"),
+                         label_set=("x",))
     got = gather_features(sequence_data(ds, _VOCAB), table)
     np.testing.assert_array_equal(got[0], table.rows[3])
     np.testing.assert_allclose(got[1], (table.rows[0] + table.rows[1]) / 2.0)
     np.testing.assert_array_equal(got[2], np.zeros(3))  # out-of-vocabulary tokens
-    empty = SequenceDataset(texts=("!!",), labels=(0,), label_set=("x",))
+    empty = SequenceDataset(tokens=((),), labels=("x",), label_set=("x",))
     with pytest.raises(ValueError, match="tokenizes to nothing"):
         sequence_data(empty, _VOCAB)
 
@@ -155,8 +156,7 @@ def test_token_windows_match_the_loop_on_any_split(sentences, m, case_fold):
 @pytest.mark.parametrize("case_fold", [False, True], ids=["cased", "folded"])
 def test_mean_indices_match_a_per_text_loop(case_fold):
     vocab = build_vocab(list("abcdeab") + ["C"], case_fold=case_fold)
-    texts = [" ".join(sent) for sent in _EDGE_SENTENCES]
-    ds = SequenceDataset(texts=tuple(texts), labels=(0, 1, 0, 1, 1), label_set=("x", "y"))
+    ds = SequenceDataset(tokens=_EDGE_SENTENCES, labels=tuple("xyxyy"), label_set=("x", "y"))
     data = sequence_data(ds, vocab)
     idx, lengths = _reference_mean_indices(_EDGE_SENTENCES, vocab)
     np.testing.assert_array_equal(data.indices, idx)
