@@ -310,10 +310,10 @@ def test_probe_run_conll_token_task(tmp_path):
     assert all(c["accuracy"] is not None for c in payload["cells"])
 
 
-def _tiny_task_args(tmp_path, out_dir):
+def _tiny_task_args(out_dir):
     return ["--d", "2", "--hidden", "8", "--max-epochs", "1", "--seeds", "0",
             "--representations", "eigennoise", "--frozen", "true",
-            "--fractions", "50,100", "--output-dir", str(tmp_path / out_dir)]
+            "--fractions", "50,100", "--output-dir", str(out_dir)]
 
 
 def test_probe_run_tsv_tokenizes_each_text_once(tmp_path, monkeypatch):
@@ -332,8 +332,9 @@ def test_probe_run_tsv_tokenizes_each_text_once(tmp_path, monkeypatch):
             monkeypatch.setattr(module, "tokenize",
                                 lambda text, tokenize=tokenize: calls.append(text)
                                 or tokenize(text))
+    # t.dev and t.test are read as the siblings of t.train
     assert _run("probe", "run", "--task", "tsv", "--train", str(tmp_path / "t.train"),
-                *_tiny_task_args(tmp_path, "run")) == 0
+                *_tiny_task_args(tmp_path / "run")) == 0
     assert sorted(calls) == sorted(line.split("\t")[1]
                                    for lines in records.values() for line in lines)
 
@@ -352,7 +353,7 @@ def test_probe_run_unknown_label_names_its_file(tmp_path, capsys, task, split):
     path.write_text(other, encoding="utf-8")
     assert _run("probe", "run", "--task", task, "--train", str(tmp_path / "c.train"),
                 f"--{split}", str(path), *columns,
-                *_tiny_task_args(tmp_path, "run")) == cli.EXIT_DATA == 2
+                *_tiny_task_args(tmp_path / "run")) == cli.EXIT_DATA == 2
     assert capsys.readouterr().err == (
         f"data error: {path}: label 'XX' is unknown to the training label set\n")
     assert not (tmp_path / "run").exists()
