@@ -7,15 +7,16 @@ Each argument is a checkout of this repository. The inputs are written
 once into a shared directory: a seeded token-zipf task
 (``bench/tokenzipf.generate``, seed 17, 2,000 train tokens) with its
 GloVe and ``.vec`` vectors, a small text corpus, a seeded
-``label<TAB>text`` task (train and test splits, and a test file with a
-label that the train file lacks), malformed
+``label<TAB>text`` task (train and test splits, a test file with a
+label that the train file lacks, and a train file with a text that
+tokenizes to nothing), malformed
 ``.txt``/``.vec`` vector files and malformed vocabularies. Each tree
 then runs the whole set in a work directory of its own, naming every
 output relative to it, so both sides print the same paths:
 
 * ``--help`` of every parser, the usage errors of every command and a
   few data errors, among them a tsv ``probe run`` whose test file holds
-  an unknown label;
+  an unknown label and one whose train file holds a text without tokens;
 * ``vocab build`` (conll, tsv and text) and ``report aggregate``;
 * ``embed eigennoise`` (linear and log mode) and ``embed random`` at
   20,000 ranks and d=50, and on the task's vocabulary; ``embed
@@ -26,7 +27,7 @@ output relative to it, so both sides print the same paths:
 * ``embed import`` of both vector files, of every malformed one, and of
   a file of edge values that reaches every branch of the export;
 * the desk run (``probe run --task synthetic --n 500 --seeds 0``), a
-  24-cell token-zipf run (eigennoise, random and GloVe import; windows
+  synthetic run at ``--d 1``, a 24-cell token-zipf run (eigennoise, random and GloVe import; windows
   0, 2, 5 and 10; frozen and unfrozen; seed 0) and a 4-cell tsv run
   with a test split and no dev split, so every stage and the accuracy
   fit hold out their own dev examples.
@@ -130,6 +131,8 @@ def make_inputs(directory: Path) -> dict[str, Path]:
         write_tsv(inputs[f"tsv-{split}"], seed, records)
     inputs["tsv-unknown"] = directory / "tweets-unknown.tsv"
     inputs["tsv-unknown"].write_text("pos\tgreat game\nmixed\tgreat loss\n", encoding="utf-8")
+    inputs["tsv-empty-text"] = directory / "tweets-empty-text.tsv"
+    inputs["tsv-empty-text"].write_text("pos\tgreat game\nneg\t!!\n", encoding="utf-8")
     for name, lines in MALFORMED.items():
         glove, vec = directory / f"{name}.txt", directory / f"{name}.vec"
         glove.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -215,6 +218,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--output-dir", "never"],
         ["probe", "run", "--task", "tsv", "--train", str(inputs["tsv-train"]),
          "--test", str(inputs["tsv-unknown"]), "--output-dir", "never"],
+        ["probe", "run", "--task", "tsv", "--train", str(inputs["tsv-empty-text"]),
+         "--d", "2", "--output-dir", "never"],
         ["report", "aggregate", "--input-dir", "missing"],
     ]
     imports = [["embed", "import", "--source", str(inputs[kind]), "--vocab", "vocab.tsv",
@@ -253,6 +258,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
         *imports,
         ["probe", "run", "--task", "synthetic", "--n", "500", "--seeds", "0",
          "--output-dir", "desk"],
+        ["probe", "run", "--task", "synthetic", "--n", "40", "--d", "1", "--seeds", "0",
+         "--output-dir", "desk-d1"],
         ["probe", "run", "--task", "conll", *task, "--representations",
          f"eigennoise,random,import:{inputs['glove']}", "--windows", "0,2,5,10",
          "--seeds", "0", "--frozen", "both", "--output-dir", "zipf"],

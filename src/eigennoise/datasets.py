@@ -1,25 +1,23 @@
 """Task ingestion: CoNLL-style token classification, TSV sequence
-classification, and seeded synthetic tasks for desk-scale experiments.
+classification, and seeded synthetic sequence tasks for desk-scale
+experiments.
 
-A read task keeps its tokens and its labels as strings: a tsv text is
-tokenized once, when its file is read, and labels become ids only at
-featurization. Label sets are ordered by first appearance in the file
-that defined them; applying a training label set to dev/test never
-re-indexes silently (unknown labels raise).
+A task keeps its tokens and its labels as strings: a tsv text is
+tokenized once, when its file is read, a synthetic text is drawn as
+tokens, and labels become ids only at featurization. Label sets are
+ordered by first appearance in the file that defined them (by class
+number for synthetic tasks); applying a training label set to dev/test
+never re-indexes silently (unknown labels raise).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
-from typing import TYPE_CHECKING
 
 from .defaults import SYNTH_KINDS
 from .vocab import tokenize
-
-if TYPE_CHECKING:  # only synth_task needs numpy: reading a task loads none
-    import numpy as np
 
 
 def _check_labels(labels, label_set: tuple[str, ...]) -> None:
@@ -54,7 +52,8 @@ class TokenDataset:
 
 @dataclass(frozen=True)
 class SequenceDataset:
-    """Whole-text classification records, each text as its tokens."""
+    """Whole-text classification records, each text as its tokens (at
+    least one)."""
 
     tokens: tuple[tuple[str, ...], ...]
     labels: tuple[str, ...]  # parallel to tokens
@@ -63,6 +62,9 @@ class SequenceDataset:
     def __post_init__(self):
         if len(self.tokens) != len(self.labels):
             raise ValueError("tokens and labels must be parallel")
+        for i, toks in enumerate(self.tokens):
+            if not toks:
+                raise ValueError(f"text {i} tokenizes to nothing")
         _check_labels(self.labels, self.label_set)
 
     @property
@@ -133,21 +135,15 @@ def parse_tsv(path: str | Path) -> SequenceDataset:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected label<TAB>text")
             label, text = line.split("\t", 1)
+            toks = tuple(tokenize(text))
+            if not toks:
+                raise ValueError(f"{path}:{lineno}: text tokenizes to nothing")
             labels.append(label)
-            tokens.append(tuple(tokenize(text)))
+            tokens.append(toks)
     if not tokens:
         raise ValueError(f"{path}: empty dataset file")
     return SequenceDataset(tokens=tuple(tokens), labels=tuple(labels),
                            label_set=tuple(dict.fromkeys(labels)))
-
-
-def apply_label_set(ds, label_set: tuple[str, ...]):
-    """Give a dev/test split the training label set.
-
-    Unknown labels are an error (``__post_init__`` raises), never a
-    silent re-index.
-    """
-    return replace(ds, label_set=tuple(label_set))
 
 
 def resolve_case_fold(choice: str, task_format: str) -> bool:
@@ -180,33 +176,14 @@ _SEQ_LEN_RANGE = (10, 21)
 _NOISY_LEAK = 0.35  # chance a noisy-mode token ignores its class lexicon
 
 
-@dataclass(frozen=True)
-class SyntheticDataset:
-    """Seeded Gaussian class clusters plus a token-sequence realization.
+def synth_task(kind: str, n: int, k: int = 2, seed: int = 0,
+               split: str = "train") -> SequenceDataset:
+    """Deterministic synthetic sequence classification task.
 
-    ``features`` are the raw cluster samples (for probing vectors
-    directly); ``tokens`` re-express each example as a sequence over
-    class-specific lexicons so embedding tables have something to embed.
-    """
-
-    features: np.ndarray  # (n, d)
-    labels: np.ndarray  # (n,) ints in 0..k-1
-    label_set: tuple[str, ...]
-    tokens: tuple[tuple[str, ...], ...]
-
-    @property
-    def num_classes(self) -> int:
-        return len(self.label_set)
-
-
-def synth_task(kind: str, n: int, d: int, k: int = 2, seed: int = 0,
-               split: str = "train") -> SyntheticDataset:
-    """Deterministic synthetic classification task.
-
-    Class means sit (6/sqrt(2)) * e_class apart for "separable" (pairwise
-    distance 6 sigma) and 1 sigma apart for "noisy". Token sequences
-    draw Zipf-weighted tokens from a per-class lexicon; in noisy mode a
-    fraction of tokens leaks from the shared vocabulary.
+    ``n`` balanced, shuffled labels ``class_0`` .. ``class_<k-1>``; each
+    text draws Zipf-weighted tokens from its class's lexicon, and in
+    "noisy" mode a fraction of tokens leaks from the shared vocabulary.
+    Each split seeds its own stream.
     """
     import numpy as np
 
@@ -214,17 +191,11 @@ def synth_task(kind: str, n: int, d: int, k: int = 2, seed: int = 0,
         raise ValueError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
     if n < k * 10:
         raise ValueError(f"need n >= 10 per class, got n={n}, k={k}")
-    if d < k:
-        raise ValueError(f"need d >= k to place class means, got d={d}, k={k}")
     if split not in _SPLIT_INDEX:
         raise ValueError(f"split must be one of {tuple(_SPLIT_INDEX)}")
     seq = np.random.SeedSequence(entropy=seed, spawn_key=(_SPLIT_INDEX[split],))
     rng = np.random.Generator(np.random.Philox(seed=seq))
     labels = rng.permutation(np.arange(n) % k)
-    sep = 6.0 if kind == "separable" else 1.0
-    means = np.zeros((k, d))
-    means[np.arange(k), np.arange(k)] = sep / np.sqrt(2.0)
-    features = means[labels] + rng.standard_normal((n, d))
 
     vocab_size = k * _LEXICON_SIZE
     zipf = 1.0 / np.arange(1, _LEXICON_SIZE + 1)
@@ -240,9 +211,6 @@ def synth_task(kind: str, n: int, d: int, k: int = 2, seed: int = 0,
             leak = rng.random(length) < _NOISY_LEAK
             ids = np.where(leak, rng.choice(vocab_size, size=length, p=zipf_all), ids)
         tokens.append(tuple(f"w{t:03d}" for t in ids))
-    return SyntheticDataset(
-        features=features,
-        labels=labels,
-        label_set=tuple(f"class_{c}" for c in range(k)),
-        tokens=tuple(tokens),
-    )
+    label_set = tuple(f"class_{c}" for c in range(k))
+    return SequenceDataset(tokens=tuple(tokens), labels=tuple(label_set[c] for c in labels),
+                           label_set=label_set)

@@ -143,7 +143,7 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
         # A frozen table is a constant, so a mean-pooled example's features
         # are too: pool each split once and train on them with no table.
         # (Concat features would take (examples x window x d) floats.)
-        pool_once = cell.frozen and train.pooling == "mean"
+        pool_once = cell.frozen and train.lengths is not None
         if pool_once:
             train, dev, test = (_pooled(data, base) for data in (train, dev, test))
 
@@ -230,7 +230,7 @@ def build_context(args) -> MatrixContext:
     if args.task == "synthetic":
         eval_n = max(args.classes * 10, args.n // 5)
         splits = {
-            split: datasets.synth_task(args.kind, n, args.d, k=args.classes,
+            split: datasets.synth_task(args.kind, n, k=args.classes,
                                        seed=args.data_seed, split=split)
             for split, n in (("train", args.n), ("dev", eval_n), ("test", eval_n))
         }
@@ -245,7 +245,7 @@ def build_context(args) -> MatrixContext:
                 ds = datasets.read_split(args.task, path, args.token_column,
                                          args.label_column)
                 try:
-                    splits[name] = datasets.apply_label_set(ds, train.label_set)
+                    splits[name] = replace(ds, label_set=train.label_set)
                 except ValueError as exc:
                     raise ValueError(f"{path}: {exc}") from None
         task_label = Path(args.train).stem
@@ -264,9 +264,7 @@ def build_context(args) -> MatrixContext:
             wide = probe_mod.token_window_data(ds, voc, widest)
             return {w: replace(wide, indices=wide.indices[:, widest - w:widest + w + 1])
                     for w in args.windows}
-        if args.task == "tsv":
-            return {None: probe_mod.sequence_data(ds, voc)}
-        return {None: probe_mod.synthetic_token_data(ds, voc)}
+        return {None: probe_mod.sequence_data(ds, voc)}
 
     data = {name: featurize(ds) for name, ds in splits.items()}
 

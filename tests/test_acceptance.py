@@ -184,8 +184,7 @@ def test_probe_gradient_checks():
                 indices = rng.integers(0, n_rows + 2, (batch, width))
                 indices[:, 0] = rng.integers(0, n_rows, batch)
                 data = ProbeData(labels=rng.integers(0, k, batch),
-                                 num_classes=k, pooling="concat",
-                                 indices=indices)
+                                 num_classes=k, indices=indices)
             else:
                 lengths = rng.integers(1, width + 1, batch)
                 indices = np.full((batch, width), n_rows + 1)
@@ -193,8 +192,7 @@ def test_probe_gradient_checks():
                     indices[i, :ln] = rng.integers(0, n_rows + 1, ln)
                 indices[:, 0] = rng.integers(0, n_rows, batch)
                 data = ProbeData(labels=rng.integers(0, k, batch),
-                                 num_classes=k, pooling="mean",
-                                 indices=indices, lengths=lengths)
+                                 num_classes=k, indices=indices, lengths=lengths)
         model = init_probe(data.input_dim(None if table is None else table.d),
                            k, hidden=hidden, seed=case, table=table)
         h = gather_features(data, table)

@@ -359,6 +359,24 @@ def test_probe_run_unknown_label_names_its_file(tmp_path, capsys, task, split):
     assert not (tmp_path / "run").exists()
 
 
+def test_probe_run_text_without_tokens_names_its_line(tmp_path, capsys):
+    train = tmp_path / "t.train"
+    train.write_text("pos\tgood day\nneg\t!!\n", encoding="utf-8")
+    assert _run("probe", "run", "--task", "tsv", "--train", str(train),
+                *_tiny_task_args(tmp_path / "run")) == cli.EXIT_DATA == 2
+    assert capsys.readouterr().err == (
+        f"data error: {train}:2: text tokenizes to nothing\n")
+    assert not (tmp_path / "run").exists()
+
+
+def test_probe_run_synthetic_at_d_1(tmp_path):
+    """The synthetic task draws no d-sized data, so any --d runs."""
+    assert _run("probe", "run", "--task", "synthetic", "--n", "40", "--d", "1",
+                "--seeds", "0", "--output-dir", str(tmp_path / "run")) == 0
+    cells = json.loads((tmp_path / "run" / "cells.json").read_text())["cells"]
+    assert len(cells) == 4 and all(cell["error"] is None for cell in cells)
+
+
 def test_probe_run_conll_cells_json_reproducible(tmp_path):
     def run(out_dir):
         assert _run("probe", "run", "--task", "conll",

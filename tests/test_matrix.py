@@ -60,7 +60,7 @@ def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(tmp_path, monkeyp
     train_probe = probe.train_probe
 
     def spy_train(train, dev, config, table=None):
-        fits.append((train.pooling, table))
+        fits.append((train, table))
         return train_probe(train, dev, config, table=table)
 
     monkeypatch.setattr(probe, "train_probe", spy_train)
@@ -71,8 +71,8 @@ def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(tmp_path, monkeyp
             start = len(fits)
             assert matrix.run_cell(cell, ctx).error is None
             shared = ctx.tables[cell.representation]
-            for pooling, table in fits[start:]:
-                assert pooling == "concat"
+            for train, table in fits[start:]:
+                assert train.indices is not None and train.lengths is None  # concat
                 if cell.frozen:
                     assert table is shared
                 else:
@@ -103,7 +103,7 @@ def test_pooled_features_match_the_per_batch_gather(tmp_path, rep):
     for split in (ctx.train_data, ctx.dev_data, ctx.test_data):
         data = split[None]
         pooled = matrix._pooled(data, base)
-        assert pooled.pooling == "direct"
+        assert pooled.indices is None
         assert pooled.features.dtype == np.float32
         assert np.array_equal(pooled.labels, data.labels)
         # the batches of a seeded training epoch
@@ -122,7 +122,7 @@ def test_frozen_mean_cell_pools_each_split_once(tmp_path, monkeypatch):
     gather, train_probe = probe.gather_features, probe.train_probe
 
     def spy_gather(data, table):
-        if data.pooling != "direct":
+        if data.indices is not None:
             gathered.append(data)
         return gather(data, table)
 
@@ -141,7 +141,7 @@ def test_frozen_mean_cell_pools_each_split_once(tmp_path, monkeypatch):
     assert len(fits) == len(ctx.schedule.boundaries)
     for train, dev, table, model in fits:
         assert table is None
-        assert train.pooling == dev.pooling == "direct"
+        assert train.indices is dev.indices is None
         assert train.features.dtype == dev.features.dtype == np.float32
         assert model.w1.dtype == model.w2.dtype == np.float32
 
@@ -168,6 +168,21 @@ def test_frozen_mean_cell_scores_as_if_trained_on_the_table(tmp_path):
     assert result.error is None
     assert result.report == report
     assert result.accuracy == accuracy
+
+
+def test_synthetic_task_does_not_depend_on_d(tmp_path):
+    contexts = []
+    for d in ("2", "8"):
+        args = _parse("--task", "synthetic", "--n", "60", "--d", d, "--seeds", "0",
+                      "--representations", "random", "--output-dir", str(tmp_path))
+        contexts.append(matrix.build_context(args))
+    narrow, wide = contexts
+    assert (narrow.d, wide.d) == (2, 8)
+    for split in ("train_data", "dev_data", "test_data"):
+        a, b = getattr(narrow, split)[None], getattr(wide, split)[None]
+        assert np.array_equal(a.indices, b.indices)
+        assert np.array_equal(a.lengths, b.lengths)
+        assert np.array_equal(a.labels, b.labels)
 
 
 def test_build_context_slices_each_window_from_one_featurization(tmp_path, monkeypatch):
@@ -197,14 +212,14 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
     label_set = datasets.parse_conll(tmp_path / "task.train", 0, 1).label_set
     for split, data in (("train", ctx.train_data), ("dev", ctx.dev_data),
                         ("test", ctx.test_data)):
-        ds = datasets.apply_label_set(
-            datasets.parse_conll(tmp_path / f"task.{split}", 0, 1), label_set)
+        ds = replace(datasets.parse_conll(tmp_path / f"task.{split}", 0, 1),
+                     label_set=label_set)
         assert sorted(data) == [0, 2, 5, 10]
         for w in (0, 2, 5, 10):
             direct = window_data(ds, ctx.vocab, w)
             np.testing.assert_array_equal(data[w].indices, direct.indices)
             np.testing.assert_array_equal(data[w].labels, direct.labels)
-            assert (data[w].pooling, data[w].num_classes) == ("concat", 3)
+            assert data[w].lengths is None and data[w].num_classes == 3
         assert all(data[w].labels is data[10].labels for w in data)
 
 
@@ -212,7 +227,7 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
 def test_dimension_above_vocabulary_fails_before_featurizing(tmp_path, monkeypatch,
                                                              capsys, task):
     calls = []
-    for name in ("token_window_data", "sequence_data", "synthetic_token_data"):
+    for name in ("token_window_data", "sequence_data"):
         monkeypatch.setattr(probe, name, lambda *a, name=name: calls.append(name))
     train = tmp_path / "task.train"
     if task == "tsv":
@@ -223,7 +238,7 @@ def test_dimension_above_vocabulary_fails_before_featurizing(tmp_path, monkeypat
                  "conll": ["--train", str(train), "--label-column", "1"]}[task]
     if task == "synthetic":  # the training split that probe run draws
         args = _parse("--task", "synthetic", "--n", "40", "--output-dir", "out")
-        train_ds = datasets.synth_task(args.kind, 40, 500, k=args.classes,
+        train_ds = datasets.synth_task(args.kind, 40, k=args.classes,
                                        seed=args.data_seed)
         n = vocab.build_vocab(datasets.dataset_tokens(train_ds)).size
     else:

@@ -4,7 +4,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from eigennoise.datasets import synth_task
 from eigennoise.embeddings import random_table
 from eigennoise.mdl import (
     PROB_CLAMP,
@@ -154,11 +153,8 @@ def test_blocks_partition_the_stream():
     assert sum(seen) + bounds[0] == 100
 
 
-def test_monotone_data_benefit_on_separable_task():
-    train_ds = synth_task("separable", 300, 4, k=2, seed=0)
-    dev_ds = synth_task("separable", 60, 4, k=2, seed=0, split="dev")
-    train, dev = (ProbeData(labels=ds.labels.astype(int), num_classes=2,
-                            features=ds.features) for ds in (train_ds, dev_ds))
+def test_monotone_data_benefit_on_separable_task(gaussian_blobs):
+    train, dev = gaussian_blobs(300, seed=0), gaussian_blobs(60, seed=1)
     schedule = make_schedule(300)
 
     def fit_predict(prefix, stage_dev, config):
@@ -244,7 +240,7 @@ def test_float32_probe_codelength_matches_float64():
     indices = rng.integers(0, table.n, size=(400, 3))
     # the label is read off the middle row's vector, so the table predicts it
     labels = table.rows[indices[:, 1], :3].argmax(axis=1)
-    data = ProbeData(labels=labels, num_classes=3, pooling="concat", indices=indices)
+    data = ProbeData(labels=labels, num_classes=3, indices=indices)
     config = TrainConfig(seed=0, batch_size=32, max_epochs=20, hidden=32)
     for frozen in (True, False):
         bits = {}

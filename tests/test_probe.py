@@ -27,12 +27,6 @@ from eigennoise.probe import (
 from eigennoise.vocab import build_vocab
 
 
-def _direct(ds):
-    """Direct-pooling probe data over a synthetic task's feature vectors."""
-    return ProbeData(labels=ds.labels.astype(int), num_classes=ds.num_classes,
-                     features=ds.features)
-
-
 def _fd_grad(loss_fn, arr, eps=1e-5):
     grad = np.zeros_like(arr)
     for idx in np.ndindex(arr.shape):
@@ -87,9 +81,6 @@ def test_featurize_sequence_mean():
     np.testing.assert_array_equal(got[0], table.rows[3])
     np.testing.assert_allclose(got[1], (table.rows[0] + table.rows[1]) / 2.0)
     np.testing.assert_array_equal(got[2], np.zeros(3))  # out-of-vocabulary tokens
-    empty = SequenceDataset(tokens=((),), labels=("x",), label_set=("x",))
-    with pytest.raises(ValueError, match="tokenizes to nothing"):
-        sequence_data(empty, _VOCAB)
 
 
 def _reference_row(vocab, token):
@@ -134,7 +125,7 @@ def test_token_windows_match_a_per_position_loop(m, case_fold):
     assert data.indices.dtype == windows.dtype and data.labels.dtype == expected_labels.dtype
     np.testing.assert_array_equal(data.indices, windows)
     np.testing.assert_array_equal(data.labels, expected_labels)
-    assert (data.pooling, data.num_classes) == ("concat", 2)
+    assert data.lengths is None and data.num_classes == 2
 
 
 @given(st.lists(st.lists(st.sampled_from(["a", "b", "A", "zz", "e", "Q"]), min_size=1,
@@ -163,15 +154,31 @@ def test_mean_indices_match_a_per_text_loop(case_fold):
     np.testing.assert_array_equal(data.lengths, lengths)
     np.testing.assert_array_equal(data.labels, [0, 1, 0, 1, 1])
 
-    synth = synth_task("noisy", 40, 4, k=3, seed=5)
+    synth = synth_task("noisy", 40, k=3, seed=5)
     synth_vocab = build_vocab([t for toks in synth.tokens[::2] for t in toks],
                               case_fold=case_fold)  # the odd texts bring OOV tokens
-    data = probe.synthetic_token_data(synth, synth_vocab)
+    data = sequence_data(synth, synth_vocab)
     idx, lengths = _reference_mean_indices(synth.tokens, synth_vocab)
     np.testing.assert_array_equal(data.indices, idx)
     np.testing.assert_array_equal(data.lengths, lengths)
-    np.testing.assert_array_equal(data.labels, synth.labels)
+    np.testing.assert_array_equal(data.labels,
+                                  [synth.label_set.index(lab) for lab in synth.labels])
     assert (idx == synth_vocab.size).any()
+
+
+def test_probe_data_form_follows_its_arrays():
+    labels = np.array([0, 1])
+    features, indices, lengths = np.zeros((2, 3)), np.array([[0, 1], [2, 6]]), np.array([2, 1])
+    assert ProbeData(labels=labels, num_classes=2, features=features).input_dim() == 3
+    assert ProbeData(labels=labels, num_classes=2, indices=indices).input_dim(4) == 8
+    assert ProbeData(labels=labels, num_classes=2, indices=indices,
+                     lengths=lengths).input_dim(4) == 4
+    for arrays in ({}, {"features": features, "indices": indices},
+                   {"features": features, "indices": indices, "lengths": lengths}):
+        with pytest.raises(ValueError, match="exactly one of features and indices"):
+            ProbeData(labels=labels, num_classes=2, **arrays)
+    with pytest.raises(ValueError, match="lengths need indices"):
+        ProbeData(labels=labels, num_classes=2, features=features, lengths=lengths)
 
 
 # --- forward ----------------------------------------------------------------
@@ -243,8 +250,7 @@ def test_backward_table_gradients_match_finite_differences(pooling):
         indices = np.array([[0, 1, 6], [2, 2, 3], [4, 6, 6], [1, 3, 4]])
         lengths = np.array([2, 3, 1, 3])
     labels = np.array([0, 1, 1, 0])
-    data = ProbeData(labels=labels, num_classes=2, pooling=pooling,
-                     indices=indices, lengths=lengths)
+    data = ProbeData(labels=labels, num_classes=2, indices=indices, lengths=lengths)
     model = init_probe(data.input_dim(table.d), 2, hidden=4, seed=11, table=table)
 
     def loss_fn():
@@ -274,8 +280,7 @@ def test_backward_table_gradient_bit_identical_to_add_at(pooling):
                         [1, pad, pad], [4, 0, 2]])
     lengths = np.array([3, 3, 2, 3, 1, 3]) if pooling == "mean" else None
     labels = rng.integers(0, 3, size=len(indices))
-    data = ProbeData(labels=labels, num_classes=3, pooling=pooling,
-                     indices=indices, lengths=lengths)
+    data = ProbeData(labels=labels, num_classes=3, indices=indices, lengths=lengths)
     model = init_probe(data.input_dim(table.d), 3, hidden=7, seed=5, table=table)
     h = gather_features(data, table)
     _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
@@ -354,8 +359,7 @@ def test_mean_table_gradient_matches_the_bincount_formula(n, d, batch, width, se
     if pooling == "concat":
         lengths = None  # PAD stands for the positions outside the sentence
     labels = rng.integers(0, 3, batch)
-    data = ProbeData(labels=labels, num_classes=3, pooling=pooling, indices=indices,
-                     lengths=lengths)
+    data = ProbeData(labels=labels, num_classes=3, indices=indices, lengths=lengths)
     model = init_probe(data.input_dim(d), 3, hidden=8, seed=seed, table=table)
     h = gather_features(data, table)
     _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
@@ -380,8 +384,7 @@ def test_backward_gradient_locality():
     table = random_table(8, 3, seed=4)
     table.trainable = True
     indices = np.array([[0, 1], [1, 2]])
-    data = ProbeData(labels=np.array([0, 1]), num_classes=2, pooling="concat",
-                     indices=indices)
+    data = ProbeData(labels=np.array([0, 1]), num_classes=2, indices=indices)
     model = init_probe(6, 2, hidden=4, seed=4, table=table)
     h = gather_features(data, table)
     _, grads = backward(model, h, data.labels, indices=indices)
@@ -394,8 +397,7 @@ def test_backward_gradient_locality():
 def test_backward_frozen_mode_has_no_table_grads():
     table = random_table(5, 3, seed=2)
     indices = np.array([[0, 1]])
-    data = ProbeData(labels=np.array([0]), num_classes=2, pooling="concat",
-                     indices=indices)
+    data = ProbeData(labels=np.array([0]), num_classes=2, indices=indices)
     model = init_probe(6, 2, hidden=4, seed=2, table=table)
     h = gather_features(data, table)
     _, grads = backward(model, h, data.labels, indices=indices)
@@ -460,17 +462,15 @@ def test_train_probe_constant_dev_loss_annealing_schedule():
         assert t.dev_loss == pytest.approx(math.log(2.0), abs=1e-12)
 
 
-def test_train_probe_stops_at_max_epochs():
-    ds = synth_task("separable", 60, 4, k=2, seed=0)
-    data = _direct(ds)
+def test_train_probe_stops_at_max_epochs(gaussian_blobs):
+    data = gaussian_blobs(60, seed=0)
     config = TrainConfig(lr=0.001, seed=0, batch_size=16, max_epochs=3, hidden=8)
     _, trace = train_probe(data, data, config)
     assert len(trace) <= 3
 
 
-def test_train_probe_deterministic():
-    ds = synth_task("separable", 80, 4, k=2, seed=1)
-    data = _direct(ds)
+def test_train_probe_deterministic(gaussian_blobs):
+    data = gaussian_blobs(80, seed=1)
     config = TrainConfig(seed=42, batch_size=16, max_epochs=5, hidden=8)
     m1, t1 = train_probe(data, data, config)
     m2, t2 = train_probe(data, data, config)
@@ -478,22 +478,19 @@ def test_train_probe_deterministic():
     assert t1 == t2
 
 
-def test_train_probe_learns_separable_task():
-    train = _direct(synth_task("separable", 200, 4, k=2, seed=0))
-    dev = _direct(synth_task("separable", 60, 4, k=2, seed=0,
-                                            split="dev"))
+def test_train_probe_learns_separable_task(gaussian_blobs):
+    train = gaussian_blobs(200, seed=0)
+    dev = gaussian_blobs(60, seed=1)
     config = TrainConfig(seed=0, batch_size=32, max_epochs=30, hidden=32)
     model, _ = train_probe(train, dev, config)
     assert evaluate_accuracy(model, dev) >= 0.95
 
 
-def test_train_probe_frozen_table_is_untouched():
-    ds = synth_task("separable", 60, 4, k=2, seed=2)
+def test_train_probe_frozen_table_is_untouched(gaussian_blobs):
     table = random_table(10, 4, seed=0)
     indices = np.array([[i % 10, (i + 1) % 10] for i in range(60)])
-    data = ProbeData(labels=ds.labels.astype(int), num_classes=2,
-                     pooling="mean", indices=indices,
-                     lengths=np.full(60, 2))
+    data = ProbeData(labels=gaussian_blobs(60, seed=2).labels, num_classes=2,
+                     indices=indices, lengths=np.full(60, 2))
     before = table.rows.copy()
     config = TrainConfig(seed=0, batch_size=16, max_epochs=4, hidden=8)
     train_probe(data, data, config, table=table)
@@ -506,8 +503,8 @@ def test_train_probe_unfrozen_updates_rows_but_not_pad():
     rng = np.random.Generator(np.random.Philox(key=9))
     indices = np.column_stack([rng.integers(0, 10, 60), np.full(60, table.pad_row)])
     labels = (indices[:, 0] % 2).astype(int)
-    data = ProbeData(labels=labels, num_classes=2, pooling="mean",
-                     indices=indices, lengths=np.full(60, 1))
+    data = ProbeData(labels=labels, num_classes=2, indices=indices,
+                     lengths=np.full(60, 1))
     before = table.rows.copy()
     config = TrainConfig(seed=0, batch_size=16, max_epochs=4, hidden=8)
     train_probe(data, data, config, table=table)
@@ -515,9 +512,8 @@ def test_train_probe_unfrozen_updates_rows_but_not_pad():
     np.testing.assert_array_equal(table.rows[table.pad_row], np.zeros(4))
 
 
-def test_loss_at_zero_weights_is_log_k():
-    ds = synth_task("separable", 40, 4, k=2, seed=3)
-    data = _direct(ds)
+def test_loss_at_zero_weights_is_log_k(gaussian_blobs):
+    data = gaussian_blobs(40, seed=3)
     model = init_probe(4, 2, hidden=8, seed=0)
     model.w1[:] = 0.0
     model.w2[:] = 0.0
@@ -550,8 +546,8 @@ def _windows(table, pooling, n=60, seed=9):
     rng = np.random.Generator(np.random.Philox(key=seed))
     indices = np.column_stack([rng.integers(0, table.n, n), rng.integers(0, table.n, n),
                                np.full(n, table.pad_row)])
-    return ProbeData(labels=indices[:, 0] % 2, num_classes=2, pooling=pooling,
-                     indices=indices, lengths=np.full(n, 2) if pooling == "mean" else None)
+    return ProbeData(labels=indices[:, 0] % 2, num_classes=2, indices=indices,
+                     lengths=np.full(n, 2) if pooling == "mean" else None)
 
 
 @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "unfrozen"])
