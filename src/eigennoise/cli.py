@@ -16,12 +16,16 @@ import os
 import sys
 from contextlib import contextmanager
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 # Every other module is imported inside the commands that use it: --help
 # and usage errors load only argparse and defaults, vocab build no numpy,
 # and only probe run the experiment runner (matrix, with probe and the
 # process pool).
 from . import defaults
+
+if TYPE_CHECKING:  # _bundled_openblas imports it when it runs
+    import ctypes
 
 EXIT_OK = 0
 EXIT_USAGE = 1

@@ -143,15 +143,13 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
         # A frozen table is a constant, so a mean-pooled example's features
         # are too: pool each split once and train on them with no table.
         # (Concat features would take (examples x window x d) floats.)
-        pool_once = cell.frozen and train.lengths is not None
-        if pool_once:
+        if cell.frozen and train.lengths is not None:
             train, dev, test = (_pooled(data, base) for data in (train, dev, test))
+            base = None
 
         def fit(fit_train, fit_dev, cfg):
-            if cell.frozen:  # only read: the shared table, or none once pooled
-                table = None if pool_once else base
-            else:
-                table = base.copy(trainable=True)
+            # a frozen fit only reads the shared table (or none once pooled)
+            table = base if cell.frozen else base.copy(trainable=True)
             return probe_mod.train_probe(fit_train, fit_dev, cfg, table=table)[0]
 
         def fit_predict(prefix, stage_dev, cfg):

@@ -8,11 +8,11 @@ synthetic tasks), or precomputed vectors. When the attached embedding table is
 trainable, gradients flow into the referenced rows; the PAD row never
 receives gradient.
 
-Precision: the probe computes in the dtype of its table, or of its direct
-features (at least float32; float64 when it has neither). Features,
-weights, hidden activations, every gradient and the Adam moments keep
-that dtype, so a single-precision table trains a single-precision
-probe. From the logits on everything is float64:
+Precision: the probe computes in the dtype of its input features, at
+least float32. Index inputs gather the table's rows, so a float32 table
+trains a float32 probe. Features, weights, hidden activations, every
+gradient and the Adam moments keep that dtype; Adam flushes the table's
+subnormal first moments to zero. From the logits on everything is float64:
 ``_layers`` upcasts the (B, K) logits, so the softmax, the training and
 dev losses that drive annealing, log-probabilities and ``predict_proba``
 are float64, and backprop casts the logit gradient back to the hidden
@@ -87,13 +87,6 @@ class ProbeData:
     def __len__(self) -> int:
         return len(self.labels)
 
-    def input_dim(self, d: int | None = None) -> int:
-        if self.features is not None:
-            return self.features.shape[1]
-        if d is None:
-            raise ValueError("need the embedding dimension for index inputs")
-        return self.indices.shape[1] * d if self.lengths is None else d
-
     def subset(self, sel) -> "ProbeData":
         return ProbeData(
             labels=self.labels[sel],
@@ -160,13 +153,10 @@ class ProbeModel:
 
 def init_probe(input_dim: int, num_classes: int, hidden: int = defaults.DEFAULT_HIDDEN,
                seed: int = 0, table: EmbeddingTable | None = None,
-               dtype=None) -> ProbeModel:
+               dtype=float) -> ProbeModel:
     """Seeded uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) weight init, drawn
-    in float64 and cast to ``dtype``: by default the table's, float64
-    when there is none."""
+    in float64 and cast to ``dtype``."""
     rng = np.random.Generator(np.random.Philox(key=seed))
-    if dtype is None:
-        dtype = float if table is None else table.rows.dtype
     b1 = 1.0 / np.sqrt(input_dim)
     b2 = 1.0 / np.sqrt(hidden)
     return ProbeModel(
@@ -198,8 +188,9 @@ def _layers(model: ProbeModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, n
     return pre, hidden, logits - logits.max(axis=1, keepdims=True)
 
 
-def _log_probs(model: ProbeModel, h: np.ndarray) -> np.ndarray:
-    logits = _layers(model, h)[2]
+def _log_probs(model: ProbeModel, data: ProbeData) -> np.ndarray:
+    """The (n, K) float64 log-probabilities of every example of ``data``."""
+    logits = _layers(model, gather_features(data, model.table))[2]
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
 
@@ -287,7 +278,14 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
               grads: dict[str, np.ndarray], lr: float) -> None:
     """One in-place Adam update with bias correction (beta1=0.9,
     beta2=0.999, eps=1e-8). Parameter names are visited in sorted order;
-    the moments take each gradient's dtype."""
+    the moments take each gradient's dtype.
+
+    The table's first moment is flushed to zero below the dtype's smallest
+    normal. A row the batches stop touching decays into subnormals, where
+    0.9·m rounds back to m, and every later operation on them is slow. The
+    step such a moment gives is below half an ulp of any parameter above
+    about 4e-26 in magnitude, so the flush moves no such parameter.
+    """
     state.t += 1
     bc1 = 1.0 - ADAM_BETA1**state.t
     bc2 = 1.0 - ADAM_BETA2**state.t
@@ -300,6 +298,8 @@ def adam_step(state: AdamState, params: dict[str, np.ndarray],
         v = state.v[name]
         m *= ADAM_BETA1
         m += (1.0 - ADAM_BETA1) * g
+        if name == "table":
+            m[np.abs(m) < np.finfo(m.dtype).tiny] = 0.0
         v *= ADAM_BETA2
         v += (1.0 - ADAM_BETA2) * g * g
         params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + ADAM_EPS)
@@ -317,19 +317,17 @@ class EpochStats:
 
 
 def evaluate_loss(model: ProbeModel, data: ProbeData) -> float:
-    h = gather_features(data, model.table)
-    logp = _log_probs(model, h)
+    logp = _log_probs(model, data)
     return float(-logp[np.arange(len(data)), data.labels].mean())
 
 
 def evaluate_accuracy(model: ProbeModel, data: ProbeData) -> float:
-    h = gather_features(data, model.table)
-    pred = _log_probs(model, h).argmax(axis=1)
+    pred = _log_probs(model, data).argmax(axis=1)
     return float((pred == data.labels).mean())
 
 
 def predict_proba(model: ProbeModel, data: ProbeData) -> np.ndarray:
-    return np.exp(_log_probs(model, gather_features(data, model.table)))
+    return np.exp(_log_probs(model, data))
 
 
 def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
@@ -343,13 +341,10 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
     """
     if len(train) == 0 or len(dev) == 0:
         raise ValueError("train and dev sets must be non-empty")
-    input_dim = train.input_dim(table.d if table is not None else None)
-    # direct features set the probe's dtype (at least float32); index
-    # inputs compute in the table's
-    dtype = (np.result_type(train.features.dtype, np.float32)
-             if train.features is not None else None)
-    model = init_probe(input_dim, train.num_classes, hidden=config.hidden,
-                       seed=config.seed, table=table, dtype=dtype)
+    h = gather_features(train.subset(slice(1)), table)  # sets the width and dtype
+    model = init_probe(h.shape[1], train.num_classes, hidden=config.hidden,
+                       seed=config.seed, table=table,
+                       dtype=np.result_type(h.dtype, np.float32))
     rng = np.random.Generator(np.random.Philox(key=config.seed))
     params = {"w1": model.w1, "w2": model.w2}
     if table is not None and table.trainable:
@@ -361,7 +356,6 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
     trace: list[EpochStats] = []
     for epoch in range(1, config.max_epochs + 1):
         perm = rng.permutation(len(train))
-        seen = 0
         loss_sum = 0.0
         for start in range(0, len(perm), config.batch_size):
             batch = train.subset(perm[start : start + config.batch_size])
@@ -371,11 +365,10 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
                 raise ArithmeticError(f"non-finite training loss at epoch {epoch}")
             adam_step(state, params, grads, lr)
             loss_sum += loss * len(batch)
-            seen += len(batch)
         dev_loss = evaluate_loss(model, dev)
         if not np.isfinite(dev_loss):
             raise ArithmeticError(f"non-finite dev loss at epoch {epoch}")
-        trace.append(EpochStats(epoch=epoch, train_loss=loss_sum / seen,
+        trace.append(EpochStats(epoch=epoch, train_loss=loss_sum / len(train),
                                 dev_loss=dev_loss, lr=lr))
         if dev_loss < best_dev:
             best_dev = dev_loss

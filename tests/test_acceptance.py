@@ -193,9 +193,8 @@ def test_probe_gradient_checks():
                 indices[:, 0] = rng.integers(0, n_rows, batch)
                 data = ProbeData(labels=rng.integers(0, k, batch),
                                  num_classes=k, indices=indices, lengths=lengths)
-        model = init_probe(data.input_dim(None if table is None else table.d),
-                           k, hidden=hidden, seed=case, table=table)
         h = gather_features(data, table)
+        model = init_probe(h.shape[1], k, hidden=hidden, seed=case, table=table)
         _, grads = backward(model, h, data.labels, indices=indices,
                             lengths=lengths)
 

@@ -169,10 +169,6 @@ def test_mean_indices_match_a_per_text_loop(case_fold):
 def test_probe_data_form_follows_its_arrays():
     labels = np.array([0, 1])
     features, indices, lengths = np.zeros((2, 3)), np.array([[0, 1], [2, 6]]), np.array([2, 1])
-    assert ProbeData(labels=labels, num_classes=2, features=features).input_dim() == 3
-    assert ProbeData(labels=labels, num_classes=2, indices=indices).input_dim(4) == 8
-    assert ProbeData(labels=labels, num_classes=2, indices=indices,
-                     lengths=lengths).input_dim(4) == 4
     for arrays in ({}, {"features": features, "indices": indices},
                    {"features": features, "indices": indices, "lengths": lengths}):
         with pytest.raises(ValueError, match="exactly one of features and indices"):
@@ -229,8 +225,10 @@ def test_backward_matches_finite_differences_on_weights():
     _, grads = backward(model, h, labels)
     assert grads["w1"].dtype == grads["w2"].dtype == np.float64  # no table: float64
 
+    data = ProbeData(labels=labels, num_classes=3, features=h)
+
     def loss_fn():
-        return float(-probe._log_probs(model, h)[np.arange(4), labels].mean())
+        return float(-probe._log_probs(model, data)[np.arange(4), labels].mean())
 
     np.testing.assert_allclose(grads["w1"], _fd_grad(loss_fn, model.w1),
                                rtol=1e-4, atol=1e-8)
@@ -251,14 +249,13 @@ def test_backward_table_gradients_match_finite_differences(pooling):
         lengths = np.array([2, 3, 1, 3])
     labels = np.array([0, 1, 1, 0])
     data = ProbeData(labels=labels, num_classes=2, indices=indices, lengths=lengths)
-    model = init_probe(data.input_dim(table.d), 2, hidden=4, seed=11, table=table)
+    h = gather_features(data, table)
+    model = init_probe(h.shape[1], 2, hidden=4, seed=11, table=table)
 
     def loss_fn():
-        h = gather_features(data, table)
-        logp = probe._log_probs(model, h)[np.arange(4), labels]
+        logp = probe._log_probs(model, data)[np.arange(4), labels]
         return float(-logp.mean())
 
-    h = gather_features(data, table)
     _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
     fd = _fd_grad(loss_fn, table.rows)
     # PAD is a constant, not a parameter: compare the trainable rows only
@@ -281,8 +278,8 @@ def test_backward_table_gradient_bit_identical_to_add_at(pooling):
     lengths = np.array([3, 3, 2, 3, 1, 3]) if pooling == "mean" else None
     labels = rng.integers(0, 3, size=len(indices))
     data = ProbeData(labels=labels, num_classes=3, indices=indices, lengths=lengths)
-    model = init_probe(data.input_dim(table.d), 3, hidden=7, seed=5, table=table)
     h = gather_features(data, table)
+    model = init_probe(h.shape[1], 3, hidden=7, seed=5, table=table)
     _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
 
     # reference: the same gradient scattered with np.add.at
@@ -360,8 +357,8 @@ def test_mean_table_gradient_matches_the_bincount_formula(n, d, batch, width, se
         lengths = None  # PAD stands for the positions outside the sentence
     labels = rng.integers(0, 3, batch)
     data = ProbeData(labels=labels, num_classes=3, indices=indices, lengths=lengths)
-    model = init_probe(data.input_dim(d), 3, hidden=8, seed=seed, table=table)
     h = gather_features(data, table)
+    model = init_probe(h.shape[1], 3, hidden=8, seed=seed, table=table, dtype=h.dtype)
     _, grads = backward(model, h, labels, indices=indices, lengths=lengths)
 
     dh = _input_gradient(model, h, labels)
@@ -443,6 +440,53 @@ def test_adam_is_deterministic():
         return params["w"]
 
     np.testing.assert_array_equal(run(), run())
+
+
+def _stock_adam_step(state, params, grads, lr):
+    """``adam_step`` without its flush of subnormal first moments."""
+    state.t += 1
+    bc1 = 1.0 - probe.ADAM_BETA1**state.t
+    bc2 = 1.0 - probe.ADAM_BETA2**state.t
+    for name in sorted(grads):
+        g = grads[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(g)
+            state.v[name] = np.zeros_like(g)
+        m, v = state.m[name], state.v[name]
+        m *= probe.ADAM_BETA1
+        m += (1.0 - probe.ADAM_BETA1) * g
+        v *= probe.ADAM_BETA2
+        v += (1.0 - probe.ADAM_BETA2) * g * g
+        params[name] -= lr * (m / bc1) / (np.sqrt(v / bc2) + probe.ADAM_EPS)
+
+
+def _subnormal_count(a):
+    return int(np.count_nonzero((a != 0) & (np.abs(a) < np.finfo(a.dtype).tiny)))
+
+
+def test_adam_flushes_subnormal_table_moments_without_moving_parameters():
+    # rows 8.. of a float32 table take gradients for 50 steps, then none
+    # for 1,200: their first moments decay into subnormals and stay there
+    rng = np.random.Generator(np.random.Philox(key=8))
+    start = {"table": rng.standard_normal((16, 4)).astype(np.float32),
+             "w1": rng.standard_normal((3, 4)).astype(np.float32)}
+    runs = []
+    for step in (adam_step, _stock_adam_step):
+        params = {name: p.copy() for name, p in start.items()}
+        state = AdamState()
+        grad_rng = np.random.Generator(np.random.Philox(key=9))
+        for t in range(1250):
+            grads = {name: (1e-2 * grad_rng.standard_normal(p.shape)).astype(np.float32)
+                     for name, p in start.items()}
+            if t >= 50:
+                grads["table"][8:] = 0.0
+            step(state, params, grads, lr=1e-3)
+        runs.append((params, state))
+    (flushed, flushed_state), (stock, stock_state) = runs
+    assert _subnormal_count(stock_state.m["table"]) > 0  # the case is live
+    assert _subnormal_count(flushed_state.m["table"]) == 0
+    for name in start:
+        assert np.array_equal(flushed[name], stock[name])
 
 
 # --- training ---------------------------------------------------------------
@@ -584,14 +628,41 @@ def test_train_probe_on_a_float32_table_stays_float32(monkeypatch, pooling, froz
         assert np.array_equal(table.rows[table.pad_row], np.zeros(4, dtype=np.float32))
 
 
+@pytest.mark.parametrize("form, dtype, width, expected", [
+    ("direct", np.float32, 3, np.float32),
+    ("direct", np.float64, 3, np.float64),
+    ("direct", np.int16, 3, np.float32),  # at least float32
+    ("direct", np.int64, 3, np.float64),
+    ("concat", np.float32, 12, np.float32),
+    ("concat", np.float64, 12, np.float64),
+    ("mean", np.float32, 4, np.float32),
+    ("mean", np.float64, 4, np.float64),
+])
+def test_train_probe_takes_width_and_dtype_from_the_gathered_features(form, dtype, width,
+                                                                      expected):
+    rng = np.random.Generator(np.random.Philox(key=6))
+    table = None
+    if form == "direct":
+        data = ProbeData(labels=np.arange(20) % 2, num_classes=2,
+                         features=rng.integers(-3, 4, (20, 3)).astype(dtype))
+    else:
+        table = random_table(10, 4, seed=6)
+        table = replace(table, rows=table.rows.astype(dtype))
+        data = _windows(table, form, n=20)
+    config = TrainConfig(seed=0, batch_size=8, max_epochs=1, hidden=5)
+    model, _ = train_probe(data, data, config, table=table)
+    assert model.w1.shape == (5, width) == (5, gather_features(data, table).shape[1])
+    assert model.w1.dtype == model.w2.dtype == expected
+
+
 @pytest.mark.parametrize("pooling", ["concat", "mean"])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
 def test_backward_gradients_take_the_table_dtype(dtype, pooling):
     table = random_table(6, 3, seed=3)
     table = replace(table, rows=table.rows.astype(dtype), trainable=True)
     data = _windows(table, pooling, n=8)
-    model = init_probe(data.input_dim(table.d), 2, hidden=5, seed=3, table=table)
     h = gather_features(data, table)
+    model = init_probe(h.shape[1], 2, hidden=5, seed=3, table=table, dtype=h.dtype)
     loss, grads = backward(model, h, data.labels, indices=data.indices,
                            lengths=data.lengths)
     assert isinstance(loss, float)
