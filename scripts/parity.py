@@ -16,7 +16,8 @@ output relative to it, so both sides print the same paths:
 
 * ``--help`` of every parser, the usage errors of every command and a
   few data errors, among them a tsv ``probe run`` whose test file holds
-  an unknown label and one whose train file holds a text without tokens;
+  an unknown label, one whose train file holds a text without tokens and
+  a synthetic one whose ``--output-dir`` is an input file;
 * ``vocab build`` (conll, tsv and text) and ``report aggregate``;
 * ``embed eigennoise`` (linear and log mode) and ``embed random`` at
   20,000 ranks and d=50, and on the task's vocabulary; ``embed
@@ -220,6 +221,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--test", str(inputs["tsv-unknown"]), "--output-dir", "never"],
         ["probe", "run", "--task", "tsv", "--train", str(inputs["tsv-empty-text"]),
          "--d", "2", "--output-dir", "never"],
+        ["probe", "run", "--task", "synthetic", "--n", "60", "--d", "8", "--seeds", "0",
+         "--output-dir", str(inputs["corpus"])],
         ["report", "aggregate", "--input-dir", "missing"],
     ]
     imports = [["embed", "import", "--source", str(inputs[kind]), "--vocab", "vocab.tsv",

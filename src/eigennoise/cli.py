@@ -226,6 +226,7 @@ def cmd_probe_run(args) -> int:
 
     ctx = matrix.build_context(args)
     cells = matrix.matrix_cells(args)
+    matrix.make_output_dir(args)
     records = matrix.write_run(args, ctx, matrix.run_matrix(ctx, cells, args.workers))
     sys.stdout.write(mdl.format_table(records))
     failures = sum(rec["error"] is not None for rec in records)

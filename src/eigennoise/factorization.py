@@ -3,7 +3,9 @@
 Two losses over word/context factors U, V:
 
 * the full weighted objective with row/column biases a, b against log
-  counts (weight f(x) = min(1, (x/x_max)^alpha), zero cells skipped);
+  counts (weight f(x) = min(1, (x/x_max)^alpha), zero cells skipped),
+  with GloVe's x_max = 100 and alpha = 3/4 (``DEFAULT_X_MAX`` and
+  ``DEFAULT_ALPHA``, read at each call);
 * the bias-free unweighted objective sum (u_i . v_j - target_ij)^2
   against a dense log-frequency target.
 
@@ -30,8 +32,6 @@ class GloVeFullModel:
     v: np.ndarray  # (N, d)
     a: np.ndarray  # (N,) row biases
     b: np.ndarray  # (N,) column biases
-    x_max: float = DEFAULT_X_MAX
-    alpha: float = DEFAULT_ALPHA
 
 
 @dataclass
@@ -54,42 +54,21 @@ def _check_finite(*arrays: np.ndarray) -> None:
             raise ValueError("model parameters must be finite")
 
 
-def loss_eq1(model: GloVeFullModel, x: CoocMatrix) -> float:
-    """Weighted squared error of u_i.v_j + a_i + b_j against log counts.
-
-    Cells with zero counts are skipped, matching training on positive
-    observations only.
-    """
+def _eq1(model: GloVeFullModel, x: CoocMatrix) -> tuple[float, np.ndarray]:
+    """Loss (1) and its derivative with respect to each cell's prediction."""
     _check_finite(model.u, model.v, model.a, model.b)
     counts = x.values
     mask = counts > 0
-    w = glove_weight(counts, model.x_max, model.alpha)
+    w = glove_weight(counts, DEFAULT_X_MAX, DEFAULT_ALPHA)
     pred = model.u @ model.v.T + model.a[:, None] + model.b[None, :]
     logx = np.zeros_like(counts)
     logx[mask] = np.log(counts[mask])
     err = np.where(mask, pred - logx, 0.0)
-    return float((w * err**2).sum())
+    return float((w * err**2).sum()), 2.0 * w * err
 
 
-def grad_eq1(model: GloVeFullModel, x: CoocMatrix) -> dict[str, np.ndarray]:
-    _check_finite(model.u, model.v, model.a, model.b)
-    counts = x.values
-    mask = counts > 0
-    w = glove_weight(counts, model.x_max, model.alpha)
-    pred = model.u @ model.v.T + model.a[:, None] + model.b[None, :]
-    logx = np.zeros_like(counts)
-    logx[mask] = np.log(counts[mask])
-    werr = 2.0 * w * np.where(mask, pred - logx, 0.0)
-    return {
-        "u": werr @ model.v,
-        "v": werr.T @ model.u,
-        "a": werr.sum(axis=1),
-        "b": werr.sum(axis=0),
-    }
-
-
-def loss_eq2(model: BiasFreeModel, target: np.ndarray) -> float:
-    """Unweighted squared error of U V^T against a dense target."""
+def _eq2(model: BiasFreeModel, target: np.ndarray) -> tuple[float, np.ndarray]:
+    """Loss (2) and its derivative with respect to each cell's prediction."""
     _check_finite(model.u, model.v)
     target = np.asarray(target, dtype=float)
     if not np.isfinite(target).all():
@@ -101,20 +80,39 @@ def loss_eq2(model: BiasFreeModel, target: np.ndarray) -> float:
         )
     resid = model.u @ model.v.T - target
     with np.errstate(over="ignore"):  # divergence shows up as inf, caller checks
-        return float((resid**2).sum())
+        return float((resid**2).sum()), 2.0 * resid
+
+
+def _grads(model: "GloVeFullModel | BiasFreeModel",
+           dpred: np.ndarray) -> dict[str, np.ndarray]:
+    """Parameter gradients from the derivative with respect to U V^T (+ biases)."""
+    grads = {"u": dpred @ model.v, "v": dpred.T @ model.u}
+    if isinstance(model, GloVeFullModel):
+        grads.update(a=dpred.sum(axis=1), b=dpred.sum(axis=0))
+    return grads
+
+
+def loss_eq1(model: GloVeFullModel, x: CoocMatrix) -> float:
+    """Weighted squared error of u_i.v_j + a_i + b_j against log counts.
+
+    Cells with zero counts are skipped, matching training on positive
+    observations only.
+    """
+    return _eq1(model, x)[0]
+
+
+def grad_eq1(model: GloVeFullModel, x: CoocMatrix) -> dict[str, np.ndarray]:
+    return _grads(model, _eq1(model, x)[1])
+
+
+def loss_eq2(model: BiasFreeModel, target: np.ndarray) -> float:
+    """Unweighted squared error of U V^T against a dense target."""
+    return _eq2(model, target)[0]
 
 
 def grad_eq2(model: BiasFreeModel, target: np.ndarray) -> dict[str, np.ndarray]:
     """d/dU = 2 (U V^T - T) V and symmetrically for V."""
-    _check_finite(model.u, model.v)
-    target = np.asarray(target, dtype=float)
-    if target.shape != (model.u.shape[0], model.v.shape[0]):
-        raise ValueError(
-            f"target shape {target.shape} does not match factors "
-            f"({model.u.shape[0]}, {model.v.shape[0]})"
-        )
-    resid = 2.0 * (model.u @ model.v.T - target)
-    return {"u": resid @ model.v, "v": resid.T @ model.u}
+    return _grads(model, _eq2(model, target)[1])
 
 
 @dataclass
@@ -130,8 +128,6 @@ def train_factorization(
     steps: int = 1000,
     learning_rate: float = 0.01,
     seed: int = 0,
-    x_max: float = DEFAULT_X_MAX,
-    alpha: float = DEFAULT_ALPHA,
 ) -> TrainResult:
     """Gradient-descent training of either objective on a dense instance.
 
@@ -152,32 +148,20 @@ def train_factorization(
     if n > 256:
         raise ValueError(f"reference trainer is capped at N=256, got N={n}")
     rng = np.random.Generator(np.random.Philox(key=seed))
-    span = 0.5 / d
-    if objective == "eq1":
-        model = GloVeFullModel(
-            u=rng.uniform(-span, span, (n, d)),
-            v=rng.uniform(-span, span, (n, d)),
-            a=rng.uniform(-span, span, n),
-            b=rng.uniform(-span, span, n),
-            x_max=x_max,
-            alpha=alpha,
-        )
-        loss_fn = lambda: loss_eq1(model, data)
-        grad_fn = lambda: grad_eq1(model, data)
-    else:
-        model = BiasFreeModel(
-            u=rng.uniform(-span, span, (n, d)),
-            v=rng.uniform(-span, span, (n, d)),
-        )
-        loss_fn = lambda: loss_eq2(model, data)
-        grad_fn = lambda: grad_eq2(model, data)
+    # drawn in field order: u, v, then the biases a, b for eq1
+    shapes = [(n, d), (n, d)] + ([n, n] if objective == "eq1" else [])
+    params = [rng.uniform(-0.5 / d, 0.5 / d, shape) for shape in shapes]
+    model, objective_fn = ((GloVeFullModel(*params), _eq1) if objective == "eq1"
+                           else (BiasFreeModel(*params), _eq2))
 
-    trace = [loss_fn()]
+    # each pass gives the loss at the current parameters and the residual
+    # their gradients come from: one U V^T per step
+    loss, dpred = objective_fn(model, data)
+    trace = [loss]
     for step in range(steps):
-        grads = grad_fn()
-        for name, g in grads.items():
+        for name, g in _grads(model, dpred).items():
             setattr(model, name, getattr(model, name) - learning_rate * g)
-        loss = loss_fn()
+        loss, dpred = objective_fn(model, data)
         if not np.isfinite(loss):
             raise ArithmeticError(f"training diverged at step {step + 1}")
         trace.append(loss)

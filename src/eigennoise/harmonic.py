@@ -43,23 +43,16 @@ class HarmonicModel:
             raise ValueError(f"window half-width must be >= 1, got {self.m}")
 
     @property
-    def h_n(self) -> float:
-        return harmonic_number(self.n)
-
-    @property
     def scale(self) -> float:
         """Common factor 2*m*N/H_N of every entry."""
-        return 2.0 * self.m * self.n / self.h_n
+        return 2.0 * self.m * self.n / harmonic_number(self.n)
 
 
 @dataclass(frozen=True)
 class CoocMatrix:
-    """Dense co-occurrence counts with cached marginals."""
+    """Dense co-occurrence counts; the marginals are derived from them."""
 
     values: np.ndarray  # (N, N), non-negative
-    row_marginals: np.ndarray  # (N,)
-    col_marginals: np.ndarray  # (N,)
-    total: float
 
     @classmethod
     def from_values(cls, values: np.ndarray) -> "CoocMatrix":
@@ -68,14 +61,23 @@ class CoocMatrix:
             raise ValueError(f"co-occurrence matrix must be square, got {values.shape}")
         if (values < 0).any():
             raise ValueError("co-occurrence entries must be non-negative")
-        rows = values.sum(axis=1)
-        cols = values.sum(axis=0)
-        return cls(values=values, row_marginals=rows, col_marginals=cols,
-                   total=float(rows.sum()))
+        return cls(values=values)
 
     @property
     def n(self) -> int:
         return self.values.shape[0]
+
+    @property
+    def row_marginals(self) -> np.ndarray:
+        return self.values.sum(axis=1)
+
+    @property
+    def col_marginals(self) -> np.ndarray:
+        return self.values.sum(axis=0)
+
+    @property
+    def total(self) -> float:
+        return float(self.row_marginals.sum())
 
 
 def check_dense(n: int) -> None:
@@ -86,7 +88,7 @@ def check_dense(n: int) -> None:
 
 
 def materialize(model: HarmonicModel) -> CoocMatrix:
-    """Dense N x N matrix of the model, with marginals.
+    """Dense N x N matrix of the model.
 
     Only feasible for small N; larger vocabularies should stay on the
     analytic path (eigen.eigennoise_analytic), which never materializes.

@@ -4,9 +4,10 @@ A run scores every representation x window x frozen x seed cell of one
 task by MDL online codelength (Voita & Titov, arXiv:2003.12298) and by
 test accuracy. The parsed ``probe run`` options are the input:
 ``build_context`` reads the task into what every cell shares,
-``matrix_cells`` lists the cells, ``run_cell`` scores one, ``run_matrix``
-scores them all, and ``write_run`` writes ``cells/*.mdl.txt``,
-``cells.json`` and ``report.txt``, whose table is ``mdl.format_table``.
+``matrix_cells`` lists the cells, ``make_output_dir`` makes the output
+directory, ``run_cell`` scores one cell, ``run_matrix`` scores them all,
+and ``write_run`` writes ``cells/*.mdl.txt``, ``cells.json`` and
+``report.txt``, whose table is ``mdl.format_table``.
 
 ``run_matrix`` hands the cells to worker processes forked after the
 context was built. The workers inherit the context through the fork, so
@@ -208,16 +209,17 @@ def run_matrix(ctx: MatrixContext, cells: list[CellSpec], workers: int) -> list[
             else _failed(cell, future.exception()) for cell, future in zip(cells, futures)]
 
 
-def _discover_missing_splits(args) -> None:
-    """Fill --dev/--test from sibling files when --train ends in .train."""
-    train = str(args.train)
-    if not train.endswith(".train"):
-        return
-    prefix = train[: -len(".train")]
-    for split in ("dev", "test"):
+def _discover_missing_splits(args) -> tuple[str | None, str | None]:
+    """--dev and --test; an unset one is its sibling file, if there is
+    one, when --train ends in .train."""
+    prefix = str(args.train).removesuffix(".train")
+    found = []
+    for given, split in ((args.dev, "dev"), (args.test, "test")):
         sibling = Path(f"{prefix}.{split}")
-        if getattr(args, split) is None and sibling.exists():
-            setattr(args, split, str(sibling))
+        if given is None and prefix != str(args.train) and sibling.exists():
+            given = str(sibling)
+        found.append(given)
+    return tuple(found)
 
 
 def build_context(args) -> MatrixContext:
@@ -234,11 +236,11 @@ def build_context(args) -> MatrixContext:
         }
         task_label = f"synthetic-{args.kind}"
     else:
-        _discover_missing_splits(args)
+        dev, test = _discover_missing_splits(args)
         train = datasets.read_split(args.task, args.train, args.token_column,
                                     args.label_column)
         splits = {"train": train}
-        for name, path in (("dev", args.dev), ("test", args.test)):
+        for name, path in (("dev", dev), ("test", test)):
             if path is not None:
                 ds = datasets.read_split(args.task, path, args.token_column,
                                          args.label_column)
@@ -312,13 +314,19 @@ def matrix_cells(args) -> list[CellSpec]:
 # --- reports ----------------------------------------------------------------
 
 
+def make_output_dir(args) -> Path:
+    """Make ``--output-dir``/cells, before any cell is scored; return ``--output-dir``."""
+    out_dir = Path(args.output_dir)
+    (out_dir / "cells").mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def write_run(args, ctx: MatrixContext, results: list[CellResult]) -> list[dict]:
     """Write ``cells/<cell>.mdl.txt`` per scored cell,
     ``cells/<cell>.error.txt`` (its traceback) per failed cell,
     ``cells.json`` and ``report.txt`` under ``--output-dir``. Returns the
     cell records in cell-name order."""
-    out_dir = Path(args.output_dir)
-    (out_dir / "cells").mkdir(parents=True, exist_ok=True)
+    out_dir = make_output_dir(args)
     results = sorted(results, key=lambda r: r.cell.name)
     for res in results:
         # a file an earlier run into this directory wrote for the cell is stale

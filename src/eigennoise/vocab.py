@@ -20,7 +20,8 @@ _PUNCT = ".,!?;:\"'()[]{}<>"
 
 @dataclass(frozen=True)
 class Vocabulary:
-    """Immutable token -> (count, rank) map with ranks 1..N.
+    """Immutable (token, count) list, most frequent first: the entry at
+    position i has rank i + 1.
 
     A token is non-empty and holds no space, tab, CR or LF: those separate
     the fields and lines of the vocabulary and vector files.
@@ -29,27 +30,24 @@ class Vocabulary:
     ``case_folded``, a token must be lower-cased before it is looked up.
     """
 
-    entries: tuple[tuple[str, int, int], ...]  # (token, count, rank), rank ascending
+    entries: tuple[tuple[str, int], ...]  # (token, count), rank ascending
     case_folded: bool = False
     rank_by_token: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         """Check the entries; each failure names the first offending one."""
         rank_by_token: dict[str, int] = {}
-        for i, (tok, count, rank) in enumerate(self.entries):
-            if rank != i + 1:
-                raise ValueError(f"vocabulary ranks must be exactly 1..N in order: "
-                                 f"token {tok!r} has rank {rank} where {i + 1} belongs")
+        for rank, (tok, count) in enumerate(self.entries, start=1):
             if not tok or " " in tok or "\t" in tok or "\r" in tok or "\n" in tok:
                 raise ValueError(f"vocabulary tokens must be non-empty and hold no space, "
                                  f"tab, CR or LF: token {tok!r} at rank {rank}")
             if count <= 0:
                 raise ValueError(f"vocabulary counts must be positive: "
                                  f"token {tok!r} at rank {rank} has count {count}")
-            if i and count > self.entries[i - 1][1]:
+            if rank > 1 and count > self.entries[rank - 2][1]:
                 raise ValueError(f"vocabulary counts must be non-increasing with rank: "
                                  f"token {tok!r} at rank {rank} has count {count}, "
-                                 f"above {self.entries[i - 1][1]} at rank {rank - 1}")
+                                 f"above {self.entries[rank - 2][1]} at rank {rank - 1}")
             first = rank_by_token.setdefault(tok, rank)
             if first != rank:
                 raise ValueError(f"token {tok!r} is listed at ranks {first} and {rank}")
@@ -60,7 +58,7 @@ class Vocabulary:
         return len(self.entries)
 
     def tokens(self) -> list[str]:
-        return [tok for tok, _, _ in self.entries]
+        return [tok for tok, _ in self.entries]
 
 
 def tokenize(text: str) -> list[str]:
@@ -96,20 +94,19 @@ def build_vocab(
         raise ValueError(f"max_size must be >= 1, got {max_size}")
     # a Counter holds its keys in first-occurrence order, and most_common
     # keeps that order among equal counts
-    entries = tuple((tok, count, rank) for rank, (tok, count)
-                    in enumerate(counts.most_common(max_size), start=1))
-    return Vocabulary(entries=entries, case_folded=case_fold)
+    return Vocabulary(entries=tuple(counts.most_common(max_size)), case_folded=case_fold)
 
 
 def write_vocab(vocab: Vocabulary, path: str | Path) -> None:
     """One record per line: token<TAB>count<TAB>rank, ranks ascending."""
     with open(path, "w", encoding="utf-8") as fh:
-        for tok, count, rank in vocab.entries:
+        for rank, (tok, count) in enumerate(vocab.entries, start=1):
             fh.write(f"{tok}\t{count}\t{rank}\n")
 
 
 def read_vocab(path: str | Path) -> Vocabulary:
-    entries = []
+    """Read a ``write_vocab`` file, whose rank column must run 1..N in order."""
+    entries, ranks = [], []
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -119,16 +116,23 @@ def read_vocab(path: str | Path) -> Vocabulary:
             if len(parts) != 3:
                 raise ValueError(f"{path}:{lineno}: expected token<TAB>count<TAB>rank")
             try:
-                entries.append((parts[0], int(parts[1]), int(parts[2])))
+                entries.append((parts[0], int(parts[1])))
+                ranks.append(int(parts[2]))
             except ValueError:
                 raise ValueError(f"{path}:{lineno}: count and rank must be integers, "
                                  f"got {parts[1]!r} and {parts[2]!r}") from None
     if not entries:
         raise ValueError(f"{path}: empty vocabulary file")
+    # the entries above the first misplaced rank are checked before it
+    gap = next((i for i, rank in enumerate(ranks) if rank != i + 1), len(ranks))
     try:
-        return Vocabulary(entries=tuple(entries))
+        vocab = Vocabulary(entries=tuple(entries[:gap]))
+        if gap < len(ranks):
+            raise ValueError(f"vocabulary ranks must be exactly 1..N in order: token "
+                             f"{entries[gap][0]!r} has rank {ranks[gap]} where {gap + 1} belongs")
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
+    return vocab
 
 
 def token_stream(path: str | Path) -> Iterable[str]:

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from eigennoise import cli, eigen, embeddings, matrix, mdl
+from eigennoise import cli, eigen, embeddings, matrix, mdl, probe
 from eigennoise.vocab import read_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -30,8 +30,8 @@ def test_vocab_build_from_text(tmp_path, capsys):
     out = tmp_path / "vocab.tsv"
     assert _run("vocab", "build", "--input", str(src), "--output", str(out)) == 0
     voc = read_vocab(out)
-    assert voc.entries[0][:2] == ("the", 2)
-    assert voc.entries[1][:2] == ("cat", 2)
+    assert voc.entries[0] == ("the", 2)
+    assert voc.entries[1] == ("cat", 2)
     capsys.readouterr()
     assert _run("vocab", "build", "--input", str(src), "--max-size", "0",
                 "--output", str(tmp_path / "none.tsv")) == cli.EXIT_USAGE
@@ -245,6 +245,21 @@ def test_probe_run_usage_errors(tmp_path, capsys):
         assert capsys.readouterr().err == (
             f"usage error: --task synthetic reads no task files; drop {named}\n")
     assert not (tmp_path / "runs").exists()
+
+
+def test_probe_run_into_a_file_fails_before_any_cell(tmp_path, capsys, monkeypatch):
+    # cells are scored in forked workers, so the spy leaves its trace on disk
+    calls = tmp_path / "train_probe.calls"
+    monkeypatch.setattr(probe, "train_probe",
+                        lambda *args, **kwargs: calls.open("a").write("call\n"))
+    out_file = tmp_path / "taken"
+    out_file.write_text("not a directory\n", encoding="utf-8")
+    capsys.readouterr()
+    rc = cli.main(_tiny_synthetic_args(out_file))
+    assert rc == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: [Errno 20] Not a directory: '{out_file / 'cells'}'\n")
+    assert not calls.exists()
 
 
 def _tiny_synthetic_args(out_dir, seeds="0", extra=()):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from eigennoise import factorization
 from eigennoise.eigen import dense_eigh, truncate
 from eigennoise.factorization import (
     BiasFreeModel,
@@ -43,25 +44,27 @@ def test_glove_weight_shape():
     np.testing.assert_allclose(w, [0.0, 0.01**0.75, 1.0, 1.0], rtol=1e-12)
 
 
-def test_loss_eq1_zero_cases():
+def test_loss_eq1_zero_cases(monkeypatch):
     x = CoocMatrix.from_values(np.ones((3, 3)))
     model = GloVeFullModel(u=np.zeros((3, 2)), v=np.zeros((3, 2)),
                            a=np.zeros(3), b=np.zeros(3))
     assert loss_eq1(model, x) == 0.0  # ln 1 = 0 everywhere
 
+    monkeypatch.setattr(factorization, "DEFAULT_X_MAX", 1.0)
     x1 = CoocMatrix.from_values(np.array([[math.e]]))
     exact = GloVeFullModel(u=np.array([[1.0]]), v=np.array([[1.0]]),
-                           a=np.zeros(1), b=np.zeros(1), x_max=1.0)
+                           a=np.zeros(1), b=np.zeros(1))
     assert loss_eq1(exact, x1) == pytest.approx(0.0, abs=1e-15)
     cold = GloVeFullModel(u=np.zeros((1, 1)), v=np.zeros((1, 1)),
-                          a=np.zeros(1), b=np.zeros(1), x_max=1.0)
+                          a=np.zeros(1), b=np.zeros(1))
     assert loss_eq1(cold, x1) == pytest.approx(1.0, rel=1e-12)
 
 
-def test_loss_eq1_skips_zero_cells():
+def test_loss_eq1_skips_zero_cells(monkeypatch):
+    monkeypatch.setattr(factorization, "DEFAULT_X_MAX", 1.0)
     x = CoocMatrix.from_values(np.array([[math.e, 0.0], [0.0, math.e]]))
     model = GloVeFullModel(u=np.zeros((2, 1)), v=np.zeros((2, 1)),
-                           a=np.zeros(2), b=np.zeros(2), x_max=1.0)
+                           a=np.zeros(2), b=np.zeros(2))
     assert loss_eq1(model, x) == pytest.approx(2.0, rel=1e-12)
 
 
@@ -201,6 +204,54 @@ def test_train_divergence_reports_step():
     target = materialize_log(HarmonicModel(n=8, m=5))
     with pytest.raises(ArithmeticError, match="step"):
         train_factorization("eq2", target, d=2, steps=200, learning_rate=50.0)
+
+
+def _two_pass_training(objective, data, d, steps, learning_rate, seed):
+    """The trainer's loop written out with a separate gradient and loss pass
+    per step, in the order gradient, update, loss."""
+    rng = np.random.Generator(np.random.Philox(key=seed))
+    span = 0.5 / d
+    n = data.values.shape[0] if objective == "eq1" else data.shape[0]
+    if objective == "eq1":
+        model = GloVeFullModel(*(rng.uniform(-span, span, shape)
+                                 for shape in ((n, d), (n, d), n, n)))
+        loss_fn, grad_fn = loss_eq1, grad_eq1
+    else:
+        model = BiasFreeModel(*(rng.uniform(-span, span, (n, d)) for _ in range(2)))
+        loss_fn, grad_fn = loss_eq2, grad_eq2
+    trace = [loss_fn(model, data)]
+    for step in range(steps):
+        grads = grad_fn(model, data)
+        for name, g in grads.items():
+            setattr(model, name, getattr(model, name) - learning_rate * g)
+        loss = loss_fn(model, data)
+        if not np.isfinite(loss):
+            raise ArithmeticError(f"training diverged at step {step + 1}")
+        trace.append(loss)
+    return model, trace
+
+
+@pytest.mark.parametrize("objective, data, d, steps, learning_rate", [
+    ("eq1", _zipf_independent_counts(16), 4, 300, 0.002),
+    ("eq2", materialize_log(HarmonicModel(n=8, m=5)), 2, 300, 0.005),
+], ids=["eq1", "eq2"])
+def test_train_matches_a_two_pass_loop_bit_for_bit(objective, data, d, steps,
+                                                   learning_rate):
+    res = train_factorization(objective, data, d=d, steps=steps,
+                              learning_rate=learning_rate, seed=7)
+    model, trace = _two_pass_training(objective, data, d, steps, learning_rate, seed=7)
+    assert res.trace == trace
+    for name in vars(model):
+        assert np.array_equal(getattr(res.model, name), getattr(model, name)), name
+
+
+def test_train_diverges_at_the_step_a_two_pass_loop_does():
+    target = materialize_log(HarmonicModel(n=8, m=5))
+    with pytest.raises(ArithmeticError) as ref:
+        _two_pass_training("eq2", target, 2, 200, 50.0, seed=0)
+    with pytest.raises(ArithmeticError) as got:
+        train_factorization("eq2", target, d=2, steps=200, learning_rate=50.0)
+    assert str(got.value) == str(ref.value)
 
 
 def test_train_eq1_biases_track_log_marginals():

@@ -19,20 +19,19 @@ def test_discover_missing_splits(tmp_path):
     train = str(tmp_path / "task.train")
 
     args = _parse("--task", "conll", "--train", train, "--output-dir", "out")
-    matrix._discover_missing_splits(args)
-    assert (args.dev, args.test) == (str(tmp_path / "task.dev"), str(tmp_path / "task.test"))
+    assert matrix._discover_missing_splits(args) == (str(tmp_path / "task.dev"),
+                                                     str(tmp_path / "task.test"))
+    assert (args.dev, args.test) == (None, None)  # the options are only read
 
     explicit = str(tmp_path / "other.dev")
     args = _parse("--task", "conll", "--train", train, "--dev", explicit,
                   "--output-dir", "out")
-    matrix._discover_missing_splits(args)
-    assert (args.dev, args.test) == (explicit, str(tmp_path / "task.test"))
+    assert matrix._discover_missing_splits(args) == (explicit, str(tmp_path / "task.test"))
 
     # without the .train suffix there is no prefix to look beside
     args = _parse("--task", "conll", "--train", str(tmp_path / "task.dev"),
                   "--output-dir", "out")
-    matrix._discover_missing_splits(args)
-    assert (args.dev, args.test) == (None, None)
+    assert matrix._discover_missing_splits(args) == (None, None)
 
 
 def test_cells_never_write_to_shared_table(tmp_path):

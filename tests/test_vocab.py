@@ -17,7 +17,7 @@ from eigennoise.vocab import (
 
 def test_build_vocab_counts_and_ranks():
     voc = build_vocab(["the", "cat", "the"])
-    assert voc.entries == (("the", 2, 1), ("cat", 1, 2))
+    assert voc.entries == (("the", 2), ("cat", 1))
     assert voc.size == 2
 
 
@@ -30,13 +30,11 @@ def test_build_vocab_tie_break_first_occurrence():
     # a three-way tie reached in the reverse of first-occurrence order, under
     # a later, more frequent token; and cut by max_size inside the tie
     stream = ["x", "y", "z", "z", "y", "x", "w", "w", "w"]
-    assert build_vocab(stream).entries == (("w", 3, 1), ("x", 2, 2), ("y", 2, 3),
-                                           ("z", 2, 4))
-    assert build_vocab(stream, max_size=3).entries == (("w", 3, 1), ("x", 2, 2),
-                                                       ("y", 2, 3))
+    assert build_vocab(stream).entries == (("w", 3), ("x", 2), ("y", 2), ("z", 2))
+    assert build_vocab(stream, max_size=3).entries == (("w", 3), ("x", 2), ("y", 2))
     # case folding merges before ranking: "B" occurs before "a"
     assert build_vocab(["B", "a", "b", "A"], case_fold=True).entries == (
-        ("b", 2, 1), ("a", 2, 2))
+        ("b", 2), ("a", 2))
 
 
 def test_build_vocab_uniform_stream_assigns_all_ranks():
@@ -44,9 +42,9 @@ def test_build_vocab_uniform_stream_assigns_all_ranks():
     tokens = [types[i % 10] for i in range(1000)]
     voc = build_vocab(tokens)
     assert voc.size == 10
-    assert sorted(rank for _, _, rank in voc.entries) == list(range(1, 11))
+    assert sorted(voc.rank_by_token.values()) == list(range(1, 11))
     # direct count oracle: every type occurs exactly 100 times
-    assert all(count == 100 for _, count, _ in voc.entries)
+    assert all(count == 100 for _, count in voc.entries)
 
 
 def test_build_vocab_empty_stream_errors():
@@ -77,15 +75,13 @@ def test_rank_of_oov():
 
 def test_vocabulary_invariants_enforced():
     with pytest.raises(ValueError):
-        Vocabulary(entries=(("a", 1, 1), ("b", 2, 2)))  # counts increase
-    with pytest.raises(ValueError):
-        Vocabulary(entries=(("a", 2, 1), ("b", 1, 3)))  # rank gap
+        Vocabulary(entries=(("a", 1), ("b", 2)))  # counts increase
 
 
 @pytest.mark.parametrize("token", ["", "a b", "a\tb", "a\rb", "a\nb", " a", "b\n"])
 def test_vocabulary_refuses_a_token_the_text_formats_cannot_hold(token):
     with pytest.raises(ValueError) as exc:
-        Vocabulary(entries=(("the", 3, 1), (token, 2, 2)))
+        Vocabulary(entries=(("the", 3), (token, 2)))
     assert str(exc.value) == ("vocabulary tokens must be non-empty and hold no space, "
                               f"tab, CR or LF: token {token!r} at rank 2")
 
@@ -120,9 +116,7 @@ def test_distinct_counts_are_order_insensitive(order):
     shuffled = []
     for i in order:
         shuffled.extend([f"t{i}"] * (i + 1))
-    ref = {tok: rank for tok, _, rank in build_vocab(base).entries}
-    got = {tok: rank for tok, _, rank in build_vocab(shuffled).entries}
-    assert ref == got
+    assert build_vocab(base).rank_by_token == build_vocab(shuffled).rank_by_token
 
 
 def test_tokenize_strips_edge_punctuation():
