@@ -250,8 +250,12 @@ def test_probe_run_usage_errors(tmp_path, capsys):
 def test_probe_run_into_a_file_fails_before_any_cell(tmp_path, capsys, monkeypatch):
     # cells are scored in forked workers, so the spy leaves its trace on disk
     calls = tmp_path / "train_probe.calls"
-    monkeypatch.setattr(probe, "train_probe",
-                        lambda *args, **kwargs: calls.open("a").write("call\n"))
+
+    def spy(*args, **kwargs):
+        with calls.open("a", encoding="utf-8") as fh:
+            fh.write("call\n")
+
+    monkeypatch.setattr(probe, "train_probe", spy)
     out_file = tmp_path / "taken"
     out_file.write_text("not a directory\n", encoding="utf-8")
     capsys.readouterr()
