@@ -16,9 +16,12 @@ output relative to it, so both sides print the same paths:
 
 * ``--help`` of every parser, the usage errors of every command and a
   few data errors, among them a tsv ``probe run`` whose test file holds
-  an unknown label, one whose train file holds a text without tokens and
-  a synthetic one whose ``--output-dir`` is an input file;
-* ``vocab build`` (conll, tsv and text) and ``report aggregate``;
+  an unknown label, one whose train file holds a text without tokens, a
+  synthetic one whose ``--output-dir`` is an input file, and an ``embed
+  eigennoise`` and a ``probe run`` whose ``--m`` overflows a float;
+* ``vocab build`` (conll, tsv and text) and ``report aggregate``, of
+  single runs and of the whole work directory, where the desk run and
+  the ``--d 1`` run share a task label at different sizes;
 * ``embed eigennoise`` (linear and log mode) and ``embed random`` at
   20,000 ranks and d=50, and on the task's vocabulary; ``embed
   eigennoise`` at 400 ranks and d=300, whose completion spans many
@@ -29,9 +32,13 @@ output relative to it, so both sides print the same paths:
   a file of edge values that reaches every branch of the export;
 * the desk run (``probe run --task synthetic --n 500 --seeds 0``), a
   synthetic run at ``--d 1``, a 24-cell token-zipf run (eigennoise, random and GloVe import; windows
-  0, 2, 5 and 10; frozen and unfrozen; seed 0) and a 4-cell tsv run
-  with a test split and no dev split, so every stage and the accuracy
-  fit hold out their own dev examples.
+  0, 2, 5 and 10; frozen and unfrozen; seed 0) and an 8-cell tsv run
+  (seeds 0 and 1) with a test split and no dev split, so every stage and
+  the accuracy fit hold out their own dev examples;
+* last, a token-zipf ``probe run`` over two copies of the GloVe file
+  whose paths give their cells one file name (``vectors/glove.txt`` and
+  ``vectors_glove.txt``), after the whole-directory aggregate so that
+  whatever it writes is not aggregated.
 
 It compares the exit code, stdout and stderr of every command, then every
 file in the two work directories, ``report.txt`` without its timestamp
@@ -151,6 +158,12 @@ def make_inputs(directory: Path) -> dict[str, Path]:
     inputs["edges"].write_text("".join(
         f"{token} {' '.join(values[i * d:(i + 1) * d])}\n" for i, token in enumerate(tokens)),
         encoding="utf-8")
+    # two paths whose cells share a file name
+    (directory / "vectors").mkdir()
+    for name, path in (("glove-nested", directory / "vectors" / "glove.txt"),
+                       ("glove-flat", directory / "vectors_glove.txt")):
+        inputs[name] = path
+        path.write_text(inputs["glove"].read_text(encoding="utf-8"), encoding="utf-8")
     late = inputs["late-ragged"] = directory / "late-ragged.txt"
     # a ragged line many chunks into the file
     late.write_text(inputs["glove"].read_text(encoding="utf-8") + "zzz 1\n",
@@ -223,6 +236,10 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--d", "2", "--output-dir", "never"],
         ["probe", "run", "--task", "synthetic", "--n", "60", "--d", "8", "--seeds", "0",
          "--output-dir", str(inputs["corpus"])],
+        ["embed", "eigennoise", "--n", "5", "--d", "2", "--m", str(10**400),
+         "--output", "never.txt"],
+        ["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", "0",
+         "--m", str(10**400), "--output-dir", "never"],
         ["report", "aggregate", "--input-dir", "missing"],
     ]
     imports = [["embed", "import", "--source", str(inputs[kind]), "--vocab", "vocab.tsv",
@@ -267,10 +284,15 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          f"eigennoise,random,import:{inputs['glove']}", "--windows", "0,2,5,10",
          "--seeds", "0", "--frozen", "both", "--output-dir", "zipf"],
         ["probe", "run", "--task", "tsv", "--train", str(inputs["tsv-train"]),
-         "--test", str(inputs["tsv-test"]), "--d", "8", "--seeds", "0",
+         "--test", str(inputs["tsv-test"]), "--d", "8", "--seeds", "0,1",
          "--output-dir", "tsv"],
         ["report", "aggregate", "--input-dir", "desk"],
         ["report", "aggregate", "--input-dir", "zipf", "--output", "zipf-aggregate.txt"],
+        ["report", "aggregate", "--input-dir", "."],
+        ["probe", "run", "--task", "conll", *task, "--representations",
+         f"import:{inputs['glove-nested']},import:{inputs['glove-flat']}",
+         "--windows", "0", "--frozen", "true", "--seeds", "0", "--max-epochs", "2",
+         "--output-dir", "collide"],
     ]
 
 

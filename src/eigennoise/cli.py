@@ -224,14 +224,11 @@ def _check_probe_run(args) -> None:
 def cmd_probe_run(args) -> int:
     from . import matrix, mdl
 
-    ctx = matrix.build_context(args)
-    cells = matrix.matrix_cells(args)
-    matrix.make_output_dir(args)
-    records = matrix.write_run(args, ctx, matrix.run_matrix(ctx, cells, args.workers))
+    records = matrix.run(args)
     sys.stdout.write(mdl.format_table(records))
     failures = sum(rec["error"] is not None for rec in records)
     if failures:
-        print(f"{failures} of {len(cells)} cells failed", file=sys.stderr)
+        print(f"{failures} of {len(records)} cells failed", file=sys.stderr)
         return EXIT_CELL_FAILURES
     return EXIT_OK
 
@@ -434,7 +431,7 @@ def main(argv: list[str] | None = None) -> int:
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError, OverflowError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
 

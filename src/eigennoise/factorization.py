@@ -40,11 +40,11 @@ class BiasFreeModel:
     v: np.ndarray  # (N, d)
 
 
-def glove_weight(x: np.ndarray, x_max: float, alpha: float) -> np.ndarray:
+def glove_weight(x: np.ndarray) -> np.ndarray:
     """f(x) = min(1, (x/x_max)^alpha), with f(0) = 0."""
     x = np.asarray(x, dtype=float)
     with np.errstate(invalid="ignore"):
-        w = np.where(x > 0, np.minimum(1.0, (x / x_max) ** alpha), 0.0)
+        w = np.where(x > 0, np.minimum(1.0, (x / DEFAULT_X_MAX) ** DEFAULT_ALPHA), 0.0)
     return w
 
 
@@ -59,7 +59,7 @@ def _eq1(model: GloVeFullModel, x: CoocMatrix) -> tuple[float, np.ndarray]:
     _check_finite(model.u, model.v, model.a, model.b)
     counts = x.values
     mask = counts > 0
-    w = glove_weight(counts, DEFAULT_X_MAX, DEFAULT_ALPHA)
+    w = glove_weight(counts)
     pred = model.u @ model.v.T + model.a[:, None] + model.b[None, :]
     logx = np.zeros_like(counts)
     logx[mask] = np.log(counts[mask])

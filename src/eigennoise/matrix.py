@@ -2,12 +2,12 @@
 
 A run scores every representation x window x frozen x seed cell of one
 task by MDL online codelength (Voita & Titov, arXiv:2003.12298) and by
-test accuracy. The parsed ``probe run`` options are the input:
-``build_context`` reads the task into what every cell shares,
-``matrix_cells`` lists the cells, ``make_output_dir`` makes the output
-directory, ``run_cell`` scores one cell, ``run_matrix`` scores them all,
-and ``write_run`` writes ``cells/*.mdl.txt``, ``cells.json`` and
-``report.txt``, whose table is ``mdl.format_table``.
+test accuracy. ``run`` takes the parsed ``probe run`` options and runs
+it all: ``matrix_cells`` lists the cells, ``build_context`` reads the
+task into what every cell shares, ``run_cell`` scores one cell,
+``run_matrix`` scores them all, and ``write_run`` writes
+``cells/*.mdl.txt``, ``cells.json`` and ``report.txt``, whose table is
+``mdl.format_table``.
 
 ``run_matrix`` hands the cells to worker processes forked after the
 context was built. The workers inherit the context through the fork, so
@@ -15,11 +15,11 @@ only the ``CellSpec`` and the ``CellResult`` are pickled; each cell then
 runs on its own interpreter. Where ``fork`` is unavailable the cells are
 scored in the calling process; either way ``run_cell`` scores the cell.
 
-Every fit trains in single precision, ``PROBE_DTYPE``: ``_probe_table``
-casts each cell's starting table once (the shared eigennoise and imported
-tables when the context is built, a random table when a cell draws it),
-and the probe computes in its table's dtype. A frozen mean-pooled cell
-pools each split through its table once and trains on those features,
+Every fit trains in single precision, ``PROBE_DTYPE``: the context holds
+every cell's starting table, cast once when the context is built (the
+eigennoise and imported tables shared by every seed, one random draw per
+seed), and the probe computes in its table's dtype. A frozen mean-pooled
+cell pools each split through its table once and trains on those features,
 which keep the table's dtype, with no table attached. The logits and
 everything after them, codelength bits included, stay float64 (see
 ``probe``).
@@ -104,20 +104,11 @@ class MatrixContext:
     test_data: dict
     schedule: mdl.BlockSchedule
     config_base: probe_mod.TrainConfig
-    tables: dict  # representation -> PROBE_DTYPE EmbeddingTable; random is drawn per seed
-    d: int
+    tables: dict  # (representation, seed) -> the cell's starting PROBE_DTYPE table
 
 
 def _probe_table(table: embeddings.EmbeddingTable) -> embeddings.EmbeddingTable:
     return replace(table, rows=table.rows.astype(PROBE_DTYPE))
-
-
-def _cell_table(cell: CellSpec, ctx: MatrixContext) -> embeddings.EmbeddingTable:
-    """The cell's starting table, in ``PROBE_DTYPE``. Shared tables are
-    returned as they are: only an unfrozen fit trains a copy."""
-    if cell.representation == "random":
-        return _probe_table(embeddings.random_table(ctx.vocab.size, ctx.d, cell.seed))
-    return ctx.tables[cell.representation]
 
 
 def _failed(cell: CellSpec, exc: Exception) -> CellResult:
@@ -136,7 +127,7 @@ def _pooled(data: probe_mod.ProbeData | None,
 
 def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
     try:
-        base = _cell_table(cell, ctx)
+        base = ctx.tables[cell.representation, cell.seed]
         config = replace(ctx.config_base, seed=cell.seed)
         train = ctx.train_data[cell.window]
         dev = ctx.dev_data.get(cell.window)
@@ -224,9 +215,10 @@ def _discover_missing_splits(args) -> tuple[str | None, str | None]:
 
 def build_context(args) -> MatrixContext:
     """Read the task's splits, rank the vocabulary, featurize every split
-    once and build the shared tables. A conll task needs ``args.windows``;
-    each split is featurized at the widest, and every window shares its
-    labels and reads a column slice of its indices."""
+    once and build every cell's starting table, keyed by (representation,
+    seed). A conll task needs ``args.windows``; each split is featurized at
+    the widest, and every window shares its labels and reads a column slice
+    of its indices."""
     if args.task == "synthetic":
         eval_n = max(args.classes * 10, args.n // 5)
         splits = {
@@ -271,13 +263,15 @@ def build_context(args) -> MatrixContext:
     tables = {}
     for rep in args.representations:
         if rep == "eigennoise":
-            tables[rep] = _probe_table(eigen.to_embedding(eigen.eigennoise_analytic(
+            table = _probe_table(eigen.to_embedding(eigen.eigennoise_analytic(
                 voc.size, args.d, m=args.m, mode=args.mode,
                 completion_seed=args.completion_seed)))
         elif rep.startswith("import:"):
-            table, _ = embeddings.import_text(rep.split(":", 1)[1], voc,
-                                              expected_d=args.d)
-            tables[rep] = _probe_table(table)
+            table = _probe_table(embeddings.import_text(rep.split(":", 1)[1], voc,
+                                                        expected_d=args.d)[0])
+        for seed in args.seeds:  # a random table is drawn per seed; the others are shared
+            tables[rep, seed] = (table if rep != "random" else _probe_table(
+                embeddings.random_table(voc.size, args.d, seed)))
 
     n_train = len(next(iter(data["train"].values())))
     config = probe_mod.TrainConfig(
@@ -292,41 +286,54 @@ def build_context(args) -> MatrixContext:
         schedule=mdl.make_schedule(n_train, fractions=args.fractions),
         config_base=config,
         tables=tables,
-        d=args.d,
     )
 
 
 def matrix_cells(args) -> list[CellSpec]:
-    """Only token (conll) tasks have windows; other tasks get window None."""
+    """Only token (conll) tasks have windows; other tasks get window None.
+    Two representations whose cells would share a file name are refused."""
     if args.frozen == "both":
         frozen_options = (True, False)
     else:
         frozen_options = (args.frozen == "true",)
-    return [
+    cells = [
         CellSpec(representation=rep, window=w, frozen=fr, seed=seed)
         for rep in args.representations
         for w in args.windows or (None,)
         for fr in frozen_options
         for seed in args.seeds
     ]
+    owners = {}
+    for cell in cells:
+        owner = owners.setdefault(cell.name, cell.representation)
+        if owner != cell.representation:
+            raise ValueError(f"representations {owner!r} and {cell.representation!r} "
+                             f"would write the same cell files ({cell.name}.*)")
+    return cells
+
+
+def run(args) -> list[dict]:
+    """Run the matrix that the parsed ``probe run`` options describe: list
+    the cells, read the task, make ``--output-dir``/cells, score every cell
+    and write the run. A faulty option or task raises before anything is
+    written, and an unusable output directory before any cell is scored.
+    Returns the cell records in cell-name order."""
+    cells = matrix_cells(args)
+    ctx = build_context(args)
+    out_dir = Path(args.output_dir)
+    (out_dir / "cells").mkdir(parents=True, exist_ok=True)
+    return write_run(out_dir, args, ctx, run_matrix(ctx, cells, args.workers))
 
 
 # --- reports ----------------------------------------------------------------
 
 
-def make_output_dir(args) -> Path:
-    """Make ``--output-dir``/cells, before any cell is scored; return ``--output-dir``."""
-    out_dir = Path(args.output_dir)
-    (out_dir / "cells").mkdir(parents=True, exist_ok=True)
-    return out_dir
-
-
-def write_run(args, ctx: MatrixContext, results: list[CellResult]) -> list[dict]:
+def write_run(out_dir: Path, args, ctx: MatrixContext,
+              results: list[CellResult]) -> list[dict]:
     """Write ``cells/<cell>.mdl.txt`` per scored cell,
     ``cells/<cell>.error.txt`` (its traceback) per failed cell,
-    ``cells.json`` and ``report.txt`` under ``--output-dir``. Returns the
-    cell records in cell-name order."""
-    out_dir = make_output_dir(args)
+    ``cells.json`` and ``report.txt`` under ``out_dir``, whose ``cells``
+    directory exists. Returns the cell records in cell-name order."""
     results = sorted(results, key=lambda r: r.cell.name)
     for res in results:
         # a file an earlier run into this directory wrote for the cell is stale

@@ -175,17 +175,16 @@ def _format_mean_std(values: list[float], scale: float = 1.0) -> str:
 
 
 def format_table(records: list[dict]) -> str:
-    """One row per (task, representation, window) over the scored cell
-    records: frozen/unfrozen codelength and accuracy as mean ± std over
-    seeds, and the uniform baseline."""
+    """One row per (task, representation, window, uniform baseline) over
+    the scored cell records: frozen/unfrozen codelength and accuracy as
+    mean ± std over seeds; runs of one task at two sizes get a row each."""
     groups: dict[tuple, dict] = {}
     for rec in records:
         if rec["error"] is not None or rec["total_bits"] is None:
             continue
-        key = (rec["task"], rec["representation"], rec["window"])
+        key = (rec["task"], rec["representation"], rec["window"], rec["uniform_bits"])
         g = groups.setdefault(key, {"frozen": [], "unfrozen": [],
-                                    "frozen_acc": [], "unfrozen_acc": [],
-                                    "uniform": rec["uniform_bits"]})
+                                    "frozen_acc": [], "unfrozen_acc": []})
         side = "frozen" if rec["frozen"] else "unfrozen"
         g[side].append(rec["total_bits"])
         if rec["accuracy"] is not None:
@@ -194,16 +193,16 @@ def format_table(records: list[dict]) -> str:
               "frozen_kbits", "unfrozen_kbits", "uniform_kbits",
               "frozen_acc", "unfrozen_acc"]
     body = []
-    for (task, rep, window), g in sorted(groups.items(),
-                                         key=lambda kv: (kv[0][0], kv[0][1],
-                                                         -1 if kv[0][2] is None else kv[0][2])):
+    for (task, rep, window, uniform), g in sorted(
+            groups.items(), key=lambda kv: (kv[0][0], kv[0][1],
+                                            -1 if kv[0][2] is None else kv[0][2], kv[0][3])):
         body.append([
             task,
             rep,
             "-" if window is None else str(window),
             _format_mean_std(g["frozen"], scale=1e-3),
             _format_mean_std(g["unfrozen"], scale=1e-3),
-            f"{g['uniform'] / 1000.0:.3f}",
+            f"{uniform / 1000.0:.3f}",
             _format_mean_std(g["frozen_acc"]),
             _format_mean_std(g["unfrozen_acc"]),
         ])

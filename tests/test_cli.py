@@ -266,6 +266,54 @@ def test_probe_run_into_a_file_fails_before_any_cell(tmp_path, capsys, monkeypat
     assert not calls.exists()
 
 
+def test_probe_run_refuses_representations_that_share_cell_files(tmp_path, capsys,
+                                                                  monkeypatch):
+    calls = tmp_path / "train_probe.calls"  # cells are scored in forked workers
+
+    def spy(*args, **kwargs):
+        with calls.open("a", encoding="utf-8") as fh:
+            fh.write("call\n")
+
+    monkeypatch.setattr(probe, "train_probe", spy)
+    out_dir = tmp_path / "run"
+    capsys.readouterr()
+    rc = _run("probe", "run", "--task", "conll",
+              "--train", str(FIXTURES / "tiny.conll.train"), "--windows", "0",
+              "--representations", "import:a/b.txt,import:a_b.txt", "--seeds", "0",
+              "--d", "2", "--output-dir", str(out_dir))
+    assert rc == cli.EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ")
+    assert "'import:a/b.txt'" in err and "'import:a_b.txt'" in err
+    assert not out_dir.exists() and not calls.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["embed", "eigennoise", "--n", "5", "--d", "2"],
+    ["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", "0"]],
+    ids=["embed", "probe-run"])
+def test_an_overflowing_size_is_a_data_error(tmp_path, capsys, command):
+    out = tmp_path / "out"
+    target = ["--output" if command[0] == "embed" else "--output-dir", str(out)]
+    capsys.readouterr()
+    assert _run(*command, "--m", str(10**400), *target) == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: int too large to convert to float\n"
+    assert not out.exists()
+
+
+def test_an_allocation_failure_is_a_data_error(tmp_path, capsys, monkeypatch):
+    def refuse(n, d, seed):
+        raise MemoryError(f"Unable to allocate {n * d * 8} bytes")
+
+    monkeypatch.setattr(embeddings, "random_table", refuse)
+    out = tmp_path / "random.txt"
+    capsys.readouterr()
+    assert _run("embed", "random", "--n", "100000", "--d", "5000",
+                "--output", str(out)) == cli.EXIT_DATA
+    assert capsys.readouterr().err == "data error: Unable to allocate 4000000000 bytes\n"
+    assert not out.exists()
+
+
 def _tiny_synthetic_args(out_dir, seeds="0", extra=()):
     return ["probe", "run", "--task", "synthetic", "--kind", "separable",
             "--n", "80", "--d", "8", "--hidden", "16", "--max-epochs", "8",
@@ -417,16 +465,14 @@ def test_probe_run_leaves_the_shared_tables_unmodified(tmp_path):
     args = cli.build_parser().parse_args(_tiny_synthetic_args(tmp_path / "run"))
     with cli._one_blas_thread():
         ctx = matrix.build_context(args)
-        before = {rep: table.rows.copy() for rep, table in ctx.tables.items()}
+        before = {key: table.rows.copy() for key, table in ctx.tables.items()}
         results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(args)]
     assert {res.cell.frozen for res in results if res.error is None} == {True, False}
-    assert set(before) == {"eigennoise"}
-    # every cell starts from a PROBE_DTYPE table, the random one drawn per cell too
-    assert {matrix._cell_table(res.cell, ctx).rows.dtype for res in results} == {
-        ctx.tables["eigennoise"].rows.dtype}
-    for rep, rows in before.items():
-        assert ctx.tables[rep].rows.dtype == matrix.PROBE_DTYPE
-        assert ctx.tables[rep].rows.tobytes() == rows.tobytes()
+    assert set(before) == {("eigennoise", 0), ("random", 0)}
+    # every cell starts from a PROBE_DTYPE table, the random one included
+    for key, rows in before.items():
+        assert ctx.tables[key].rows.dtype == matrix.PROBE_DTYPE
+        assert ctx.tables[key].rows.tobytes() == rows.tobytes()
 
 
 def test_probe_run_discovers_sibling_splits(tmp_path):
@@ -605,13 +651,25 @@ def test_report_aggregate_merges_runs(tmp_path, capsys):
     assert out_file.read_text() == table
 
 
+def test_report_aggregate_keeps_runs_of_different_sizes_apart(tmp_path, capsys):
+    run_rows = []
+    for n in ("200", "500"):
+        assert _run("probe", "run", "--task", "synthetic", "--seeds", "0",
+                    "--max-epochs", "3", "--hidden", "16", "--d", "8", "--n", n,
+                    "--output-dir", str(tmp_path / f"n{n}")) == 0
+        run_rows += [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    # eigennoise and random at each size, each row as its own run printed it
+    assert len(rows) == len(run_rows) == 4
+    assert sorted(rows) == sorted(run_rows)
+
+
 def test_matrix_runs_from_parsed_arguments(tmp_path):
     assert cli.main(_tiny_synthetic_args(tmp_path / "cli")) == 0
     args = cli.build_parser().parse_args(_tiny_synthetic_args(tmp_path / "direct"))
     with cli._one_blas_thread():
-        ctx = matrix.build_context(args)
-        results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(args)]
-    records = matrix.write_run(args, ctx, results)
+        records = matrix.run(args)
     assert len(records) == 4 and all(rec["error"] is None for rec in records)
     assert ((tmp_path / "direct" / "cells.json").read_bytes()
             == (tmp_path / "cli" / "cells.json").read_bytes())

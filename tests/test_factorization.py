@@ -40,7 +40,7 @@ def _zipf_independent_counts(n, scale=4096.0):
 
 
 def test_glove_weight_shape():
-    w = glove_weight(np.array([0.0, 1.0, 100.0, 400.0]), 100.0, 0.75)
+    w = glove_weight(np.array([0.0, 1.0, 100.0, 400.0]))
     np.testing.assert_allclose(w, [0.0, 0.01**0.75, 1.0, 1.0], rtol=1e-12)
 
 

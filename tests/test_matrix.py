@@ -4,7 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigennoise import cli, datasets, matrix, mdl, probe, vocab
+from eigennoise import cli, datasets, embeddings, matrix, mdl, probe, vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -40,7 +40,7 @@ def test_cells_never_write_to_shared_table(tmp_path):
                   "--output-dir", str(tmp_path))
     with cli._one_blas_thread():
         ctx = matrix.build_context(args)
-        shared = ctx.tables["eigennoise"]
+        shared = ctx.tables["eigennoise", 0]
         before = shared.rows.copy()
         results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(args)]
     assert sorted(res.cell.frozen for res in results) == [False, True]
@@ -65,11 +65,11 @@ def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(tmp_path, monkeyp
     monkeypatch.setattr(probe, "train_probe", spy_train)
     with cli._one_blas_thread():
         ctx = matrix.build_context(args)
-        before = {rep: table.rows.copy() for rep, table in ctx.tables.items()}
+        before = {key: table.rows.copy() for key, table in ctx.tables.items()}
         for cell in matrix.matrix_cells(args):
             start = len(fits)
             assert matrix.run_cell(cell, ctx).error is None
-            shared = ctx.tables[cell.representation]
+            shared = ctx.tables[cell.representation, cell.seed]
             for train, table in fits[start:]:
                 assert train.indices is not None and train.lengths is None  # concat
                 if cell.frozen:
@@ -79,9 +79,46 @@ def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(tmp_path, monkeyp
     unfrozen = [table for _, table in fits if table.trainable]
     assert len(fits) > len(unfrozen) > 0
     assert len({id(table.rows) for table in unfrozen}) == len(unfrozen)
-    for rep, table in ctx.tables.items():
+    for key, table in ctx.tables.items():
         assert not table.trainable
-        assert np.array_equal(table.rows, before[rep])
+        assert np.array_equal(table.rows, before[key])
+
+
+def test_each_seed_draws_one_random_table_that_its_cells_start_from(tmp_path, monkeypatch):
+    args = _parse("--task", "conll", "--train", str(FIXTURES / "tiny.conll.train"),
+                  "--windows", "0,2", "--frozen", "both", "--seeds", "0,1", "--d", "4",
+                  "--hidden", "8", "--max-epochs", "2", "--fractions", "50,100",
+                  "--representations", "eigennoise,random", "--output-dir", str(tmp_path))
+    draws, fits = [], []
+    random_table, train_probe = embeddings.random_table, probe.train_probe
+
+    def spy_draw(n, d, seed):
+        draws.append(seed)
+        return random_table(n, d, seed)
+
+    def spy_train(train, dev, config, table=None):
+        fits.append((table, table.rows.copy()))
+        return train_probe(train, dev, config, table=table)
+
+    monkeypatch.setattr(embeddings, "random_table", spy_draw)
+    monkeypatch.setattr(probe, "train_probe", spy_train)
+    with cli._one_blas_thread():
+        ctx = matrix.build_context(args)
+        assert draws == [0, 1]  # not one draw per cell: 8 random cells
+        assert ctx.tables["eigennoise", 0] is ctx.tables["eigennoise", 1]
+        assert ctx.tables["random", 0] is not ctx.tables["random", 1]
+        before = {key: table.rows.copy() for key, table in ctx.tables.items()}
+        for cell in matrix.matrix_cells(args):
+            start = len(fits)
+            assert matrix.run_cell(cell, ctx).error is None
+            shared = ctx.tables[cell.representation, cell.seed]
+            for table, rows in fits[start:]:
+                # a frozen fit reads the table itself, an unfrozen one a copy of it
+                assert (table is shared) == cell.frozen
+                assert rows.tobytes() == before[cell.representation, cell.seed].tobytes()
+    assert draws == [0, 1] and len(fits) > 16
+    for key, table in ctx.tables.items():
+        assert table.rows.tobytes() == before[key].tobytes()
 
 
 def _frozen_desk(tmp_path):
@@ -97,7 +134,7 @@ def _frozen_desk(tmp_path):
 def test_pooled_features_match_the_per_batch_gather(tmp_path, rep):
     ctx = _frozen_desk(tmp_path)
     cell = matrix.CellSpec(representation=rep, window=None, frozen=True, seed=0)
-    base = matrix._cell_table(cell, ctx)
+    base = ctx.tables[rep, 0]
     size = ctx.config_base.batch_size
     for split in (ctx.train_data, ctx.dev_data, ctx.test_data):
         data = split[None]
@@ -150,7 +187,7 @@ def test_frozen_mean_cell_scores_as_if_trained_on_the_table(tmp_path):
     cell = matrix.CellSpec(representation="random", window=None, frozen=True, seed=0)
     with cli._one_blas_thread():
         result = matrix.run_cell(cell, ctx)
-        base = matrix._cell_table(cell, ctx)
+        base = ctx.tables["random", 0]
         config = replace(ctx.config_base, seed=cell.seed)
         train, dev, test = ctx.train_data[None], ctx.dev_data[None], ctx.test_data[None]
 
@@ -176,7 +213,7 @@ def test_synthetic_task_does_not_depend_on_d(tmp_path):
                       "--representations", "random", "--output-dir", str(tmp_path))
         contexts.append(matrix.build_context(args))
     narrow, wide = contexts
-    assert (narrow.d, wide.d) == (2, 8)
+    assert (narrow.tables["random", 0].d, wide.tables["random", 0].d) == (2, 8)
     for split in ("train_data", "dev_data", "test_data"):
         a, b = getattr(narrow, split)[None], getattr(wide, split)[None]
         assert np.array_equal(a.indices, b.indices)
