@@ -10,15 +10,18 @@ GloVe and ``.vec`` vectors, a small text corpus, a seeded
 ``label<TAB>text`` task (train and test splits, a test file with a
 label that the train file lacks, and a train file with a text that
 tokenizes to nothing), malformed
-``.txt``/``.vec`` vector files and malformed vocabularies. Each tree
+``.txt``/``.vec`` vector files, malformed vocabularies and a
+``cells.json`` whose scored record has no uniform baseline. Each tree
 then runs the whole set in a work directory of its own, naming every
 output relative to it, so both sides print the same paths:
 
 * ``--help`` of every parser, the usage errors of every command and a
   few data errors, among them a tsv ``probe run`` whose test file holds
   an unknown label, one whose train file holds a text without tokens, a
-  synthetic one whose ``--output-dir`` is an input file, and an ``embed
-  eigennoise`` and a ``probe run`` whose ``--m`` overflows a float;
+  synthetic one whose ``--output-dir`` is an input file (once with empty
+  items in ``--representations``), an ``embed eigennoise`` and a ``probe
+  run`` whose ``--m`` overflows a float, and a ``report aggregate`` of
+  the ``cells.json`` without a uniform baseline;
 * ``vocab build`` (conll, tsv and text) and ``report aggregate``, of
   single runs and of the whole work directory, where the desk run and
   the ``--d 1`` run share a task label at different sizes;
@@ -168,6 +171,12 @@ def make_inputs(directory: Path) -> dict[str, Path]:
     # a ragged line many chunks into the file
     late.write_text(inputs["glove"].read_text(encoding="utf-8") + "zzz 1\n",
                     encoding="utf-8")
+    no_uniform = inputs["no-uniform"] = directory / "no-uniform" / "cells.json"
+    no_uniform.parent.mkdir()
+    no_uniform.write_text(
+        '{"cells": [{"task": "t", "representation": "random", "window": null, '
+        '"frozen": true, "seed": 0, "accuracy": 0.5, "error": null, '
+        '"total_bits": 12.0, "uniform_bits": null}]}\n', encoding="utf-8")
     return inputs
 
 
@@ -179,6 +188,7 @@ def _probe_usage_errors() -> list[list[str]]:
     return [
         [*run],
         [*synthetic, "--representations", "glove"],
+        [*synthetic, "--representations", ","],
         [*synthetic, "--windows", "0,2"],
         [*synthetic, "--windows", "a"],
         [*synthetic, "--seeds", ""],
@@ -234,13 +244,15 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--test", str(inputs["tsv-unknown"]), "--output-dir", "never"],
         ["probe", "run", "--task", "tsv", "--train", str(inputs["tsv-empty-text"]),
          "--d", "2", "--output-dir", "never"],
-        ["probe", "run", "--task", "synthetic", "--n", "60", "--d", "8", "--seeds", "0",
-         "--output-dir", str(inputs["corpus"])],
+        *(["probe", "run", "--task", "synthetic", "--n", "60", "--d", "8", "--seeds", "0",
+           *reps, "--output-dir", str(inputs["corpus"])]
+          for reps in ([], ["--representations", "eigennoise,,random"])),
         ["embed", "eigennoise", "--n", "5", "--d", "2", "--m", str(10**400),
          "--output", "never.txt"],
         ["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", "0",
          "--m", str(10**400), "--output-dir", "never"],
         ["report", "aggregate", "--input-dir", "missing"],
+        ["report", "aggregate", "--input-dir", str(inputs["no-uniform"].parent)],
     ]
     imports = [["embed", "import", "--source", str(inputs[kind]), "--vocab", "vocab.tsv",
                 "--output", f"imported-{kind}.txt", *extra]

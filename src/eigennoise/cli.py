@@ -15,6 +15,7 @@ import argparse
 import os
 import sys
 from contextlib import contextmanager
+from itertools import chain
 from pathlib import Path
 from typing import TYPE_CHECKING
 
@@ -92,8 +93,8 @@ def cmd_vocab_build(args) -> int:
     if args.format == "text":
         tokens = list(vocab_mod.token_stream(args.input))
     else:  # labels are not read: point the label column at the tokens
-        tokens = datasets.dataset_tokens(datasets.read_split(
-            args.format, args.input, args.token_column, args.token_column))
+        tokens = chain.from_iterable(datasets.read_split(
+            args.format, args.input, args.token_column, args.token_column).tokens)
     voc = vocab_mod.build_vocab(
         tokens, case_fold=datasets.resolve_case_fold(args.case_fold, args.format),
         max_size=args.max_size)
@@ -206,8 +207,9 @@ def _check_probe_run(args) -> None:
                 f"unknown representation {rep!r} "
                 "(expected eigennoise, random, or import:<path>)"
             )
-    if not args.seeds:
-        raise UsageError("need at least one seed")
+    for name in ("representations", "seeds"):
+        if not getattr(args, name):
+            raise UsageError(f"need at least one {name[:-1]}")
     if not 0 < args.lr < float("inf"):
         raise UsageError(f"--lr must be > 0 and finite, got {args.lr}")
     if not (all(0 < f <= 100 for f in args.fractions)
@@ -390,7 +392,7 @@ def build_parser() -> _Parser:
     p_run.add_argument("--test")
     p_run.add_argument("--token-column", type=int, default=0)
     p_run.add_argument("--label-column", type=int, default=3)
-    p_run.add_argument("--representations", type=lambda s: tuple(s.split(",")),
+    p_run.add_argument("--representations", type=_csv(str, "representations"),
                        default=("eigennoise", "random"))
     p_run.add_argument("--windows", type=_csv_ints, default=None)
     p_run.add_argument("--frozen", choices=("both", "true", "false"), default="both")

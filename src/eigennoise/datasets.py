@@ -33,14 +33,14 @@ def _check_labels(labels, label_set: tuple[str, ...]) -> None:
 class TokenDataset:
     """Sentences with one label per token (POS/NER-style)."""
 
-    sentences: tuple[tuple[str, ...], ...]
-    labels: tuple[tuple[str, ...], ...]  # parallel to sentences
+    tokens: tuple[tuple[str, ...], ...]  # one tuple per sentence
+    labels: tuple[tuple[str, ...], ...]  # parallel to tokens
     label_set: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.sentences) != len(self.labels):
+        if len(self.tokens) != len(self.labels):
             raise ValueError("sentences and labels must be parallel")
-        for sent, labs in zip(self.sentences, self.labels):
+        for sent, labs in zip(self.tokens, self.labels):
             if len(sent) != len(labs):
                 raise ValueError("every sentence needs one label per token")
         _check_labels(chain.from_iterable(self.labels), self.label_set)
@@ -109,14 +109,14 @@ def parse_conll(path: str | Path, token_column: int = 0,
     if not sentences:
         raise ValueError(f"{path}: no sentences found")
     label_set = tuple(dict.fromkeys(chain.from_iterable(labels)))  # first appearance
-    return TokenDataset(sentences=tuple(sentences), labels=tuple(labels),
+    return TokenDataset(tokens=tuple(sentences), labels=tuple(labels),
                         label_set=label_set)
 
 
 def write_conll(ds: TokenDataset, path: str | Path) -> None:
     """Two-column writer (token label) that parse_conll round-trips."""
     with open(path, "w", encoding="utf-8") as fh:
-        for sent, labs in zip(ds.sentences, ds.labels):
+        for sent, labs in zip(ds.tokens, ds.labels):
             for tok, lab in zip(sent, labs):
                 fh.write(f"{tok} {lab}\n")
             fh.write("\n")
@@ -160,12 +160,6 @@ def read_split(task_format: str, path, token_column: int, label_column: int):
     if task_format == "tsv":
         return parse_tsv(path)
     return parse_conll(path, token_column=token_column, label_column=label_column)
-
-
-def dataset_tokens(ds) -> list[str]:
-    """Every token of a tsv, conll or synthetic dataset, in stream order."""
-    sequences = ds.sentences if isinstance(ds, TokenDataset) else ds.tokens
-    return [t for seq in sequences for t in seq]
 
 
 # --- synthetic tasks -------------------------------------------------------

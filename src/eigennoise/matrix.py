@@ -35,6 +35,7 @@ import json
 import traceback
 from dataclasses import dataclass, replace
 from datetime import datetime, timezone
+from itertools import chain
 from pathlib import Path
 
 from . import datasets, eigen, embeddings, mdl
@@ -241,7 +242,7 @@ def build_context(args) -> MatrixContext:
                 except ValueError as exc:
                     raise ValueError(f"{path}: {exc}") from None
         task_label = Path(args.train).stem
-    voc = vocab_mod.build_vocab(datasets.dataset_tokens(splits["train"]),
+    voc = vocab_mod.build_vocab(chain.from_iterable(splits["train"].tokens),
                                 case_fold=datasets.resolve_case_fold(args.case_fold,
                                                                      args.task),
                                 max_size=args.vocab_cap)

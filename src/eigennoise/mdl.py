@@ -230,21 +230,23 @@ RECORD_KEYS = {
 
 
 def _type_fault(rec: dict) -> str | None:
-    """Why a value of ``rec`` has a type ``format_table`` cannot read, or None."""
+    """Why ``format_table`` cannot read ``rec`` (a type, a score without baseline), or None."""
     for key, types in RECORD_KEYS.items():
         value = rec[key]
         # bool is an int subclass, but only "frozen" may hold one
         if not isinstance(value, types) or (isinstance(value, bool) and bool not in types):
             expected = " or ".join("null" if t is _NONE else t.__name__ for t in types)
             return f"{key!r} is {json.dumps(value)}, expected {expected}"
+    if rec["total_bits"] is not None and rec["uniform_bits"] is None:
+        return f"'uniform_bits' is null, but 'total_bits' is {json.dumps(rec['total_bits'])}"
     return None
 
 
 def read_records(input_dir) -> list[dict]:
     """The cell records of every ``cells.json`` under ``input_dir``. A file
     that is not JSON, holds no ``cells`` list, or holds a record without one
-    of ``RECORD_KEYS`` (those ``format_table`` reads) or with a value of
-    another type raises a ValueError that names it."""
+    of ``RECORD_KEYS`` (those ``format_table`` reads) or with a ``_type_fault``
+    raises a ValueError that names it."""
     paths = sorted(Path(input_dir).rglob("cells.json"))
     if not paths:
         raise ValueError(f"no cells.json found under {input_dir}")

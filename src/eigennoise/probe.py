@@ -105,8 +105,8 @@ def token_window_data(ds: TokenDataset, vocab: Vocabulary, m: int) -> ProbeData:
     2m+1 rows centred on it, so positions outside its sentence read PAD.
     The windows of a smaller m are the middle columns of these.
     """
-    lengths = [len(sent) for sent in ds.sentences]
-    rows = token_rows(vocab, chain.from_iterable(ds.sentences))
+    lengths = [len(sent) for sent in ds.tokens]
+    rows = token_rows(vocab, chain.from_iterable(ds.tokens))
     # a token of sentence s sits m * (s + 1) rows after its place in the bare split
     centres = np.arange(len(rows)) + m * np.repeat(np.arange(1, len(lengths) + 1), lengths)
     stream = np.full(len(rows) + m * (len(lengths) + 1), pad_row(vocab.size), dtype=int)
@@ -179,18 +179,18 @@ def gather_features(data: ProbeData, table: EmbeddingTable | None) -> np.ndarray
     return gathered.sum(axis=1) / data.lengths[:, None].astype(gathered.dtype)
 
 
-def _layers(model: ProbeModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Pre-activation W1 h, hidden relu(W1 h), and the float64 logits
-    W2 hidden shifted by their row maximum."""
-    pre = h @ model.w1.T
-    hidden = np.maximum(pre, 0.0)
+def _layers(model: ProbeModel, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The hidden layer relu(W1 h), rectified in place, and the float64
+    logits W2 hidden shifted by their row maximum."""
+    hidden = h @ model.w1.T
+    np.maximum(hidden, 0.0, out=hidden)
     logits = (hidden @ model.w2.T).astype(float, copy=False)
-    return pre, hidden, logits - logits.max(axis=1, keepdims=True)
+    return hidden, logits - logits.max(axis=1, keepdims=True)
 
 
 def _log_probs(model: ProbeModel, data: ProbeData) -> np.ndarray:
     """The (n, K) float64 log-probabilities of every example of ``data``."""
-    logits = _layers(model, gather_features(data, model.table))[2]
+    logits = _layers(model, gather_features(data, model.table))[1]
     return logits - np.log(np.exp(logits).sum(axis=1, keepdims=True))
 
 
@@ -222,7 +222,7 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
         raise ValueError("probe input must be finite")
     labels = np.asarray(labels, dtype=int)
     batch = len(labels)
-    pre, hidden, logits = _layers(model, h)
+    hidden, logits = _layers(model, h)
     examples = np.arange(batch)
     dlogits = np.exp(logits)  # turned in place into the softmax, then its gradient
     total = dlogits.sum(axis=1, keepdims=True)
@@ -235,7 +235,7 @@ def backward(model: ProbeModel, h: np.ndarray, labels: np.ndarray,
     grads = {
         "w2": dlogits.T @ hidden,
     }
-    dhidden = (dlogits @ model.w2) * (pre > 0)
+    dhidden = (dlogits @ model.w2) * (hidden > 0)
     grads["w1"] = dhidden.T @ h
     table = model.table
     if table is not None and table.trainable and indices is not None:

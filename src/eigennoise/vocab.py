@@ -10,7 +10,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .defaults import DEFAULT_MAX_SIZE
 
@@ -76,7 +76,7 @@ def tokenize(text: str) -> list[str]:
 
 
 def build_vocab(
-    tokens: Sequence[str],
+    tokens: Iterable[str],
     case_fold: bool = False,
     max_size: int = DEFAULT_MAX_SIZE,
 ) -> Vocabulary:

@@ -314,11 +314,11 @@ def test_format_compatibility(tmp_path):
     rewritten = tmp_path / "roundtrip.conll"
     write_conll(ds, rewritten)
     back = parse_conll(rewritten, token_column=0, label_column=1)
-    assert back.sentences == ds.sentences
+    assert back.tokens == ds.tokens
     assert back.labels == ds.labels
     assert back.label_set == ds.label_set
 
-    tokens = [t for sent in ds.sentences for t in sent]
+    tokens = [t for sent in ds.tokens for t in sent]
     voc = build_vocab(tokens, case_fold=True)
     table, report = import_text(FIXTURES / "tiny.glove.txt", voc)
     assert report.matched == 4  # the, eu, said, peter

@@ -213,6 +213,16 @@ def test_probe_run_usage_errors(tmp_path, capsys):
                 "--output-dir", out) == cli.EXIT_USAGE
     assert _run("probe", "run", "--task", "synthetic", "--seeds", "",
                 "--output-dir", out) == cli.EXIT_USAGE
+    # --representations is a comma list like --seeds: empty items drop out,
+    # and a list left empty is refused
+    parsed = cli.build_parser().parse_args(
+        ["probe", "run", "--task", "synthetic", "--representations", "random,,",
+         "--output-dir", out])
+    assert parsed.representations == ("random",)
+    capsys.readouterr()
+    assert _run("probe", "run", "--task", "synthetic", "--representations", ",",
+                "--output-dir", out) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: need at least one representation\n"
     assert _run("probe", "run", "--task", "conll", "--output-dir", out) == cli.EXIT_USAGE
     assert _run("probe", "run", "--task", "conll", "--train", "x.conll",
                 "--windows", "0,3", "--output-dir", out) == cli.EXIT_USAGE
@@ -731,8 +741,11 @@ _WRONG_TYPES = [("task", 3, "str"), ("representation", None, "str"),
     *[(json.dumps({"cells": [_RECORD, {**_RECORD, key: value}]}),
        f"cell 1: {key!r} is {json.dumps(value)}, expected {expected}\n")
       for key, value, expected in _WRONG_TYPES],
+    (json.dumps({"cells": [_RECORD, {**_RECORD, "uniform_bits": None}]}),
+     "cell 1: 'uniform_bits' is null, but 'total_bits' is 12.0\n"),
 ], ids=["invalid-json", "no-cells-list", "record-missing-key",
-        *[f"{key}-{type(value).__name__}" for key, value, _ in _WRONG_TYPES]])
+        *[f"{key}-{type(value).__name__}" for key, value, _ in _WRONG_TYPES],
+        "scored-without-uniform-bits"])
 def test_report_aggregate_names_a_malformed_cells_json(tmp_path, capsys, text, cause):
     path = tmp_path / "run" / "cells.json"
     path.parent.mkdir()

@@ -26,7 +26,7 @@ def test_parse_conll_columns(tmp_path):
     path = tmp_path / "sample.conll"
     path.write_text(CONLL_SAMPLE, encoding="utf-8")
     ner = parse_conll(path, token_column=0, label_column=3)
-    assert ner.sentences == (("EU", "rejects"), ("German", "call"))
+    assert ner.tokens == (("EU", "rejects"), ("German", "call"))
     assert ner.labels[0] == ("B-ORG", "O")
     assert ner.label_set == ("B-ORG", "O", "B-MISC")
     pos = parse_conll(path, token_column=0, label_column=1)
@@ -37,7 +37,7 @@ def test_parse_conll_single_line(tmp_path):
     path = tmp_path / "one.conll"
     path.write_text("EU NNP B-NP B-ORG\n\n", encoding="utf-8")
     ds = parse_conll(path, label_column=3)
-    assert ds.sentences == (("EU",),)
+    assert ds.tokens == (("EU",),)
     assert ds.labels == (("B-ORG",),)
 
 
@@ -62,7 +62,7 @@ def test_conll_round_trip(tmp_path):
     out = tmp_path / "rewritten.conll"
     write_conll(ds, out)
     back = parse_conll(out, token_column=0, label_column=1)
-    assert back.sentences == ds.sentences
+    assert back.tokens == ds.tokens
     assert back.labels == ds.labels
     assert back.label_set == ds.label_set
 
@@ -126,7 +126,7 @@ def test_apply_label_set_rejects_unknown():
     dev = SequenceDataset(tokens=(("c",),), labels=("other",), label_set=("other",))
     with pytest.raises(ValueError, match="unknown"):
         replace(dev, label_set=train_labels)
-    tok = TokenDataset(sentences=(("x",),), labels=(("B-LOC",),),
+    tok = TokenDataset(tokens=(("x",),), labels=(("B-LOC",),),
                        label_set=("B-LOC",))
     with pytest.raises(ValueError, match="'B-LOC' is unknown to the training label set"):
         replace(tok, label_set=("O",))

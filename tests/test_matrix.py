@@ -226,7 +226,7 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
     for split, n in (("train", 60), ("dev", 20), ("test", 20)):
         lengths = rng.integers(1, 14, n)
         ds = datasets.TokenDataset(
-            sentences=tuple(tuple(f"t{i}" for i in rng.zipf(1.5, k) % 90) for k in lengths),
+            tokens=tuple(tuple(f"t{i}" for i in rng.zipf(1.5, k) % 90) for k in lengths),
             labels=tuple(tuple(rng.choice(["A", "B", "C"], k)) for k in lengths),
             label_set=("A", "B", "C"))
         datasets.write_conll(ds, tmp_path / f"task.{split}")
@@ -238,7 +238,7 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
     window_data = probe.token_window_data
 
     def spy(ds, voc, m):
-        featurized.append((len(ds.sentences), m))
+        featurized.append((len(ds.tokens), m))
         return window_data(ds, voc, m)
 
     monkeypatch.setattr(probe, "token_window_data", spy)
@@ -276,7 +276,7 @@ def test_dimension_above_vocabulary_fails_before_featurizing(tmp_path, monkeypat
         args = _parse("--task", "synthetic", "--n", "40", "--output-dir", "out")
         train_ds = datasets.synth_task(args.kind, 40, k=args.classes,
                                        seed=args.data_seed)
-        n = vocab.build_vocab(datasets.dataset_tokens(train_ds)).size
+        n = vocab.build_vocab(t for text in train_ds.tokens for t in text).size
     else:
         n = 3  # EU, rejects, German; or good, day, bad
     code = cli.main(["probe", "run", "--task", task, *task_args, "--d", "500",

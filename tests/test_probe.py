@@ -48,7 +48,7 @@ _VOCAB = build_vocab(list("abcde"))  # tied counts keep first occurrence: a=1 ..
 
 def _token_features(table, sentence, m):
     """Window features of every position of one sentence, as a probe sees them."""
-    ds = TokenDataset(sentences=(tuple(sentence),), labels=(("O",) * len(sentence),),
+    ds = TokenDataset(tokens=(tuple(sentence),), labels=(("O",) * len(sentence),),
                       label_set=("O",))
     return gather_features(token_window_data(ds, _VOCAB, m), table)
 
@@ -92,7 +92,7 @@ def _reference_row(vocab, token):
 def _reference_windows(ds, vocab, m):
     """token_window_data's indices and labels, built position by position."""
     windows, labels = [], []
-    for sent, labs in zip(ds.sentences, ds.labels):
+    for sent, labs in zip(ds.tokens, ds.labels):
         for pos, lab in enumerate(labs):
             windows.append([_reference_row(vocab, sent[p]) if 0 <= p < len(sent)
                             else vocab.size + 1 for p in range(pos - m, pos + m + 1)])
@@ -119,7 +119,7 @@ _EDGE_SENTENCES = (("a",), ("B", "zz"), ("c",), ("a", "b", "C", "d", "e", "zz", 
 def test_token_windows_match_a_per_position_loop(m, case_fold):
     vocab = build_vocab(list("abcdeab") + ["C"], case_fold=case_fold)
     labels = tuple(tuple("XY"[len(t) % 2] for t in sent) for sent in _EDGE_SENTENCES)
-    ds = TokenDataset(sentences=_EDGE_SENTENCES, labels=labels, label_set=("Y", "X"))
+    ds = TokenDataset(tokens=_EDGE_SENTENCES, labels=labels, label_set=("Y", "X"))
     data = token_window_data(ds, vocab, m)
     windows, expected_labels = _reference_windows(ds, vocab, m)
     assert data.indices.dtype == windows.dtype and data.labels.dtype == expected_labels.dtype
@@ -135,7 +135,7 @@ def test_token_windows_match_a_per_position_loop(m, case_fold):
 def test_token_windows_match_the_loop_on_any_split(sentences, m, case_fold):
     vocab = build_vocab(list("abcdeA"), case_fold=case_fold)
     sentences = tuple(map(tuple, sentences))
-    ds = TokenDataset(sentences=sentences, labels=tuple(("O",) * len(s) for s in sentences),
+    ds = TokenDataset(tokens=sentences, labels=tuple(("O",) * len(s) for s in sentences),
                       label_set=("O",))
     data = token_window_data(ds, vocab, m)
     np.testing.assert_array_equal(data.indices, _reference_windows(ds, vocab, m)[0])
@@ -302,13 +302,13 @@ def test_backward_table_gradient_bit_identical_to_add_at(pooling):
 
 def _input_gradient(model, h, labels):
     """d(mean loss)/dh, step for step as ``backward`` computes it."""
-    pre, hidden, logits = probe._layers(model, h)
+    hidden, logits = probe._layers(model, h)
     expl = np.exp(logits)
     dlogits = expl / expl.sum(axis=1, keepdims=True)
     dlogits[np.arange(len(labels)), labels] -= 1.0
     dlogits /= len(labels)
     dlogits = dlogits.astype(hidden.dtype, copy=False)
-    return ((dlogits @ model.w2) * (pre > 0)) @ model.w1
+    return ((dlogits @ model.w2) * (hidden > 0)) @ model.w1
 
 
 def _bincount_table_gradient(table, indices, lengths, dh):
@@ -618,7 +618,7 @@ def test_train_probe_on_a_float32_table_stays_float32(monkeypatch, pooling, froz
     assert model.w1.dtype == model.w2.dtype == table.rows.dtype == np.float32
     assert gather_features(data, table).dtype == np.float32
     # from the logits on, float64
-    assert probe._layers(model, gather_features(data, table))[2].dtype == np.float64
+    assert probe._layers(model, gather_features(data, table))[1].dtype == np.float64
     assert predict_proba(model, data).dtype == np.float64
     assert all(isinstance(t.dev_loss, float) for t in trace)
     if frozen:
@@ -670,3 +670,83 @@ def test_backward_gradients_take_the_table_dtype(dtype, pooling):
     assert {name: g.dtype for name, g in grads.items()} == {
         "w1": dtype, "w2": dtype, "table": dtype}
 
+
+
+
+def _three_array_layers(model, h):
+    """``probe._layers`` as it was before it rectified in place: the
+    pre-activation, a separate hidden array, and the shifted float64 logits."""
+    pre = h @ model.w1.T
+    hidden = np.maximum(pre, 0.0)
+    logits = (hidden @ model.w2.T).astype(float, copy=False)
+    return pre, hidden, logits - logits.max(axis=1, keepdims=True)
+
+
+def _three_array_backward(model, h, labels, indices, lengths):
+    """``probe.backward`` as it was over ``_three_array_layers``, masking
+    with ``pre > 0``, for a trainable table."""
+    batch = len(labels)
+    examples = np.arange(batch)
+    pre, hidden, logits = _three_array_layers(model, h)
+    dlogits = np.exp(logits)
+    total = dlogits.sum(axis=1, keepdims=True)
+    loss = float(-(logits[examples, labels] - np.log(total[:, 0])).mean())
+    dlogits /= total
+    dlogits[examples, labels] -= 1.0
+    dlogits /= batch
+    dlogits = dlogits.astype(hidden.dtype, copy=False)
+    dhidden = (dlogits @ model.w2) * (pre > 0)
+    dh = dhidden @ model.w1
+    rows, inverse = np.unique(indices, return_inverse=True)
+    if lengths is None:
+        d = model.table.d
+        cells = (inverse.reshape(-1, 1) * d + np.arange(d)).ravel()
+        grad = np.bincount(cells, weights=dh.ravel(), minlength=len(rows) * d)
+        grad = grad.reshape(len(rows), d)
+    else:
+        slots = examples[:, None] * len(rows) + inverse.reshape(indices.shape)
+        counts = np.bincount(slots.ravel(), minlength=batch * len(rows))
+        per_example = dh / lengths[:, None].astype(dh.dtype)
+        grad = counts.reshape(batch, len(rows)).T.astype(float) @ per_example.astype(float)
+    gtable = np.zeros_like(model.table.rows)
+    gtable[rows] = grad
+    gtable[model.table.pad_row] = 0.0
+    return loss, {"w2": dlogits.T @ hidden, "w1": dhidden.T @ h, "table": gtable}
+
+
+@pytest.mark.parametrize("pooling", ["concat", "mean"])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_one_array_forward_matches_the_three_array_forward(monkeypatch, dtype, pooling):
+    table = random_table(12, 4, seed=5)
+    rows = table.rows.astype(dtype)
+    rows[1:5] = np.abs(rows[1:5])
+    rows[5] = 0.0
+    table = replace(table, rows=rows, trainable=True)
+    rng = np.random.Generator(np.random.Philox(key=5))
+    n = 40
+    # the first 10 examples read only rows 1-5 and PAD, none negative
+    indices = np.concatenate([rng.integers(1, 6, (10, 3)), rng.integers(0, table.n, (n - 10, 3))])
+    lengths = None
+    if pooling == "mean":
+        lengths = rng.integers(1, 4, n)
+        indices[np.arange(3) >= lengths[:, None]] = table.pad_row
+    data = ProbeData(labels=rng.integers(0, 3, n), num_classes=3, indices=indices,
+                     lengths=lengths)
+    h = gather_features(data, table)
+    model = init_probe(h.shape[1], 3, hidden=6, seed=5, table=table, dtype=dtype)
+    model.w1 = -np.abs(model.w1)  # so those 10 rows have every pre-activation <= 0
+    pre = _three_array_layers(model, h)[0]
+    assert (pre[:10] <= 0).all() and (pre[10:] > 0).any() and (pre[10:] < 0).any()
+
+    loss, grads = backward(model, h, data.labels, indices=indices, lengths=lengths)
+    ref_loss, ref_grads = _three_array_backward(model, h, data.labels, indices, lengths)
+    assert loss == ref_loss
+    assert grads.keys() == ref_grads.keys()
+    for name in grads:
+        assert grads[name].dtype == dtype
+        assert np.array_equal(grads[name], ref_grads[name])
+    one = evaluate_loss(model, data), predict_proba(model, data)
+    monkeypatch.setattr(probe, "_layers", lambda model, h: _three_array_layers(model, h)[1:])
+    three = evaluate_loss(model, data), predict_proba(model, data)
+    assert one[0] == three[0]
+    assert np.array_equal(one[1], three[1])
