@@ -10,8 +10,9 @@ GloVe and ``.vec`` vectors, a small text corpus, a seeded
 ``label<TAB>text`` task (train and test splits, a test file with a
 label that the train file lacks, and a train file with a text that
 tokenizes to nothing), malformed
-``.txt``/``.vec`` vector files, malformed vocabularies and a
-``cells.json`` whose scored record has no uniform baseline. Each tree
+``.txt``/``.vec`` vector files, malformed vocabularies, a
+``cells.json`` whose scored record has no uniform baseline and a run
+directory that holds one ``cells.json`` and a copy of it. Each tree
 then runs the whole set in a work directory of its own, naming every
 output relative to it, so both sides print the same paths:
 
@@ -21,7 +22,8 @@ output relative to it, so both sides print the same paths:
   synthetic one whose ``--output-dir`` is an input file (once with empty
   items in ``--representations``), an ``embed eigennoise`` and a ``probe
   run`` whose ``--m`` overflows a float, and a ``report aggregate`` of
-  the ``cells.json`` without a uniform baseline;
+  the ``cells.json`` without a uniform baseline and of the copied run
+  directory;
 * ``vocab build`` (conll, tsv and text) and ``report aggregate``, of
   single runs and of the whole work directory, where the desk run and
   the ``--d 1`` run share a task label at different sizes;
@@ -177,6 +179,15 @@ def make_inputs(directory: Path) -> dict[str, Path]:
         '{"cells": [{"task": "t", "representation": "random", "window": null, '
         '"frozen": true, "seed": 0, "accuracy": 0.5, "error": null, '
         '"total_bits": 12.0, "uniform_bits": null}]}\n', encoding="utf-8")
+    # a run and its copy: the same cells of the same spec
+    inputs["copied-run"] = directory / "copied-run"
+    for copy in ("run", "run-copy"):
+        (inputs["copied-run"] / copy).mkdir(parents=True)
+        (inputs["copied-run"] / copy / "cells.json").write_text(
+            '{"spec": {"task": "synthetic", "seeds": [0]}, "cells": [{"task": "t", '
+            '"representation": "random", "window": null, "frozen": true, "seed": 0, '
+            '"accuracy": 0.5, "error": null, "total_bits": 12.0, "uniform_bits": 20.0}]}\n',
+            encoding="utf-8")
     return inputs
 
 
@@ -253,6 +264,7 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
          "--m", str(10**400), "--output-dir", "never"],
         ["report", "aggregate", "--input-dir", "missing"],
         ["report", "aggregate", "--input-dir", str(inputs["no-uniform"].parent)],
+        ["report", "aggregate", "--input-dir", str(inputs["copied-run"])],
     ]
     imports = [["embed", "import", "--source", str(inputs[kind]), "--vocab", "vocab.tsv",
                 "--output", f"imported-{kind}.txt", *extra]

@@ -185,8 +185,9 @@ def run_cell(cell, ctx):
 
 def _check_probe_run(args) -> None:
     """Check what MINIMUM does not (the options that depend on each
-    other, the floats and the windows) and settle the window and duplicate
-    choices."""
+    other, the floats and the windows) and settle what ``matrix.RunSpec``
+    records: the windows, the lists without repeats, the frozen settings
+    and the splits read."""
     if args.windows is None:
         args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
     elif args.task != "conll":
@@ -221,12 +222,22 @@ def _check_probe_run(args) -> None:
     bad = [w for w in args.windows if w not in ALLOWED_WINDOWS]
     if bad:
         raise UsageError(f"windows {bad} outside supported set {ALLOWED_WINDOWS}")
+    args.frozen = {"both": (True, False), "true": (True,), "false": (False,)}[args.frozen]
+    # an unset --dev or --test is the sibling file of a --train ending in .train
+    prefix = str(args.train).removesuffix(".train")
+    for split in ("dev", "test") if prefix != str(args.train) else ():
+        sibling = Path(f"{prefix}.{split}")
+        if getattr(args, split) is None and sibling.exists():
+            setattr(args, split, str(sibling))
 
 
 def cmd_probe_run(args) -> int:
+    from dataclasses import fields
+
     from . import matrix, mdl
 
-    records = matrix.run(args)
+    spec = matrix.RunSpec(**{f.name: getattr(args, f.name) for f in fields(matrix.RunSpec)})
+    records = matrix.run(spec, args.output_dir, args.workers)
     sys.stdout.write(mdl.format_table(records))
     failures = sum(rec["error"] is not None for rec in records)
     if failures:

@@ -2,12 +2,12 @@
 
 A run scores every representation x window x frozen x seed cell of one
 task by MDL online codelength (Voita & Titov, arXiv:2003.12298) and by
-test accuracy. ``run`` takes the parsed ``probe run`` options and runs
-it all: ``matrix_cells`` lists the cells, ``build_context`` reads the
-task into what every cell shares, ``run_cell`` scores one cell,
-``run_matrix`` scores them all, and ``write_run`` writes
-``cells/*.mdl.txt``, ``cells.json`` and ``report.txt``, whose table is
-``mdl.format_table``.
+test accuracy. ``run`` takes a ``RunSpec``, the settled ``probe run``
+options, and runs it all: ``matrix_cells`` lists the cells,
+``build_context`` reads the task into what every cell shares,
+``run_cell`` scores one cell, ``run_matrix`` scores them all, and
+``write_run`` writes ``cells/*.mdl.txt``, ``cells.json`` and
+``report.txt``, whose table is ``mdl.format_table``.
 
 ``run_matrix`` hands the cells to worker processes forked after the
 context was built. The workers inherit the context through the fork, so
@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import json
 import traceback
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
@@ -45,9 +45,44 @@ from . import vocab as vocab_mod
 # the dtype every fit trains in; tables written by ``embed`` stay float64
 PROBE_DTYPE = "float32"
 
-# options copied as parsed into the spec line of cells.json and report.txt
-SPEC_OPTIONS = ("representations", "frozen", "seeds", "d", "m", "mode", "vocab_cap",
-                "lr", "hidden", "batch_size", "max_epochs", "patience")
+
+@dataclass(frozen=True)
+class RunSpec:
+    """Every setting that decides a run's bits: the ``probe run`` options
+    but ``--output-dir`` and ``--workers``, settled. Lists are tuples
+    without repeats, in the order first given; ``windows`` is empty for a
+    task without windows; ``dev`` and ``test`` are the files read,
+    siblings of a ``.train`` file included. No field has a default: the
+    parser and ``defaults`` own them. The spec line of ``cells.json`` and
+    ``report.txt`` is this spec plus the vocabulary size and the block
+    boundaries."""
+
+    task: str  # "synthetic", "tsv" or "conll"
+    kind: str  # the synthetic task's kind, train size, classes and draw seed
+    n: int
+    classes: int
+    data_seed: int
+    train: str | None  # tsv and conll: the split files and their columns
+    dev: str | None
+    test: str | None
+    token_column: int
+    label_column: int
+    representations: tuple[str, ...]  # "eigennoise", "random", or "import:<path>"
+    windows: tuple[int, ...]
+    frozen: tuple[bool, ...]  # the frozen settings to run
+    seeds: tuple[int, ...]
+    d: int  # the width of every table
+    m: int  # m, mode and completion_seed: the eigennoise table
+    mode: str
+    completion_seed: int
+    vocab_cap: int
+    case_fold: str  # "auto", "on" or "off"
+    hidden: int  # the probe.TrainConfig settings
+    lr: float
+    batch_size: int
+    max_epochs: int
+    patience: int
+    fractions: tuple[float, ...]  # the MDL block boundaries, in percent
 
 
 # --- cells ------------------------------------------------------------------
@@ -201,108 +236,90 @@ def run_matrix(ctx: MatrixContext, cells: list[CellSpec], workers: int) -> list[
             else _failed(cell, future.exception()) for cell, future in zip(cells, futures)]
 
 
-def _discover_missing_splits(args) -> tuple[str | None, str | None]:
-    """--dev and --test; an unset one is its sibling file, if there is
-    one, when --train ends in .train."""
-    prefix = str(args.train).removesuffix(".train")
-    found = []
-    for given, split in ((args.dev, "dev"), (args.test, "test")):
-        sibling = Path(f"{prefix}.{split}")
-        if given is None and prefix != str(args.train) and sibling.exists():
-            given = str(sibling)
-        found.append(given)
-    return tuple(found)
-
-
-def build_context(args) -> MatrixContext:
+def build_context(spec: RunSpec) -> MatrixContext:
     """Read the task's splits, rank the vocabulary, featurize every split
     once and build every cell's starting table, keyed by (representation,
-    seed). A conll task needs ``args.windows``; each split is featurized at
+    seed). A conll task needs ``spec.windows``; each split is featurized at
     the widest, and every window shares its labels and reads a column slice
     of its indices."""
-    if args.task == "synthetic":
-        eval_n = max(args.classes * 10, args.n // 5)
+    if spec.task == "synthetic":
+        eval_n = max(spec.classes * 10, spec.n // 5)
         splits = {
-            split: datasets.synth_task(args.kind, n, k=args.classes,
-                                       seed=args.data_seed, split=split)
-            for split, n in (("train", args.n), ("dev", eval_n), ("test", eval_n))
+            split: datasets.synth_task(spec.kind, n, k=spec.classes,
+                                       seed=spec.data_seed, split=split)
+            for split, n in (("train", spec.n), ("dev", eval_n), ("test", eval_n))
         }
-        task_label = f"synthetic-{args.kind}"
+        task_label = f"synthetic-{spec.kind}"
     else:
-        dev, test = _discover_missing_splits(args)
-        train = datasets.read_split(args.task, args.train, args.token_column,
-                                    args.label_column)
+        train = datasets.read_split(spec.task, spec.train, spec.token_column,
+                                    spec.label_column)
         splits = {"train": train}
-        for name, path in (("dev", dev), ("test", test)):
+        for name, path in (("dev", spec.dev), ("test", spec.test)):
             if path is not None:
-                ds = datasets.read_split(args.task, path, args.token_column,
-                                         args.label_column)
+                ds = datasets.read_split(spec.task, path, spec.token_column,
+                                         spec.label_column)
                 try:
                     splits[name] = replace(ds, label_set=train.label_set)
                 except ValueError as exc:
                     raise ValueError(f"{path}: {exc}") from None
-        task_label = Path(args.train).stem
+        task_label = Path(spec.train).stem
     voc = vocab_mod.build_vocab(chain.from_iterable(splits["train"].tokens),
-                                case_fold=datasets.resolve_case_fold(args.case_fold,
-                                                                     args.task),
-                                max_size=args.vocab_cap)
-    if args.d > voc.size:
+                                case_fold=datasets.resolve_case_fold(spec.case_fold,
+                                                                     spec.task),
+                                max_size=spec.vocab_cap)
+    if spec.d > voc.size:
         raise ValueError(
-            f"embedding dimension {args.d} exceeds vocabulary size {voc.size}"
+            f"embedding dimension {spec.d} exceeds vocabulary size {voc.size}"
         )
 
     def featurize(ds) -> dict:
-        if args.task == "conll":
-            widest = max(args.windows)
+        if spec.task == "conll":
+            widest = max(spec.windows)
             wide = probe_mod.token_window_data(ds, voc, widest)
             return {w: replace(wide, indices=wide.indices[:, widest - w:widest + w + 1])
-                    for w in args.windows}
+                    for w in spec.windows}
         return {None: probe_mod.sequence_data(ds, voc)}
 
     data = {name: featurize(ds) for name, ds in splits.items()}
 
     tables = {}
-    for rep in args.representations:
+    for rep in spec.representations:
         if rep == "eigennoise":
             table = _probe_table(eigen.to_embedding(eigen.eigennoise_analytic(
-                voc.size, args.d, m=args.m, mode=args.mode,
-                completion_seed=args.completion_seed)))
+                voc.size, spec.d, m=spec.m, mode=spec.mode,
+                completion_seed=spec.completion_seed)))
         elif rep.startswith("import:"):
             table = _probe_table(embeddings.import_text(rep.split(":", 1)[1], voc,
-                                                        expected_d=args.d)[0])
-        for seed in args.seeds:  # a random table is drawn per seed; the others are shared
+                                                        expected_d=spec.d)[0])
+        for seed in spec.seeds:  # a random table is drawn per seed; the others are shared
             tables[rep, seed] = (table if rep != "random" else _probe_table(
-                embeddings.random_table(voc.size, args.d, seed)))
+                embeddings.random_table(voc.size, spec.d, seed)))
 
     n_train = len(next(iter(data["train"].values())))
     config = probe_mod.TrainConfig(
-        lr=args.lr, patience=args.patience, batch_size=args.batch_size,
-        max_epochs=args.max_epochs, hidden=args.hidden)
+        lr=spec.lr, patience=spec.patience, batch_size=spec.batch_size,
+        max_epochs=spec.max_epochs, hidden=spec.hidden)
     return MatrixContext(
         task_label=task_label,
         vocab=voc,
         train_data=data["train"],
         dev_data=data.get("dev", {}),
         test_data=data.get("test", {}),
-        schedule=mdl.make_schedule(n_train, fractions=args.fractions),
+        schedule=mdl.make_schedule(n_train, fractions=spec.fractions),
         config_base=config,
         tables=tables,
     )
 
 
-def matrix_cells(args) -> list[CellSpec]:
+def matrix_cells(spec: RunSpec) -> list[CellSpec]:
     """Only token (conll) tasks have windows; other tasks get window None.
     Two representations whose cells would share a file name are refused."""
-    if args.frozen == "both":
-        frozen_options = (True, False)
-    else:
-        frozen_options = (args.frozen == "true",)
     cells = [
         CellSpec(representation=rep, window=w, frozen=fr, seed=seed)
-        for rep in args.representations
-        for w in args.windows or (None,)
-        for fr in frozen_options
-        for seed in args.seeds
+        for rep in spec.representations
+        for w in spec.windows or (None,)
+        for fr in spec.frozen
+        for seed in spec.seeds
     ]
     owners = {}
     for cell in cells:
@@ -313,23 +330,23 @@ def matrix_cells(args) -> list[CellSpec]:
     return cells
 
 
-def run(args) -> list[dict]:
-    """Run the matrix that the parsed ``probe run`` options describe: list
-    the cells, read the task, make ``--output-dir``/cells, score every cell
-    and write the run. A faulty option or task raises before anything is
-    written, and an unusable output directory before any cell is scored.
-    Returns the cell records in cell-name order."""
-    cells = matrix_cells(args)
-    ctx = build_context(args)
-    out_dir = Path(args.output_dir)
+def run(spec: RunSpec, out_dir, workers: int) -> list[dict]:
+    """Run the matrix that ``spec`` describes on ``workers`` processes:
+    list the cells, read the task, make ``out_dir``/cells, score every
+    cell and write the run. A faulty spec or task raises before anything
+    is written, and an unusable output directory before any cell is
+    scored. Returns the cell records in cell-name order."""
+    cells = matrix_cells(spec)
+    ctx = build_context(spec)
+    out_dir = Path(out_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
-    return write_run(out_dir, args, ctx, run_matrix(ctx, cells, args.workers))
+    return write_run(out_dir, spec, ctx, run_matrix(ctx, cells, workers))
 
 
 # --- reports ----------------------------------------------------------------
 
 
-def write_run(out_dir: Path, args, ctx: MatrixContext,
+def write_run(out_dir: Path, spec: RunSpec, ctx: MatrixContext,
               results: list[CellResult]) -> list[dict]:
     """Write ``cells/<cell>.mdl.txt`` per scored cell,
     ``cells/<cell>.error.txt`` (its traceback) per failed cell,
@@ -350,14 +367,13 @@ def write_run(out_dir: Path, args, ctx: MatrixContext,
             error_path.unlink(missing_ok=True)
     records = [res.to_record(ctx.task_label) for res in results]
 
-    spec = {name: getattr(args, name) for name in SPEC_OPTIONS}
-    spec.update(task=ctx.task_label, windows=args.windows or None,
-                vocab_size=ctx.vocab.size, boundaries=ctx.schedule.boundaries)
+    line = asdict(spec) | {"vocab_size": ctx.vocab.size,
+                           "boundaries": ctx.schedule.boundaries}
     (out_dir / "cells.json").write_text(
-        json.dumps({"spec": spec, "cells": records}, sort_keys=True, indent=2) + "\n",
+        json.dumps({"spec": line, "cells": records}, sort_keys=True, indent=2) + "\n",
         encoding="utf-8")
 
-    body_lines = ["spec: " + json.dumps(spec, sort_keys=True), "",
+    body_lines = ["spec: " + json.dumps(line, sort_keys=True), "",
                   mdl.format_table(records), "cells:"]
     for rec in records:
         status = rec["error"] if rec["error"] else (

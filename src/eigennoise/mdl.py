@@ -246,11 +246,14 @@ def read_records(input_dir) -> list[dict]:
     """The cell records of every ``cells.json`` under ``input_dir``. A file
     that is not JSON, holds no ``cells`` list, or holds a record without one
     of ``RECORD_KEYS`` (those ``format_table`` reads) or with a ``_type_fault``
-    raises a ValueError that names it."""
+    raises a ValueError that names it; so does a cell that an earlier record
+    of the same spec (``{}`` when a file has none) already scored, naming
+    both files, because ``format_table`` would count it as a seed twice."""
     paths = sorted(Path(input_dir).rglob("cells.json"))
     if not paths:
         raise ValueError(f"no cells.json found under {input_dir}")
     records = []
+    seen = {}  # (spec, task, cell) -> the file that holds it
     for path in paths:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -266,6 +269,15 @@ def read_records(input_dir) -> list[dict]:
             fault = _type_fault(rec)
             if fault is not None:
                 raise ValueError(f"{path}: cell {i}: {fault}")
+            cell = tuple(rec.get(key) for key in ("representation", "window", "frozen", "seed"))
+            key = (json.dumps(payload.get("spec", {}), sort_keys=True), rec["task"], cell)
+            if key in seen:
+                rep, window, frozen, seed = cell
+                raise ValueError(
+                    f"{path}: cell {i} (representation={rep}, window={window}, "
+                    f"frozen={frozen}, seed={seed}) repeats a cell of {seen[key]} "
+                    "with the same spec")
+            seen[key] = path
         records.extend(cells)
     return records
 

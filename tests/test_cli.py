@@ -2,13 +2,15 @@ import concurrent.futures
 import json
 import multiprocessing
 import os
+import shutil
 import subprocess
 import sys
+from dataclasses import MISSING, FrozenInstanceError, fields
 from pathlib import Path
 
 import pytest
 
-from eigennoise import cli, eigen, embeddings, matrix, mdl, probe
+from eigennoise import cli, defaults, eigen, embeddings, matrix, mdl, probe
 from eigennoise.vocab import read_vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -330,6 +332,18 @@ def _tiny_synthetic_args(out_dir, seeds="0", extra=()):
             "--seeds", seeds, "--output-dir", str(out_dir), *extra]
 
 
+def _tiny_synthetic_spec():
+    """The run spec of ``_tiny_synthetic_args``, built without the parser."""
+    return matrix.RunSpec(
+        task="synthetic", kind="separable", n=80, classes=2, data_seed=7, train=None,
+        dev=None, test=None, token_column=0, label_column=3,
+        representations=("eigennoise", "random"), windows=(), frozen=(True, False),
+        seeds=(0,), d=8, m=defaults.DEFAULT_WINDOW, mode="linear", completion_seed=0,
+        vocab_cap=defaults.DEFAULT_MAX_SIZE, case_fold="auto", hidden=16,
+        lr=defaults.DEFAULT_LR, batch_size=defaults.DEFAULT_BATCH_SIZE, max_epochs=8,
+        patience=defaults.DEFAULT_PATIENCE, fractions=defaults.DEFAULT_FRACTIONS)
+
+
 def test_probe_run_synthetic_end_to_end(tmp_path):
     out_dir = tmp_path / "run"
     rc = cli.main(_tiny_synthetic_args(out_dir))
@@ -471,18 +485,42 @@ def test_probe_run_conll_cells_json_reproducible(tmp_path):
     assert len(cells) == 12 and all(c["error"] is None for c in cells)
 
 
-def test_probe_run_leaves_the_shared_tables_unmodified(tmp_path):
-    args = cli.build_parser().parse_args(_tiny_synthetic_args(tmp_path / "run"))
+def test_probe_run_leaves_the_shared_tables_unmodified():
+    spec = _tiny_synthetic_spec()
     with cli._one_blas_thread():
-        ctx = matrix.build_context(args)
+        ctx = matrix.build_context(spec)
         before = {key: table.rows.copy() for key, table in ctx.tables.items()}
-        results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(args)]
+        results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(spec)]
     assert {res.cell.frozen for res in results if res.error is None} == {True, False}
     assert set(before) == {("eigennoise", 0), ("random", 0)}
     # every cell starts from a PROBE_DTYPE table, the random one included
     for key, rows in before.items():
         assert ctx.tables[key].rows.dtype == matrix.PROBE_DTYPE
         assert ctx.tables[key].rows.tobytes() == rows.tobytes()
+
+
+def test_discover_missing_splits(tmp_path, monkeypatch):
+    monkeypatch.setattr(matrix, "run_matrix", lambda ctx, cells, workers: [])
+    text = (FIXTURES / "tiny.conll.train").read_text(encoding="utf-8")
+    for name in ("task.train", "task.dev", "task.test", "other.dev"):
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    train = str(tmp_path / "task.train")
+
+    def settled(*argv):
+        """The dev and test files that the run's spec line records."""
+        out = tmp_path / "run"
+        assert _run("probe", "run", "--task", "conll", *argv, "--windows", "0",
+                    "--d", "2", "--fractions", "25,50,100", "--output-dir", str(out)) == 0
+        spec = json.loads((out / "cells.json").read_text(encoding="utf-8"))["spec"]
+        return spec["dev"], spec["test"]
+
+    assert settled("--train", train) == (str(tmp_path / "task.dev"),
+                                         str(tmp_path / "task.test"))
+    explicit = str(tmp_path / "other.dev")
+    assert settled("--train", train, "--dev", explicit) == (explicit,
+                                                            str(tmp_path / "task.test"))
+    # without the .train suffix there is no prefix to look beside
+    assert settled("--train", str(tmp_path / "task.dev")) == (None, None)
 
 
 def test_probe_run_discovers_sibling_splits(tmp_path):
@@ -675,14 +713,38 @@ def test_report_aggregate_keeps_runs_of_different_sizes_apart(tmp_path, capsys):
     assert sorted(rows) == sorted(run_rows)
 
 
-def test_matrix_runs_from_parsed_arguments(tmp_path):
+def test_matrix_runs_from_a_run_spec(tmp_path):
     assert cli.main(_tiny_synthetic_args(tmp_path / "cli")) == 0
-    args = cli.build_parser().parse_args(_tiny_synthetic_args(tmp_path / "direct"))
+    spec = _tiny_synthetic_spec()
     with cli._one_blas_thread():
-        records = matrix.run(args)
+        records = matrix.run(spec, tmp_path / "direct", 2)
     assert len(records) == 4 and all(rec["error"] is None for rec in records)
     assert ((tmp_path / "direct" / "cells.json").read_bytes()
             == (tmp_path / "cli" / "cells.json").read_bytes())
+    # every field must be given, and a spec is never settled again
+    assert all(f.default is f.default_factory is MISSING for f in fields(matrix.RunSpec))
+    with pytest.raises(TypeError):
+        matrix.RunSpec(task="synthetic")
+    with pytest.raises(FrozenInstanceError):
+        spec.seeds = (0, 1)
+
+
+def test_the_spec_line_holds_every_setting(tmp_path):
+    def spec_line(name, *extra):
+        out = tmp_path / name
+        assert cli.main(_tiny_synthetic_args(out, extra=extra)) == 0
+        spec = json.loads((out / "cells.json").read_text(encoding="utf-8"))["spec"]
+        body = (out / "report.txt").read_text(encoding="utf-8").splitlines()[1]
+        assert body == "spec: " + json.dumps(spec, sort_keys=True)
+        return spec
+
+    base = spec_line("base")
+    assert set(base) == {f.name for f in fields(matrix.RunSpec)} | {"vocab_size",
+                                                                    "boundaries"}
+    assert (base["frozen"], base["windows"], base["seeds"]) == ([True, False], [], [0])
+    for option, key in (("--completion-seed", "completion_seed"), ("--data-seed", "data_seed")):
+        changed = spec_line(key, option, "11")
+        assert changed != base and changed == {**base, key: 11}
 
 
 # every default of probe run --task synthetic, written out as options
@@ -752,6 +814,32 @@ def test_report_aggregate_names_a_malformed_cells_json(tmp_path, capsys, text, c
     path.write_text(text, encoding="utf-8")
     assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_DATA
     assert capsys.readouterr().err.startswith(f"data error: {path}: {cause}")
+
+
+def test_report_aggregate_refuses_a_repeated_cell(tmp_path, capsys):
+    assert cli.main(_tiny_synthetic_args(tmp_path / "run")) == 0
+    shutil.copytree(tmp_path / "run", tmp_path / "run-copy")
+    capsys.readouterr()
+    assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 'run-copy' / 'cells.json'}: cell 0 "
+        "(representation=eigennoise, window=None, frozen=True, seed=0) repeats a cell "
+        f"of {tmp_path / 'run' / 'cells.json'} with the same spec\n")
+    # a file without a spec has the spec {}; another seed is another cell
+    runs = tmp_path / "hand"
+    runs.mkdir()
+    (runs / "cells.json").write_text(json.dumps(
+        {"cells": [_RECORD, {**_RECORD, "seed": 1}, {**_RECORD, "task": "u"}]}),
+        encoding="utf-8")
+    assert _run("report", "aggregate", "--input-dir", str(runs)) == cli.EXIT_OK
+    (runs / "copy").mkdir()
+    (runs / "copy" / "cells.json").write_text(json.dumps({"spec": {}, "cells": [_RECORD]}),
+                                              encoding="utf-8")
+    capsys.readouterr()
+    assert _run("report", "aggregate", "--input-dir", str(runs)) == cli.EXIT_DATA
+    assert capsys.readouterr().err.startswith(
+        f"data error: {runs / 'copy' / 'cells.json'}: cell 0 (representation=random, "
+        f"window=0, frozen=True, seed=0) repeats a cell of {runs / 'cells.json'} ")
 
 
 def test_missing_train_file_is_data_error(tmp_path):

@@ -4,57 +4,42 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigennoise import cli, datasets, embeddings, matrix, mdl, probe, vocab
+from eigennoise import cli, datasets, defaults, embeddings, matrix, mdl, probe, vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
-
-def _parse(*argv):
-    return cli.build_parser().parse_args(["probe", "run", *argv])
-
-
-def test_discover_missing_splits(tmp_path):
-    for name in ("task.train", "task.dev", "task.test", "other.dev"):
-        (tmp_path / name).write_text("x O\n", encoding="utf-8")
-    train = str(tmp_path / "task.train")
-
-    args = _parse("--task", "conll", "--train", train, "--output-dir", "out")
-    assert matrix._discover_missing_splits(args) == (str(tmp_path / "task.dev"),
-                                                     str(tmp_path / "task.test"))
-    assert (args.dev, args.test) == (None, None)  # the options are only read
-
-    explicit = str(tmp_path / "other.dev")
-    args = _parse("--task", "conll", "--train", train, "--dev", explicit,
-                  "--output-dir", "out")
-    assert matrix._discover_missing_splits(args) == (explicit, str(tmp_path / "task.test"))
-
-    # without the .train suffix there is no prefix to look beside
-    args = _parse("--task", "conll", "--train", str(tmp_path / "task.dev"),
-                  "--output-dir", "out")
-    assert matrix._discover_missing_splits(args) == (None, None)
+# the spec of `probe run --task synthetic` with every default
+BASE = matrix.RunSpec(
+    task="synthetic", kind="separable", n=2000, classes=2, data_seed=7, train=None,
+    dev=None, test=None, token_column=0, label_column=3,
+    representations=("eigennoise", "random"), windows=(), frozen=(True, False),
+    seeds=(0, 1234, 322111), d=50, m=defaults.DEFAULT_WINDOW, mode="linear",
+    completion_seed=0, vocab_cap=defaults.DEFAULT_MAX_SIZE, case_fold="auto",
+    hidden=defaults.DEFAULT_HIDDEN, lr=defaults.DEFAULT_LR,
+    batch_size=defaults.DEFAULT_BATCH_SIZE, max_epochs=defaults.DEFAULT_MAX_EPOCHS,
+    patience=defaults.DEFAULT_PATIENCE, fractions=defaults.DEFAULT_FRACTIONS)
+TINY_CONLL = {"task": "conll", "train": str(FIXTURES / "tiny.conll.train"),
+              "test": str(FIXTURES / "tiny.conll.test")}  # its sibling test file
 
 
-def test_cells_never_write_to_shared_table(tmp_path):
-    args = _parse("--task", "synthetic", "--n", "80", "--d", "8", "--hidden", "16",
-                  "--max-epochs", "4", "--seeds", "0", "--representations", "eigennoise",
-                  "--output-dir", str(tmp_path))
+def test_cells_never_write_to_shared_table():
+    spec = replace(BASE, n=80, d=8, hidden=16, max_epochs=4, seeds=(0,),
+                   representations=("eigennoise",))
     with cli._one_blas_thread():
-        ctx = matrix.build_context(args)
+        ctx = matrix.build_context(spec)
         shared = ctx.tables["eigennoise", 0]
         before = shared.rows.copy()
-        results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(args)]
+        results = [matrix.run_cell(cell, ctx) for cell in matrix.matrix_cells(spec)]
     assert sorted(res.cell.frozen for res in results) == [False, True]
     assert all(res.error is None for res in results)
     assert np.array_equal(shared.rows, before)
     assert not shared.trainable
 
 
-def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(tmp_path, monkeypatch):
+def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(monkeypatch):
     glove = FIXTURES / "tiny.glove.txt"
-    args = _parse("--task", "conll", "--train", str(FIXTURES / "tiny.conll.train"),
-                  "--windows", "0,2", "--d", "4", "--hidden", "8", "--max-epochs", "2",
-                  "--seeds", "0", "--representations", f"eigennoise,import:{glove}",
-                  "--output-dir", str(tmp_path))
+    spec = replace(BASE, **TINY_CONLL, windows=(0, 2), d=4, hidden=8, max_epochs=2,
+                   seeds=(0,), representations=("eigennoise", f"import:{glove}"))
     fits = []
     train_probe = probe.train_probe
 
@@ -64,9 +49,9 @@ def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(tmp_path, monkeyp
 
     monkeypatch.setattr(probe, "train_probe", spy_train)
     with cli._one_blas_thread():
-        ctx = matrix.build_context(args)
+        ctx = matrix.build_context(spec)
         before = {key: table.rows.copy() for key, table in ctx.tables.items()}
-        for cell in matrix.matrix_cells(args):
+        for cell in matrix.matrix_cells(spec):
             start = len(fits)
             assert matrix.run_cell(cell, ctx).error is None
             shared = ctx.tables[cell.representation, cell.seed]
@@ -84,11 +69,9 @@ def test_frozen_fits_share_the_table_and_unfrozen_fits_copy_it(tmp_path, monkeyp
         assert np.array_equal(table.rows, before[key])
 
 
-def test_each_seed_draws_one_random_table_that_its_cells_start_from(tmp_path, monkeypatch):
-    args = _parse("--task", "conll", "--train", str(FIXTURES / "tiny.conll.train"),
-                  "--windows", "0,2", "--frozen", "both", "--seeds", "0,1", "--d", "4",
-                  "--hidden", "8", "--max-epochs", "2", "--fractions", "50,100",
-                  "--representations", "eigennoise,random", "--output-dir", str(tmp_path))
+def test_each_seed_draws_one_random_table_that_its_cells_start_from(monkeypatch):
+    spec = replace(BASE, **TINY_CONLL, windows=(0, 2), seeds=(0, 1), d=4, hidden=8,
+                   max_epochs=2, fractions=(50.0, 100.0))
     draws, fits = [], []
     random_table, train_probe = embeddings.random_table, probe.train_probe
 
@@ -103,12 +86,12 @@ def test_each_seed_draws_one_random_table_that_its_cells_start_from(tmp_path, mo
     monkeypatch.setattr(embeddings, "random_table", spy_draw)
     monkeypatch.setattr(probe, "train_probe", spy_train)
     with cli._one_blas_thread():
-        ctx = matrix.build_context(args)
+        ctx = matrix.build_context(spec)
         assert draws == [0, 1]  # not one draw per cell: 8 random cells
         assert ctx.tables["eigennoise", 0] is ctx.tables["eigennoise", 1]
         assert ctx.tables["random", 0] is not ctx.tables["random", 1]
         before = {key: table.rows.copy() for key, table in ctx.tables.items()}
-        for cell in matrix.matrix_cells(args):
+        for cell in matrix.matrix_cells(spec):
             start = len(fits)
             assert matrix.run_cell(cell, ctx).error is None
             shared = ctx.tables[cell.representation, cell.seed]
@@ -121,18 +104,16 @@ def test_each_seed_draws_one_random_table_that_its_cells_start_from(tmp_path, mo
         assert table.rows.tobytes() == before[key].tobytes()
 
 
-def _frozen_desk(tmp_path):
+def _frozen_desk():
     """A small frozen synthetic (mean-pooled) task and its context."""
-    args = _parse("--task", "synthetic", "--n", "300", "--d", "8", "--hidden", "16",
-                  "--max-epochs", "3", "--seeds", "0", "--frozen", "true",
-                  "--output-dir", str(tmp_path))
+    spec = replace(BASE, n=300, d=8, hidden=16, max_epochs=3, seeds=(0,), frozen=(True,))
     with cli._one_blas_thread():
-        return matrix.build_context(args)
+        return matrix.build_context(spec)
 
 
 @pytest.mark.parametrize("rep", ["eigennoise", "random"])
-def test_pooled_features_match_the_per_batch_gather(tmp_path, rep):
-    ctx = _frozen_desk(tmp_path)
+def test_pooled_features_match_the_per_batch_gather(rep):
+    ctx = _frozen_desk()
     cell = matrix.CellSpec(representation=rep, window=None, frozen=True, seed=0)
     base = ctx.tables[rep, 0]
     size = ctx.config_base.batch_size
@@ -151,8 +132,8 @@ def test_pooled_features_match_the_per_batch_gather(tmp_path, rep):
         assert np.array_equal(pooled.features, probe.gather_features(data, base))
 
 
-def test_frozen_mean_cell_pools_each_split_once(tmp_path, monkeypatch):
-    ctx = _frozen_desk(tmp_path)
+def test_frozen_mean_cell_pools_each_split_once(monkeypatch):
+    ctx = _frozen_desk()
     cell = matrix.CellSpec(representation="eigennoise", window=None, frozen=True, seed=0)
     gathered, fits = [], []
     gather, train_probe = probe.gather_features, probe.train_probe
@@ -182,8 +163,8 @@ def test_frozen_mean_cell_pools_each_split_once(tmp_path, monkeypatch):
         assert model.w1.dtype == model.w2.dtype == np.float32
 
 
-def test_frozen_mean_cell_scores_as_if_trained_on_the_table(tmp_path):
-    ctx = _frozen_desk(tmp_path)
+def test_frozen_mean_cell_scores_as_if_trained_on_the_table():
+    ctx = _frozen_desk()
     cell = matrix.CellSpec(representation="random", window=None, frozen=True, seed=0)
     with cli._one_blas_thread():
         result = matrix.run_cell(cell, ctx)
@@ -206,13 +187,10 @@ def test_frozen_mean_cell_scores_as_if_trained_on_the_table(tmp_path):
     assert result.accuracy == accuracy
 
 
-def test_synthetic_task_does_not_depend_on_d(tmp_path):
-    contexts = []
-    for d in ("2", "8"):
-        args = _parse("--task", "synthetic", "--n", "60", "--d", d, "--seeds", "0",
-                      "--representations", "random", "--output-dir", str(tmp_path))
-        contexts.append(matrix.build_context(args))
-    narrow, wide = contexts
+def test_synthetic_task_does_not_depend_on_d():
+    narrow, wide = (matrix.build_context(replace(BASE, n=60, d=d, seeds=(0,),
+                                                 representations=("random",)))
+                    for d in (2, 8))
     assert (narrow.tables["random", 0].d, wide.tables["random", 0].d) == (2, 8)
     for split in ("train_data", "dev_data", "test_data"):
         a, b = getattr(narrow, split)[None], getattr(wide, split)[None]
@@ -230,10 +208,9 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
             labels=tuple(tuple(rng.choice(["A", "B", "C"], k)) for k in lengths),
             label_set=("A", "B", "C"))
         datasets.write_conll(ds, tmp_path / f"task.{split}")
-    args = _parse("--task", "conll", "--train", str(tmp_path / "task.train"),
-                  "--label-column", "1", "--windows", "0,2,5,10",
-                  "--representations", "random", "--d", "4",
-                  "--output-dir", str(tmp_path / "out"))
+    spec = replace(BASE, task="conll", train=str(tmp_path / "task.train"),
+                   dev=str(tmp_path / "task.dev"), test=str(tmp_path / "task.test"),
+                   label_column=1, windows=(0, 2, 5, 10), representations=("random",), d=4)
     featurized = []
     window_data = probe.token_window_data
 
@@ -243,7 +220,7 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
 
     monkeypatch.setattr(probe, "token_window_data", spy)
     with cli._one_blas_thread():
-        ctx = matrix.build_context(args)
+        ctx = matrix.build_context(spec)
     assert featurized == [(60, 10), (20, 10), (20, 10)]
     label_set = datasets.parse_conll(tmp_path / "task.train", 0, 1).label_set
     for split, data in (("train", ctx.train_data), ("dev", ctx.dev_data),
@@ -273,9 +250,7 @@ def test_dimension_above_vocabulary_fails_before_featurizing(tmp_path, monkeypat
     task_args = {"synthetic": ["--n", "40"], "tsv": ["--train", str(train)],
                  "conll": ["--train", str(train), "--label-column", "1"]}[task]
     if task == "synthetic":  # the training split that probe run draws
-        args = _parse("--task", "synthetic", "--n", "40", "--output-dir", "out")
-        train_ds = datasets.synth_task(args.kind, 40, k=args.classes,
-                                       seed=args.data_seed)
+        train_ds = datasets.synth_task(BASE.kind, 40, k=BASE.classes, seed=BASE.data_seed)
         n = vocab.build_vocab(t for text in train_ds.tokens for t in text).size
     else:
         n = 3  # EU, rejects, German; or good, day, bad
