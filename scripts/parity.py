@@ -40,10 +40,14 @@ output relative to it, so both sides print the same paths:
   0, 2, 5 and 10; frozen and unfrozen; seed 0) and an 8-cell tsv run
   (seeds 0 and 1) with a test split and no dev split, so every stage and
   the accuracy fit hold out their own dev examples;
+* after the whole-directory aggregate, so that what they write is not
+  aggregated: a synthetic run at ``--seeds 0,1``, one at ``--seeds 1``
+  and a ``report aggregate`` of the two (runs of one setting that share
+  a seed), then a rerun at ``--seeds 0`` into the first run's directory,
+  which must leave no file of seed 1 behind;
 * last, a token-zipf ``probe run`` over two copies of the GloVe file
   whose paths give their cells one file name (``vectors/glove.txt`` and
-  ``vectors_glove.txt``), after the whole-directory aggregate so that
-  whatever it writes is not aggregated.
+  ``vectors_glove.txt``).
 
 It compares the exit code, stdout and stderr of every command, then every
 file in the two work directories, ``report.txt`` without its timestamp
@@ -313,6 +317,11 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
         ["report", "aggregate", "--input-dir", "desk"],
         ["report", "aggregate", "--input-dir", "zipf", "--output", "zipf-aggregate.txt"],
         ["report", "aggregate", "--input-dir", "."],
+        *(["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", seeds,
+           "--output-dir", out] for seeds, out in (("0,1", "seeds/0-1"), ("1", "seeds/1"))),
+        ["report", "aggregate", "--input-dir", "seeds"],
+        ["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", "0",
+         "--output-dir", "seeds/0-1"],
         ["probe", "run", "--task", "conll", *task, "--representations",
          f"import:{inputs['glove-nested']},import:{inputs['glove-flat']}",
          "--windows", "0", "--frozen", "true", "--seeds", "0", "--max-epochs", "2",

@@ -5,9 +5,9 @@ task by MDL online codelength (Voita & Titov, arXiv:2003.12298) and by
 test accuracy. ``run`` takes a ``RunSpec``, the settled ``probe run``
 options, and runs it all: ``matrix_cells`` lists the cells,
 ``build_context`` reads the task into what every cell shares,
-``run_cell`` scores one cell, ``run_matrix`` scores them all, and
-``write_run`` writes ``cells/*.mdl.txt``, ``cells.json`` and
-``report.txt``, whose table is ``mdl.format_table``.
+``run_cell`` scores one cell, ``run_matrix`` yields each cell's result as
+it finishes, and ``write_run`` writes ``cells.json`` and ``report.txt``,
+whose table is ``mdl.format_table``.
 
 ``run_matrix`` hands the cells to worker processes forked after the
 context was built. The workers inherit the context through the fork, so
@@ -31,8 +31,12 @@ cell.
 
 from __future__ import annotations
 
+import ctypes
 import json
+import os
+import signal
 import traceback
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import chain
@@ -198,17 +202,28 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
 _worker_ctx: MatrixContext | None = None
 
 
-def _init_worker(ctx: MatrixContext) -> None:
+def _init_worker(ctx: MatrixContext, parent: int) -> None:
+    """Keep ``ctx`` for the worker's cells. Where libc has ``prctl``
+    (Linux), ask the kernel to kill this worker when the thread that forked
+    it exits, so no worker outlives a stopped run; a worker whose parent
+    ``parent`` died before that request has another parent, and exits."""
     global _worker_ctx
     _worker_ctx = ctx
+    prctl = getattr(ctypes.CDLL(None), "prctl", None)
+    if prctl is not None:
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
+    if os.getppid() != parent:
+        os._exit(1)
 
 
 def _run_worker_cell(cell: CellSpec) -> CellResult:
     return run_cell(cell, _worker_ctx)
 
 
-def run_matrix(ctx: MatrixContext, cells: list[CellSpec], workers: int) -> list[CellResult]:
-    """Score ``cells`` on ``min(workers, len(cells))`` forked processes.
+def run_matrix(ctx: MatrixContext, cells: list[CellSpec],
+               workers: int) -> Iterator[CellResult]:
+    """Yield ``cells``' results as ``min(workers, len(cells))`` forked processes score them.
 
     ``fork``, not ``spawn``: a worker starts with the context already
     built, which it receives through the initializer's arguments and so
@@ -216,24 +231,26 @@ def run_matrix(ctx: MatrixContext, cells: list[CellSpec], workers: int) -> list[
     pool forks every worker on the first submit, before it starts its
     manager thread, and this starts no thread itself, so no worker
     inherits a lock another thread held. A dead worker breaks the pool:
-    every cell it left unscored fails. The workers are joined before this
-    returns, so the process's resource usage counts theirs. Where
-    ``fork`` is unavailable, cells are scored in the calling process.
+    every cell it left unscored fails. The workers are joined once the
+    iterator is exhausted, so the process's resource usage counts theirs.
+    Without ``fork``, the calling process scores the cells in turn.
     """
     import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
+    from concurrent.futures import ProcessPoolExecutor, as_completed
 
     # unfrozen cells take about twice as long as frozen ones (an n=500 desk
     # cell, 2 cores: 0.7-0.9 s against 0.3-0.5 s): start them first
     cells = sorted(cells, key=lambda c: c.frozen)
     if "fork" not in multiprocessing.get_all_start_methods():
-        return [run_cell(cell, ctx) for cell in cells]
+        yield from (run_cell(cell, ctx) for cell in cells)
+        return
     with ProcessPoolExecutor(min(workers, len(cells)),
                              mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=(ctx,)) as pool:
-        futures = [pool.submit(_run_worker_cell, cell) for cell in cells]
-    return [future.result() if future.exception() is None
-            else _failed(cell, future.exception()) for cell, future in zip(cells, futures)]
+                             initializer=_init_worker, initargs=(ctx, os.getpid())) as pool:
+        futures = {pool.submit(_run_worker_cell, cell): cell for cell in cells}
+        for future in as_completed(futures):
+            yield (future.result() if future.exception() is None
+                   else _failed(futures[future], future.exception()))
 
 
 def build_context(spec: RunSpec) -> MatrixContext:
@@ -331,16 +348,26 @@ def matrix_cells(spec: RunSpec) -> list[CellSpec]:
 
 
 def run(spec: RunSpec, out_dir, workers: int) -> list[dict]:
-    """Run the matrix that ``spec`` describes on ``workers`` processes:
-    list the cells, read the task, make ``out_dir``/cells, score every
-    cell and write the run. A faulty spec or task raises before anything
-    is written, and an unusable output directory before any cell is
-    scored. Returns the cell records in cell-name order."""
+    """Run the matrix that ``spec`` describes on ``workers`` processes: list
+    the cells, read the task, delete ``out_dir``'s old outputs, write each
+    cell's file as it finishes, then the run's. A faulty spec or task raises
+    before any file is touched. Returns the records in cell-name order."""
     cells = matrix_cells(spec)
     ctx = build_context(spec)
     out_dir = Path(out_dir)
     (out_dir / "cells").mkdir(parents=True, exist_ok=True)
-    return write_run(out_dir, spec, ctx, run_matrix(ctx, cells, workers))
+    for path in [*out_dir.glob("cells/*.mdl.txt"), *out_dir.glob("cells/*.error.txt"),
+                 out_dir / "cells.json", out_dir / "report.txt"]:
+        path.unlink(missing_ok=True)
+    results = []
+    for res in run_matrix(ctx, cells, workers):
+        stem = out_dir / "cells" / res.cell.name
+        if res.report is not None:
+            mdl.write_report(res.report, f"{stem}.mdl.txt")
+        else:
+            Path(f"{stem}.error.txt").write_text(res.traceback, encoding="utf-8")
+        results.append(res)
+    return write_run(out_dir, spec, ctx, results)
 
 
 # --- reports ----------------------------------------------------------------
@@ -348,23 +375,9 @@ def run(spec: RunSpec, out_dir, workers: int) -> list[dict]:
 
 def write_run(out_dir: Path, spec: RunSpec, ctx: MatrixContext,
               results: list[CellResult]) -> list[dict]:
-    """Write ``cells/<cell>.mdl.txt`` per scored cell,
-    ``cells/<cell>.error.txt`` (its traceback) per failed cell,
-    ``cells.json`` and ``report.txt`` under ``out_dir``, whose ``cells``
-    directory exists. Returns the cell records in cell-name order."""
+    """Write ``cells.json`` and ``report.txt`` under ``out_dir``. Returns
+    the cell records in cell-name order."""
     results = sorted(results, key=lambda r: r.cell.name)
-    for res in results:
-        # a file an earlier run into this directory wrote for the cell is stale
-        mdl_path = out_dir / "cells" / f"{res.cell.name}.mdl.txt"
-        if res.report is not None:
-            mdl.write_report(res.report, mdl_path)
-        else:
-            mdl_path.unlink(missing_ok=True)
-        error_path = out_dir / "cells" / f"{res.cell.name}.error.txt"
-        if res.traceback is not None:
-            error_path.write_text(res.traceback, encoding="utf-8")
-        else:
-            error_path.unlink(missing_ok=True)
     records = [res.to_record(ctx.task_label) for res in results]
 
     line = asdict(spec) | {"vocab_size": ctx.vocab.size,

@@ -247,13 +247,15 @@ def read_records(input_dir) -> list[dict]:
     that is not JSON, holds no ``cells`` list, or holds a record without one
     of ``RECORD_KEYS`` (those ``format_table`` reads) or with a ``_type_fault``
     raises a ValueError that names it; so does a cell that an earlier record
-    of the same spec (``{}`` when a file has none) already scored, naming
-    both files, because ``format_table`` would count it as a seed twice."""
+    of the same setting already scored, naming both files, because
+    ``format_table`` would count it as a seed twice. A run's setting is its
+    spec (``{}`` when a file has none) without the fields that list its
+    cells, so runs with overlapping seed lists repeat their shared seeds."""
     paths = sorted(Path(input_dir).rglob("cells.json"))
     if not paths:
         raise ValueError(f"no cells.json found under {input_dir}")
     records = []
-    seen = {}  # (spec, task, cell) -> the file that holds it
+    seen = {}  # (setting, task, cell) -> the file that holds it
     for path in paths:
         try:
             payload = json.loads(path.read_text(encoding="utf-8"))
@@ -262,6 +264,11 @@ def read_records(input_dir) -> list[dict]:
         cells = payload.get("cells") if isinstance(payload, dict) else None
         if not isinstance(cells, list):
             raise ValueError(f'{path}: expected an object with a "cells" list')
+        spec = payload.get("spec", {})
+        if isinstance(spec, dict):
+            spec = {key: value for key, value in spec.items()
+                    if key not in ("representations", "windows", "frozen", "seeds")}
+        setting = json.dumps(spec, sort_keys=True)
         for i, rec in enumerate(cells):
             missing = [key for key in RECORD_KEYS if not isinstance(rec, dict) or key not in rec]
             if missing:
@@ -270,7 +277,7 @@ def read_records(input_dir) -> list[dict]:
             if fault is not None:
                 raise ValueError(f"{path}: cell {i}: {fault}")
             cell = tuple(rec.get(key) for key in ("representation", "window", "frozen", "seed"))
-            key = (json.dumps(payload.get("spec", {}), sort_keys=True), rec["task"], cell)
+            key = (setting, rec["task"], cell)
             if key in seen:
                 rep, window, frozen, seed = cell
                 raise ValueError(

@@ -3,8 +3,10 @@ import json
 import multiprocessing
 import os
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from dataclasses import MISSING, FrozenInstanceError, fields
 from pathlib import Path
 
@@ -579,6 +581,98 @@ def test_probe_run_cell_failure_writes_traceback(tmp_path, monkeypatch):
     assert len(list((out_dir / "cells").glob("*.error.txt"))) == 4
 
 
+def test_probe_run_replaces_the_outputs_of_an_earlier_run(tmp_path):
+    out_dir = tmp_path / "run"
+    assert cli.main(_tiny_synthetic_args(out_dir, seeds="0,1")) == 0
+    outputs = {path: path.read_bytes() for path in out_dir.rglob("*") if path.is_file()}
+    assert len(outputs) == 10
+    # a run that fails on its task leaves the earlier outputs as they were
+    assert cli.main(_tiny_synthetic_args(out_dir, extra=("--d", "100000"))) == cli.EXIT_DATA
+    assert {path: path.read_bytes() for path in out_dir.rglob("*")
+            if path.is_file()} == outputs
+    # a run with fewer seeds leaves exactly the cell files its cells.json names
+    assert cli.main(_tiny_synthetic_args(out_dir, seeds="0")) == 0
+    records = json.loads((out_dir / "cells.json").read_text(encoding="utf-8"))["cells"]
+    names = {matrix.CellSpec(rec["representation"], rec["window"], rec["frozen"],
+                             rec["seed"]).name + ".mdl.txt" for rec in records}
+    assert len(names) == 4
+    assert {path.name for path in (out_dir / "cells").iterdir()} == names
+
+
+def _gone(pid: int) -> bool:
+    """Whether process ``pid`` has exited: no longer listed, or a zombie."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text(encoding="utf-8")
+    except FileNotFoundError:
+        return True
+    return stat.rpartition(")")[2].split()[0] == "Z"
+
+
+def _wait_for(condition, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+@needs_fork
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc; prctl is Linux-only")
+@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["TERM", "KILL"])
+def test_a_stopped_probe_run_keeps_its_finished_cells_and_no_worker(tmp_path, signum):
+    # seed 0's cell scores; seed 1's sleeps until the run is stopped
+    out_dir, pids = tmp_path / "run", tmp_path / "workers.txt"
+    argv = _tiny_synthetic_args(out_dir, seeds="0,1", extra=(
+        "--representations", "random", "--frozen", "true", "--workers", "2"))
+    script = (
+        "import os, sys, time\n"
+        "from eigennoise import cli, matrix\n"
+        "init, score = matrix._init_worker, matrix.run_cell\n"
+        "def record_pid(*args):\n"
+        f"    with open({str(pids)!r}, 'a', encoding='utf-8') as fh:\n"
+        "        fh.write(f'{os.getpid()}\\n')\n"
+        "    init(*args)\n"
+        "def hang_after_seed_0(cell, ctx):\n"
+        "    if cell.seed:\n"
+        "        time.sleep(600)\n"
+        "    return score(cell, ctx)\n"
+        "matrix._init_worker, matrix.run_cell = record_pid, hang_after_seed_0\n"
+        f"sys.exit(cli.main({argv!r}))\n"
+    )
+    finished = out_dir / "cells" / "random_seq_frozen_s0.mdl.txt"
+    proc = subprocess.Popen([sys.executable, "-c", script], env=_cli_env(),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        assert _wait_for(lambda: finished.is_file() and finished.stat().st_size, 120)
+        proc.send_signal(signum)
+        proc.wait(timeout=30)
+        workers = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
+        assert len(workers) == 2
+        assert _wait_for(lambda: all(_gone(pid) for pid in workers), 30)
+    finally:  # whatever failed, stop the run and every worker it left
+        proc.kill()
+        proc.wait(timeout=30)
+        for pid in pids.read_text(encoding="utf-8").split() if pids.exists() else ():
+            if not _gone(int(pid)):
+                os.kill(int(pid), signal.SIGKILL)
+    assert "total_bits\t" in finished.read_text(encoding="utf-8")
+    assert [path.name for path in (out_dir / "cells").iterdir()] == [finished.name]
+    assert not (out_dir / "cells.json").exists() and not (out_dir / "report.txt").exists()
+
+
+@needs_fork
+def test_worker_exits_when_its_parent_is_gone():
+    # the initializer, forked as a pool worker would be: a child whose
+    # recorded parent is not its parent exits at once
+    fork = multiprocessing.get_context("fork")
+    for parent, code in ((os.getpid(), 0), (os.getpid() + 1, 1)):
+        child = fork.Process(target=matrix._init_worker, args=(None, parent))
+        child.start()
+        child.join(timeout=30)
+        assert child.exitcode == code
+
+
 @needs_fork
 def test_probe_run_survives_a_dead_worker(tmp_path):
     # the forked workers inherit the patch; a hang fails on the timeout
@@ -840,6 +934,24 @@ def test_report_aggregate_refuses_a_repeated_cell(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         f"data error: {runs / 'copy' / 'cells.json'}: cell 0 (representation=random, "
         f"window=0, frozen=True, seed=0) repeats a cell of {runs / 'cells.json'} ")
+
+
+def test_report_aggregate_refuses_a_seed_that_two_runs_of_one_setting_scored(tmp_path,
+                                                                           capsys):
+    # the runs' specs differ only in the seeds they list
+    one_cell = ("--representations", "random", "--frozen", "true")
+    for name, seeds in (("s01", "0,1"), ("s1", "1"), ("other/s1", "1")):
+        extra = one_cell + (("--d", "4") if name.startswith("other") else ())
+        assert cli.main(_tiny_synthetic_args(tmp_path / name, seeds, extra)) == 0
+    capsys.readouterr()
+    assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_DATA
+    assert capsys.readouterr().err == (
+        f"data error: {tmp_path / 's1' / 'cells.json'}: cell 0 "
+        "(representation=random, window=None, frozen=True, seed=1) repeats a cell "
+        f"of {tmp_path / 's01' / 'cells.json'} with the same spec\n")
+    # another setting's seed 1 is another cell
+    shutil.rmtree(tmp_path / "s1")
+    assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_OK
 
 
 def test_missing_train_file_is_data_error(tmp_path):
