@@ -11,10 +11,11 @@ GloVe and ``.vec`` vectors, a small text corpus, a seeded
 label that the train file lacks, and a train file with a text that
 tokenizes to nothing), malformed
 ``.txt``/``.vec`` vector files, malformed vocabularies, a
-``cells.json`` whose scored record has no uniform baseline and a run
-directory that holds one ``cells.json`` and a copy of it. Each tree
-then runs the whole set in a work directory of its own, naming every
-output relative to it, so both sides print the same paths:
+``cells.json`` whose scored record has no uniform baseline, one whose
+spec is not an object and a run directory that holds one ``cells.json``
+and a copy of it. Each tree then runs the whole set in a work directory
+of its own, naming every output relative to it, so both sides print the
+same paths:
 
 * ``--help`` of every parser, the usage errors of every command and a
   few data errors, among them a tsv ``probe run`` whose test file holds
@@ -22,8 +23,8 @@ output relative to it, so both sides print the same paths:
   synthetic one whose ``--output-dir`` is an input file (once with empty
   items in ``--representations``), an ``embed eigennoise`` and a ``probe
   run`` whose ``--m`` overflows a float, and a ``report aggregate`` of
-  the ``cells.json`` without a uniform baseline and of the copied run
-  directory;
+  the ``cells.json`` without a uniform baseline, of the copied run
+  directory and of the ``cells.json`` whose spec is not an object;
 * ``vocab build`` (conll, tsv and text) and ``report aggregate``, of
   single runs and of the whole work directory, where the desk run and
   the ``--d 1`` run share a task label at different sizes;
@@ -192,6 +193,12 @@ def make_inputs(directory: Path) -> dict[str, Path]:
             '"representation": "random", "window": null, "frozen": true, "seed": 0, '
             '"accuracy": 0.5, "error": null, "total_bits": 12.0, "uniform_bits": 20.0}]}\n',
             encoding="utf-8")
+    spec_not_object = inputs["spec-not-object"] = directory / "spec-not-object" / "cells.json"
+    spec_not_object.parent.mkdir()
+    spec_not_object.write_text(
+        '{"spec": 5, "cells": [{"task": "t", "representation": "random", "window": null, '
+        '"frozen": true, "seed": 0, "accuracy": 0.5, "error": null, '
+        '"total_bits": 12.0, "uniform_bits": 20.0}]}\n', encoding="utf-8")
     return inputs
 
 
@@ -269,6 +276,7 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
         ["report", "aggregate", "--input-dir", "missing"],
         ["report", "aggregate", "--input-dir", str(inputs["no-uniform"].parent)],
         ["report", "aggregate", "--input-dir", str(inputs["copied-run"])],
+        ["report", "aggregate", "--input-dir", str(inputs["spec-not-object"].parent)],
     ]
     imports = [["embed", "import", "--source", str(inputs[kind]), "--vocab", "vocab.tsv",
                 "--output", f"imported-{kind}.txt", *extra]

@@ -21,8 +21,8 @@ from typing import TYPE_CHECKING
 
 # Every other module is imported inside the commands that use it: --help
 # and usage errors load only argparse and defaults, vocab build no numpy,
-# and only probe run the experiment runner (matrix, with probe and the
-# process pool).
+# and only probe run the experiment runner (matrix, with probe and
+# multiprocessing).
 from . import defaults
 
 if TYPE_CHECKING:  # _bundled_openblas imports it when it runs
@@ -303,7 +303,7 @@ def _one_blas_thread():
 
     The probe GEMMs and the blocked Gram-Schmidt GEMMs of the analytic
     build are too small to gain from a second BLAS thread, and
-    parallelism comes from the ``probe run`` worker processes
+    parallelism comes from the ``probe run`` cell processes
     (``--workers``), which are forked inside this and inherit its count.
     One thread also makes tables independent of the core count.
     Entering this loads numpy (``_load_numpy``), which already starts

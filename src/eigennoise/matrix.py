@@ -9,11 +9,10 @@ options, and runs it all: ``matrix_cells`` lists the cells,
 it finishes, and ``write_run`` writes ``cells.json`` and ``report.txt``,
 whose table is ``mdl.format_table``.
 
-``run_matrix`` hands the cells to worker processes forked after the
-context was built. The workers inherit the context through the fork, so
-only the ``CellSpec`` and the ``CellResult`` are pickled; each cell then
-runs on its own interpreter. Where ``fork`` is unavailable the cells are
-scored in the calling process; either way ``run_cell`` scores the cell.
+``run_matrix`` scores each cell in a child process of its own, forked
+after the context was built, so only the ``CellResult`` is pickled; a
+child that dies fails its own cell only. Where ``fork`` is unavailable the
+calling process scores the cells; either way ``run_cell`` scores the cell.
 
 Every fit trains in single precision, ``PROBE_DTYPE``: the context holds
 every cell's starting table, cast once when the context is built (the
@@ -37,6 +36,7 @@ import os
 import signal
 import traceback
 from collections.abc import Iterator
+from contextlib import suppress
 from dataclasses import asdict, dataclass, replace
 from datetime import datetime, timezone
 from itertools import chain
@@ -135,7 +135,7 @@ class CellResult:
 
 @dataclass
 class MatrixContext:
-    """Everything a cell needs, shared read-only across the pool."""
+    """Everything a cell needs, shared read-only by every cell."""
 
     task_label: str
     vocab: vocab_mod.Vocabulary
@@ -198,45 +198,34 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
         return _failed(cell, exc)
 
 
-# Each forked worker's context, set by its initializer; never set in the parent.
-_worker_ctx: MatrixContext | None = None
-
-
-def _init_worker(ctx: MatrixContext, parent: int) -> None:
-    """Keep ``ctx`` for the worker's cells. Where libc has ``prctl``
-    (Linux), ask the kernel to kill this worker when the thread that forked
-    it exits, so no worker outlives a stopped run; a worker whose parent
-    ``parent`` died before that request has another parent, and exits."""
-    global _worker_ctx
-    _worker_ctx = ctx
+def _score_in_child(cell: CellSpec, ctx: MatrixContext, parent: int, conn) -> None:
+    """A forked child's entry: score ``cell`` and send its result on ``conn``.
+    Where libc has ``prctl`` (Linux), first ask the kernel to kill this child
+    when the thread that forked it exits, so no child outlives a stopped run;
+    a child whose parent ``parent`` died before that request exits."""
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
         prctl(1, signal.SIGKILL)  # 1 is PR_SET_PDEATHSIG
     if os.getppid() != parent:
         os._exit(1)
-
-
-def _run_worker_cell(cell: CellSpec) -> CellResult:
-    return run_cell(cell, _worker_ctx)
+    conn.send(run_cell(cell, ctx))
 
 
 def run_matrix(ctx: MatrixContext, cells: list[CellSpec],
                workers: int) -> Iterator[CellResult]:
-    """Yield ``cells``' results as ``min(workers, len(cells))`` forked processes score them.
+    """Yield ``cells``' results as forked children score them, one child per
+    cell and at most ``workers`` alive at once.
 
-    ``fork``, not ``spawn``: a worker starts with the context already
-    built, which it receives through the initializer's arguments and so
-    never pickles, and it inherits the caller's one-thread BLAS. A fork
-    pool forks every worker on the first submit, before it starts its
-    manager thread, and this starts no thread itself, so no worker
-    inherits a lock another thread held. A dead worker breaks the pool:
-    every cell it left unscored fails. The workers are joined once the
-    iterator is exhausted, so the process's resource usage counts theirs.
-    Without ``fork``, the calling process scores the cells in turn.
+    ``fork``, not ``spawn``: a child inherits the built context, unpickled,
+    and the caller's one-thread BLAS; no thread is started, so no child
+    inherits a held lock. Each child sends its ``CellResult`` on a pipe of
+    its own, read once ready, and is joined before its result is yielded. A
+    child that dies before sending fails its own cell only, with its exit
+    code or signal. Children are daemonic, so a caller that exits mid-run
+    ends them. Without ``fork``, the calling process scores the cells.
     """
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor, as_completed
+    import multiprocessing.connection
 
     # unfrozen cells take about twice as long as frozen ones (an n=500 desk
     # cell, 2 cores: 0.7-0.9 s against 0.3-0.5 s): start them first
@@ -244,13 +233,24 @@ def run_matrix(ctx: MatrixContext, cells: list[CellSpec],
     if "fork" not in multiprocessing.get_all_start_methods():
         yield from (run_cell(cell, ctx) for cell in cells)
         return
-    with ProcessPoolExecutor(min(workers, len(cells)),
-                             mp_context=multiprocessing.get_context("fork"),
-                             initializer=_init_worker, initargs=(ctx, os.getpid())) as pool:
-        futures = {pool.submit(_run_worker_cell, cell): cell for cell in cells}
-        for future in as_completed(futures):
-            yield (future.result() if future.exception() is None
-                   else _failed(futures[future], future.exception()))
+    fork, pending, running = multiprocessing.get_context("fork"), cells[::-1], {}
+    while pending or running:
+        while pending and len(running) < workers:
+            cell, (reader, writer) = pending.pop(), fork.Pipe(duplex=False)
+            child = fork.Process(target=_score_in_child, daemon=True,
+                                 args=(cell, ctx, os.getpid(), writer))
+            child.start()
+            writer.close()
+            running[reader] = cell, child
+        for reader in multiprocessing.connection.wait(running):
+            cell, child = running.pop(reader)
+            result = None
+            with reader, suppress(EOFError):  # EOF: the child died before sending
+                result = reader.recv()
+            child.join()
+            yield result or _failed(cell, ChildProcessError(
+                f"the cell's process exited with code {child.exitcode}" if child.exitcode >= 0
+                else f"the cell's process was killed by signal {-child.exitcode}"))
 
 
 def build_context(spec: RunSpec) -> MatrixContext:
@@ -258,7 +258,11 @@ def build_context(spec: RunSpec) -> MatrixContext:
     once and build every cell's starting table, keyed by (representation,
     seed). A conll task needs ``spec.windows``; each split is featurized at
     the widest, and every window shares its labels and reads a column slice
-    of its indices."""
+    of its indices. An unknown representation raises before any of it."""
+    for rep in spec.representations:
+        if rep not in ("eigennoise", "random") and not rep.startswith("import:"):
+            raise ValueError(f"unknown representation {rep!r} "
+                             "(expected eigennoise, random, or import:<path>)")
     if spec.task == "synthetic":
         eval_n = max(spec.classes * 10, spec.n // 5)
         splits = {

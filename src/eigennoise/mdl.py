@@ -244,13 +244,14 @@ def _type_fault(rec: dict) -> str | None:
 
 def read_records(input_dir) -> list[dict]:
     """The cell records of every ``cells.json`` under ``input_dir``. A file
-    that is not JSON, holds no ``cells`` list, or holds a record without one
-    of ``RECORD_KEYS`` (those ``format_table`` reads) or with a ``_type_fault``
-    raises a ValueError that names it; so does a cell that an earlier record
-    of the same setting already scored, naming both files, because
-    ``format_table`` would count it as a seed twice. A run's setting is its
-    spec (``{}`` when a file has none) without the fields that list its
-    cells, so runs with overlapping seed lists repeat their shared seeds."""
+    that is not JSON, holds no ``cells`` list, holds a ``spec`` that is not
+    an object, or holds a record without one of ``RECORD_KEYS`` (those
+    ``format_table`` reads) or with a ``_type_fault`` raises a ValueError
+    that names it; so does a cell that an earlier record of the same
+    setting already scored, naming both files, because ``format_table``
+    would count it as a seed twice. A run's setting is its spec (``{}``
+    when a file has none) without the fields that list its cells, so runs
+    with overlapping seed lists repeat their shared seeds."""
     paths = sorted(Path(input_dir).rglob("cells.json"))
     if not paths:
         raise ValueError(f"no cells.json found under {input_dir}")
@@ -265,10 +266,11 @@ def read_records(input_dir) -> list[dict]:
         if not isinstance(cells, list):
             raise ValueError(f'{path}: expected an object with a "cells" list')
         spec = payload.get("spec", {})
-        if isinstance(spec, dict):
-            spec = {key: value for key, value in spec.items()
-                    if key not in ("representations", "windows", "frozen", "seeds")}
-        setting = json.dumps(spec, sort_keys=True)
+        if not isinstance(spec, dict):
+            raise ValueError(f'{path}: expected "spec" to be an object')
+        setting = json.dumps({key: value for key, value in spec.items()
+                              if key not in ("representations", "windows", "frozen", "seeds")},
+                             sort_keys=True)
         for i, rec in enumerate(cells):
             missing = [key for key in RECORD_KEYS if not isinstance(rec, dict) or key not in rec]
             if missing:
@@ -283,7 +285,7 @@ def read_records(input_dir) -> list[dict]:
                 raise ValueError(
                     f"{path}: cell {i} (representation={rep}, window={window}, "
                     f"frozen={frozen}, seed={seed}) repeats a cell of {seen[key]} "
-                    "with the same spec")
+                    "with the same setting")
             seen[key] = path
         records.extend(cells)
     return records

@@ -1,4 +1,3 @@
-import concurrent.futures
 import json
 import multiprocessing
 import os
@@ -622,22 +621,22 @@ def _wait_for(condition, timeout: float) -> bool:
 @pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["TERM", "KILL"])
 def test_a_stopped_probe_run_keeps_its_finished_cells_and_no_worker(tmp_path, signum):
     # seed 0's cell scores; seed 1's sleeps until the run is stopped
-    out_dir, pids = tmp_path / "run", tmp_path / "workers.txt"
+    out_dir, pids = tmp_path / "run", tmp_path / "children.txt"
     argv = _tiny_synthetic_args(out_dir, seeds="0,1", extra=(
         "--representations", "random", "--frozen", "true", "--workers", "2"))
     script = (
         "import os, sys, time\n"
         "from eigennoise import cli, matrix\n"
-        "init, score = matrix._init_worker, matrix.run_cell\n"
+        "entry, score = matrix._score_in_child, matrix.run_cell\n"
         "def record_pid(*args):\n"
         f"    with open({str(pids)!r}, 'a', encoding='utf-8') as fh:\n"
         "        fh.write(f'{os.getpid()}\\n')\n"
-        "    init(*args)\n"
+        "    entry(*args)\n"
         "def hang_after_seed_0(cell, ctx):\n"
         "    if cell.seed:\n"
         "        time.sleep(600)\n"
         "    return score(cell, ctx)\n"
-        "matrix._init_worker, matrix.run_cell = record_pid, hang_after_seed_0\n"
+        "matrix._score_in_child, matrix.run_cell = record_pid, hang_after_seed_0\n"
         f"sys.exit(cli.main({argv!r}))\n"
     )
     finished = out_dir / "cells" / "random_seq_frozen_s0.mdl.txt"
@@ -647,10 +646,10 @@ def test_a_stopped_probe_run_keeps_its_finished_cells_and_no_worker(tmp_path, si
         assert _wait_for(lambda: finished.is_file() and finished.stat().st_size, 120)
         proc.send_signal(signum)
         proc.wait(timeout=30)
-        workers = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
-        assert len(workers) == 2
-        assert _wait_for(lambda: all(_gone(pid) for pid in workers), 30)
-    finally:  # whatever failed, stop the run and every worker it left
+        children = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
+        assert len(children) == 2
+        assert _wait_for(lambda: all(_gone(pid) for pid in children), 30)
+    finally:  # whatever failed, stop the run and every child it left
         proc.kill()
         proc.wait(timeout=30)
         for pid in pids.read_text(encoding="utf-8").split() if pids.exists() else ():
@@ -663,12 +662,21 @@ def test_a_stopped_probe_run_keeps_its_finished_cells_and_no_worker(tmp_path, si
 
 @needs_fork
 def test_worker_exits_when_its_parent_is_gone():
-    # the initializer, forked as a pool worker would be: a child whose
-    # recorded parent is not its parent exits at once
-    fork = multiprocessing.get_context("fork")
+    # the child's entry, forked as run_matrix forks it: a child whose
+    # recorded parent is not its parent exits at once, sending nothing; the
+    # other sends its cell's result (a failure, as there is no context)
+    fork, cell = multiprocessing.get_context("fork"), matrix.CellSpec("random", None, True, 0)
     for parent, code in ((os.getpid(), 0), (os.getpid() + 1, 1)):
-        child = fork.Process(target=matrix._init_worker, args=(None, parent))
+        reader, writer = fork.Pipe(duplex=False)
+        child = fork.Process(target=matrix._score_in_child, args=(cell, None, parent, writer))
         child.start()
+        writer.close()
+        assert reader.poll(30)
+        if code == 0:
+            assert reader.recv().cell == cell
+        else:
+            with pytest.raises(EOFError):
+                reader.recv()
         child.join(timeout=30)
         assert child.exitcode == code
 
@@ -689,7 +697,8 @@ def test_probe_run_survives_a_dead_worker(tmp_path):
     assert "4 of 4 cells failed" in proc.stderr
     payload = json.loads((tmp_path / "run" / "cells.json").read_text(encoding="utf-8"))
     assert len(payload["cells"]) == 4
-    assert all(c["error"].startswith("BrokenProcessPool: ") for c in payload["cells"])
+    assert [c["error"] for c in payload["cells"]] == [
+        "ChildProcessError: the cell's process exited with code 1"] * 4
     assert (tmp_path / "run" / "report.txt").exists()
     assert len(list((tmp_path / "run" / "cells").glob("*.error.txt"))) == 4
 
@@ -711,16 +720,21 @@ def _record_scoring_pids(monkeypatch, path):
 
 @needs_fork
 def test_probe_run_forks_no_more_workers_than_cells(tmp_path, monkeypatch):
-    requested = []
-    process_pool = concurrent.futures.ProcessPoolExecutor
+    # one child per cell, and never more than --workers alive at once
+    alive = []
+    start = multiprocessing.context.ForkProcess.start
 
-    def record(max_workers, **kwargs):
-        requested.append(max_workers)
-        return process_pool(max_workers, **kwargs)
+    def record(process):
+        start(process)
+        alive.append(len(multiprocessing.active_children()))
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", record)
-    assert cli.main(_tiny_synthetic_args(tmp_path / "run", extra=("--workers", "8"))) == 0
-    assert requested == [4]
+    monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", record)
+    for workers in (1, 2, 8):
+        alive.clear()
+        assert cli.main(_tiny_synthetic_args(tmp_path / "run", extra=(
+            "--workers", str(workers)))) == 0
+        assert len(alive) == 4
+        assert max(alive) <= min(workers, 4)
 
 
 @needs_fork
@@ -729,8 +743,37 @@ def test_probe_run_scores_every_cell_in_a_joined_worker(tmp_path, monkeypatch):
     assert cli.main(_tiny_synthetic_args(tmp_path / "run", extra=("--workers", "2"))) == 0
     scored = pids()
     assert len(scored) == 4 and os.getpid() not in scored
-    assert len(set(scored)) <= 2
+    assert len(set(scored)) == 4  # one child per cell
     assert multiprocessing.active_children() == []
+
+
+@needs_fork
+@pytest.mark.parametrize("death, error", [
+    (lambda: os._exit(7), "exited with code 7"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), f"was killed by signal {int(signal.SIGKILL)}"),
+], ids=["exit", "kill"])
+def test_probe_run_fails_only_the_cell_whose_process_died(tmp_path, monkeypatch, death,
+                                                          error):
+    dead, score = "random_seq_unfrozen_s0", matrix.run_cell
+
+    def die_in_one_cell(cell, ctx):
+        if cell.name == dead:
+            death()
+        return score(cell, ctx)
+
+    monkeypatch.setattr(matrix, "run_cell", die_in_one_cell)
+    out_dir = tmp_path / "run"
+    assert cli.main(_tiny_synthetic_args(out_dir, extra=("--workers", "2"))) == (
+        cli.EXIT_CELL_FAILURES)
+    records = json.loads((out_dir / "cells.json").read_text(encoding="utf-8"))["cells"]
+    errors = {matrix.CellSpec(rec["representation"], rec["window"], rec["frozen"],
+                              rec["seed"]).name: rec["error"] for rec in records}
+    assert errors == {f"{rep}_seq_{mode}_s0": None for rep in ("eigennoise", "random")
+                      for mode in ("frozen", "unfrozen")} | {
+        dead: f"ChildProcessError: the cell's process {error}"}
+    assert sorted(path.name for path in (out_dir / "cells").iterdir()) == sorted(
+        f"{name}.error.txt" if name == dead else f"{name}.mdl.txt" for name in errors)
+    assert (out_dir / "report.txt").exists()
 
 
 @needs_fork
@@ -891,6 +934,7 @@ _WRONG_TYPES = [("task", 3, "str"), ("representation", None, "str"),
 @pytest.mark.parametrize("text, cause", [
     ("{not json", "not valid JSON: "),
     ('{"spec": {}}', 'expected an object with a "cells" list'),
+    (json.dumps({"spec": 5, "cells": [_RECORD]}), 'expected "spec" to be an object\n'),
     ('{"cells": [{"task": "t", "representation": "random", "window": null, '
      '"frozen": true, "accuracy": null, "error": null, "uniform_bits": 2.0}]}',
      "cell 0 has no 'total_bits'"),
@@ -899,7 +943,7 @@ _WRONG_TYPES = [("task", 3, "str"), ("representation", None, "str"),
       for key, value, expected in _WRONG_TYPES],
     (json.dumps({"cells": [_RECORD, {**_RECORD, "uniform_bits": None}]}),
      "cell 1: 'uniform_bits' is null, but 'total_bits' is 12.0\n"),
-], ids=["invalid-json", "no-cells-list", "record-missing-key",
+], ids=["invalid-json", "no-cells-list", "spec-not-an-object", "record-missing-key",
         *[f"{key}-{type(value).__name__}" for key, value, _ in _WRONG_TYPES],
         "scored-without-uniform-bits"])
 def test_report_aggregate_names_a_malformed_cells_json(tmp_path, capsys, text, cause):
@@ -918,7 +962,7 @@ def test_report_aggregate_refuses_a_repeated_cell(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"data error: {tmp_path / 'run-copy' / 'cells.json'}: cell 0 "
         "(representation=eigennoise, window=None, frozen=True, seed=0) repeats a cell "
-        f"of {tmp_path / 'run' / 'cells.json'} with the same spec\n")
+        f"of {tmp_path / 'run' / 'cells.json'} with the same setting\n")
     # a file without a spec has the spec {}; another seed is another cell
     runs = tmp_path / "hand"
     runs.mkdir()
@@ -948,7 +992,7 @@ def test_report_aggregate_refuses_a_seed_that_two_runs_of_one_setting_scored(tmp
     assert capsys.readouterr().err == (
         f"data error: {tmp_path / 's1' / 'cells.json'}: cell 0 "
         "(representation=random, window=None, frozen=True, seed=1) repeats a cell "
-        f"of {tmp_path / 's01' / 'cells.json'} with the same spec\n")
+        f"of {tmp_path / 's01' / 'cells.json'} with the same setting\n")
     # another setting's seed 1 is another cell
     shutil.rmtree(tmp_path / "s1")
     assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == cli.EXIT_OK

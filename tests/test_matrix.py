@@ -4,7 +4,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigennoise import cli, datasets, defaults, embeddings, matrix, mdl, probe, vocab
+from eigennoise import (cli, datasets, defaults, eigen, embeddings, matrix, mdl, probe,
+                        vocab)
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -234,6 +235,18 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
             np.testing.assert_array_equal(data[w].labels, direct.labels)
             assert data[w].lengths is None and data[w].num_classes == 3
         assert all(data[w].labels is data[10].labels for w in data)
+
+
+@pytest.mark.parametrize("representations", [("eigennoise", "bogus"), ("bogus",)],
+                         ids=["after-a-known-one", "alone"])
+def test_build_context_refuses_an_unknown_representation(monkeypatch, representations):
+    built = []
+    monkeypatch.setattr(eigen, "eigennoise_analytic", lambda *a, **k: built.append(a))
+    monkeypatch.setattr(embeddings, "random_table", lambda *a, **k: built.append(a))
+    spec = replace(BASE, n=80, d=8, representations=representations)
+    with pytest.raises(ValueError, match=r"^unknown representation 'bogus' \(expected "):
+        matrix.build_context(spec)
+    assert built == []
 
 
 @pytest.mark.parametrize("task", ["synthetic", "tsv", "conll"])
