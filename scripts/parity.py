@@ -44,8 +44,11 @@ same paths:
 * after the whole-directory aggregate, so that what they write is not
   aggregated: a synthetic run at ``--seeds 0,1``, one at ``--seeds 1``
   and a ``report aggregate`` of the two (runs of one setting that share
-  a seed), then a rerun at ``--seeds 0`` into the first run's directory,
-  which must leave no file of seed 1 behind;
+  a seed); two eigennoise runs that differ only in ``--completion-seed``
+  (0 and 5) and two that differ only in ``--d`` (2 and 8), each pair
+  with a ``report aggregate`` that gives each setting a row; then a rerun
+  at ``--seeds 0`` into the first run's directory, which must leave no
+  file of seed 1 behind;
 * last, a token-zipf ``probe run`` over two copies of the GloVe file
   whose paths give their cells one file name (``vectors/glove.txt`` and
   ``vectors_glove.txt``).
@@ -328,6 +331,13 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
         *(["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", seeds,
            "--output-dir", out] for seeds, out in (("0,1", "seeds/0-1"), ("1", "seeds/1"))),
         ["report", "aggregate", "--input-dir", "seeds"],
+        *(["probe", "run", "--task", "synthetic", "--n", "60", "--seeds", "0",
+           "--frozen", "true", "--representations", "eigennoise", "--d", "8",
+           f"--{name}", value, "--output-dir", f"settings/{name}/{value}"]
+          for name, values in (("completion-seed", ("0", "5")), ("d", ("2", "8")))
+          for value in values),
+        ["report", "aggregate", "--input-dir", "settings/completion-seed"],
+        ["report", "aggregate", "--input-dir", "settings/d"],
         ["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", "0",
          "--output-dir", "seeds/0-1"],
         ["probe", "run", "--task", "conll", *task, "--representations",

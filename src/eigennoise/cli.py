@@ -420,7 +420,8 @@ def build_parser() -> _Parser:
     p_run.add_argument("--max-epochs", type=int, default=defaults.DEFAULT_MAX_EPOCHS)
     p_run.add_argument("--patience", type=int, default=defaults.DEFAULT_PATIENCE)
     p_run.add_argument("--fractions", type=_csv_floats, default=defaults.DEFAULT_FRACTIONS)
-    p_run.add_argument("--workers", type=int, default=os.cpu_count() or 1)
+    p_run.add_argument("--workers", type=int, default=len(os.sched_getaffinity(0))
+                       if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1)
     p_run.add_argument("--output-dir", required=True)
     p_run.set_defaults(func=cmd_probe_run, check=_check_probe_run)
 

@@ -17,9 +17,7 @@ calling process scores the cells; either way ``run_cell`` scores the cell.
 Every fit trains in single precision, ``PROBE_DTYPE``: the context holds
 every cell's starting table, cast once when the context is built (the
 eigennoise and imported tables shared by every seed, one random draw per
-seed), and the probe computes in its table's dtype. A frozen mean-pooled
-cell pools each split through its table once and trains on those features,
-which keep the table's dtype, with no table attached. The logits and
+seed), and the probe computes in its table's dtype. The logits and
 everything after them, codelength bits included, stay float64 (see
 ``probe``).
 
@@ -156,15 +154,6 @@ def _failed(cell: CellSpec, exc: Exception) -> CellResult:
                       traceback="".join(traceback.format_exception(exc)))
 
 
-def _pooled(data: probe_mod.ProbeData | None,
-            table: embeddings.EmbeddingTable) -> probe_mod.ProbeData | None:
-    """Mean-pooled ``data`` as direct features over a table that never changes."""
-    if data is None:
-        return None
-    return probe_mod.ProbeData(labels=data.labels, num_classes=data.num_classes,
-                               features=probe_mod.gather_features(data, table))
-
-
 def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
     try:
         base = ctx.tables[cell.representation, cell.seed]
@@ -172,15 +161,9 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
         train = ctx.train_data[cell.window]
         dev = ctx.dev_data.get(cell.window)
         test = ctx.test_data.get(cell.window)
-        # A frozen table is a constant, so a mean-pooled example's features
-        # are too: pool each split once and train on them with no table.
-        # (Concat features would take (examples x window x d) floats.)
-        if cell.frozen and train.lengths is not None:
-            train, dev, test = (_pooled(data, base) for data in (train, dev, test))
-            base = None
 
         def fit(fit_train, fit_dev, cfg):
-            # a frozen fit only reads the shared table (or none once pooled)
+            # a frozen fit only reads the shared table
             table = base if cell.frozen else base.copy(trainable=True)
             return probe_mod.train_probe(fit_train, fit_dev, cfg, table=table)[0]
 
@@ -200,9 +183,12 @@ def run_cell(cell: CellSpec, ctx: MatrixContext) -> CellResult:
 
 def _score_in_child(cell: CellSpec, ctx: MatrixContext, parent: int, conn) -> None:
     """A forked child's entry: score ``cell`` and send its result on ``conn``.
-    Where libc has ``prctl`` (Linux), first ask the kernel to kill this child
-    when the thread that forked it exits, so no child outlives a stopped run;
-    a child whose parent ``parent`` died before that request exits."""
+    The child ignores SIGINT: a Ctrl-C stops the parent, and the child dies
+    with it, so it prints no traceback of its own. Where libc has ``prctl``
+    (Linux), first ask the kernel to kill this child when the thread that
+    forked it exits, so no child outlives a stopped run; a child whose
+    parent ``parent`` died before that request exits."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     prctl = getattr(ctypes.CDLL(None), "prctl", None)
     if prctl is not None:
         prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int

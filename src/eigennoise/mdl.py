@@ -174,30 +174,56 @@ def _format_mean_std(values: list[float], scale: float = 1.0) -> str:
     return f"{mean * scale:.3f} ± {std * scale:.3f}"
 
 
+def _setting_labels(settings: set) -> dict:
+    """Each of one task's settings (JSON text, or None for none) -> the
+    spec fields whose values differ among them, as key=value in key order
+    with the value as compact JSON, or "-" when it has none of them."""
+    specs = {setting: json.loads(setting or "{}") for setting in settings}
+    differ = sorted({key for spec in specs.values() for key in spec
+                     if len({(key in other, json.dumps(other.get(key), sort_keys=True))
+                             for other in specs.values()}) > 1})
+    return {setting: " ".join(f"{key}={json.dumps(spec[key], separators=(',', ':'))}"
+                              for key in differ if key in spec) or "-"
+            for setting, spec in specs.items()}
+
+
 def format_table(records: list[dict]) -> str:
-    """One row per (task, representation, window, uniform baseline) over
-    the scored cell records: frozen/unfrozen codelength and accuracy as
-    mean ± std over seeds; runs of one task at two sizes get a row each."""
+    """One row per (task, setting, representation, window, uniform baseline)
+    over the scored cell records: frozen/unfrozen codelength and accuracy as
+    mean ± std over seeds; runs of one task at two sizes get a row each. A
+    record's setting is the one ``read_records`` hands on with it, if any.
+    When a task's rows come from more than one setting, a ``setting`` column
+    after ``task`` shows the spec fields whose values differ among that
+    task's settings, as key=value in key order."""
     groups: dict[tuple, dict] = {}
     for rec in records:
         if rec["error"] is not None or rec["total_bits"] is None:
             continue
-        key = (rec["task"], rec["representation"], rec["window"], rec["uniform_bits"])
+        key = (rec["task"], rec.get("setting"), rec["representation"], rec["window"],
+               rec["uniform_bits"])
         g = groups.setdefault(key, {"frozen": [], "unfrozen": [],
                                     "frozen_acc": [], "unfrozen_acc": []})
         side = "frozen" if rec["frozen"] else "unfrozen"
         g[side].append(rec["total_bits"])
         if rec["accuracy"] is not None:
             g[side + "_acc"].append(rec["accuracy"])
-    header = ["task", "representation", "window",
+    settings: dict[str, set] = {}
+    for task, setting, *_ in groups:
+        settings.setdefault(task, set()).add(setting)
+    labels = {(task, setting): label for task, found in settings.items()
+              for setting, label in _setting_labels(found).items()}
+    by_setting = any(len(found) > 1 for found in settings.values())
+    header = ["task", *(["setting"] if by_setting else []), "representation", "window",
               "frozen_kbits", "unfrozen_kbits", "uniform_kbits",
               "frozen_acc", "unfrozen_acc"]
     body = []
-    for (task, rep, window, uniform), g in sorted(
-            groups.items(), key=lambda kv: (kv[0][0], kv[0][1],
-                                            -1 if kv[0][2] is None else kv[0][2], kv[0][3])):
+    for (task, setting, rep, window, uniform), g in sorted(
+            groups.items(), key=lambda kv: (kv[0][0], kv[0][2],
+                                            -1 if kv[0][3] is None else kv[0][3], kv[0][4],
+                                            labels[kv[0][:2]])):
         body.append([
             task,
+            *([labels[task, setting]] if by_setting else []),
             rep,
             "-" if window is None else str(window),
             _format_mean_std(g["frozen"], scale=1e-3),
@@ -251,7 +277,8 @@ def read_records(input_dir) -> list[dict]:
     setting already scored, naming both files, because ``format_table``
     would count it as a seed twice. A run's setting is its spec (``{}``
     when a file has none) without the fields that list its cells, so runs
-    with overlapping seed lists repeat their shared seeds."""
+    with overlapping seed lists repeat their shared seeds; each record
+    holds it as JSON text under ``setting``, for ``format_table``."""
     paths = sorted(Path(input_dir).rglob("cells.json"))
     if not paths:
         raise ValueError(f"no cells.json found under {input_dir}")
@@ -287,6 +314,7 @@ def read_records(input_dir) -> list[dict]:
                     f"frozen={frozen}, seed={seed}) repeats a cell of {seen[key]} "
                     "with the same setting")
             seen[key] = path
+            rec["setting"] = setting
         records.extend(cells)
     return records
 

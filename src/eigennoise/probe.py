@@ -6,7 +6,10 @@ dropout. Inputs h come from one of three featurizations: a flattened
 token window (conll tasks), the mean over a token sequence (tsv and
 synthetic tasks), or precomputed vectors. When the attached embedding table is
 trainable, gradients flow into the referenced rows; the PAD row never
-receives gradient.
+receives gradient. A frozen table is a constant, so ``train_probe`` pools
+mean inputs over it once per fit instead of once per batch; concat inputs
+are gathered per batch, as their features would take examples x window x
+d floats.
 
 Precision: the probe computes in the dtype of its input features, at
 least float32. Index inputs gather the table's rows, so a float32 table
@@ -338,9 +341,16 @@ def train_probe(train: ProbeData, dev: ProbeData, config: TrainConfig,
     learning rate halves and a cumulative counter increments; training
     stops once the counter reaches ``config.patience`` or at
     ``config.max_epochs``. Returns the final model and the per-epoch trace.
+
+    With a frozen ``table`` (not ``trainable``) and mean-pooled data
+    (``lengths``), ``train`` and ``dev`` are pooled once and trained on as
+    features; the model keeps the table, so it scores index data through it.
     """
     if len(train) == 0 or len(dev) == 0:
         raise ValueError("train and dev sets must be non-empty")
+    if table is not None and not table.trainable and train.lengths is not None:
+        train, dev = (ProbeData(labels=data.labels, num_classes=data.num_classes,
+                                features=gather_features(data, table)) for data in (train, dev))
     h = gather_features(train.subset(slice(1)), table)  # sets the width and dtype
     model = init_probe(h.shape[1], train.num_classes, hidden=config.hidden,
                        seed=config.seed, table=table,

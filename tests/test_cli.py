@@ -618,15 +618,19 @@ def _wait_for(condition, timeout: float) -> bool:
 
 @needs_fork
 @pytest.mark.skipif(sys.platform != "linux", reason="reads /proc; prctl is Linux-only")
-@pytest.mark.parametrize("signum", [signal.SIGTERM, signal.SIGKILL], ids=["TERM", "KILL"])
-def test_a_stopped_probe_run_keeps_its_finished_cells_and_no_worker(tmp_path, signum):
-    # seed 0's cell scores; seed 1's sleeps until the run is stopped
+@pytest.mark.parametrize("signum, group", [(signal.SIGTERM, False), (signal.SIGKILL, False),
+                                           (signal.SIGINT, True)], ids=["TERM", "KILL", "INT"])
+def test_a_stopped_probe_run_keeps_its_finished_cells_and_no_worker(tmp_path, signum, group):
+    # seed 0's cell scores; seed 1's sleeps until the run is stopped. INT
+    # goes to the whole process group, as a terminal's Ctrl-C does.
     out_dir, pids = tmp_path / "run", tmp_path / "children.txt"
     argv = _tiny_synthetic_args(out_dir, seeds="0,1", extra=(
         "--representations", "random", "--frozen", "true", "--workers", "2"))
     script = (
-        "import os, sys, time\n"
+        "import os, signal, sys, time\n"
         "from eigennoise import cli, matrix\n"
+        # SIGINT raises KeyboardInterrupt even if the test was started with it ignored
+        "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
         "entry, score = matrix._score_in_child, matrix.run_cell\n"
         "def record_pid(*args):\n"
         f"    with open({str(pids)!r}, 'a', encoding='utf-8') as fh:\n"
@@ -641,11 +645,15 @@ def test_a_stopped_probe_run_keeps_its_finished_cells_and_no_worker(tmp_path, si
     )
     finished = out_dir / "cells" / "random_seq_frozen_s0.mdl.txt"
     proc = subprocess.Popen([sys.executable, "-c", script], env=_cli_env(),
-                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+                            start_new_session=True)
     try:
         assert _wait_for(lambda: finished.is_file() and finished.stat().st_size, 120)
-        proc.send_signal(signum)
-        proc.wait(timeout=30)
+        if group:
+            os.killpg(proc.pid, signum)
+        else:
+            proc.send_signal(signum)
+        stderr = proc.communicate(timeout=30)[1]  # read to EOF: every child has closed it
         children = [int(pid) for pid in pids.read_text(encoding="utf-8").split()]
         assert len(children) == 2
         assert _wait_for(lambda: all(_gone(pid) for pid in children), 30)
@@ -658,6 +666,7 @@ def test_a_stopped_probe_run_keeps_its_finished_cells_and_no_worker(tmp_path, si
     assert "total_bits\t" in finished.read_text(encoding="utf-8")
     assert [path.name for path in (out_dir / "cells").iterdir()] == [finished.name]
     assert not (out_dir / "cells.json").exists() and not (out_dir / "report.txt").exists()
+    assert "Process ForkProcess" not in stderr  # no child printed a traceback
 
 
 @needs_fork
@@ -842,12 +851,36 @@ def test_report_aggregate_keeps_runs_of_different_sizes_apart(tmp_path, capsys):
         assert _run("probe", "run", "--task", "synthetic", "--seeds", "0",
                     "--max-epochs", "3", "--hidden", "16", "--d", "8", "--n", n,
                     "--output-dir", str(tmp_path / f"n{n}")) == 0
-        run_rows += [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+        run_rows += [[f"n={n}", *line.split()]
+                     for line in capsys.readouterr().out.splitlines()[1:]]
     assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
-    # eigennoise and random at each size, each row as its own run printed it
+    header, *lines = capsys.readouterr().out.splitlines()
+    setting, rep = header.index("setting"), header.index("representation")
+    rows = [[next(f for f in line[setting:rep].split() if f.startswith("n=")),
+             *(line[:setting] + line[rep:]).split()] for line in lines]
+    # eigennoise and random at each size, each row as its own run printed it,
+    # with a setting that names its size
     assert len(rows) == len(run_rows) == 4
     assert sorted(rows) == sorted(run_rows)
+
+
+@pytest.mark.parametrize("option, values", [("--d", ("2", "8")),
+                                            ("--completion-seed", ("0", "5"))])
+def test_report_aggregate_gives_each_setting_a_row(tmp_path, capsys, option, values):
+    # runs that differ in one setting are not seeds of one setting
+    run_rows = []
+    for value in values:
+        assert _run("probe", "run", "--task", "synthetic", "--n", "60", "--seeds", "0",
+                    "--frozen", "true", "--representations", "eigennoise", "--d", "8",
+                    option, value, "--output-dir", str(tmp_path / value)) == 0
+        run_rows += [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert _run("report", "aggregate", "--input-dir", str(tmp_path)) == 0
+    header, *lines = capsys.readouterr().out.splitlines()
+    assert header.split()[:3] == ["task", "setting", "representation"]
+    rows = [line.split() for line in lines]
+    name = option.removeprefix("--").replace("-", "_")
+    assert [row[1] for row in rows] == [f"{name}={value}" for value in values]
+    assert [row[:1] + row[2:] for row in rows] == run_rows
 
 
 def test_matrix_runs_from_a_run_spec(tmp_path):
@@ -893,7 +926,8 @@ PROBE_RUN_DEFAULTS = (
     "--case-fold", "auto", "--hidden", "512", "--lr", "0.001", "--batch-size", "64",
     "--max-epochs", "50", "--patience", "4",
     "--fractions", "0.1,0.2,0.4,0.8,1.6,3.2,6.25,12.5,25,50,100",
-    "--workers", str(os.cpu_count() or 1))
+    "--workers", str(len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                     else os.cpu_count() or 1))
 
 
 def test_defaults_written_out_change_no_output(tmp_path, monkeypatch):
@@ -915,6 +949,13 @@ def test_defaults_written_out_change_no_output(tmp_path, monkeypatch):
                         for name in ("run/cells.json", "emb.txt.meta.json", "emb.txt")])
     assert outputs[0] == outputs[1]
     assert plans[0] == plans[1]
+
+
+def test_workers_default_to_the_cpus_this_process_may_run_on(monkeypatch):
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    args = cli.build_parser().parse_args(["probe", "run", "--task", "synthetic",
+                                          "--output-dir", "never"])
+    assert args.workers == 1
 
 
 def test_report_aggregate_empty_dir(tmp_path):

@@ -120,7 +120,8 @@ def test_pooled_features_match_the_per_batch_gather(rep):
     size = ctx.config_base.batch_size
     for split in (ctx.train_data, ctx.dev_data, ctx.test_data):
         data = split[None]
-        pooled = matrix._pooled(data, base)
+        pooled = probe.ProbeData(labels=data.labels, num_classes=data.num_classes,
+                                 features=probe.gather_features(data, base))
         assert pooled.indices is None
         assert pooled.features.dtype == np.float32
         assert np.array_equal(pooled.labels, data.labels)
@@ -134,33 +135,42 @@ def test_pooled_features_match_the_per_batch_gather(rep):
 
 
 def test_frozen_mean_cell_pools_each_split_once(monkeypatch):
+    # each fit pools its own train and dev splits through the shared table
+    # once, then trains on features
     ctx = _frozen_desk()
     cell = matrix.CellSpec(representation="eigennoise", window=None, frozen=True, seed=0)
-    gathered, fits = [], []
-    gather, train_probe = probe.gather_features, probe.train_probe
+    shared = ctx.tables["eigennoise", 0]
+    gathered, steps, fits = [], [], []
+    gather, backward, train_probe = probe.gather_features, probe.backward, probe.train_probe
 
     def spy_gather(data, table):
         if data.indices is not None:
-            gathered.append(data)
+            gathered.append((data, table))
         return gather(data, table)
 
+    def spy_backward(model, h, labels, indices=None, lengths=None):
+        steps.append((h.dtype, indices))
+        return backward(model, h, labels, indices=indices, lengths=lengths)
+
     def spy_train(train, dev, config, table=None):
+        start, first_step = len(gathered), len(steps)
         model, trace = train_probe(train, dev, config, table=table)
-        fits.append((train, dev, table, model))
+        fits.append((train, dev, table, model, gathered[start:], steps[first_step:]))
         return model, trace
 
     monkeypatch.setattr(probe, "gather_features", spy_gather)
+    monkeypatch.setattr(probe, "backward", spy_backward)
     monkeypatch.setattr(probe, "train_probe", spy_train)
     result = matrix.run_cell(cell, ctx)
     assert result.error is None
-    splits = (ctx.train_data[None], ctx.dev_data[None], ctx.test_data[None])
-    assert [id(data) for data in gathered] == [id(data) for data in splits]
     # one fit per codelength stage after the first, and the accuracy fit
     assert len(fits) == len(ctx.schedule.boundaries)
-    for train, dev, table, model in fits:
-        assert table is None
-        assert train.indices is dev.indices is None
-        assert train.features.dtype == dev.features.dtype == np.float32
+    for train, dev, table, model, fit_gathers, fit_steps in fits:
+        assert table is shared and not table.trainable
+        assert [(id(data), id(used)) for data, used in fit_gathers] == [
+            (id(train), id(shared)), (id(dev), id(shared))]
+        assert fit_steps and all(dtype == np.float32 and indices is None
+                                 for dtype, indices in fit_steps)
         assert model.w1.dtype == model.w2.dtype == np.float32
 
 

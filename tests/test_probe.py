@@ -594,6 +594,31 @@ def _windows(table, pooling, n=60, seed=9):
                      lengths=np.full(n, 2) if pooling == "mean" else None)
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_train_probe_pools_a_frozen_tables_mean_inputs_once(monkeypatch, dtype):
+    # a frozen table is a constant: a fit on it trains as on the pooled
+    # features with no table, and no training batch gathers through it
+    table = random_table(10, 4, seed=0)
+    table = replace(table, rows=table.rows.astype(dtype))
+    train, dev = _windows(table, "mean"), _windows(table, "mean", n=30, seed=4)
+    config = TrainConfig(seed=0, batch_size=16, max_epochs=3, hidden=8)
+    reference, _ = train_probe(*(ProbeData(labels=data.labels, num_classes=2,
+                                           features=gather_features(data, table))
+                                 for data in (train, dev)), config)
+    steps = []
+    backward = probe.backward
+
+    def spy(model, h, labels, indices=None, lengths=None):
+        steps.append(indices)
+        return backward(model, h, labels, indices=indices, lengths=lengths)
+
+    monkeypatch.setattr(probe, "backward", spy)
+    model, _ = train_probe(train, dev, config, table=table)
+    assert model.table is table
+    assert np.array_equal(model.w1, reference.w1) and np.array_equal(model.w2, reference.w2)
+    assert steps and all(indices is None for indices in steps)
+
+
 @pytest.mark.parametrize("frozen", [True, False], ids=["frozen", "unfrozen"])
 @pytest.mark.parametrize("pooling", ["concat", "mean"])
 def test_train_probe_on_a_float32_table_stays_float32(monkeypatch, pooling, frozen):
