@@ -17,7 +17,8 @@ and a copy of it. Each tree then runs the whole set in a work directory
 of its own, naming every output relative to it, so both sides print the
 same paths:
 
-* ``--help`` of every parser, the usage errors of every command and a
+* ``--help`` of every parser, the usage errors of every command (among
+  them a synthetic ``probe run`` with an empty ``--windows``) and a
   few data errors, among them a tsv ``probe run`` whose test file holds
   an unknown label, one whose train file holds a text without tokens, a
   synthetic one whose ``--output-dir`` is an input file (once with empty
@@ -46,9 +47,10 @@ same paths:
   and a ``report aggregate`` of the two (runs of one setting that share
   a seed); two eigennoise runs that differ only in ``--completion-seed``
   (0 and 5) and two that differ only in ``--d`` (2 and 8), each pair
-  with a ``report aggregate`` that gives each setting a row; then a rerun
-  at ``--seeds 0`` into the first run's directory, which must leave no
-  file of seed 1 behind;
+  with a ``report aggregate`` that gives each setting a row; a synthetic
+  run at ``--seeds 0,0 --representations random,random``, whose repeats
+  run once; then a rerun at ``--seeds 0`` into the first run's
+  directory, which must leave no file of seed 1 behind;
 * last, a token-zipf ``probe run`` over two copies of the GloVe file
   whose paths give their cells one file name (``vectors/glove.txt`` and
   ``vectors_glove.txt``).
@@ -215,6 +217,7 @@ def _probe_usage_errors() -> list[list[str]]:
         [*synthetic, "--representations", "glove"],
         [*synthetic, "--representations", ","],
         [*synthetic, "--windows", "0,2"],
+        [*synthetic, "--windows", ""],
         [*synthetic, "--windows", "a"],
         [*synthetic, "--seeds", ""],
         [*synthetic, "--kind", "nope"],
@@ -338,6 +341,8 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
           for value in values),
         ["report", "aggregate", "--input-dir", "settings/completion-seed"],
         ["report", "aggregate", "--input-dir", "settings/d"],
+        ["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", "0,0",
+         "--representations", "random,random", "--output-dir", "repeats"],
         ["probe", "run", "--task", "synthetic", "--n", "40", "--d", "2", "--seeds", "0",
          "--output-dir", "seeds/0-1"],
         ["probe", "run", "--task", "conll", *task, "--representations",

@@ -20,9 +20,9 @@ from pathlib import Path
 from typing import TYPE_CHECKING
 
 # Every other module is imported inside the commands that use it: --help
-# and usage errors load only argparse and defaults, vocab build no numpy,
-# and only probe run the experiment runner (matrix, with probe and
-# multiprocessing).
+# and the usage errors found while parsing load only argparse and
+# defaults, vocab build no numpy, and only probe run the experiment runner
+# (matrix, with probe and multiprocessing).
 from . import defaults
 
 if TYPE_CHECKING:  # _bundled_openblas imports it when it runs
@@ -33,7 +33,6 @@ EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_CELL_FAILURES = 3
 
-ALLOWED_WINDOWS = (0, 2, 5, 10)
 DEFAULT_SEEDS = (0, 1234, 322111)
 SEED_LIMIT = 2**128  # numpy's Philox takes keys in [0, 2**128)
 
@@ -62,8 +61,8 @@ class _Parser(argparse.ArgumentParser):
 
     def parse_args(self, args=None, namespace=None):
         """Parse, check every integer option against MINIMUM, then run the
-        command's own checks: every usage error is raised here, before any
-        command loads numpy."""
+        command's argv checks, before numpy loads; ``probe run`` checks the
+        rest of its usage when it builds its ``matrix.RunSpec``."""
         parsed = super().parse_args(args, namespace)
         for dest, least in MINIMUM.items():
             value = getattr(parsed, dest, None)
@@ -184,51 +183,22 @@ def run_cell(cell, ctx):
 
 
 def _check_probe_run(args) -> None:
-    """Check what MINIMUM does not (the options that depend on each
-    other, the floats and the windows) and settle what ``matrix.RunSpec``
-    records: the windows, the lists without repeats, the frozen settings
-    and the splits read."""
+    """Settle the argv that ``matrix.RunSpec`` takes as given: the default
+    windows, refused for a ``--windows`` on a task without them; the frozen
+    settings; and, for a tsv or conll task, the splits read. The spec
+    checks the rest when ``cmd_probe_run`` builds it."""
     if args.windows is None:
-        args.windows = ALLOWED_WINDOWS if args.task == "conll" else ()
+        args.windows = defaults.ALLOWED_WINDOWS if args.task == "conll" else ()
     elif args.task != "conll":
         raise UsageError("--windows applies only to token (conll) tasks")
-    if args.task in ("tsv", "conll") and args.train is None:
-        raise UsageError(f"--train is required for --task {args.task}")
-    files = [f"--{name}" for name in ("train", "dev", "test")
-             if getattr(args, name) is not None]
-    if args.task == "synthetic" and files:
-        raise UsageError(f"--task synthetic reads no task files; drop {', '.join(files)}")
-    # duplicates would run (and write) the same cell twice
-    args.representations = tuple(dict.fromkeys(args.representations))
-    args.seeds = tuple(dict.fromkeys(args.seeds))
-    args.windows = tuple(dict.fromkeys(args.windows))
-    for rep in args.representations:
-        if rep not in ("eigennoise", "random") and not rep.startswith("import:"):
-            raise UsageError(
-                f"unknown representation {rep!r} "
-                "(expected eigennoise, random, or import:<path>)"
-            )
-    for name in ("representations", "seeds"):
-        if not getattr(args, name):
-            raise UsageError(f"need at least one {name[:-1]}")
-    if not 0 < args.lr < float("inf"):
-        raise UsageError(f"--lr must be > 0 and finite, got {args.lr}")
-    if not (all(0 < f <= 100 for f in args.fractions)
-            and any(f < 100 for f in args.fractions)):
-        raise UsageError("--fractions must be in (0, 100] with at least one below 100, "
-                         f"got {','.join(f'{f:g}' for f in args.fractions)}")
-    if args.task == "conll" and not args.windows:
-        raise UsageError("token tasks need at least one window")
-    bad = [w for w in args.windows if w not in ALLOWED_WINDOWS]
-    if bad:
-        raise UsageError(f"windows {bad} outside supported set {ALLOWED_WINDOWS}")
     args.frozen = {"both": (True, False), "true": (True,), "false": (False,)}[args.frozen]
     # an unset --dev or --test is the sibling file of a --train ending in .train
     prefix = str(args.train).removesuffix(".train")
-    for split in ("dev", "test") if prefix != str(args.train) else ():
-        sibling = Path(f"{prefix}.{split}")
-        if getattr(args, split) is None and sibling.exists():
-            setattr(args, split, str(sibling))
+    if args.task != "synthetic" and prefix != str(args.train):
+        for split in ("dev", "test"):
+            sibling = Path(f"{prefix}.{split}")
+            if getattr(args, split) is None and sibling.exists():
+                setattr(args, split, str(sibling))
 
 
 def cmd_probe_run(args) -> int:
@@ -236,7 +206,11 @@ def cmd_probe_run(args) -> int:
 
     from . import matrix, mdl
 
-    spec = matrix.RunSpec(**{f.name: getattr(args, f.name) for f in fields(matrix.RunSpec)})
+    try:
+        spec = matrix.RunSpec(**{f.name: getattr(args, f.name)
+                                 for f in fields(matrix.RunSpec)})
+    except ValueError as exc:  # a rule of the run: checked before anything is read
+        raise UsageError(str(exc)) from None
     records = matrix.run(spec, args.output_dir, args.workers)
     sys.stdout.write(mdl.format_table(records))
     failures = sum(rec["error"] is not None for rec in records)

@@ -40,7 +40,7 @@ from datetime import datetime, timezone
 from itertools import chain
 from pathlib import Path
 
-from . import datasets, eigen, embeddings, mdl
+from . import datasets, defaults, eigen, embeddings, mdl
 from . import probe as probe_mod
 from . import vocab as vocab_mod
 
@@ -51,13 +51,14 @@ PROBE_DTYPE = "float32"
 @dataclass(frozen=True)
 class RunSpec:
     """Every setting that decides a run's bits: the ``probe run`` options
-    but ``--output-dir`` and ``--workers``, settled. Lists are tuples
-    without repeats, in the order first given; ``windows`` is empty for a
-    task without windows; ``dev`` and ``test`` are the files read,
+    but ``--output-dir`` and ``--workers``, settled. ``windows`` is empty
+    for a task without windows; ``dev`` and ``test`` are the files read,
     siblings of a ``.train`` file included. No field has a default: the
     parser and ``defaults`` own them. The spec line of ``cells.json`` and
     ``report.txt`` is this spec plus the vocabulary size and the block
-    boundaries."""
+    boundaries. A new spec keeps the first of each repeated list value and
+    raises ``ValueError``, with the CLI's usage text, at the first rule of
+    a run that it breaks."""
 
     task: str  # "synthetic", "tsv" or "conll"
     kind: str  # the synthetic task's kind, train size, classes and draw seed
@@ -85,6 +86,34 @@ class RunSpec:
     max_epochs: int
     patience: int
     fractions: tuple[float, ...]  # the MDL block boundaries, in percent
+
+    def __post_init__(self):
+        for name in ("representations", "windows", "frozen", "seeds"):
+            object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
+        if self.task in ("tsv", "conll") and self.train is None:
+            raise ValueError(f"--train is required for --task {self.task}")
+        files = [f"--{f}" for f in ("train", "dev", "test") if getattr(self, f) is not None]
+        if self.task == "synthetic" and files:
+            raise ValueError(f"--task synthetic reads no task files; drop {', '.join(files)}")
+        for rep in self.representations:
+            if rep not in ("eigennoise", "random") and not rep.startswith("import:"):
+                raise ValueError(f"unknown representation {rep!r} "
+                                 "(expected eigennoise, random, or import:<path>)")
+        for name in ("representations", "seeds"):
+            if not getattr(self, name):
+                raise ValueError(f"need at least one {name[:-1]}")
+        if not 0 < self.lr < float("inf"):
+            raise ValueError(f"--lr must be > 0 and finite, got {self.lr}")
+        if not (all(0 < f <= 100 for f in self.fractions)
+                and any(f < 100 for f in self.fractions)):
+            raise ValueError("--fractions must be in (0, 100] with at least one below 100, "
+                             f"got {','.join(f'{f:g}' for f in self.fractions)}")
+        if self.task == "conll" and not self.windows:
+            raise ValueError("token tasks need at least one window")
+        if self.task != "conll" and self.windows:
+            raise ValueError("--windows applies only to token (conll) tasks")
+        if bad := [w for w in self.windows if w not in defaults.ALLOWED_WINDOWS]:
+            raise ValueError(f"windows {bad} outside supported set {defaults.ALLOWED_WINDOWS}")
 
 
 # --- cells ------------------------------------------------------------------
@@ -242,13 +271,8 @@ def run_matrix(ctx: MatrixContext, cells: list[CellSpec],
 def build_context(spec: RunSpec) -> MatrixContext:
     """Read the task's splits, rank the vocabulary, featurize every split
     once and build every cell's starting table, keyed by (representation,
-    seed). A conll task needs ``spec.windows``; each split is featurized at
-    the widest, and every window shares its labels and reads a column slice
-    of its indices. An unknown representation raises before any of it."""
-    for rep in spec.representations:
-        if rep not in ("eigennoise", "random") and not rep.startswith("import:"):
-            raise ValueError(f"unknown representation {rep!r} "
-                             "(expected eigennoise, random, or import:<path>)")
+    seed). A conll split is featurized once, at the widest window; every
+    window shares its labels and reads a column slice of its indices."""
     if spec.task == "synthetic":
         eval_n = max(spec.classes * 10, spec.n // 5)
         splits = {
@@ -340,8 +364,9 @@ def matrix_cells(spec: RunSpec) -> list[CellSpec]:
 def run(spec: RunSpec, out_dir, workers: int) -> list[dict]:
     """Run the matrix that ``spec`` describes on ``workers`` processes: list
     the cells, read the task, delete ``out_dir``'s old outputs, write each
-    cell's file as it finishes, then the run's. A faulty spec or task raises
-    before any file is touched. Returns the records in cell-name order."""
+    cell's file as it finishes, then the run's. A clash of cell files or a
+    faulty task raises before any file is touched. Returns the records in
+    cell-name order."""
     cells = matrix_cells(spec)
     ctx = build_context(spec)
     out_dir = Path(out_dir)

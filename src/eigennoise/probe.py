@@ -51,8 +51,8 @@ class TrainConfig:
     hidden: int = defaults.DEFAULT_HIDDEN
 
     def __post_init__(self):
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not 0 < self.lr < float("inf"):
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
         for name in ("patience", "hidden", "batch_size", "max_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

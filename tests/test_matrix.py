@@ -4,8 +4,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from eigennoise import (cli, datasets, defaults, eigen, embeddings, matrix, mdl, probe,
-                        vocab)
+from eigennoise import cli, datasets, defaults, embeddings, matrix, mdl, probe, vocab
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -249,14 +248,66 @@ def test_build_context_slices_each_window_from_one_featurization(tmp_path, monke
 
 @pytest.mark.parametrize("representations", [("eigennoise", "bogus"), ("bogus",)],
                          ids=["after-a-known-one", "alone"])
-def test_build_context_refuses_an_unknown_representation(monkeypatch, representations):
-    built = []
-    monkeypatch.setattr(eigen, "eigennoise_analytic", lambda *a, **k: built.append(a))
-    monkeypatch.setattr(embeddings, "random_table", lambda *a, **k: built.append(a))
-    spec = replace(BASE, n=80, d=8, representations=representations)
+def test_run_spec_refuses_an_unknown_representation(representations):
     with pytest.raises(ValueError, match=r"^unknown representation 'bogus' \(expected "):
-        matrix.build_context(spec)
-    assert built == []
+        replace(BASE, n=80, d=8, representations=representations)
+
+
+# a small synthetic spec, and the probe run options that give it
+SMALL = replace(BASE, n=40, d=2, hidden=4, max_epochs=2, seeds=(0,),
+                representations=("random",), frozen=(True,))
+SMALL_ARGV = ["--n", "40", "--d", "2", "--hidden", "4", "--max-epochs", "2", "--seeds", "0",
+              "--representations", "random", "--frozen", "true"]
+TINY_CONLL_ARGV = ["--task", "conll", "--train", TINY_CONLL["train"]]  # finds its test file
+
+
+@pytest.mark.parametrize("fields, argv, message", [
+    ({"windows": (2,)}, ["--task", "synthetic", "--windows", "2"],
+     "--windows applies only to token (conll) tasks"),
+    ({"lr": float("inf")}, ["--task", "synthetic", "--lr", "inf"],
+     "--lr must be > 0 and finite, got inf"),
+    ({"fractions": (50.0, 200.0)}, ["--task", "synthetic", "--fractions", "50,200"],
+     "--fractions must be in (0, 100] with at least one below 100, got 50,200"),
+    ({**TINY_CONLL, "windows": ()}, [*TINY_CONLL_ARGV, "--windows", ""],
+     "token tasks need at least one window"),
+], ids=["synthetic-window", "infinite-lr", "fraction-above-100", "conll-without-windows"])
+def test_run_spec_refuses_what_probe_run_refuses(tmp_path, capsys, monkeypatch, fields,
+                                                 argv, message):
+    read = []
+
+    def spy(spec):
+        read.append(spec)
+        raise AssertionError("the task was read")
+
+    monkeypatch.setattr(matrix, "build_context", spy)
+    out = tmp_path / "out"
+    with pytest.raises(ValueError) as refused:
+        matrix.run(replace(SMALL, **fields), out, 1)
+    assert str(refused.value) == message
+    assert read == [] and not out.exists()
+    # the same text as the CLI's usage error for the same settings
+    capsys.readouterr()
+    assert cli.main(["probe", "run", *SMALL_ARGV, *argv,
+                     "--output-dir", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {message}\n"
+    assert read == [] and not out.exists()
+
+
+def test_run_spec_drops_repeated_values():
+    spec = replace(BASE, **TINY_CONLL, representations=("random", "eigennoise", "random"),
+                   windows=(2, 0, 2, 0), frozen=(False, True, False), seeds=(5, 0, 5, 5))
+    assert (spec.representations, spec.windows, spec.frozen, spec.seeds) == (
+        ("random", "eigennoise"), (2, 0), (False, True), (5, 0))
+    assert spec == replace(BASE, **TINY_CONLL, representations=("random", "eigennoise"),
+                           windows=(2, 0), frozen=(False, True), seeds=(5, 0))
+
+
+def test_a_library_run_scores_a_repeated_seed_once(tmp_path, capsys):
+    with cli._one_blas_thread():
+        records = matrix.run(replace(SMALL, seeds=(0, 0)), tmp_path / "run", 1)
+    assert [(rec["seed"], rec["error"]) for rec in records] == [(0, None)]
+    capsys.readouterr()
+    assert cli.main(["report", "aggregate", "--input-dir", str(tmp_path)]) == cli.EXIT_OK
 
 
 @pytest.mark.parametrize("task", ["synthetic", "tsv", "conll"])

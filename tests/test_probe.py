@@ -566,10 +566,15 @@ def test_loss_at_zero_weights_is_log_k(gaussian_blobs):
     np.testing.assert_allclose(probs, 0.5, rtol=1e-12)
 
 
-@pytest.mark.parametrize("field", ["hidden", "batch_size", "max_epochs", "patience"])
-def test_train_config_rejects_sizes_below_one(field):
-    with pytest.raises(ValueError, match=f"{field} must be >= 1"):
-        TrainConfig(**{field: 0})
+@pytest.mark.parametrize("field, value", [
+    ("hidden", 0), ("batch_size", 0), ("max_epochs", 0), ("patience", 0),
+    ("lr", 0.0), ("lr", float("inf")), ("lr", float("nan"))],
+    ids=["hidden", "batch_size", "max_epochs", "patience", "lr-zero", "lr-inf", "lr-nan"])
+def test_train_config_rejects_sizes_below_one(field, value):
+    # and an lr that is not positive and finite
+    message = "lr must be positive" if field == "lr" else f"{field} must be >= 1"
+    with pytest.raises(ValueError, match=message):
+        TrainConfig(**{field: value})
 
 
 def test_train_probe_rejects_empty():
