@@ -18,9 +18,11 @@ of its own, naming every output relative to it, so both sides print the
 same paths:
 
 * ``--help`` of every parser, the usage errors of every command (among
-  them a synthetic ``probe run`` with an empty ``--windows``) and a
-  few data errors, among them a tsv ``probe run`` whose test file holds
-  an unknown label, one whose train file holds a text without tokens, a
+  them a synthetic ``probe run`` with an empty ``--windows``, and a value
+  outside the choices of ``probe run --task``, ``--kind``, ``--mode``,
+  ``--case-fold`` and ``--frozen`` and of ``vocab build --case-fold``)
+  and a few data errors, among them a tsv ``probe run`` whose test file
+  holds an unknown label, one whose train file holds a text without tokens, a
   synthetic one whose ``--output-dir`` is an input file (once with empty
   items in ``--representations``), an ``embed eigennoise`` and a ``probe
   run`` whose ``--m`` overflows a float, and a ``report aggregate`` of
@@ -221,6 +223,9 @@ def _probe_usage_errors() -> list[list[str]]:
         [*synthetic, "--windows", "a"],
         [*synthetic, "--seeds", ""],
         [*synthetic, "--kind", "nope"],
+        [*run, "--task", "bogus"],
+        *([*synthetic, option, value] for option, value in (
+            ("--mode", "cubic"), ("--case-fold", "maybe"), ("--frozen", "maybe"))),
         [*run, "--task", "conll"],
         [*run, "--task", "tsv"],
         [*conll, "--windows", "0,3"],
@@ -249,7 +254,7 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
     usage = [
         [], ["bogus"], ["embed"], ["embed", "random", "--n", "5"],
         [*build, "--max-size", "0"], [*build, "--token-column", "-1"],
-        [*build, "--format", "xml"],
+        [*build, "--format", "xml"], [*build, "--case-fold", "maybe"],
         ["embed", "random", "--n", "5", "--vocab", "v.tsv", "--d", "2", "--output", "o"],
         *(["embed", "eigennoise", "--n", "5", "--d", "2", "--output", "never.txt", *extra]
           for extra in (["--d", "0"], ["--m", "0"], ["--n", "0"], ["--mode", "cubic"],

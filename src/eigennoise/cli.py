@@ -34,19 +34,6 @@ EXIT_DATA = 2
 EXIT_CELL_FAILURES = 3
 
 DEFAULT_SEEDS = (0, 1234, 322111)
-SEED_LIMIT = 2**128  # numpy's Philox takes keys in [0, 2**128)
-
-
-#: The least value of each integer option, for every command that has it,
-#: in the order they are checked.
-MINIMUM = {
-    "d": 1, "m": 1, "classes": 1, "hidden": 1, "batch_size": 1, "max_epochs": 1,
-    "patience": 1, "workers": 1, "vocab_cap": 1, "max_size": 1, "expected_d": 1,
-    "data_seed": 0, "token_column": 0, "label_column": 0, "seed": 0, "seeds": 0,
-    "completion_seed": 0, "n": 1,
-}
-#: The options that key numpy's Philox, so must also be below SEED_LIMIT.
-PHILOX_KEYS = ("seed", "seeds", "completion_seed")
 
 
 class UsageError(Exception):
@@ -60,22 +47,12 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
     def parse_args(self, args=None, namespace=None):
-        """Parse, check every integer option against MINIMUM, then run the
-        command's argv checks, before numpy loads; ``probe run`` checks the
-        rest of its usage when it builds its ``matrix.RunSpec``."""
+        """Parse, apply ``defaults.option_fault`` to every option, then run
+        the command's argv checks, before numpy loads; ``probe run`` checks
+        the rest of its usage when it builds its ``matrix.RunSpec``."""
         parsed = super().parse_args(args, namespace)
-        for dest, least in MINIMUM.items():
-            value = getattr(parsed, dest, None)
-            if value is None:  # unset, or not an option of this command
-                continue
-            option = f"--{dest.replace('_', '-')}"
-            values = value if isinstance(value, tuple) else (value,)
-            for v in values:
-                if v < least:
-                    raise UsageError(f"{option} must be >= {least}, got {v}")
-            for v in values if dest in PHILOX_KEYS else ():
-                if v >= SEED_LIMIT:
-                    raise UsageError(f"{option} must be < 2**128, got {v}")
+        if fault := defaults.option_fault(vars(parsed)):
+            raise UsageError(fault)
         check = getattr(parsed, "check", None)
         if check is not None:
             check(parsed)
@@ -331,7 +308,7 @@ def build_parser() -> _Parser:
     p_build.add_argument("--input", required=True)
     p_build.add_argument("--format", choices=("text", "tsv", "conll"), default="text")
     p_build.add_argument("--token-column", type=int, default=0)
-    p_build.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
+    p_build.add_argument("--case-fold", choices=defaults.CHOICES["case_fold"], default="auto")
     p_build.add_argument("--max-size", type=int, default=defaults.DEFAULT_MAX_SIZE)
     p_build.add_argument("--output", required=True)
     p_build.set_defaults(func=cmd_vocab_build)
@@ -343,7 +320,7 @@ def build_parser() -> _Parser:
     _add_size_source(p_en)
     p_en.add_argument("--d", type=int, required=True)
     p_en.add_argument("--m", type=int, default=defaults.DEFAULT_WINDOW)
-    p_en.add_argument("--mode", choices=("linear", "log"), default="linear")
+    p_en.add_argument("--mode", choices=defaults.CHOICES["mode"], default="linear")
     p_en.add_argument("--completion-seed", type=int, default=0)
     p_en.add_argument("--output", required=True)
     p_en.set_defaults(func=cmd_embed_eigennoise)
@@ -366,8 +343,8 @@ def build_parser() -> _Parser:
     p_probe = top.add_parser("probe", help="MDL probing experiments")
     probe_sub = p_probe.add_subparsers(dest="subcommand", required=True)
     p_run = probe_sub.add_parser("run", help="run the experiment matrix")
-    p_run.add_argument("--task", choices=("synthetic", "tsv", "conll"), required=True)
-    p_run.add_argument("--kind", choices=defaults.SYNTH_KINDS, default="separable")
+    p_run.add_argument("--task", choices=defaults.CHOICES["task"], required=True)
+    p_run.add_argument("--kind", choices=defaults.CHOICES["kind"], default="separable")
     p_run.add_argument("--n", type=int, default=2000, help="synthetic train size")
     p_run.add_argument("--classes", type=int, default=2)
     p_run.add_argument("--data-seed", type=int, default=7,
@@ -384,10 +361,10 @@ def build_parser() -> _Parser:
     p_run.add_argument("--seeds", type=_csv_ints, default=DEFAULT_SEEDS)
     p_run.add_argument("--d", type=int, default=50)
     p_run.add_argument("--m", type=int, default=defaults.DEFAULT_WINDOW)
-    p_run.add_argument("--mode", choices=("linear", "log"), default="linear")
+    p_run.add_argument("--mode", choices=defaults.CHOICES["mode"], default="linear")
     p_run.add_argument("--completion-seed", type=int, default=0)
     p_run.add_argument("--vocab-cap", type=int, default=defaults.DEFAULT_MAX_SIZE)
-    p_run.add_argument("--case-fold", choices=("auto", "on", "off"), default="auto")
+    p_run.add_argument("--case-fold", choices=defaults.CHOICES["case_fold"], default="auto")
     p_run.add_argument("--hidden", type=int, default=defaults.DEFAULT_HIDDEN)
     p_run.add_argument("--lr", type=float, default=defaults.DEFAULT_LR)
     p_run.add_argument("--batch-size", type=int, default=defaults.DEFAULT_BATCH_SIZE)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
 
-from .defaults import SYNTH_KINDS
+from .defaults import CHOICES
 from .vocab import tokenize
 
 
@@ -147,12 +147,8 @@ def parse_tsv(path: str | Path) -> SequenceDataset:
 
 
 def resolve_case_fold(choice: str, task_format: str) -> bool:
-    if choice == "on":
-        return True
-    if choice == "off":
-        return False
-    # auto: fold tweet-like text, keep case for token-column tasks
-    return task_format != "conll"
+    """auto folds tweet-like text and keeps case for token-column tasks."""
+    return {"on": True, "off": False, "auto": task_format != "conll"}[choice]
 
 
 def read_split(task_format: str, path, token_column: int, label_column: int):
@@ -181,8 +177,8 @@ def synth_task(kind: str, n: int, k: int = 2, seed: int = 0,
     """
     import numpy as np
 
-    if kind not in SYNTH_KINDS:
-        raise ValueError(f"kind must be one of {SYNTH_KINDS}, got {kind!r}")
+    if kind not in CHOICES["kind"]:
+        raise ValueError(f"kind must be one of {CHOICES['kind']}, got {kind!r}")
     if n < k * 10:
         raise ValueError(f"need n >= 10 per class, got n={n}, k={k}")
     if split not in _SPLIT_INDEX:

@@ -57,8 +57,9 @@ class RunSpec:
     parser and ``defaults`` own them. The spec line of ``cells.json`` and
     ``report.txt`` is this spec plus the vocabulary size and the block
     boundaries. A new spec keeps the first of each repeated list value and
-    raises ``ValueError``, with the CLI's usage text, at the first rule of
-    a run that it breaks."""
+    raises ``ValueError``, with the CLI's usage text, at the first rule that
+    it breaks: every field is checked, first by ``defaults.option_fault``
+    as the parser checks its options, then by the rules of a run."""
 
     task: str  # "synthetic", "tsv" or "conll"
     kind: str  # the synthetic task's kind, train size, classes and draw seed
@@ -90,6 +91,8 @@ class RunSpec:
     def __post_init__(self):
         for name in ("representations", "windows", "frozen", "seeds"):
             object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
+        if fault := defaults.option_fault(asdict(self)):
+            raise ValueError(fault)
         if self.task in ("tsv", "conll") and self.train is None:
             raise ValueError(f"--train is required for --task {self.task}")
         files = [f"--{f}" for f in ("train", "dev", "test") if getattr(self, f) is not None]
@@ -99,9 +102,10 @@ class RunSpec:
             if rep not in ("eigennoise", "random") and not rep.startswith("import:"):
                 raise ValueError(f"unknown representation {rep!r} "
                                  "(expected eigennoise, random, or import:<path>)")
-        for name in ("representations", "seeds"):
+        for name, what in (("representations", "representation"), ("seeds", "seed"),
+                           ("frozen", "frozen setting")):
             if not getattr(self, name):
-                raise ValueError(f"need at least one {name[:-1]}")
+                raise ValueError(f"need at least one {what}")
         if not 0 < self.lr < float("inf"):
             raise ValueError(f"--lr must be > 0 and finite, got {self.lr}")
         if not (all(0 < f <= 100 for f in self.fractions)
@@ -364,9 +368,11 @@ def matrix_cells(spec: RunSpec) -> list[CellSpec]:
 def run(spec: RunSpec, out_dir, workers: int) -> list[dict]:
     """Run the matrix that ``spec`` describes on ``workers`` processes: list
     the cells, read the task, delete ``out_dir``'s old outputs, write each
-    cell's file as it finishes, then the run's. A clash of cell files or a
-    faulty task raises before any file is touched. Returns the records in
-    cell-name order."""
+    cell's file as it finishes, then the run's. ``workers`` below 1, a clash
+    of cell files or a faulty task raises before any file is touched.
+    Returns the records in cell-name order."""
+    if fault := defaults.option_fault({"workers": workers}):
+        raise ValueError(fault)
     cells = matrix_cells(spec)
     ctx = build_context(spec)
     out_dir = Path(out_dir)

@@ -8,6 +8,7 @@ from eigennoise.datasets import (
     TokenDataset,
     parse_conll,
     parse_tsv,
+    resolve_case_fold,
     synth_task,
     write_conll,
 )
@@ -175,3 +176,10 @@ def test_synth_validation():
         synth_task("separable", 15, k=2)
     with pytest.raises(ValueError):
         synth_task("separable", 100, split="validation")
+
+
+def test_resolve_case_fold():
+    assert [resolve_case_fold(choice, task_format) for task_format in ("text", "tsv", "conll")
+            for choice in ("on", "off", "auto")] == [True, False, True] * 2 + [True, False, False]
+    with pytest.raises(KeyError):  # the parser and RunSpec refuse it first
+        resolve_case_fold("maybe", "tsv")

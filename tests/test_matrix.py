@@ -1,3 +1,4 @@
+import signal
 from dataclasses import replace
 from pathlib import Path
 
@@ -291,6 +292,94 @@ def test_run_spec_refuses_what_probe_run_refuses(tmp_path, capsys, monkeypatch, 
                      "--output-dir", str(out)]) == cli.EXIT_USAGE
     assert capsys.readouterr().err == f"usage error: {message}\n"
     assert read == [] and not out.exists()
+
+
+def _choice_fault(option, value, choices):
+    return (f"argument {option}: invalid choice: {value!r} "
+            f"(choose from {', '.join(map(repr, choices))})")
+
+
+# a library spec's faulty values, each refused with the CLI's text
+LIBRARY_FAULTS = [
+    ({"task": "bogus"}, _choice_fault("--task", "bogus", ("synthetic", "tsv", "conll"))),
+    ({"classes": 0}, "--classes must be >= 1, got 0"),
+    ({"case_fold": "maybe"}, _choice_fault("--case-fold", "maybe", ("auto", "on", "off"))),
+    ({"token_column": -1}, "--token-column must be >= 0, got -1"),
+    ({"frozen": ()}, "need at least one frozen setting"),
+    ({"mode": "cubic"}, _choice_fault("--mode", "cubic", ("linear", "log"))),
+    ({"d": 0}, "--d must be >= 1, got 0"),
+    ({"seeds": (2**128,)}, f"--seeds must be < 2**128, got {2**128}"),
+    ({"kind": "bogus"}, _choice_fault("--kind", "bogus", ("separable", "noisy"))),
+    ({"n": 0}, "--n must be >= 1, got 0"),
+    ({"m": 0}, "--m must be >= 1, got 0"),
+    ({"vocab_cap": 0}, "--vocab-cap must be >= 1, got 0"),
+    ({"hidden": 0}, "--hidden must be >= 1, got 0"),
+    ({"batch_size": 0}, "--batch-size must be >= 1, got 0"),
+    ({"max_epochs": 0}, "--max-epochs must be >= 1, got 0"),
+    ({"patience": 0}, "--patience must be >= 1, got 0"),
+    ({"data_seed": -1}, "--data-seed must be >= 0, got -1"),
+    ({"label_column": -1}, "--label-column must be >= 0, got -1"),
+    ({"completion_seed": -1}, "--completion-seed must be >= 0, got -1"),
+]
+
+
+@pytest.mark.parametrize("fields, message", LIBRARY_FAULTS,
+                         ids=[next(iter(fields)) for fields, _ in LIBRARY_FAULTS])
+def test_run_spec_refuses_each_value_that_the_parser_refuses(monkeypatch, fields, message):
+    read = []
+    for name in ("read_split", "synth_task"):
+        monkeypatch.setattr(datasets, name, lambda *a, name=name, **k: read.append(name))
+    with pytest.raises(ValueError) as refused:
+        matrix.RunSpec(**{**vars(SMALL), **fields})
+    assert str(refused.value) == message
+    assert read == []
+
+
+# every spec field with a choice or a least value, with a value that breaks
+# the rule as the spec and as probe run's argv take it
+SPEC_OPTION_FAULTS = [fault for fault in (
+    *((name, "bogus", "bogus") for name in defaults.CHOICES),
+    *((name, (least - 1,) if name == "seeds" else least - 1, str(least - 1))
+      for name, least in defaults.MINIMUM.items()),
+    *((name, (2**128,) if name == "seeds" else 2**128, str(2**128))
+      for name in defaults.PHILOX_KEYS),
+) if fault[0] in vars(SMALL)]
+
+
+@pytest.mark.parametrize("name, value, argv_value", SPEC_OPTION_FAULTS, ids=[
+    f"{name}={argv_value.replace(str(2**128), '2**128')}"
+    for name, _, argv_value in SPEC_OPTION_FAULTS])
+def test_run_spec_and_probe_run_give_one_text_for_a_faulty_value(tmp_path, capsys, name,
+                                                                 value, argv_value):
+    with pytest.raises(ValueError) as refused:
+        replace(SMALL, **{name: value})
+    out = tmp_path / "out"
+    capsys.readouterr()
+    assert cli.main(["probe", "run", "--task", "synthetic", f"--{name.replace('_', '-')}="
+                     f"{argv_value}", "--output-dir", str(out)]) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == f"usage error: {refused.value}\n"
+    assert not out.exists()
+
+
+def test_run_refuses_no_workers_before_touching_a_file(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "cells.json").write_text("an earlier run\n", encoding="utf-8")
+
+    def hung(signum, frame):
+        raise TimeoutError("matrix.run did not return")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(20)
+    try:
+        with pytest.raises(ValueError) as refused:
+            matrix.run(SMALL, out, 0)
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert str(refused.value) == "--workers must be >= 1, got 0"
+    assert [path.name for path in out.iterdir()] == ["cells.json"]
+    assert (out / "cells.json").read_text(encoding="utf-8") == "an earlier run\n"
 
 
 def test_run_spec_drops_repeated_values():
