@@ -18,7 +18,8 @@ of its own, naming every output relative to it, so both sides print the
 same paths:
 
 * ``--help`` of every parser, the usage errors of every command (among
-  them a synthetic ``probe run`` with an empty ``--windows``, and a value
+  them a synthetic ``probe run`` with an empty ``--windows``, one at
+  ``--classes 1``, one whose ``--n`` is below 10 per class, and a value
   outside the choices of ``probe run --task``, ``--kind``, ``--mode``,
   ``--case-fold`` and ``--frozen`` and of ``vocab build --case-fold``)
   and a few data errors, among them a tsv ``probe run`` whose test file
@@ -223,6 +224,7 @@ def _probe_usage_errors() -> list[list[str]]:
         [*synthetic, "--windows", "a"],
         [*synthetic, "--seeds", ""],
         [*synthetic, "--kind", "nope"],
+        [*synthetic, "--classes", "100", "--n", "40"],
         [*run, "--task", "bogus"],
         *([*synthetic, option, value] for option, value in (
             ("--mode", "cubic"), ("--case-fold", "maybe"), ("--frozen", "maybe"))),
@@ -232,7 +234,7 @@ def _probe_usage_errors() -> list[list[str]]:
         [*conll, "--windows", ""],
         [*conll, "--d", "0"],
         *([*synthetic, f"{option}={value}"] for option, value in (
-            ("--n", "0"), ("--d", "0"), ("--m", "0"), ("--classes", "0"),
+            ("--n", "0"), ("--d", "0"), ("--m", "0"), ("--classes", "0"), ("--classes", "1"),
             ("--hidden", "0"), ("--batch-size", "0"), ("--max-epochs", "0"),
             ("--patience", "0"), ("--workers", "0"), ("--vocab-cap", "0"), ("--seeds", "-1"),
             ("--seeds", "0,-1"), ("--seeds", limit), ("--seeds", f"0,{limit}"),

@@ -67,7 +67,7 @@ def cmd_vocab_build(args) -> int:
     from . import vocab as vocab_mod
 
     if args.format == "text":
-        tokens = list(vocab_mod.token_stream(args.input))
+        tokens = vocab_mod.token_stream(args.input)
     else:  # labels are not read: point the label column at the tokens
         tokens = chain.from_iterable(datasets.read_split(
             args.format, args.input, args.token_column, args.token_column).tokens)

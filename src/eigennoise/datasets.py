@@ -7,7 +7,9 @@ tokenized once, when its file is read, a synthetic text is drawn as
 tokens, and labels become ids only at featurization. Label sets are
 ordered by first appearance in the file that defined them (by class
 number for synthetic tasks); applying a training label set to dev/test
-never re-indexes silently (unknown labels raise).
+never re-indexes silently (unknown labels raise). A file's reader, and a
+synthetic draw, hold one string object per distinct token and label,
+shared by all its occurrences, so a task's strings grow with its types.
 """
 
 from __future__ import annotations
@@ -80,6 +82,7 @@ def parse_conll(path: str | Path, token_column: int = 0,
     labels: list[tuple[str, ...]] = []
     cur_toks: list[str] = []
     cur_labs: list[str] = []
+    seen: dict[str, str] = {}  # one string object per distinct value
 
     def flush():
         if cur_toks:
@@ -103,8 +106,8 @@ def parse_conll(path: str | Path, token_column: int = 0,
                     f"{path}:{lineno}: {len(cols)} columns, need at least {width}"
                 )
             tok, lab = cols[token_column], cols[label_column]
-            cur_toks.append(tok)
-            cur_labs.append(lab)
+            cur_toks.append(seen.setdefault(tok, tok))
+            cur_labs.append(seen.setdefault(lab, lab))
     flush()
     if not sentences:
         raise ValueError(f"{path}: no sentences found")
@@ -127,6 +130,7 @@ def parse_tsv(path: str | Path) -> SequenceDataset:
     The label set follows first appearance."""
     tokens: list[tuple[str, ...]] = []
     labels: list[str] = []
+    seen: dict[str, str] = {}  # one string object per distinct value
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.rstrip("\n")
@@ -135,10 +139,10 @@ def parse_tsv(path: str | Path) -> SequenceDataset:
             if "\t" not in line:
                 raise ValueError(f"{path}:{lineno}: expected label<TAB>text")
             label, text = line.split("\t", 1)
-            toks = tuple(tokenize(text))
+            toks = tuple(seen.setdefault(t, t) for t in tokenize(text))
             if not toks:
                 raise ValueError(f"{path}:{lineno}: text tokenizes to nothing")
-            labels.append(label)
+            labels.append(seen.setdefault(label, label))
             tokens.append(toks)
     if not tokens:
         raise ValueError(f"{path}: empty dataset file")
@@ -192,6 +196,7 @@ def synth_task(kind: str, n: int, k: int = 2, seed: int = 0,
     zipf /= zipf.sum()
     zipf_all = 1.0 / np.arange(1, vocab_size + 1)
     zipf_all /= zipf_all.sum()
+    names = [f"w{t:03d}" for t in range(vocab_size)]
     tokens = []
     for lab in labels:
         length = int(rng.integers(_SEQ_LEN_RANGE[0], _SEQ_LEN_RANGE[1]))
@@ -200,7 +205,7 @@ def synth_task(kind: str, n: int, k: int = 2, seed: int = 0,
         if kind == "noisy":
             leak = rng.random(length) < _NOISY_LEAK
             ids = np.where(leak, rng.choice(vocab_size, size=length, p=zipf_all), ids)
-        tokens.append(tuple(f"w{t:03d}" for t in ids))
+        tokens.append(tuple(map(names.__getitem__, ids.tolist())))
     label_set = tuple(f"class_{c}" for c in range(k))
     return SequenceDataset(tokens=tuple(tokens), labels=tuple(label_set[c] for c in labels),
                            label_set=label_set)

@@ -23,7 +23,7 @@ DEFAULT_HIDDEN = 512
 #: option, for every command that has it, in the order they are checked.
 CHOICES = {"task": ("synthetic", "tsv", "conll"), "kind": ("separable", "noisy"),
            "mode": ("linear", "log"), "case_fold": ("auto", "on", "off")}
-MINIMUM = {"d": 1, "m": 1, "classes": 1, "hidden": 1, "batch_size": 1, "max_epochs": 1,
+MINIMUM = {"d": 1, "m": 1, "classes": 2, "hidden": 1, "batch_size": 1, "max_epochs": 1,
            "patience": 1, "workers": 1, "vocab_cap": 1, "max_size": 1, "expected_d": 1,
            "data_seed": 0, "token_column": 0, "label_column": 0, "seed": 0, "seeds": 0,
            "completion_seed": 0, "n": 1}

@@ -98,6 +98,9 @@ class RunSpec:
         files = [f"--{f}" for f in ("train", "dev", "test") if getattr(self, f) is not None]
         if self.task == "synthetic" and files:
             raise ValueError(f"--task synthetic reads no task files; drop {', '.join(files)}")
+        if self.task == "synthetic" and self.n < 10 * self.classes:
+            raise ValueError(f"--n must be >= 10 * --classes = {10 * self.classes}, "
+                             f"got {self.n}")
         for rep in self.representations:
             if rep not in ("eigennoise", "random") and not rep.startswith("import:"):
                 raise ValueError(f"unknown representation {rep!r} "

@@ -70,7 +70,8 @@ class ProbeData:
     alone: rows are fixed-width windows of table row indices, flattened
     after lookup (concat). ``indices`` and ``lengths``: rows are padded
     token sequences averaged over the first ``lengths`` entries (mean;
-    padding points at the zero PAD row, so a plain sum is safe).
+    padding points at the zero PAD row, so a plain sum is safe). The
+    featurizers store ``indices`` as int32, half the bytes of int64.
     """
 
     labels: np.ndarray
@@ -112,7 +113,7 @@ def token_window_data(ds: TokenDataset, vocab: Vocabulary, m: int) -> ProbeData:
     rows = token_rows(vocab, chain.from_iterable(ds.tokens))
     # a token of sentence s sits m * (s + 1) rows after its place in the bare split
     centres = np.arange(len(rows)) + m * np.repeat(np.arange(1, len(lengths) + 1), lengths)
-    stream = np.full(len(rows) + m * (len(lengths) + 1), pad_row(vocab.size), dtype=int)
+    stream = np.full(len(rows) + m * (len(lengths) + 1), pad_row(vocab.size), dtype=np.int32)
     stream[centres] = rows
     return ProbeData(
         labels=_label_ids(chain.from_iterable(ds.labels), ds.label_set),
@@ -132,7 +133,7 @@ def sequence_data(ds: SequenceDataset, vocab: Vocabulary) -> ProbeData:
     first ``lengths[i]`` entries of index row i, and the rest are PAD.
     Tokens outside the vocab hit OOV."""
     lengths = np.array([len(toks) for toks in ds.tokens], dtype=int)
-    idx = np.full((len(lengths), int(lengths.max())), pad_row(vocab.size), dtype=int)
+    idx = np.full((len(lengths), int(lengths.max())), pad_row(vocab.size), dtype=np.int32)
     idx[np.arange(idx.shape[1]) < lengths[:, None]] = token_rows(
         vocab, chain.from_iterable(ds.tokens))
     return ProbeData(labels=_label_ids(ds.labels, ds.label_set), num_classes=ds.num_classes,

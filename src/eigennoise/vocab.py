@@ -85,9 +85,7 @@ def build_vocab(
     Ties are broken by first occurrence in the stream. At most
     ``max_size`` types are kept; the excess lowest-count tail maps to OOV.
     """
-    if case_fold:
-        tokens = [t.lower() for t in tokens]
-    counts = Counter(tokens)
+    counts = Counter(map(str.lower, tokens) if case_fold else tokens)
     if not counts:
         raise ValueError("cannot build a vocabulary from an empty token stream")
     if max_size < 1:

@@ -6,6 +6,7 @@ import signal
 import subprocess
 import sys
 import time
+import tracemalloc
 from dataclasses import MISSING, FrozenInstanceError, fields
 from pathlib import Path
 
@@ -44,6 +45,27 @@ def test_vocab_build_from_text(tmp_path, capsys):
                 "--output", str(tmp_path / "none.tsv")) == cli.EXIT_USAGE
     assert "usage error: --token-column must be" in capsys.readouterr().err
     assert not (tmp_path / "none.tsv").exists()
+
+
+def test_vocab_build_counts_a_text_file_as_a_stream(tmp_path):
+    # 120,000 tokens over 300 types: a list of every token, or of its
+    # lower-cased copy, would take about 1 MB of pointers and, as strings
+    # made per occurrence, about 7 MB; a stream holds a line at a time
+    from eigennoise import datasets, vocab  # noqa: F401  (the command's imports, untraced)
+
+    src = tmp_path / "corpus.txt"
+    words = [f"Word{i}" for i in range(300)]
+    src.write_text("".join(" ".join(words[(i * 7 + j) % 300] for j in range(12)) + "\n"
+                           for i in range(10_000)), encoding="utf-8")
+    out = tmp_path / "vocab.tsv"
+    tracemalloc.start()
+    try:
+        assert _run("vocab", "build", "--input", str(src), "--output", str(out)) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert read_vocab(out).size == 300
+    assert peak < 2**19, peak
 
 
 def test_vocab_build_conll_keeps_case(tmp_path):
@@ -243,12 +265,17 @@ def test_probe_run_usage_errors(tmp_path, capsys):
                           ("--vocab-cap", "0"), ("--fractions", "0"), ("--fractions", "150"),
                           ("--fractions", "-5,50"), ("--fractions", "100"),
                           ("--token-column", "-1"), ("--label-column", "-1"),
-                          ("--n", "0")):
+                          ("--n", "0"), ("--classes", "1")):
         capsys.readouterr()
         # option=value: argparse would read "-5,50" as an option of its own
         assert _run("probe", "run", "--task", "synthetic", "--n", "60", f"{option}={value}",
                     "--output-dir", out) == cli.EXIT_USAGE
         assert f"usage error: {option} must be" in capsys.readouterr().err
+    # a synthetic train split needs 10 examples per class
+    capsys.readouterr()
+    assert _run("probe", "run", "--task", "synthetic", "--classes", "100", "--n", "40",
+                "--output-dir", out) == cli.EXIT_USAGE
+    assert capsys.readouterr().err == "usage error: --n must be >= 10 * --classes = 1000, got 40\n"
     for files in (["--train", "x.tsv"], ["--train", "nonexistent", "--dev", "nope"],
                   ["--test", "t.tsv"]):
         capsys.readouterr()

@@ -178,6 +178,35 @@ def test_synth_validation():
         synth_task("separable", 100, split="validation")
 
 
+def _repeated_conll(tmp_path):
+    path = tmp_path / "repeated.conll"
+    words = ["alpha", "beta", "gamma", "delta"]
+    path.write_text("".join(f"{words[i % 4]} {'NOUN' if i % 3 else 'VERB'}\n"
+                            + ("\n" if i % 5 == 4 else "") for i in range(60)),
+                    encoding="utf-8")
+    return parse_conll(path, token_column=0, label_column=1)
+
+
+def _repeated_tsv(tmp_path):
+    path = tmp_path / "repeated.tsv"
+    path.write_text("".join(f"{'pos' if i % 2 else 'neg'}\tthe game, the goal! game\n"
+                            for i in range(20)), encoding="utf-8")
+    return parse_tsv(path)
+
+
+@pytest.mark.parametrize("read", [_repeated_conll, _repeated_tsv,
+                                  lambda tmp_path: synth_task("noisy", 60, k=3, seed=1)],
+                         ids=["conll", "tsv", "synthetic"])
+def test_a_task_holds_one_string_per_distinct_token_and_label(tmp_path, read):
+    ds = read(tmp_path)
+    tokens = [t for toks in ds.tokens for t in toks]
+    labels = [lab for labs in ds.labels for lab in labs] if isinstance(
+        ds, TokenDataset) else list(ds.labels)
+    for strings in (tokens, labels):
+        assert len(set(strings)) < len(strings)  # every value repeats
+        assert len({id(s) for s in strings}) == len(set(strings))
+
+
 def test_resolve_case_fold():
     assert [resolve_case_fold(choice, task_format) for task_format in ("text", "tsv", "conll")
             for choice in ("on", "off", "auto")] == [True, False, True] * 2 + [True, False, False]

@@ -302,7 +302,7 @@ def _choice_fault(option, value, choices):
 # a library spec's faulty values, each refused with the CLI's text
 LIBRARY_FAULTS = [
     ({"task": "bogus"}, _choice_fault("--task", "bogus", ("synthetic", "tsv", "conll"))),
-    ({"classes": 0}, "--classes must be >= 1, got 0"),
+    ({"classes": 1}, "--classes must be >= 2, got 1"),
     ({"case_fold": "maybe"}, _choice_fault("--case-fold", "maybe", ("auto", "on", "off"))),
     ({"token_column": -1}, "--token-column must be >= 0, got -1"),
     ({"frozen": ()}, "need at least one frozen setting"),

@@ -97,13 +97,13 @@ def _reference_windows(ds, vocab, m):
             windows.append([_reference_row(vocab, sent[p]) if 0 <= p < len(sent)
                             else vocab.size + 1 for p in range(pos - m, pos + m + 1)])
             labels.append(ds.label_set.index(lab))
-    return np.array(windows, dtype=int), np.array(labels, dtype=int)
+    return np.array(windows, dtype=np.int32), np.array(labels, dtype=int)
 
 
 def _reference_mean_indices(texts, vocab):
     """Mean-pooling indices and lengths, filled text by text."""
     lengths = [len(toks) for toks in texts]
-    idx = np.full((len(texts), max(lengths)), vocab.size + 1, dtype=int)
+    idx = np.full((len(texts), max(lengths)), vocab.size + 1, dtype=np.int32)
     for i, toks in enumerate(texts):
         idx[i, :len(toks)] = [_reference_row(vocab, t) for t in toks]
     return idx, np.array(lengths, dtype=int)
@@ -150,6 +150,7 @@ def test_mean_indices_match_a_per_text_loop(case_fold):
     ds = SequenceDataset(tokens=_EDGE_SENTENCES, labels=tuple("xyxyy"), label_set=("x", "y"))
     data = sequence_data(ds, vocab)
     idx, lengths = _reference_mean_indices(_EDGE_SENTENCES, vocab)
+    assert data.indices.dtype == idx.dtype and data.lengths.dtype == lengths.dtype
     np.testing.assert_array_equal(data.indices, idx)
     np.testing.assert_array_equal(data.lengths, lengths)
     np.testing.assert_array_equal(data.labels, [0, 1, 0, 1, 1])

@@ -1,5 +1,6 @@
 import importlib
 import importlib.util
+import json
 import re
 import subprocess
 import sys
@@ -86,3 +87,21 @@ def test_parity_names_a_patched_output(tmp_path, parity):
     assert found[0].startswith(f"eigennoise {' '.join(commands[-1])}: stderr: line 1:")
     assert found[1].startswith("imported-glove.txt: line 4:\n  parent: ")
     assert found[2] == "small.tsv: missing on the change side"
+
+
+def test_layers_smoke():
+    proc = subprocess.run(
+        [sys.executable, str(SCRIPTS / "layers.py"), str(ROOT), str(ROOT), "--pairs", "1",
+         "--train-tokens", "1500"],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads(proc.stdout)
+    layers = report["layers"]
+    assert set(layers) == {"context", "evaluate_loss.w0", "evaluate_loss.w10",
+                           "predict_proba.w10"}
+    assert set(layers["context"]) <= {"wall_s", "vmhwm_mb"}
+    for name in ("evaluate_loss.w0", "evaluate_loss.w10", "predict_proba.w10"):
+        assert layers[name]["hashes_equal"]
+        assert set(layers[name]) == {"wall_s", "alloc_peak_mb", "hashes_equal"}
+        assert len(layers[name]["wall_s"]["ratios"]) == 1
