@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time three layers of a CoNLL-scale probe run in two source trees.
+"""Time the layers of a CoNLL-scale probe run in two source trees.
 
     python scripts/layers.py PARENT_SRC CHANGE_SRC [--pairs N] [--train-tokens T]
 
@@ -22,14 +22,25 @@ the change:
   table) scored on every dev row, at window 0 and at window 10;
 * ``predict_proba.w10``: the same probe's class probabilities for the last
   half of the train rows, the last block of the online codelength, at
-  window 10.
+  window 10;
+* ``fit.unfrozen.w0`` and ``fit.frozen.w0``, in one process whose context
+  holds window 0 only: the fit that ``matrix.run_cell`` trains for the
+  25% stage of a seed-0 cell (the first rows of the seed-0 stream of
+  ``mdl.online_codelength`` up to the 25% boundary of
+  ``mdl.make_schedule``, 51,000 rows at the default size, with the dev
+  split), at ``max_epochs=2``, over a trainable copy of the eigennoise
+  table and over the shared table. Each records its wall time, the time
+  spent in ``probe.backward`` and ``probe.adam_step`` (wrapped by module
+  attribute), and the sha256 of the trained ``w1``, ``w2`` and, unfrozen,
+  table rows.
 
 A scoring layer is timed once, then run again under ``tracemalloc`` for
 its allocation peak, and its output is hashed with sha256. The script
 prints one JSON object: for each layer and metric, the per-side runs and
 medians, the change/parent ratio of each pair and how many pairs the
-change won (lower is better for every metric), and, for the scoring
-layers, whether every output hash was equal. Needs numpy only.
+change won (lower is better for every metric), and, for the scoring and
+fit layers, whether every output hash was equal. Five pairs take about
+three and a half minutes on 2 cores. Needs numpy only.
 """
 
 from __future__ import annotations
@@ -46,7 +57,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-LAYERS = ("context", "evaluate_loss", "predict_proba")
+LAYERS = ("context", "evaluate_loss", "predict_proba", "fit")
 
 
 def write_task(directory: Path, train_tokens: int) -> None:
@@ -86,7 +97,7 @@ def child(layer: str, task_dir: Path) -> dict:
 
     from eigennoise import cli, matrix, probe
 
-    windows = "0,2,5,10" if layer == "context" else "0,10"
+    windows = {"context": "0,2,5,10", "fit": "0"}.get(layer, "0,10")
     args = cli.build_parser().parse_args([
         "probe", "run", "--task", "conll", "--train", str(task_dir / "zipf.train"),
         "--representations", f"eigennoise,random,import:{task_dir / 'vectors.glove.txt'}",
@@ -99,6 +110,9 @@ def child(layer: str, task_dir: Path) -> dict:
         return {"context": {"wall_s": wall, "vmhwm_mb": _peak_rss_mb()}}
 
     table = ctx.tables["eigennoise", 0]
+    if layer == "fit":
+        return {f"fit.{'frozen' if frozen else 'unfrozen'}.w0": fit(ctx, table, frozen)
+                for frozen in (False, True)}
 
     def untrained(window: int):
         return probe.init_probe(table.d * (2 * window + 1), ctx.train_data[window].num_classes,
@@ -129,6 +143,55 @@ def child(layer: str, task_dir: Path) -> dict:
     return out
 
 
+def fit(ctx, table, frozen: bool) -> dict:
+    """Train the 25%-stage fit of a window-0 cell at seed 0, as
+    ``matrix.run_cell`` would, over ``table`` (a trainable copy unless
+    ``frozen``) for two epochs; its wall time, the time inside
+    ``probe.backward`` and ``probe.adam_step``, and the trained weights'
+    (and table's) sha256."""
+    import hashlib
+    import time
+    from dataclasses import replace
+
+    import numpy as np
+
+    from eigennoise import mdl, probe
+
+    train = ctx.train_data[0]
+    prefix = mdl.make_schedule(len(train), fractions=(25.0,)).boundaries[0]
+    # the stream order of mdl.online_codelength at seed 0
+    order = np.random.Generator(np.random.Philox(key=0)).permutation(len(train))
+    config = replace(ctx.config_base, seed=0, max_epochs=2)
+    spent = {"backward": 0.0, "adam_step": 0.0}
+
+    def timed(name, inner):
+        def call(*args, **kwargs):
+            start = time.perf_counter()
+            try:
+                return inner(*args, **kwargs)
+            finally:
+                spent[name] += time.perf_counter() - start
+        return call
+
+    originals = {name: getattr(probe, name) for name in spent}
+    for name, inner in originals.items():
+        setattr(probe, name, timed(name, inner))
+    try:
+        table = table if frozen else table.copy(trainable=True)
+        start = time.perf_counter()
+        model = probe.train_probe(train.subset(order[:prefix]), ctx.dev_data[0], config,
+                                  table=table)[0]
+        wall = time.perf_counter() - start
+    finally:
+        for name, inner in originals.items():
+            setattr(probe, name, inner)
+    out = {"wall_s": wall, "backward_s": spent["backward"], "adam_step_s": spent["adam_step"]}
+    for name, array in (("w1", model.w1), ("w2", model.w2),
+                        *(() if frozen else (("table", table.rows),))):
+        out[f"{name}_sha256"] = hashlib.sha256(array.tobytes()).hexdigest()
+    return out
+
+
 def source_dir(tree: Path) -> Path:
     """``tree``'s ``src`` directory; exits when it holds no eigennoise package."""
     src = (tree / "src").resolve()
@@ -154,8 +217,9 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
     for name in runs["parent"][0]:
         pairs = [(old[name], new[name]) for old, new in zip(runs["parent"], runs["change"])]
         entry = {}
+        hashes = [metric for metric in pairs[0][0] if metric.endswith("sha256")]
         for metric, value in pairs[0][0].items():
-            if metric == "sha256" or value is None:
+            if metric in hashes or value is None:
                 continue
             old = [a[metric] for a, _ in pairs]
             new = [b[metric] for _, b in pairs]
@@ -167,9 +231,9 @@ def summarize(runs: dict[str, list[dict]]) -> dict:
                 "ratios": [round(b / a, 4) for a, b in zip(old, new)],
                 "change_wins": sum(b < a for a, b in zip(old, new)),
             }
-        if "sha256" in pairs[0][0]:
-            digests = {a["sha256"] for a, _ in pairs} | {b["sha256"] for _, b in pairs}
-            entry["hashes_equal"] = len(digests) == 1
+        if hashes:
+            entry["hashes_equal"] = all(
+                len({run[metric] for pair in pairs for run in pair}) == 1 for metric in hashes)
         summary[name] = entry
     return summary
 

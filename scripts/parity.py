@@ -9,7 +9,7 @@ once into a shared directory: a seeded token-zipf task
 GloVe and ``.vec`` vectors, a small text corpus, a seeded
 ``label<TAB>text`` task (train and test splits, a test file with a
 label that the train file lacks, and a train file with a text that
-tokenizes to nothing), malformed
+tokenizes to nothing), an empty file, malformed
 ``.txt``/``.vec`` vector files, malformed vocabularies, a
 ``cells.json`` whose scored record has no uniform baseline, one whose
 spec is not an object and a run directory that holds one ``cells.json``
@@ -22,13 +22,16 @@ same paths:
   ``--classes 1``, one whose ``--n`` is below 10 per class, and a value
   outside the choices of ``probe run --task``, ``--kind``, ``--mode``,
   ``--case-fold`` and ``--frozen`` and of ``vocab build --case-fold``)
-  and a few data errors, among them a tsv ``probe run`` whose test file
-  holds an unknown label, one whose train file holds a text without tokens, a
-  synthetic one whose ``--output-dir`` is an input file (once with empty
-  items in ``--representations``), an ``embed eigennoise`` and a ``probe
-  run`` whose ``--m`` overflows a float, and a ``report aggregate`` of
-  the ``cells.json`` without a uniform baseline, of the copied run
-  directory and of the ``cells.json`` whose spec is not an object;
+  and a few data errors, among them ``vocab build`` of the empty file as
+  conll and as tsv, of the task's train file with a ``--token-column``
+  beyond its four columns and of the tsv train file whose text has no
+  tokens, a tsv ``probe run`` whose test file holds an unknown label, one
+  whose train file holds a text without tokens, a synthetic one whose
+  ``--output-dir`` is an input file (once with empty items in
+  ``--representations``), an ``embed eigennoise`` and a ``probe run``
+  whose ``--m`` overflows a float, and a ``report aggregate`` of the
+  ``cells.json`` without a uniform baseline, of the copied run directory
+  and of the ``cells.json`` whose spec is not an object;
 * ``vocab build`` (conll, tsv and text) and ``report aggregate``, of
   single runs and of the whole work directory, where the desk run and
   the ``--d 1`` run share a task label at different sizes;
@@ -159,6 +162,8 @@ def make_inputs(directory: Path) -> dict[str, Path]:
     inputs["tsv-unknown"].write_text("pos\tgreat game\nmixed\tgreat loss\n", encoding="utf-8")
     inputs["tsv-empty-text"] = directory / "tweets-empty-text.tsv"
     inputs["tsv-empty-text"].write_text("pos\tgreat game\nneg\t!!\n", encoding="utf-8")
+    inputs["empty"] = directory / "empty.txt"
+    inputs["empty"].write_text("", encoding="utf-8")
     for name, lines in MALFORMED.items():
         glove, vec = directory / f"{name}.txt", directory / f"{name}.vec"
         glove.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
@@ -270,6 +275,11 @@ def command_set(inputs: dict[str, Path]) -> list[list[str]]:
     ]
     data_errors = [
         ["vocab", "build", "--input", "missing.txt", "--output", "never.tsv"],
+        *(["vocab", "build", "--format", fmt, "--input", str(inputs[name]), *extra,
+           "--output", "never.tsv"]
+          for fmt, name, extra in (("conll", "empty", []),
+                                   ("conll", "train", ["--token-column", "4"]),
+                                   ("tsv", "tsv-empty-text", []), ("tsv", "empty", []))),
         ["embed", "eigennoise", "--n", "5", "--d", "8", "--output", "never.txt"],
         ["embed", "import", "--source", "missing.txt", "--vocab", "vocab.tsv",
          "--output", "never.txt"],

@@ -66,13 +66,12 @@ def cmd_vocab_build(args) -> int:
     from . import datasets
     from . import vocab as vocab_mod
 
-    if args.format == "text":
-        tokens = vocab_mod.token_stream(args.input)
-    else:  # labels are not read: point the label column at the tokens
-        tokens = chain.from_iterable(datasets.read_split(
-            args.format, args.input, args.token_column, args.token_column).tokens)
+    # labels are not counted: point the label column at the tokens
+    records = datasets.read_records(args.format, args.input, args.token_column,
+                                    args.token_column)
     voc = vocab_mod.build_vocab(
-        tokens, case_fold=datasets.resolve_case_fold(args.case_fold, args.format),
+        chain.from_iterable(tokens for tokens, _ in records),
+        case_fold=datasets.resolve_case_fold(args.case_fold, args.format),
         max_size=args.max_size)
     vocab_mod.write_vocab(voc, args.output)
     print(f"wrote {voc.size} ranks to {args.output}")

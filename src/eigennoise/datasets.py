@@ -7,13 +7,15 @@ tokenized once, when its file is read, a synthetic text is drawn as
 tokens, and labels become ids only at featurization. Label sets are
 ordered by first appearance in the file that defined them (by class
 number for synthetic tasks); applying a training label set to dev/test
-never re-indexes silently (unknown labels raise). A file's reader, and a
-synthetic draw, hold one string object per distinct token and label,
-shared by all its occurrences, so a task's strings grow with its types.
+never re-indexes silently (unknown labels raise). ``read_records``, the
+one reader of conll, tsv and text files, streams; a conll or tsv read and
+a synthetic draw hold one string object per distinct token and label, so
+a task's strings grow with its types.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from itertools import chain
 from pathlib import Path
@@ -74,46 +76,59 @@ class SequenceDataset:
         return len(self.label_set)
 
 
-def parse_conll(path: str | Path, token_column: int = 0,
-                label_column: int = 3) -> TokenDataset:
-    """Whitespace-column format: blank line ends a sentence, lines
-    starting with -DOCSTART- are skipped."""
-    sentences: list[tuple[str, ...]] = []
-    labels: list[tuple[str, ...]] = []
-    cur_toks: list[str] = []
-    cur_labs: list[str] = []
+def read_records(task_format: str, path: str | Path, token_column: int = 0,
+                 label_column: int = 3) -> Iterator[tuple]:
+    """Yield each record of a ``conll``, ``tsv`` or ``text`` file as it is
+    read. A conll sentence comes out as (tokens, labels): a blank line ends
+    it, lines starting with -DOCSTART- are skipped, and each line needs the
+    token and label columns. A tsv line comes out as (tokens, label): it is
+    label<TAB>text, whose text holds at least one token. A text line comes
+    out as (tokens, None). The first fault in file order raises, naming its
+    ``path:line``; a conll or tsv file without a record raises at its end."""
+    width = max(token_column, label_column) + 1
     seen: dict[str, str] = {}  # one string object per distinct value
-
-    def flush():
-        if cur_toks:
-            sentences.append(tuple(cur_toks))
-            labels.append(tuple(cur_labs))
-            cur_toks.clear()
-            cur_labs.clear()
-
+    toks, labs, found = [], [], False  # the conll sentence being read
     with open(path, encoding="utf-8") as fh:
         for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line.strip():
-                flush()
-                continue
-            if line.startswith("-DOCSTART-"):
-                continue
-            cols = line.split()
-            width = max(token_column, label_column) + 1
-            if len(cols) < width:
-                raise ValueError(
-                    f"{path}:{lineno}: {len(cols)} columns, need at least {width}"
-                )
-            tok, lab = cols[token_column], cols[label_column]
-            cur_toks.append(seen.setdefault(tok, tok))
-            cur_labs.append(seen.setdefault(lab, lab))
-    flush()
-    if not sentences:
-        raise ValueError(f"{path}: no sentences found")
-    label_set = tuple(dict.fromkeys(chain.from_iterable(labels)))  # first appearance
-    return TokenDataset(tokens=tuple(sentences), labels=tuple(labels),
-                        label_set=label_set)
+            if task_format == "text":
+                yield tuple(tokenize(line)), None
+            elif task_format == "tsv":
+                line = line.rstrip("\n")
+                if not line:
+                    continue
+                if "\t" not in line:
+                    raise ValueError(f"{path}:{lineno}: expected label<TAB>text")
+                label, text = line.split("\t", 1)
+                tokens = tuple(seen.setdefault(t, t) for t in tokenize(text))
+                if not tokens:
+                    raise ValueError(f"{path}:{lineno}: text tokenizes to nothing")
+                found = True
+                yield tokens, seen.setdefault(label, label)
+            elif not line.strip():
+                if toks:
+                    yield tuple(toks), tuple(labs)
+                    toks, labs, found = [], [], True
+            elif not line.startswith("-DOCSTART-"):
+                cols = line.split()
+                if len(cols) < width:
+                    raise ValueError(
+                        f"{path}:{lineno}: {len(cols)} columns, need at least {width}")
+                tok, lab = cols[token_column], cols[label_column]
+                toks.append(seen.setdefault(tok, tok))
+                labs.append(seen.setdefault(lab, lab))
+    if toks:  # the last conll sentence
+        yield tuple(toks), tuple(labs)
+    elif not found and task_format != "text":
+        raise ValueError(f"{path}: no sentences found" if task_format == "conll"
+                         else f"{path}: empty dataset file")
+
+
+def parse_conll(path: str | Path, token_column: int = 0,
+                label_column: int = 3) -> TokenDataset:
+    """A conll file's sentences; the label set follows first appearance."""
+    sentences, labels = zip(*read_records("conll", path, token_column, label_column))
+    return TokenDataset(tokens=sentences, labels=labels,
+                        label_set=tuple(dict.fromkeys(chain.from_iterable(labels))))
 
 
 def write_conll(ds: TokenDataset, path: str | Path) -> None:
@@ -126,27 +141,9 @@ def write_conll(ds: TokenDataset, path: str | Path) -> None:
 
 
 def parse_tsv(path: str | Path) -> SequenceDataset:
-    """One record per line: label<TAB>text, the text kept as its tokens.
-    The label set follows first appearance."""
-    tokens: list[tuple[str, ...]] = []
-    labels: list[str] = []
-    seen: dict[str, str] = {}  # one string object per distinct value
-    with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.rstrip("\n")
-            if not line:
-                continue
-            if "\t" not in line:
-                raise ValueError(f"{path}:{lineno}: expected label<TAB>text")
-            label, text = line.split("\t", 1)
-            toks = tuple(seen.setdefault(t, t) for t in tokenize(text))
-            if not toks:
-                raise ValueError(f"{path}:{lineno}: text tokenizes to nothing")
-            labels.append(seen.setdefault(label, label))
-            tokens.append(toks)
-    if not tokens:
-        raise ValueError(f"{path}: empty dataset file")
-    return SequenceDataset(tokens=tuple(tokens), labels=tuple(labels),
+    """A tsv file's records; the label set follows first appearance."""
+    tokens, labels = zip(*read_records("tsv", path))
+    return SequenceDataset(tokens=tokens, labels=labels,
                            label_set=tuple(dict.fromkeys(labels)))
 
 

@@ -11,6 +11,8 @@ DEFAULT_MAX_SIZE = 20_000  # the most ranks a vocabulary keeps
 ALLOWED_WINDOWS = (0, 2, 5, 10)  # the conll window half-widths, and their default
 # online-codelength block boundaries, in percent of the train stream
 DEFAULT_FRACTIONS = (0.1, 0.2, 0.4, 0.8, 1.6, 3.2, 6.25, 12.5, 25.0, 50.0, 100.0)
+# the RunSpec fields that list a run's cells, each value once; a run's setting is the rest
+CELL_FIELDS = ("representations", "windows", "frozen", "seeds")
 
 # the probe.TrainConfig fields that probe run sets
 DEFAULT_LR = 0.001

@@ -89,7 +89,7 @@ class RunSpec:
     fractions: tuple[float, ...]  # the MDL block boundaries, in percent
 
     def __post_init__(self):
-        for name in ("representations", "windows", "frozen", "seeds"):
+        for name in defaults.CELL_FIELDS:
             object.__setattr__(self, name, tuple(dict.fromkeys(getattr(self, name))))
         if fault := defaults.option_fault(asdict(self)):
             raise ValueError(fault)

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
-from .defaults import DEFAULT_FRACTIONS
+from .defaults import CELL_FIELDS, DEFAULT_FRACTIONS
 
 if TYPE_CHECKING:  # report aggregate uses this module without the probe stack
     from .probe import ProbeData, TrainConfig
@@ -296,8 +296,7 @@ def read_records(input_dir) -> list[dict]:
         if not isinstance(spec, dict):
             raise ValueError(f'{path}: expected "spec" to be an object')
         setting = json.dumps({key: value for key, value in spec.items()
-                              if key not in ("representations", "windows", "frozen", "seeds")},
-                             sort_keys=True)
+                              if key not in CELL_FIELDS}, sort_keys=True)
         for i, rec in enumerate(cells):
             missing = [key for key in RECORD_KEYS if not isinstance(rec, dict) or key not in rec]
             if missing:

@@ -132,9 +132,3 @@ def read_vocab(path: str | Path) -> Vocabulary:
         raise ValueError(f"{path}: {exc}") from None
     return vocab
 
-
-def token_stream(path: str | Path) -> Iterable[str]:
-    """Tokens of a plain-text file, one line at a time."""
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            yield from tokenize(line)

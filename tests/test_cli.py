@@ -47,24 +47,31 @@ def test_vocab_build_from_text(tmp_path, capsys):
     assert not (tmp_path / "none.tsv").exists()
 
 
-def test_vocab_build_counts_a_text_file_as_a_stream(tmp_path):
-    # 120,000 tokens over 300 types: a list of every token, or of its
-    # lower-cased copy, would take about 1 MB of pointers and, as strings
-    # made per occurrence, about 7 MB; a stream holds a line at a time
+@pytest.mark.parametrize("fmt", ["text", "tsv", "conll"])
+def test_vocab_build_counts_a_file_as_a_stream(tmp_path, fmt):
+    # 120,000 tokens over 300 types in each format: a list of every token,
+    # or of its lower-cased copy, would take about 1 MB of pointers and, as
+    # strings made per occurrence, about 7 MB; so would a dataset of every
+    # sentence or text; a stream holds a record at a time
     from eigennoise import datasets, vocab  # noqa: F401  (the command's imports, untraced)
 
-    src = tmp_path / "corpus.txt"
+    src = tmp_path / f"corpus.{fmt}"
     words = [f"Word{i}" for i in range(300)]
-    src.write_text("".join(" ".join(words[(i * 7 + j) % 300] for j in range(12)) + "\n"
+    record = {"text": lambda line: " ".join(line) + "\n",
+              "tsv": lambda line: "label\t" + " ".join(line) + "\n",
+              "conll": lambda line: "".join(f"{word} TAG\n" for word in line) + "\n"}[fmt]
+    src.write_text("".join(record([words[(i * 7 + j) % 300] for j in range(12)])
                            for i in range(10_000)), encoding="utf-8")
     out = tmp_path / "vocab.tsv"
     tracemalloc.start()
     try:
-        assert _run("vocab", "build", "--input", str(src), "--output", str(out)) == 0
+        assert _run("vocab", "build", "--format", fmt, "--input", str(src),
+                    "--output", str(out)) == 0
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert read_vocab(out).size == 300
+    voc = read_vocab(out)
+    assert voc.size == 300 and sum(count for _, count in voc.entries) == 120_000
     assert peak < 2**19, peak
 
 

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -8,6 +9,7 @@ from eigennoise.datasets import (
     TokenDataset,
     parse_conll,
     parse_tsv,
+    read_records,
     resolve_case_fold,
     synth_task,
     write_conll,
@@ -54,6 +56,26 @@ def test_parse_conll_empty(tmp_path):
     path.write_text("\n\n", encoding="utf-8")
     with pytest.raises(ValueError, match="no sentences"):
         parse_conll(path)
+
+
+def test_read_records_yields_each_sentence_before_a_later_fault(tmp_path):
+    path = tmp_path / "late.conll"
+    path.write_text("EU NNP\nrejects VBZ\n\nGerman JJ\ncall\n", encoding="utf-8")
+    records = read_records("conll", path, token_column=0, label_column=1)
+    assert next(records) == (("EU", "rejects"), ("NNP", "VBZ"))
+    with pytest.raises(ValueError, match=f"^{re.escape(str(path))}:5: 1 columns, "
+                                         "need at least 2$"):
+        list(records)
+
+
+def test_read_records_gives_each_format_its_record(tmp_path):
+    path = tmp_path / "task.tsv"
+    path.write_text("pos\tGreat game!\n\nneg\tawful\n", encoding="utf-8")
+    assert list(read_records("tsv", path)) == [(("Great", "game"), "pos"),
+                                               (("awful",), "neg")]
+    # a text line is its tokens, whatever its tabs; a blank line is no token
+    assert list(read_records("text", path)) == [(("pos", "Great", "game"), None),
+                                                ((), None), (("neg", "awful"), None)]
 
 
 def test_conll_round_trip(tmp_path):

@@ -99,9 +99,14 @@ def test_layers_smoke():
     report = json.loads(proc.stdout)
     layers = report["layers"]
     assert set(layers) == {"context", "evaluate_loss.w0", "evaluate_loss.w10",
-                           "predict_proba.w10"}
+                           "predict_proba.w10", "fit.unfrozen.w0", "fit.frozen.w0"}
     assert set(layers["context"]) <= {"wall_s", "vmhwm_mb"}
     for name in ("evaluate_loss.w0", "evaluate_loss.w10", "predict_proba.w10"):
         assert layers[name]["hashes_equal"]
         assert set(layers[name]) == {"wall_s", "alloc_peak_mb", "hashes_equal"}
         assert len(layers[name]["wall_s"]["ratios"]) == 1
+    for name in ("fit.unfrozen.w0", "fit.frozen.w0"):
+        assert layers[name]["hashes_equal"]
+        assert set(layers[name]) == {"wall_s", "backward_s", "adam_step_s", "hashes_equal"}
+        assert 0 < layers[name]["adam_step_s"]["parent_median"] < layers[name]["wall_s"][
+            "parent_median"]
